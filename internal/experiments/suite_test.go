@@ -2,9 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
 	"math"
+	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,12 +21,18 @@ import (
 // the suite repeatedly.
 var cheapFilter = regexp.MustCompile(`^E(1|2|8|15)$`)
 
-func renderSuite(t *testing.T, workers int, filter *regexp.Regexp) (text, csv, js string) {
+func runSuite(t *testing.T, workers int, filter *regexp.Regexp) *Suite {
 	t.Helper()
 	suite, err := RunSuite(SuiteConfig{Filter: filter, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return suite
+}
+
+func renderSuite(t *testing.T, workers int, filter *regexp.Regexp) (text, csv, js string) {
+	t.Helper()
+	suite := runSuite(t, workers, filter)
 	var tb, cb, jb bytes.Buffer
 	if err := suite.WriteText(&tb); err != nil {
 		t.Fatal(err)
@@ -34,26 +46,102 @@ func renderSuite(t *testing.T, workers int, filter *regexp.Regexp) (text, csv, j
 	return tb.String(), cb.String(), jb.String()
 }
 
-// TestSuiteDeterministicAcrossWorkers is the tentpole's acceptance
-// criterion at the suite layer: the full registry, run serially and
-// run on 8 workers, must render byte-identical text, CSV and JSON.
+// goldenPath is the behaviour spec of the whole registry: the sha256
+// of every experiment's text, CSV and JSON render, one
+// "<sha256>  <id>.<txt|csv|json>" line each.
+const goldenPath = "testdata/golden.sha256"
+
+// goldenArch is the only GOARCH the goldens hold for. Elsewhere the
+// compiler may fuse a*b+c into one FMA instruction, which rounds once
+// instead of twice and moves the last digits of the renders.
+const goldenArch = "amd64"
+
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from a workers-1 run of the full suite")
+
+// renderSums returns one golden line per experiment and render format
+// of the suite, in registry order.
+func renderSums(t *testing.T, s *Suite) []string {
+	t.Helper()
+	var lines []string
+	for i, r := range s.Reports {
+		one := &Suite{Reports: s.Reports[i : i+1]}
+		for _, f := range []struct {
+			ext   string
+			write func(io.Writer) error
+		}{{"txt", one.WriteText}, {"csv", one.WriteCSV}, {"json", one.WriteJSON}} {
+			h := sha256.New()
+			if err := f.write(h); err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, fmt.Sprintf("%x  %s.%s", h.Sum(nil), r.Experiment.ID, f.ext))
+		}
+	}
+	return lines
+}
+
+// readGolden parses the golden file into render name → digest.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go test ./internal/experiments -run TestSuiteDeterministicAcrossWorkers -update)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		want[fields[1]] = fields[0]
+	}
+	return want
+}
+
+// TestSuiteDeterministicAcrossWorkers is the registry's behaviour
+// spec: the full suite, run serially and run on 8 workers, must
+// render every experiment's text, CSV and JSON to the digests
+// committed in testdata/golden.sha256. Run with -update to rewrite
+// the file from the serial run.
 func TestSuiteDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment suite twice")
 	}
-	st, sc, sj := renderSuite(t, 1, nil)
-	pt, pc, pj := renderSuite(t, 8, nil)
-	if st != pt {
-		t.Error("text output differs between 1 worker and 8 workers")
+	if runtime.GOARCH != goldenArch {
+		t.Skipf("the goldens hold for GOARCH=%s only: other architectures may fuse multiply-adds into FMA instructions", goldenArch)
 	}
-	if sc != pc {
-		t.Error("CSV output differs between 1 worker and 8 workers")
+	serial := runSuite(t, 1, nil)
+	if *update {
+		body := "# sha256 of each experiment's text, CSV and JSON render, valid for GOARCH=" + goldenArch + ".\n" +
+			"# Regenerate with: go test ./internal/experiments -run TestSuiteDeterministicAcrossWorkers -update\n" +
+			strings.Join(renderSums(t, serial), "\n") + "\n"
+		if err := os.WriteFile(goldenPath, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if sj != pj {
-		t.Error("JSON output differs between 1 worker and 8 workers")
+	want := readGolden(t)
+	if len(want) != 3*len(All()) {
+		t.Errorf("golden file has %d entries, want %d (3 renders × %d experiments)", len(want), 3*len(All()), len(All()))
+	}
+	for _, run := range []struct {
+		workers int
+		suite   *Suite
+	}{{1, serial}, {8, runSuite(t, 8, nil)}} {
+		for _, line := range renderSums(t, run.suite) {
+			sum, name, _ := strings.Cut(line, "  ")
+			if want[name] != sum {
+				t.Errorf("workers %d: %s renders to sha256 %s, golden has %q", run.workers, name, sum, want[name])
+			}
+		}
+	}
+	var text bytes.Buffer
+	if err := serial.WriteText(&text); err != nil {
+		t.Fatal(err)
 	}
 	for _, e := range All() {
-		if !strings.Contains(st, e.ID+" — ") {
+		if !strings.Contains(text.String(), e.ID+" — ") {
 			t.Errorf("text output missing table %s", e.ID)
 		}
 	}
