@@ -35,7 +35,6 @@ func main() {
 	nq := flag.Int("nq", 150, "q cells")
 	nv := flag.Int("nv", 120, "v cells")
 	marginal := flag.Bool("marginal", false, "print the final q-marginal density")
-	float32Lane := flag.Bool("float32", false, "single-precision density lane (first-order upwind; observables computed on a float64 widening)")
 	obsCLI := fpcc.BindObsFlags(flag.CommandLine)
 	flag.Parse()
 	if err := obsCLI.Setup(); err != nil {
@@ -53,7 +52,6 @@ func main() {
 		QMax: *qMax, NQ: *nq,
 		VMin: -vSpan, VMax: vSpan, NV: *nv,
 		DelayTau: *tau,
-		Float32:  *float32Lane,
 		Obs:      obsCLI.Recorder("fp"),
 	})
 	if err != nil {

@@ -104,9 +104,6 @@ func E14SchemeAblation(ctx *Ctx) (*Table, error) {
 	for _, secondOrder := range []bool{false, true} {
 		cfg := e9Config(sigma, inner)
 		cfg.SecondOrder = secondOrder
-		// Only the first-order row is float32-eligible; the lane has
-		// no MUSCL kernels.
-		cfg.Float32 = !secondOrder && float32For("E14")
 		s, err := fokkerplanck.New(cfg)
 		if err != nil {
 			return nil, err

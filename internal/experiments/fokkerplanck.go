@@ -39,7 +39,6 @@ func E9FokkerPlanckVsMonteCarlo(ctx *Ctx) (*Table, error) {
 	setup := rc.Span("setup")
 	cfg := e9Config(sigma, inner)
 	cfg.Obs = rc
-	cfg.Float32 = float32For("E9")
 	s, err := fokkerplanck.New(cfg)
 	if err != nil {
 		return nil, err
@@ -126,7 +125,6 @@ func E10VariabilityVsFluid(ctx *Ctx) (*Table, error) {
 	setup := rc.Span("setup")
 	cfg := e9Config(sigma, inner)
 	cfg.Obs = rc
-	cfg.Float32 = float32For("E10")
 	s, err := fokkerplanck.New(cfg)
 	if err != nil {
 		return nil, err

@@ -106,7 +106,6 @@ func E12DiffusionSpread(ctx *Ctx) (*Table, error) {
 		// single-threaded so the sweep pool owns the whole grant.
 		cfg := e9Config(c.Values[0], 1)
 		cfg.NQ, cfg.NV = 100, 80
-		cfg.Float32 = float32For("E12")
 		s, err := fokkerplanck.New(cfg)
 		if err != nil {
 			return cellOut{}, err

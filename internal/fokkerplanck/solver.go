@@ -106,20 +106,6 @@ type Config struct {
 	// paper's footnote 2 anticipates for burstier rate processes.
 	SigmaV float64
 
-	// Float32 stores the density single-precision and runs the
-	// advection and diffusion sweeps in float32 — half the memory
-	// traffic on the bandwidth-bound hot path. Moments, marginals and
-	// every other observable are computed on a float64 widening of the
-	// field, so only the transport arithmetic is single-precision.
-	// Only the first-order upwind scheme has a float32 lane: Float32
-	// with SecondOrder or SigmaV is a Validate error. DelayTau is
-	// supported (the closure's history and drifts stay float64).
-	// Results remain bit-identical for any Workers setting, but they
-	// differ from the float64 lane in the last ~7 decimal digits —
-	// experiments whose full-precision goldens must not move stay on
-	// float64 (see EXPERIMENTS.md).
-	Float32 bool
-
 	// Workers bounds the intra-step parallelism of the sweeps
 	// (0 = GOMAXPROCS). It affects wall-clock time only, never
 	// results: the sweep partitioning is fixed by the grid alone.
@@ -154,10 +140,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fokkerplanck: negative delay %v", c.DelayTau)
 	case c.SigmaV < 0:
 		return fmt.Errorf("fokkerplanck: negative sigmaV %v", c.SigmaV)
-	case c.Float32 && c.SecondOrder:
-		return fmt.Errorf("fokkerplanck: Float32 supports first-order upwind only (SecondOrder set)")
-	case c.Float32 && c.SigmaV > 0:
-		return fmt.Errorf("fokkerplanck: Float32 does not support the SigmaV diffusion term")
 	}
 	return nil
 }
@@ -182,22 +164,12 @@ type Solver struct {
 	tmp     []float64 // ping-pong / multi-RHS scratch field
 	t       float64
 
-	// Float32 lane (cfg.Float32): f32 is the authoritative density and
-	// f becomes its lazily-synced float64 widening — every read-side
-	// method calls syncF64 first, so observables always see the current
-	// field. f32Dirty marks the widening stale after a step.
-	f32, tmp32 []float32
-	cq32       []float32 // per-row Courant numbers, float32
-	f32Dirty   bool
-
 	// cached CFL speed bounds (the law and grid are immutable)
 	maxV, maxG float64
 
 	// prefactored Crank-Nicolson systems for the two diffusion axes
-	// (shared kernel: the bands depend only on the step size), plus
-	// the float32 twin the Float32 lane streams through
+	// (shared kernel: the bands depend only on the step size)
 	qFac, vFac linalg.CNFactor
-	qFac32     linalg.CNFactor32
 
 	// cq holds the per-row Courant numbers of the current q-sweep.
 	cq []float64 // length NV
@@ -260,23 +232,8 @@ func New(cfg Config) (*Solver, error) {
 		vc:       vAxis.Centers(),
 		rowDrift: make([]float64, cfg.NV+1),
 	}
-	if cfg.Float32 {
-		s.f32 = make([]float32, len(s.f))
-		s.tmp32 = make([]float32, len(s.tmp))
-		s.cq32 = make([]float32, cfg.NV)
-	}
 	s.maxV, s.maxG = s.computeMaxSpeeds()
 	return s, nil
-}
-
-// syncF64 refreshes the float64 widening of a float32-lane field; a
-// no-op on the float64 lane and when the widening is current. Every
-// read-side method calls it first.
-func (s *Solver) syncF64() {
-	if s.f32Dirty {
-		linalg.Widen(s.f, s.f32)
-		s.f32Dirty = false
-	}
 }
 
 // Grid returns the discretization (X axis = q, Y axis = v).
@@ -295,7 +252,6 @@ func (s *Solver) Density() []float64 { return s.AppendDensity(nil) }
 // allocation-free variant of Density for per-step sampling loops
 // (pass dst[:0] to reuse its backing array).
 func (s *Solver) AppendDensity(dst []float64) []float64 {
-	s.syncF64()
 	return append(dst, s.f...)
 }
 
@@ -343,12 +299,6 @@ func (s *Solver) normalize() error {
 		return fmt.Errorf("fokkerplanck: degenerate initial density (mass %v)", mass)
 	}
 	linalg.Scale(1/mass, s.f)
-	if s.cfg.Float32 {
-		// The float32 lane rounds the initial condition once here;
-		// reads widen back, so observables see the rounded field.
-		linalg.Narrow(s.f32, s.f)
-		s.f32Dirty = true
-	}
 	s.t = 0
 	s.clipped = 0
 	s.outflow = 0
@@ -364,7 +314,6 @@ func (s *Solver) normalize() error {
 // the only moment the delayed closure records per step, so it must
 // not pay for the full Moments computation.
 func (s *Solver) meanQ() float64 {
-	s.syncF64()
 	nq, nv := s.cfg.NQ, s.cfg.NV
 	var mass, mq float64
 	for iq := 0; iq < nq; iq++ {
@@ -512,42 +461,26 @@ func (s *Solver) Step(dt float64) error {
 		return fmt.Errorf("fokkerplanck: step %v violates CFL (number %.3f > 1)", dt, cfl)
 	}
 	s.prepareDrifts()
-	switch {
-	case s.cfg.Float32:
-		s.advectQ32(dt)
-		s.advectV32(dt)
-		if s.cfg.Sigma > 0 {
-			s.diffuseQ32(dt)
-		}
-	case s.cfg.SecondOrder:
+	if s.cfg.SecondOrder {
 		s.advectQ2(dt)
 		s.advectV2(dt)
-	default:
+	} else {
 		s.advectQ(dt)
 		s.advectV(dt)
 	}
-	if !s.cfg.Float32 {
-		if s.cfg.Sigma > 0 {
-			s.diffuseQ(dt)
-		}
-		if s.cfg.SigmaV > 0 {
-			s.diffuseV(dt)
-		}
+	if s.cfg.Sigma > 0 {
+		s.diffuseQ(dt)
+	}
+	if s.cfg.SigmaV > 0 {
+		s.diffuseV(dt)
 	}
 	// Clip the tiny negative undershoots the explicit sweeps can
 	// leave, accumulating the audit through the block-ordered
 	// reduction so the clipped total is bit-identical for any worker
 	// count.
-	if s.cfg.Float32 {
-		s.f32Dirty = true
-		s.clipped += -parallel.ReduceSum(len(s.f32), s.workers, func(lo, hi int) float64 {
-			return linalg.ClampNonNegative32(s.f32[lo:hi])
-		}) * s.g2d.CellArea()
-	} else {
-		s.clipped += -parallel.ReduceSum(len(s.f), s.workers, func(lo, hi int) float64 {
-			return linalg.ClampNonNegative(s.f[lo:hi])
-		}) * s.g2d.CellArea()
-	}
+	s.clipped += -parallel.ReduceSum(len(s.f), s.workers, func(lo, hi int) float64 {
+		return linalg.ClampNonNegative(s.f[lo:hi])
+	}) * s.g2d.CellArea()
 	s.t += dt
 	s.recordMeanQ()
 	s.step++
@@ -563,7 +496,6 @@ func (s *Solver) Step(dt float64) error {
 // samples when due, invariant checks when enabled. It runs only with
 // a live recorder, so the uninstrumented step pays one nil check.
 func (s *Solver) observe(rec *obs.Recorder, dt float64) error {
-	s.syncF64()
 	if rec.ProbeDue("fp.mass", s.t) {
 		rec.Probe("fp.mass", s.t, s.g2d.Integrate(s.f))
 		rec.Probe("fp.meanq", s.t, s.meanQ())
@@ -800,7 +732,6 @@ func (s *Solver) diffuseQ(dt float64) {
 
 // Moments computes the low-order moments of the current density.
 func (s *Solver) Moments() Moments {
-	s.syncF64()
 	nq, nv := s.cfg.NQ, s.cfg.NV
 	area := s.g2d.CellArea()
 	var mass, mq, mv float64
@@ -844,7 +775,6 @@ func (s *Solver) MarginalQ() []float64 { return s.AppendMarginalQ(nil) }
 // returns the extended slice — the allocation-free variant of
 // MarginalQ (pass dst[:0] to reuse its backing array).
 func (s *Solver) AppendMarginalQ(dst []float64) []float64 {
-	s.syncF64()
 	nq, nv := s.cfg.NQ, s.cfg.NV
 	dv := s.g2d.Y.Dx
 	for iq := 0; iq < nq; iq++ {
@@ -865,7 +795,6 @@ func (s *Solver) MarginalV() []float64 { return s.AppendMarginalV(nil) }
 // returns the extended slice — the allocation-free variant of
 // MarginalV (pass dst[:0] to reuse its backing array).
 func (s *Solver) AppendMarginalV(dst []float64) []float64 {
-	s.syncF64()
 	nq, nv := s.cfg.NQ, s.cfg.NV
 	dq := s.g2d.X.Dx
 	start := len(dst)
@@ -888,7 +817,6 @@ func (s *Solver) AppendMarginalV(dst []float64) []float64 {
 // TailProb returns P(Q > b) under the current density — the overflow
 // measure a deterministic fluid model cannot produce (experiment E10).
 func (s *Solver) TailProb(b float64) float64 {
-	s.syncF64()
 	nq, nv := s.cfg.NQ, s.cfg.NV
 	area := s.g2d.CellArea()
 	var p, mass float64
