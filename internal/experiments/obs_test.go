@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,25 +197,37 @@ func TestE3Trace(t *testing.T) {
 	}
 }
 
-// TestE30Trace is the ISSUE's end-to-end acceptance check at the
-// experiment layer: a traced netmf E30 run emits parseable JSONL
-// carrying span timings and at least three distinct probe series,
-// with zero invariant violations.
-func TestE30Trace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the E30 parking-lot sweep")
+// checkCatalogued fails the test for every emitted probe series that
+// matches no obs.Catalog() entry, reading <class> and <node> as
+// wildcards for one dot-free name segment.
+func checkCatalogued(t *testing.T, probes map[string]int) {
+	t.Helper()
+	wild := strings.NewReplacer("<class>", `[^.]+`, "<node>", `[^.]+`)
+	var pats []*regexp.Regexp
+	for _, p := range obs.Catalog() {
+		pats = append(pats, regexp.MustCompile("^"+wild.Replace(regexp.QuoteMeta(p.Name))+"$"))
 	}
+	for _, name := range slices.Sorted(maps.Keys(probes)) {
+		if !slices.ContainsFunc(pats, func(re *regexp.Regexp) bool { return re.MatchString(name) }) {
+			t.Errorf("probe %s (sampled %d times) matches no obs.Catalog() entry", name, probes[name])
+		}
+	}
+}
+
+// traceProbes runs one experiment with a streaming sink and invariant
+// checks on, failing the test on any violation, and returns the count
+// of samples per probe series plus the number of span events.
+func traceProbes(t *testing.T, id string, run func(*Ctx) (*Table, error)) (probes map[string]int, spans int) {
+	t.Helper()
 	var trace bytes.Buffer
-	sink := obs.NewJSONL(&trace)
-	rec := (&obs.Config{Sink: sink, Invariants: true}).Recorder("E30")
-	if _, err := E30ParkingLotLargeN(NewCtx(rec, 1)); err != nil {
+	rec := (&obs.Config{Sink: obs.NewJSONL(&trace), Invariants: true}).Recorder(id)
+	if _, err := run(NewCtx(rec, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	probes := map[string]int{}
-	spans := 0
+	probes = map[string]int{}
 	for _, e := range parseTrace(t, &trace) {
 		switch e.Kind {
 		case "probe":
@@ -221,18 +235,47 @@ func TestE30Trace(t *testing.T) {
 		case "span", "span_total":
 			spans++
 		case "violation":
-			t.Errorf("violation in clean E30 run: %+v", e)
+			t.Errorf("violation in clean %s run: %+v", id, e)
 		}
 	}
+	if rec.Violations() != 0 {
+		t.Errorf("recorder counted %d violations", rec.Violations())
+	}
+	return probes, spans
+}
+
+// TestE28Trace: a traced single-bottleneck kinetic run (E28, the
+// density engine against the particle backend) emits the mf and mfp
+// series, every one of them catalogued, with zero violations.
+func TestE28Trace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the E28 convergence study")
+	}
+	probes, _ := traceProbes(t, "E28", E28MeanFieldConvergence)
+	for _, name := range []string{"mf.q", "mf.bottleneck.q", "mfp.queue"} {
+		if probes[name] == 0 {
+			t.Errorf("probe %s never sampled (got %v)", name, probes)
+		}
+	}
+	checkCatalogued(t, probes)
+}
+
+// TestE30Trace is the end-to-end acceptance check at the experiment
+// layer: a traced netmf E30 run emits parseable JSONL carrying span
+// timings and at least three distinct probe series, every one of them
+// catalogued, with zero invariant violations.
+func TestE30Trace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the E30 parking-lot sweep")
+	}
+	probes, spans := traceProbes(t, "E30", E30ParkingLotLargeN)
 	if len(probes) < 3 {
 		t.Errorf("%d distinct probe series, want ≥ 3 (got %v)", len(probes), probes)
 	}
 	if spans == 0 {
 		t.Error("no span timing events in the trace")
 	}
-	if rec.Violations() != 0 {
-		t.Errorf("recorder counted %d violations", rec.Violations())
-	}
+	checkCatalogued(t, probes)
 }
 
 // TestProbeCatalogDocumented: every probe series in the obs catalog

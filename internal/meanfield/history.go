@@ -8,8 +8,8 @@ import "sort"
 // interpolation at t−τ. The queue of a fluid-limit model is
 // continuous, unlike the integer-valued des.QueueHistory — hence
 // interpolation rather than piecewise-constant lookup. It serves the
-// shared-bottleneck backends here (Density, Particles) and the
-// per-link queue histories of the networked engine (internal/netmf).
+// per-node queue histories of the kinetic Engine and the shared
+// bottleneck of Particles.
 type History struct {
 	t, q []float64
 }

@@ -24,16 +24,21 @@
 // heavy-traffic scenarios become directly computable rather than
 // extrapolated.
 //
-// Two cross-checking backends share the Config:
+// The package holds the repository's one kinetic engine and a
+// finite-N backend:
 //
-//   - Density: the kinetic engine — conservative upwind (or
-//     MUSCL/minmod, Config.SecondOrder) transport in λ per class, in
-//     the style of internal/fokkerplanck's advection sweeps, plus a
-//     Crank-Nicolson diffusion solve when σ_k > 0.
+//   - Engine: conservative upwind (or MUSCL/minmod,
+//     Config.SecondOrder) transport in λ per class, in the style of
+//     internal/fokkerplanck's advection sweeps, plus a Crank-Nicolson
+//     diffusion solve when σ_k > 0, coupled to one fluid queue per
+//     node of a Network with per-class routes. Density is its
+//     one-node constructor — the shared bottleneck above, every route
+//     [0] — and internal/netmf runs the same engine on a topology.
 //   - Particles: a finite-N structure-of-arrays Monte-Carlo backend
 //     (flat []float64 rate arrays in fixed-size chunks, stepped on a
 //     bounded worker pool with rng.Mix-derived per-chunk streams), the
 //     stochastic ground truth the density limit is validated against.
+//     It takes the same Config as Density.
 //
 // Experiment E28 shows particle-mode observables converging to the
 // density solution as N grows; E29 runs heterogeneous two-class
@@ -95,7 +100,8 @@ type Class struct {
 // Config describes a mean-field problem: the class mix, the shared
 // bottleneck, the rate domain, and the time step. Both backends
 // (Density, Particles) take the same Config, so a scenario can be run
-// at any fidelity without restating it.
+// at any fidelity without restating it. An Engine on a multi-node
+// Network reads everything but Mu and Q0, which the network replaces.
 type Config struct {
 	Classes []Class
 	// Mu is the total bottleneck service rate shared by all classes.
@@ -125,32 +131,35 @@ type Config struct {
 	// argument instead, alongside its seed.)
 	Workers int
 
-	// Obs, when non-nil, receives per-step probes (mf.queue,
-	// mf.lambda, per-class moments; the particle backend's mfp.*
-	// series) and, when it enables invariants, runs the per-step
-	// checks: per-class mass budget ∫f_k = 1 + clipped_k, density
-	// non-negativity, CFL margin, queue non-negativity, and
-	// queue-history monotonicity. A failing check aborts Step with a
-	// step-stamped error. The nil default costs one branch per step
-	// and never changes any observable.
+	// Obs, when non-nil, receives per-step probes (the engine's
+	// queue, offered-rate and moment series under its network's scope;
+	// the particle backend's mfp.* series) and, when it enables
+	// invariants, runs the per-step checks: per-class mass budget
+	// ∫f_k = 1 + clipped_k, density non-negativity, CFL margin, queue
+	// finiteness, and queue-history monotonicity. A failing check
+	// aborts Step with a step-stamped error. The nil default costs one
+	// branch per step and never changes any observable.
 	Obs *obs.Recorder
 }
 
-// Validate checks the configuration shared by both backends.
-func (c *Config) Validate() error {
+// Validate checks the single-bottleneck configuration both backends
+// (Density, Particles) take.
+func (c *Config) Validate() error { return c.ValidateOn(c.oneNode()) }
+
+// ValidateOn checks the configuration of an Engine on net: the class
+// mix, the rate grid and the step, then the network's shape, service
+// rates, initial queues and routes. Mu and Q0 are not read; the
+// network carries every node's service rate and initial queue.
+func (c *Config) ValidateOn(net Network) error {
 	switch {
 	case len(c.Classes) == 0:
 		return fmt.Errorf("meanfield: no classes")
-	case !(c.Mu > 0) || math.IsInf(c.Mu, 1):
-		return fmt.Errorf("meanfield: service rate must be positive, got %v", c.Mu)
 	case !(c.LMax > 0) || math.IsInf(c.LMax, 1):
 		return fmt.Errorf("meanfield: LMax must be positive, got %v", c.LMax)
 	case c.Bins < 8:
 		return fmt.Errorf("meanfield: need at least 8 rate bins, got %d", c.Bins)
 	case !(c.Dt > 0):
 		return fmt.Errorf("meanfield: non-positive step %v", c.Dt)
-	case !(c.Q0 >= 0):
-		return fmt.Errorf("meanfield: invalid initial queue %v", c.Q0)
 	}
 	// The !(x >= 0) forms below reject NaN along with negatives: a NaN
 	// parameter would pass a plain x < 0 check and silently poison the
@@ -178,7 +187,7 @@ func (c *Config) Validate() error {
 			}
 		}
 	}
-	return nil
+	return net.validate(len(c.Classes))
 }
 
 // open reports whether any class carries churn or pulse dynamics (the

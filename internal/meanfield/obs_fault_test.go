@@ -53,7 +53,7 @@ func TestDensityInvariantCorruptMass(t *testing.T) {
 // TestDensityInvariantNaNQueue injects a poisoned queue (a plain
 // negative value is healed by the queue ODE's max(·, 0) clamp before
 // the checker sees it; NaN survives) and requires the checker to
-// stamp the mf.queue field.
+// stamp the bottleneck's queue field.
 func TestDensityInvariantNaNQueue(t *testing.T) {
 	cfg := testConfig(100)
 	cfg.Obs = (&obs.Config{Invariants: true}).Recorder("mf")
@@ -64,7 +64,7 @@ func TestDensityInvariantNaNQueue(t *testing.T) {
 	if err := d.Step(); err != nil {
 		t.Fatalf("clean step rejected: %v", err)
 	}
-	d.q = math.NaN()
+	d.q[0] = math.NaN()
 	err = d.Step()
 	if err == nil {
 		t.Fatal("negative queue passed the invariant checker")
@@ -73,8 +73,8 @@ func TestDensityInvariantNaNQueue(t *testing.T) {
 	if !errors.As(err, &v) {
 		t.Fatalf("error %v is not a *obs.Violation", err)
 	}
-	if v.Field != "mf.queue" {
-		t.Errorf("violation field = %q, want mf.queue", v.Field)
+	if want := "mf.bottleneck.q"; v.Field != want {
+		t.Errorf("violation field = %q, want %q", v.Field, want)
 	}
 	if v.Step != 2 {
 		t.Errorf("violation step = %d, want 2", v.Step)

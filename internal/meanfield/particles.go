@@ -253,7 +253,7 @@ func (p *Particles) observe(rec *obs.Recorder) error {
 }
 
 // Run advances until time tEnd on the same whole-step lattice as
-// Density.Run.
+// Engine.Run.
 func (p *Particles) Run(tEnd float64) error {
 	for p.t+p.cfg.Dt/2 <= tEnd {
 		if err := p.Step(); err != nil {

@@ -42,10 +42,10 @@ func churnOneNode(t *testing.T, n int) Config {
 }
 
 // TestOneNodeChurnReducesToMeanField extends the one-node reduction
-// to the open system: with churn and pulse on both classes the
-// networked engine must still reproduce meanfield.Density bit for bit
-// — same phase kernels, same birth–death ledgers, same envelope-scaled
-// coupling.
+// to the open system: with churn and pulse on both classes,
+// meanfield.NewDensity and New on the equivalent one-node topology
+// must still agree bit for bit — same phase kernels, same birth–death
+// ledgers, same envelope-scaled coupling.
 func TestOneNodeChurnReducesToMeanField(t *testing.T) {
 	const n = 100000
 	net := churnOneNode(t, n)
@@ -254,7 +254,7 @@ func TestEngineChurnBirthLedgerFault(t *testing.T) {
 	if err := e.Step(); err != nil {
 		t.Fatalf("clean step rejected: %v", err)
 	}
-	e.kerns[0].FaultInjectBorn(0, 0.25)
+	e.FaultInjectBorn(0, 0, 0.25)
 	err = e.Step()
 	if err == nil {
 		t.Fatal("corrupted birth ledger passed the invariant checker")

@@ -9,11 +9,12 @@ import (
 	"fpcc/internal/netsim"
 )
 
-// TestOneNodeReducesToMeanField is the first acceptance cross-check:
-// on a single-node topology the networked engine must reproduce
-// meanfield.Density bit for bit — same kernel, same coupling order,
-// same history — step by step over a heterogeneous two-class run with
-// delays and diffusion exercised.
+// TestOneNodeReducesToMeanField pins the two constructions of the one
+// kinetic engine to each other: meanfield.NewDensity, which builds the
+// single-bottleneck network without a topology, and New on the
+// equivalent one-node topology must step bit for bit alike — same
+// routes, same coupling order, same history — over a heterogeneous
+// two-class run with delays and diffusion exercised.
 func TestOneNodeReducesToMeanField(t *testing.T) {
 	const n = 100000
 	net := oneNodeConfig(n)

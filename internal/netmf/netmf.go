@@ -32,20 +32,20 @@
 // N = 10⁶ per class in the time netsim spends on tens of flows
 // (experiments E30, E31).
 //
-// The per-class transport/diffusion kernel (meanfield.RateDensity)
-// and the interpolated queue history (meanfield.History) are shared
-// with the single-bottleneck engine; the topology vocabulary
-// (netsim.Topology) is shared with the packet simulator, so a
-// one-node netmf scenario reduces bit-for-bit to meanfield.Density
-// and the same graph can be handed to either engine.
+// The package does not step anything itself: it validates the
+// topology and routes, translates a scenario into a meanfield.Network,
+// and runs meanfield's one kinetic Engine on it (meanfield.Density is
+// the same engine's one-node instance). The topology vocabulary
+// (netsim.Topology) is shared with the packet simulator, so the same
+// graph can be handed to either engine.
 package netmf
 
 import (
 	"fmt"
-	"math"
 
 	"fpcc/internal/churn"
 	"fpcc/internal/control"
+	"fpcc/internal/meanfield"
 	"fpcc/internal/netsim"
 	"fpcc/internal/obs"
 )
@@ -84,7 +84,7 @@ type Class struct {
 	// Churn, when non-nil, opens the class: sessions are born at
 	// Churn.Arrival flows/s and die after Churn.Lifetime, evolved as
 	// birth–death source terms on the class's phase kernels (see
-	// meanfield.ClassKernel). N is then the population at t = 0 and
+	// meanfield.Engine). N is then the population at t = 0 and
 	// the live population is N·(1 + born − died).
 	Churn *churn.Flow
 	// Pulse, when non-nil, scales the class's offered rate on every
@@ -126,69 +126,78 @@ type Config struct {
 	// the arrival-rate coupling stays in class order.
 	Workers int
 
-	// Obs, when non-nil, receives per-step probes (per-node queues,
-	// per-class offered rates and means) and, when it enables
-	// invariants, runs the per-step checks: per-class mass budget
-	// ∫f_k = 1 + clipped_k, density non-negativity, CFL margin,
-	// per-node queue non-negativity, and queue-history monotonicity.
-	// A failing check aborts Step with a step-stamped error. The nil
-	// default costs one branch per step and never changes any
-	// observable.
+	// Obs, when non-nil, receives per-step probes (total and per-node
+	// queues, per-class offered rates and moments, all under the
+	// "netmf" scope) and, when it enables invariants, runs the
+	// per-step checks: per-class mass budget ∫f_k = 1 + clipped_k,
+	// density non-negativity, CFL margin, per-node queue finiteness,
+	// and queue-history monotonicity. A failing check aborts Step with
+	// a step-stamped error. The nil default costs one branch per step
+	// and never changes any observable.
 	Obs *obs.Recorder
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration: the topology, every route
+// against its links, and — through meanfield.Config.ValidateOn — the
+// class mix, rate grid, step and initial queues.
 func (c *Config) Validate() error {
+	kc, net, err := c.kinetic()
+	if err != nil {
+		return err
+	}
+	return kc.ValidateOn(net)
+}
+
+// kinetic checks the topology and every route against it, and
+// translates the configuration into the kinetic engine's inputs: the
+// class mix without routes, and the queue network carrying each
+// node's μ and initial queue and each class's route.
+func (c *Config) kinetic() (meanfield.Config, meanfield.Network, error) {
 	if err := c.Topology.Validate(); err != nil {
-		return fmt.Errorf("netmf: topology: %w", err)
+		return meanfield.Config{}, meanfield.Network{}, fmt.Errorf("netmf: topology: %w", err)
 	}
-	switch {
-	case len(c.Classes) == 0:
-		return fmt.Errorf("netmf: no classes")
-	case !(c.LMax > 0) || math.IsInf(c.LMax, 1):
-		return fmt.Errorf("netmf: LMax must be positive, got %v", c.LMax)
-	case c.Bins < 8:
-		return fmt.Errorf("netmf: need at least 8 rate bins, got %d", c.Bins)
-	case !(c.Dt > 0):
-		return fmt.Errorf("netmf: non-positive step %v", c.Dt)
+	kc := meanfield.Config{
+		Classes: make([]meanfield.Class, len(c.Classes)),
+		LMax:    c.LMax, Bins: c.Bins, Dt: c.Dt,
+		SecondOrder: c.SecondOrder, Workers: c.Workers, Obs: c.Obs,
 	}
-	if c.Q0 != nil && len(c.Q0) != len(c.Topology.Nodes) {
-		return fmt.Errorf("netmf: Q0 has %d entries for %d nodes", len(c.Q0), len(c.Topology.Nodes))
+	net := meanfield.Network{
+		Scope:  "netmf",
+		Nodes:  make([]string, len(c.Topology.Nodes)),
+		Mu:     make([]float64, len(c.Topology.Nodes)),
+		Q0:     c.Q0,
+		Routes: make([][]int, len(c.Classes)),
 	}
-	for j, q := range c.Q0 {
-		if !(q >= 0) {
-			return fmt.Errorf("netmf: node %d has invalid initial queue %v", j, q)
-		}
+	for j, node := range c.Topology.Nodes {
+		net.Nodes[j], net.Mu[j] = c.Topology.NodeName(j), node.Mu
 	}
-	// The !(x >= 0) forms reject NaN along with negatives, keeping a
-	// NaN parameter from silently poisoning the queue ODEs.
 	for k, cl := range c.Classes {
-		switch {
-		case cl.Law == nil:
-			return fmt.Errorf("netmf: class %d has nil law", k)
-		case cl.N < 1:
-			return fmt.Errorf("netmf: class %d has population %d, want >= 1", k, cl.N)
-		case !(cl.Weight >= 0):
-			return fmt.Errorf("netmf: class %d has invalid weight %v", k, cl.Weight)
-		case !(cl.Delay >= 0):
-			return fmt.Errorf("netmf: class %d has invalid delay %v", k, cl.Delay)
-		case !(cl.Lambda0 >= 0) || cl.Lambda0 > c.LMax:
-			return fmt.Errorf("netmf: class %d initial rate %v outside [0, %v]", k, cl.Lambda0, c.LMax)
-		case !(cl.InitStd >= 0):
-			return fmt.Errorf("netmf: class %d has invalid initial spread %v", k, cl.InitStd)
-		case !(cl.SigmaL >= 0):
-			return fmt.Errorf("netmf: class %d has invalid sigma %v", k, cl.SigmaL)
-		}
 		if err := c.Topology.ValidateRoute(cl.Route); err != nil {
-			return fmt.Errorf("netmf: class %d: %w", k, err)
+			return meanfield.Config{}, meanfield.Network{}, fmt.Errorf("netmf: class %d: %w", k, err)
 		}
-		if cl.Churn != nil {
-			if err := cl.Churn.Validate(c.LMax); err != nil {
-				return fmt.Errorf("netmf: class %d: %w", k, err)
-			}
+		kc.Classes[k] = meanfield.Class{
+			Name: cl.Name, Law: cl.Law, N: cl.N, Weight: cl.Weight,
+			Delay: cl.Delay, Lambda0: cl.Lambda0, InitStd: cl.InitStd,
+			SigmaL: cl.SigmaL, Churn: cl.Churn, Pulse: cl.Pulse,
 		}
+		net.Routes[k] = cl.Route
 	}
-	return nil
+	return kc, net, nil
+}
+
+// Engine is the networked kinetic solver: meanfield's one kinetic
+// engine, run on the topology's queues with per-class routes.
+type Engine = meanfield.Engine
+
+// New builds the networked engine with every class initialized to its
+// (grid-discretized, renormalized) Gaussian blob and every queue to
+// its Q0 entry (0 without Q0).
+func New(cfg Config) (*Engine, error) {
+	kc, net, err := cfg.kinetic()
+	if err != nil {
+		return nil, err
+	}
+	return meanfield.NewEngine(kc, net)
 }
 
 // TotalSources returns Σ_k N_k.
@@ -206,23 +215,4 @@ func (c *Config) ClassName(k int) string {
 		return c.Classes[k].Name
 	}
 	return fmt.Sprintf("class%d", k)
-}
-
-// weight resolves the per-source weight of class k (0 means 1).
-func (c *Config) weight(k int) float64 {
-	if w := c.Classes[k].Weight; w > 0 {
-		return w
-	}
-	return 1
-}
-
-// maxDelay returns the longest class feedback delay.
-func (c *Config) maxDelay() float64 {
-	var d float64
-	for _, cl := range c.Classes {
-		if cl.Delay > d {
-			d = cl.Delay
-		}
-	}
-	return d
 }

@@ -27,7 +27,7 @@ func TestEngineInvariantNaNQueue(t *testing.T) {
 	if err := e.Step(); err != nil {
 		t.Fatalf("clean step rejected: %v", err)
 	}
-	e.q[0] = math.NaN()
+	e.FaultInjectQueue(0, math.NaN())
 	err = e.Step()
 	if err == nil {
 		t.Fatal("NaN queue passed the invariant checker")
@@ -79,7 +79,7 @@ func TestFlightRecorderDump(t *testing.T) {
 	if err := e.Step(); err != nil {
 		t.Fatalf("clean step rejected: %v", err)
 	}
-	e.q[0] = math.NaN()
+	e.FaultInjectQueue(0, math.NaN())
 	err = e.Step()
 	if err == nil {
 		t.Fatal("NaN queue passed the invariant checker")

@@ -16,7 +16,7 @@ type ProbeSeries struct {
 // (TestProbeCatalogDocumented in internal/experiments), so adding a
 // probe to an engine means adding it here and to the doc table.
 func Catalog() []ProbeSeries {
-	return []ProbeSeries{
+	out := []ProbeSeries{
 		{"fokkerplanck", "fp.mass", "1", "total density mass ∫f dq dv"},
 		{"fokkerplanck", "fp.meanq", "packets", "mass-weighted mean queue E[Q]"},
 		{"fokkerplanck", "fp.clipped", "1", "cumulative mass removed by negativity clipping"},
@@ -25,23 +25,31 @@ func Catalog() []ProbeSeries {
 		{"sde", "sde.meanq", "packets", "ensemble mean queue length"},
 		{"sde", "sde.meanlam", "packets/s", "ensemble mean sending rate"},
 		{"sde", "sde.varq", "packets²", "ensemble queue-length variance"},
-		{"meanfield", "mf.queue", "packets", "bottleneck fluid queue length Q"},
-		{"meanfield", "mf.lambda", "packets/s", "aggregate arrival rate Λ = Σ_k w_k N_k ⟨λ⟩_k"},
-		{"meanfield", "mf.clipped", "1", "cumulative clipped density mass, summed over classes"},
-		{"meanfield", "mf.<class>.mean", "packets/s", "class mean per-source rate ⟨λ⟩_k"},
-		{"meanfield", "mf.<class>.var", "(packets/s)²", "class per-source rate variance"},
-		{"meanfield", "mf.<class>.pop", "sources", "open-class live population N_k·LiveMass_k"},
-		{"meanfield", "mf.<class>.born", "sources", "open-class cumulative sessions born N_k·born_k"},
-		{"meanfield", "mf.<class>.died", "sources", "open-class cumulative sessions died N_k·died_k"},
 		{"meanfield", "mfp.queue", "packets", "particle-backend fluid queue length"},
 		{"meanfield", "mfp.lambda", "packets/s", "particle-backend aggregate arrival rate"},
-		{"netmf", "netmf.<node>.q", "packets", "per-node fluid queue length Q_j"},
-		{"netmf", "netmf.<class>.lambda", "packets/s", "class offered rate Λ_k = w_k N_k ⟨λ⟩_k"},
-		{"netmf", "netmf.<class>.mean", "packets/s", "class mean per-source rate ⟨λ⟩_k"},
-		{"netmf", "netmf.<class>.pop", "sources", "open-class live population N_k·LiveMass_k"},
-		{"netmf", "netmf.<class>.born", "sources", "open-class cumulative sessions born N_k·born_k"},
-		{"netmf", "netmf.<class>.died", "sources", "open-class cumulative sessions died N_k·died_k"},
-		{"netmf", "netmf.clipped", "1", "cumulative clipped density mass, summed over classes"},
 		{"des", "des.q", "packets", "packet queue length (packets in system)"},
 	}
+	// The kinetic engine emits one probe scheme under two scopes:
+	// "mf" for meanfield.Density (its single node is "bottleneck")
+	// and "netmf" for the networked scenarios.
+	for _, k := range []struct{ engine, scope string }{{"meanfield", "mf"}, {"netmf", "netmf"}} {
+		for _, p := range kineticProbes {
+			out = append(out, ProbeSeries{k.engine, k.scope + "." + p.Name, p.Unit, p.Desc})
+		}
+	}
+	return out
+}
+
+// kineticProbes are the kinetic engine's series, named without their
+// scope prefix.
+var kineticProbes = []ProbeSeries{
+	{"", "q", "packets", "total fluid queue Σ_j Q_j; gates each snapshot"},
+	{"", "<node>.q", "packets", "per-node fluid queue length Q_j"},
+	{"", "clipped", "1", "cumulative clipped density mass, summed over classes"},
+	{"", "<class>.lambda", "packets/s", "class offered rate Λ_k = w_k N_k ⟨λ⟩_k"},
+	{"", "<class>.mean", "packets/s", "class mean per-source rate ⟨λ⟩_k"},
+	{"", "<class>.var", "(packets/s)²", "class per-source rate variance"},
+	{"", "<class>.pop", "sources", "open-class live population N_k·LiveMass_k"},
+	{"", "<class>.born", "sources", "open-class cumulative sessions born N_k·born_k"},
+	{"", "<class>.died", "sources", "open-class cumulative sessions died N_k·died_k"},
 }
