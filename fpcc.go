@@ -25,12 +25,14 @@
 //   - PacketSim: a packet-level discrete-event simulator of the real
 //     stochastic system the analysis approximates.
 //   - MeanField: the large-N kinetic limit — per-class rate densities
-//     for millions of heterogeneous sources at O(classes × bins) cost,
-//     with a finite-N particle backend as cross-check.
-//   - NetMeanField: the same kinetic limit over an arbitrary topology
+//     for millions of heterogeneous sources at O(classes × bins) cost
+//     — plus a finite-N particle backend, the stochastic ground truth
+//     the limit is validated against.
+//   - NetMeanField: the same kinetic engine over an arbitrary topology
 //     of fluid link queues — routed source classes observing summed,
 //     delayed path backlogs, at O(links + classes × bins) cost (the
-//     mean-field twin of NetSim's scenario class).
+//     mean-field twin of NetSim's scenario class). MeanField is its
+//     one-node instance.
 //
 // # Quick start
 //
@@ -363,10 +365,11 @@ func SweepGridRows(cfg GridConfig, columns []string, fn func(GridCell) (GridRow,
 // mixed laws, RTTs, weights, populations — evolve as per-class rate
 // densities coupled to the shared bottleneck queue, at
 // O(classes × bins) cost per step independent of N, so 10⁶⁺-source
-// scenarios run in milliseconds. A cross-checking finite-N particle
-// backend (structure-of-arrays, chunked worker pool, deterministic
-// for any worker count) provides the stochastic ground truth the
-// density limit is validated against (experiment E28).
+// scenarios run in milliseconds. MeanField is the one-node instance
+// of the kinetic engine NetMeanField runs on a topology. A finite-N
+// particle backend (structure-of-arrays, chunked worker pool,
+// deterministic for any worker count) provides the stochastic ground
+// truth the density limit is validated against (experiment E28).
 
 // MeanFieldClass describes one homogeneous sub-population: law,
 // population size, weight, feedback delay (RTT), initial rate blob
@@ -379,7 +382,8 @@ type MeanFieldClass = meanfield.Class
 // class parallelism (0 = GOMAXPROCS) without affecting results.
 type MeanFieldConfig = meanfield.Config
 
-// MeanField is the kinetic (population-density) engine.
+// MeanField is the kinetic (population-density) engine on the single
+// shared bottleneck.
 type MeanField = meanfield.Density
 
 // MeanFieldParticles is the finite-N SoA particle backend.
@@ -419,8 +423,8 @@ func MeanFieldSteadyStats(s MeanFieldStepper, warm, horizon float64, onStep func
 // observing the summed, delayed backlog of their path; stepping costs
 // O(links + classes × bins) independent of every class's population,
 // so parking-lot and bottleneck-migration studies run at 10⁶ sources
-// per class (experiments E30, E31). A one-node topology reduces
-// bit-for-bit to MeanField.
+// per class (experiments E30, E31). It is the same kinetic engine as
+// MeanField, which is its one-node instance.
 
 // NetTopology is the node/link graph shared by NetSim and the
 // networked mean-field engine (route validation, path delays).
@@ -743,7 +747,7 @@ type ObsResources = obs.Resources
 
 // ObsCLI holds the shared observability flags every command binds
 // (-trace, -trace-dt, -trace-chrome, -obs-listen, -obs-summary,
-// -flight-recorder, -pprof, -obs-invariants).
+// -flight-recorder, -obs-invariants).
 type ObsCLI = obscli.CLI
 
 // BindObsFlags registers the observability flags on fs (pass

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
-	_ "net/http/pprof" // registered on the default mux, served only when -pprof is set
 	"os"
 	"sync"
 
@@ -31,12 +29,11 @@ import (
 //	                     without -trace
 //	-obs-listen addr     serve /metrics (Prometheus), /summary,
 //	                     /debug/vars and /debug/pprof from the
-//	                     running process
+//	                     running process (turns the recorder on)
 //	-obs-summary out     write the end-of-run obs.Summary manifest
 //	-flight-recorder n   keep the n most recent events per recorder
 //	                     and dump them when an invariant fires
 //	                     (implies -obs-invariants)
-//	-pprof addr          serve net/http/pprof on addr (default mux)
 //	-obs-invariants      run per-step invariant checks (fail fast)
 //
 // Bind the flags with Bind before flag.Parse, call Setup after, hand
@@ -48,7 +45,6 @@ type CLI struct {
 	listenAddr  string
 	summaryPath string
 	flightN     int
-	pprofAddr   string
 	invariants  bool
 
 	sink      *obs.JSONL
@@ -78,14 +74,12 @@ func Bind(fs *flag.FlagSet) *CLI {
 	fs.StringVar(&c.listenAddr, "obs-listen", "", "serve live Prometheus /metrics, /summary, /debug/vars and /debug/pprof on this address (e.g. localhost:9190)")
 	fs.StringVar(&c.summaryPath, "obs-summary", "", "write the end-of-run obs.Summary JSON manifest (aggregates merged over the recorder hierarchy) to this file")
 	fs.IntVar(&c.flightN, "flight-recorder", 0, "keep this many recent events per recorder and dump them with any invariant violation (implies -obs-invariants)")
-	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.BoolVar(&c.invariants, "obs-invariants", false, "run per-step invariant checks (mass budgets, non-negativity, CFL, history monotonicity); fail fast on violation")
 	return c
 }
 
-// Setup opens the trace destinations and starts the monitoring and
-// pprof servers per the parsed flags. Call it once, after flag
-// parsing.
+// Setup opens the trace destinations and starts the monitoring
+// server per the parsed flags. Call it once, after flag parsing.
 func (c *CLI) Setup() error {
 	switch {
 	case c.tracePath != "":
@@ -100,16 +94,6 @@ func (c *CLI) Setup() error {
 		// stream: record it in memory for conversion at Close.
 		c.traceMem = &bytes.Buffer{}
 		c.sink = obs.NewJSONL(c.traceMem)
-	}
-	if c.pprofAddr != "" {
-		go func() {
-			// The pprof handlers are on http.DefaultServeMux via the
-			// net/http/pprof import; the server runs for the process
-			// lifetime.
-			if err := http.ListenAndServe(c.pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "obs: pprof server: %v\n", err)
-			}
-		}()
 	}
 	if c.sink != nil || c.invariants || c.listenAddr != "" || c.summaryPath != "" || c.flightN > 0 {
 		c.cfg = &obs.Config{
