@@ -122,11 +122,9 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 			return nil, err
 		}
 		// Append the segment, skipping its duplicated initial sample.
-		for i := 1; i < seg.Len(); i++ {
-			st, sy := seg.At(i)
-			full.Times = append(full.Times, st)
-			full.States = append(full.States, append([]float64(nil), sy...))
-		}
+		// The segment is discarded, so full takes over its rows.
+		full.Times = append(full.Times, seg.Times[1:]...)
+		full.States = append(full.States, seg.States[1:]...)
 		tEnd, yEnd := seg.Last()
 		copy(y, yEnd)
 		if len(evs) == 0 {

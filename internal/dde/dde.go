@@ -9,11 +9,15 @@
 //
 //	dλ/dt = g(Q(t−τ), λ(t)),    dQ/dt = λ(t) − μ.
 //
-// The integrator is the method of steps with a fixed-step RK4 core: a
-// dense history of past states is kept, and delayed values are read by
-// linear interpolation between stored samples. Stage evaluations may
-// only look back at least one step (the step size must not exceed the
-// smallest delay), which keeps the scheme explicit.
+// The integrator is the method of steps with a fixed-step RK4 core.
+// Past states live in a bounded flat window of about maxDelay/h + 256
+// samples (maxDelay the largest delay passed to Solve), pruned in place
+// every 256 steps, and delayed values are read by linear interpolation
+// between stored samples. Every declared delay stays reachable; a Lag
+// beyond every declared delay would read a pruned window, so Solve
+// reports it as an error. Stage evaluations may only look back at least
+// one step (the step size must not exceed the smallest delay), which
+// keeps the scheme explicit.
 package dde
 
 import (
@@ -26,8 +30,11 @@ import (
 type Lagger interface {
 	// Lag returns component i of the state at time t−delay, where t is
 	// the time of the current right-hand-side evaluation. delay must
-	// be >= the solver's step size (checked at Solve time for the
-	// declared delays).
+	// be one of the delays passed to Solve (or 0, or at most the
+	// largest of them): the history window is sized from them, so a
+	// larger delay makes Solve return an error after the step that
+	// asked for it. A nonzero delay must be >= the solver's step size
+	// (checked at Solve time for the declared delays).
 	Lag(i int, delay float64) float64
 }
 
@@ -36,21 +43,42 @@ type Lagger interface {
 // Implementations must not retain the slices or the Lagger.
 type System func(t float64, y []float64, lag Lagger, dydt []float64)
 
-// History supplies the pre-initial state: y(t) for t <= t0.
+// History supplies the pre-initial state: y(t) for t <= t0. Solve
+// only reads the returned slice, so the function may return the same
+// slice on every call.
 type History func(t float64) []float64
 
-// buffer is the dense solution history: strictly increasing times with
-// their states, pruned to the lookback window.
+// pruneEvery is the number of steps between history prunes.
+const pruneEvery = 256
+
+// rowBlock is the row count of the block Result rows are carved from
+// once the preallocated estimate runs out.
+const rowBlock = 256
+
+// maxHint caps preallocation sizes computed from the interval, so a
+// nonsensical horizon cannot request an absurd up-front allocation.
+const maxHint = 1 << 24
+
+// buffer is the solution history window: strictly increasing times
+// with their states stored flat, dim values per sample, pruned in
+// place to the lookback window.
 type buffer struct {
-	times   []float64
-	states  [][]float64
-	history History
-	t0      float64
-	curT    float64 // time of the current RHS evaluation
+	times    []float64
+	states   []float64 // sample k is states[k*dim : (k+1)*dim]
+	dim      int
+	history  History
+	t0       float64
+	curT     float64 // time of the current RHS evaluation
+	maxDelay float64 // largest declared delay
+	badDelay float64 // first undeclared delay requested, if bad
+	bad      bool
 }
 
 // Lag implements Lagger via binary search + linear interpolation.
 func (b *buffer) Lag(i int, delay float64) float64 {
+	if !(delay <= b.maxDelay) && !b.bad {
+		b.bad, b.badDelay = true, delay
+	}
 	t := b.curT - delay
 	if t <= b.t0 {
 		return b.history(t)[i]
@@ -58,15 +86,15 @@ func (b *buffer) Lag(i int, delay float64) float64 {
 	// Find the first stored time >= t.
 	k := sort.SearchFloat64s(b.times, t)
 	if k == 0 {
-		return b.states[0][i]
+		return b.states[i]
 	}
 	if k >= len(b.times) {
 		// Delayed time beyond the newest sample can only happen by a
 		// rounding hair when delay == step; clamp to the newest.
-		return b.states[len(b.states)-1][i]
+		return b.states[(len(b.times)-1)*b.dim+i]
 	}
 	tL, tR := b.times[k-1], b.times[k]
-	yL, yR := b.states[k-1][i], b.states[k][i]
+	yL, yR := b.states[(k-1)*b.dim+i], b.states[k*b.dim+i]
 	if tR == tL {
 		return yR
 	}
@@ -74,22 +102,32 @@ func (b *buffer) Lag(i int, delay float64) float64 {
 	return yL + frac*(yR-yL)
 }
 
-// append stores a sample.
+// append stores a copy of a sample.
 func (b *buffer) append(t float64, y []float64) {
 	b.times = append(b.times, t)
-	b.states = append(b.states, append([]float64(nil), y...))
+	b.states = append(b.states, y...)
 }
 
 // prune drops samples older than keepBefore, retaining one sample at
-// or before it so interpolation at the window edge stays valid.
+// or before it so interpolation at the window edge stays valid. It
+// compacts in place, so the window's storage is reused.
 func (b *buffer) prune(keepBefore float64) {
 	k := sort.SearchFloat64s(b.times, keepBefore)
 	if k <= 1 {
 		return
 	}
 	drop := k - 1
-	b.times = append(b.times[:0], b.times[drop:]...)
-	b.states = append(b.states[:0], b.states[drop:]...)
+	b.times = b.times[:copy(b.times, b.times[drop:])]
+	b.states = b.states[:copy(b.states, b.states[drop*b.dim:])]
+}
+
+// sizeHint converts an estimated count to a preallocation size in
+// [0, maxHint]; NaN and negative estimates give 0.
+func sizeHint(n float64) int {
+	if !(n >= 0) {
+		return 0
+	}
+	return int(math.Min(n, maxHint))
 }
 
 // Result holds the sampled DDE solution.
@@ -122,8 +160,9 @@ type Options struct {
 
 // Solve integrates the DDE from t0 to t1 with fixed RK4 steps of size
 // h. delays must list every delay the system will request (used to
-// validate h and to size the history window); history provides y(t)
-// for t <= t0 (and y(t0) itself is history(t0)).
+// validate h and to size the history window): a Lag beyond all of them
+// is an error. history provides y(t) for t <= t0 (and y(t0) itself is
+// history(t0)).
 func Solve(f System, history History, delays []float64, t0, t1, h float64, opts Options) (*Result, error) {
 	switch {
 	case !(h > 0):
@@ -153,13 +192,35 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 	y0 := history(t0)
 	dim := len(y0)
 	y := append([]float64(nil), y0...)
-	buf := &buffer{history: history, t0: t0}
+	// A prune keeps the samples within maxDelay+2h of t plus one more,
+	// at most maxDelay/h + 4, and pruneEvery samples arrive before the
+	// next one; one spare absorbs rounding in the cut.
+	steps := (t1 - t0) / h
+	window := sizeHint(math.Min(maxDelay/h, steps) + pruneEvery + 5)
+	buf := &buffer{
+		times:    make([]float64, 0, window),
+		states:   make([]float64, 0, window*dim),
+		dim:      dim,
+		history:  history,
+		t0:       t0,
+		maxDelay: maxDelay,
+	}
 	buf.append(t0, y)
 
-	res := &Result{}
+	// Result rows are carved from shared blocks; the full slice
+	// expression keeps every row's capacity to its own dim values.
+	nRec := sizeHint(steps/float64(stride) + 3)
+	res := &Result{Times: make([]float64, 0, nRec), States: make([][]float64, 0, nRec)}
+	rows := make([]float64, nRec*dim)
 	record := func(t float64, y []float64) {
+		if len(rows) < dim {
+			rows = make([]float64, rowBlock*dim)
+		}
+		row := rows[:dim:dim]
+		rows = rows[dim:]
+		copy(row, y)
 		res.Times = append(res.Times, t)
-		res.States = append(res.States, append([]float64(nil), y...))
+		res.States = append(res.States, row)
 	}
 	record(t0, y)
 
@@ -209,9 +270,12 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 		if step%stride == 0 || t >= t1 {
 			record(t, y)
 		}
+		if buf.bad {
+			return nil, fmt.Errorf("dde: Lag requested delay %v, beyond every declared delay (largest %v)", buf.badDelay, maxDelay)
+		}
 		// Keep the history window: everything older than maxDelay plus
 		// a couple of steps can go.
-		if maxDelay > 0 && step%256 == 0 {
+		if step%pruneEvery == 0 {
 			buf.prune(t - maxDelay - 2*h)
 		}
 	}

@@ -158,15 +158,14 @@ func (m *Model) Solve(t1, h float64, stride int) (*Solution, error) {
 			dydt[1+i] = m.Sources[i].Law.Drift(qObs, y[1+i])
 		}
 	}
-	history := func(t float64) []float64 {
-		// Constant pre-history: the system sat at its initial state.
-		y := make([]float64, 1+n)
-		y[0] = m.Q0
-		for i, s := range m.Sources {
-			y[1+i] = s.Lambda0
-		}
-		return y
+	// Constant pre-history: the system sat at its initial state. The
+	// solver only reads it, so one slice serves every call.
+	pre := make([]float64, 1+n)
+	pre[0] = m.Q0
+	for i, s := range m.Sources {
+		pre[1+i] = s.Lambda0
 	}
+	history := func(float64) []float64 { return pre }
 	clamp := func(y []float64) {
 		if y[0] < 0 {
 			y[0] = 0

@@ -331,6 +331,7 @@ func TestPredictedSharesProperty(t *testing.T) {
 func BenchmarkFluidSolveSingle(b *testing.B) {
 	l := control.AIMD{C0: 2, C1: 0.8, QHat: 20}
 	m := Model{Mu: 10, Q0: 0, Sources: []Source{{Law: l, Lambda0: 2}}}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Solve(100, 1e-3, 100); err != nil {
 			b.Fatal(err)
@@ -345,6 +346,7 @@ func BenchmarkFluidSolveDelayed4Sources(b *testing.B) {
 		srcs[i] = Source{Law: l, Delay: 1 + float64(i), Lambda0: 2}
 	}
 	m := Model{Mu: 10, Q0: 0, Sources: srcs}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Solve(100, 5e-3, 100); err != nil {
 			b.Fatal(err)

@@ -100,6 +100,8 @@ func (r *RK4) Order() int { return 4 }
 type Trajectory struct {
 	Times  []float64
 	States [][]float64
+
+	rows []float64 // unused tail of the block the next rows are carved from
 }
 
 // At returns the state at sample i.
@@ -117,10 +119,19 @@ func (tr *Trajectory) Last() (t float64, y []float64) {
 	return tr.Times[n-1], tr.States[n-1]
 }
 
-// append records a copy of y at time t.
+// append records a copy of y at time t. Rows are carved from shared
+// 256-row blocks; the full slice expression keeps each row's capacity
+// to its own len(y) values.
 func (tr *Trajectory) append(t float64, y []float64) {
+	n := len(y)
+	if len(tr.rows) < n {
+		tr.rows = make([]float64, 256*n)
+	}
+	row := tr.rows[:n:n]
+	tr.rows = tr.rows[n:]
+	copy(row, y)
 	tr.Times = append(tr.Times, t)
-	tr.States = append(tr.States, append([]float64(nil), y...))
+	tr.States = append(tr.States, row)
 }
 
 // FixedSolve integrates dy/dt = f from t0 to t1 with fixed step h
