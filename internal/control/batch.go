@@ -1,5 +1,7 @@
 package control
 
+import "math"
+
 // DriftBatcher is the optional batch fast path of a Law: DriftBatch
 // writes Drift(q[i], lam[i]) into dst[i] for every i in one call. The
 // Monte-Carlo particle loops (internal/sde, internal/meanfield) call
@@ -18,19 +20,22 @@ type DriftBatcher interface {
 
 // DriftBatch implements DriftBatcher: the AIMD branch, vectorized
 // over a chunk. Panics if the slices disagree in length (caller bug).
-// The increase/decrease select is written as a conditional move, not
-// a branch: near the operating point q ≈ q̂ the comparison is a coin
-// flip per particle, so a branch would mispredict half the time.
+// Near the operating point q ≈ q̂ the comparison is a coin flip per
+// particle, so a branch would mispredict half the time. The select is
+// therefore done on bit patterns: the comparison sets an all-ones or
+// all-zero mask (a conditional move), and the mask picks the bits of
+// C0 or of −C1·λ. Both arms are computed for every element; the
+// result is the bit pattern Drift returns, NaN and −0 included.
 func (l AIMD) DriftBatch(q, lam, dst []float64) {
-	_ = dst[:len(q)]
-	_ = lam[:len(q)]
-	c0, c1, qHat := l.C0, l.C1, l.QHat
+	lam, dst = lam[:len(q)], dst[:len(q)]
+	inc, c1, qHat := math.Float64bits(l.C0), l.C1, l.QHat
 	for i, qi := range q {
-		d := -c1 * lam[i]
+		var m uint64
 		if qi <= qHat {
-			d = c0
+			m = ^uint64(0)
 		}
-		dst[i] = d
+		dec := math.Float64bits(-c1 * lam[i])
+		dst[i] = math.Float64frombits(inc&m | dec&^m)
 	}
 }
 

@@ -9,6 +9,12 @@
 // streams, which keeps per-source randomness stable when the number of
 // simulated senders changes.
 //
+// FillNorm is the batch form of Norm for particle loops that need one
+// normal per particle: it fills a slice with exactly the values that
+// the same number of successive Norm calls would return, bit for bit,
+// and leaves the Source in exactly the state those calls would. A loop
+// can therefore switch between the two without changing any result.
+//
 // The core generator is SplitMix64 feeding xoshiro256**, the same
 // construction used by modern language runtimes; it is not
 // cryptographically secure and is not meant to be.
@@ -69,15 +75,25 @@ func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns the next 64 pseudo-random bits (xoshiro256**).
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var u uint64
+	u, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	return u
+}
+
+// xoshiro is one xoshiro256** step on a state held in values: it
+// returns the output and the next state. It is the one copy of the
+// recurrence; Uint64 applies it to the Source, and Norm and FillNorm
+// run it on locals so the state stays in registers.
+func xoshiro(s0, s1, s2, s3 uint64) (u, n0, n1, n2, n3 uint64) {
+	u = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return u, s0, s1, s2, s3
 }
 
 // Split returns a new Source whose stream is statistically independent
@@ -181,26 +197,65 @@ func init() {
 }
 
 // Norm returns a standard normal variate (mean 0, variance 1) using
-// the 256-layer ziggurat method: the common case costs one Uint64
-// draw, a table compare and a multiply, roughly an order of magnitude
+// the 256-layer ziggurat method: the common case costs one xoshiro
+// step, a table compare and a multiply, roughly an order of magnitude
 // cheaper than the Box-Muller transform it replaced — Norm dominates
 // every Monte-Carlo particle step (sde, meanfield), so its cost is
-// directly visible in the E9/E10 wall times.
+// directly visible in the E9/E10 wall times. The common case runs
+// here; the ~1% of draws that miss the layer's core rectangle finish
+// in normMiss.
 func (r *Source) Norm() float64 {
-	for {
-		u := r.Uint64()
-		i := u & (zigLayers - 1)                 // bits 0..7: layer
-		sign := (u & 0x100) << 55                // bit 8 → the float sign bit
-		uf := float64(u>>11) * (1.0 / (1 << 53)) // bits 11..63: uniform [0,1)
-		x := uf * zigX[i]
+	var u uint64
+	u, r.s[0], r.s[1], r.s[2], r.s[3] = xoshiro(r.s[0], r.s[1], r.s[2], r.s[3])
+	i := u & (zigLayers - 1)                          // bits 0..7: layer
+	x := float64(u>>11) * (1.0 / (1 << 53)) * zigX[i] // bits 11..63: uniform [0,1) across the layer
+	if x < zigX[i+1] {
+		// Strictly inside the layer's core rectangle. The sign (bit 8)
+		// is applied by ORing it into the float's sign bit rather than
+		// branching: the branch would be a coin flip, unpredictable by
+		// construction.
+		return math.Float64frombits(math.Float64bits(x) | (u&0x100)<<55)
+	}
+	return r.normMiss(u)
+}
+
+// FillNorm fills dst with standard normal variates. The values are
+// bit-identical to len(dst) successive Norm calls, and the Source is
+// left in the state those calls would leave it in, so a caller may
+// trade a loop of Norm calls for one FillNorm without changing any
+// result. The xoshiro state stays in locals across the whole fill;
+// it is written back to the Source only around the rare normMiss.
+func (r *Source) FillNorm(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for k := range dst {
+		var u uint64
+		u, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		i := u & (zigLayers - 1)
+		x := float64(u>>11) * (1.0 / (1 << 53)) * zigX[i]
 		if x < zigX[i+1] {
-			// Strictly inside the layer's core rectangle (~99% of
-			// draws land here). The sign is applied by ORing the
-			// sign bit rather than branching: the branch would be a
-			// coin flip, unpredictable by construction.
-			return math.Float64frombits(math.Float64bits(x) | sign)
+			dst[k] = math.Float64frombits(math.Float64bits(x) | (u&0x100)<<55)
+			continue
 		}
-		if i == 0 {
+		r.s = [4]uint64{s0, s1, s2, s3}
+		dst[k] = r.normMiss(u)
+		s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// normMiss finishes a ziggurat draw whose first candidate u fell
+// outside its layer's core rectangle: the base layer goes to the
+// tail, any other layer to the wedge test, and a rejected candidate
+// is replaced by a fresh draw until one is accepted.
+func (r *Source) normMiss(u uint64) float64 {
+	for {
+		i := u & (zigLayers - 1)
+		sign := (u & 0x100) << 55
+		x := float64(u>>11) * (1.0 / (1 << 53)) * zigX[i]
+		switch {
+		case x < zigX[i+1]:
+			return math.Float64frombits(math.Float64bits(x) | sign)
+		case i == 0:
 			// Base layer, beyond R: Marsaglia's tail algorithm.
 			for {
 				ex := -math.Log1p(-r.Float64()) / zigR
@@ -209,12 +264,12 @@ func (r *Source) Norm() float64 {
 					return math.Float64frombits(math.Float64bits(zigR+ex) | sign)
 				}
 			}
-		}
-		// Wedge between the core and the curve: accept against the
-		// density.
-		if zigF[i]+r.Float64()*(zigF[i+1]-zigF[i]) < math.Exp(-0.5*x*x) {
+		case zigF[i]+r.Float64()*(zigF[i+1]-zigF[i]) < math.Exp(-0.5*x*x):
+			// Wedge between the core and the curve: accepted against
+			// the density.
 			return math.Float64frombits(math.Float64bits(x) | sign)
 		}
+		u = r.Uint64()
 	}
 }
 

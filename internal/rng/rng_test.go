@@ -231,6 +231,38 @@ func TestNormDistribution(t *testing.T) {
 	}
 }
 
+// TestFillNormMatchesNorm pins FillNorm's contract: every value is
+// bit-identical to the same number of successive Norm calls on a
+// Source in the same state, and both Sources continue identically.
+// The long fill must reach the tail beyond zigR, so the slow path
+// FillNorm hands back to is exercised along with the wedge.
+func TestFillNormMatchesNorm(t *testing.T) {
+	lengths := []int{0, 1, 7, 4096, 1_000_000}
+	for _, seed := range []uint64{1, 2, 42, 1 << 40} {
+		for _, n := range lengths {
+			fill, ref := New(seed), New(seed)
+			// Start mid-stream so the fill does not begin at a seed state.
+			fill.Uint64()
+			ref.Uint64()
+			dst := make([]float64, n)
+			fill.FillNorm(dst)
+			tail := false
+			for i, v := range dst {
+				if want := ref.Norm(); math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("seed %d, n %d: FillNorm[%d] = %v, Norm = %v", seed, n, i, v, want)
+				}
+				tail = tail || math.Abs(v) > zigR
+			}
+			if got, want := fill.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %d, n %d: state after FillNorm diverged: next Uint64 %d, want %d", seed, n, got, want)
+			}
+			if n == 1_000_000 && !tail {
+				t.Fatalf("seed %d: 10⁶ draws never reached the tail |v| > %v", seed, zigR)
+			}
+		}
+	}
+}
+
 func TestNormMeanStd(t *testing.T) {
 	r := New(41)
 	const n = 100000
@@ -391,6 +423,18 @@ func BenchmarkNorm(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += r.Norm()
+	}
+	_ = sink
+}
+
+func BenchmarkFillNorm(b *testing.B) {
+	r := New(1)
+	buf := make([]float64, 4096)
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(buf) {
+		r.FillNorm(buf[:min(len(buf), b.N-i)])
+		sink += buf[0]
 	}
 	_ = sink
 }

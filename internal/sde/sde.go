@@ -24,6 +24,9 @@
 // internal/parallel. Because the chunk boundaries and streams depend
 // only on the particle count and the seed — never on the worker
 // count — every observable is byte-identical for any Config.Workers.
+// Within a step, a chunk's noise is drawn in one batch
+// (rng.Source.FillNorm), in particle order, so each chunk consumes its
+// stream exactly as a per-particle Norm loop would.
 package sde
 
 import (
@@ -102,10 +105,10 @@ func (c *Config) Validate() error {
 type Ensemble struct {
 	cfg     Config
 	workers int
-	q       []float64     // flat SoA queue lengths
-	lam     []float64     // flat SoA rates
-	streams []*rng.Source // one deterministic stream per fixed chunk
-	drift   *parallel.Scratch[[]float64]
+	q       []float64                    // flat SoA queue lengths
+	lam     []float64                    // flat SoA rates
+	streams []*rng.Source                // one deterministic stream per fixed chunk
+	buf     *parallel.Scratch[[]float64] // per-worker chunk buffer: drift, then noise
 	t       float64
 
 	step   int64 // completed steps, stamping probes and violations
@@ -128,7 +131,7 @@ func New(cfg Config) (*Ensemble, error) {
 		lam:     make([]float64, n),
 		streams: make([]*rng.Source, (n+chunkSize-1)/chunkSize),
 	}
-	e.drift = parallel.NewScratch(e.workers, func() []float64 { return make([]float64, chunkSize) })
+	e.buf = parallel.NewScratch(e.workers, func() []float64 { return make([]float64, chunkSize) })
 	for c := range e.streams {
 		r := rng.New(sweep.CellSeed(cfg.Seed, c))
 		e.streams[c] = r
@@ -163,6 +166,13 @@ func (e *Ensemble) Particle(i int) (q, lambda float64) { return e.q[i], e.lam[i]
 // Chunks are stepped concurrently on up to the configured workers;
 // the rate drift uses the law's batch fast path when it has one
 // (control.DriftBatcher), falling back to per-particle Drift calls.
+//
+// Each chunk runs in three passes over one per-worker buffer: the
+// drift is computed into it, consumed by the deterministic update,
+// and then overwritten by the chunk's noise, drawn in one FillNorm
+// batch and added in a last pass that also reflects. Every particle
+// sees the same float operations in the same order as a single
+// interleaved loop drawing one Norm per particle.
 func (e *Ensemble) Step() {
 	dt := e.cfg.Dt
 	sqdt := math.Sqrt(dt)
@@ -175,9 +185,8 @@ func (e *Ensemble) Step() {
 		hi := min(lo+chunkSize, len(e.q))
 		q := e.q[lo:hi]
 		lam := e.lam[lo:hi]
-		r := e.streams[c]
-		drift := e.drift.Get(w)[:len(q)]
-		control.Drifts(law, q, lam, drift)
+		buf := e.buf.Get(w)[:len(q)]
+		control.Drifts(law, q, lam, buf)
 		for i, qi := range q {
 			li := lam[i]
 			v := li - mu
@@ -186,18 +195,26 @@ func (e *Ensemble) Step() {
 				d = 0 // empty queue cannot drain
 			}
 			qNew := qi + d*dt
-			if useNoise {
-				qNew += noise * r.Norm()
-			}
-			if qNew < 0 {
+			if !useNoise && qNew < 0 {
 				qNew = -qNew // reflecting boundary at q = 0
 			}
-			lamNew := li + drift[i]*dt
+			lamNew := li + buf[i]*dt
 			if lamNew < 0 {
 				lamNew = 0
 			}
 			q[i] = qNew
 			lam[i] = lamNew
+		}
+		if !useNoise {
+			return
+		}
+		e.streams[c].FillNorm(buf)
+		for i, z := range buf {
+			qNew := q[i] + noise*z
+			if qNew < 0 {
+				qNew = -qNew // reflecting boundary at q = 0
+			}
+			q[i] = qNew
 		}
 	})
 	e.t += dt

@@ -84,6 +84,98 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// stepOracle is the reference Euler-Maruyama step Step must
+// reproduce bit for bit: one interleaved pass per chunk that takes
+// the batch drift, then draws each particle's noise with its own Norm
+// call and reflects. It returns how many particles it reflected.
+func stepOracle(e *Ensemble) (reflected int) {
+	dt := e.cfg.Dt
+	noise := e.cfg.Sigma * math.Sqrt(dt)
+	drift := make([]float64, chunkSize)
+	for c, r := range e.streams {
+		lo := c * chunkSize
+		hi := min(lo+chunkSize, len(e.q))
+		q, lam := e.q[lo:hi], e.lam[lo:hi]
+		control.Drifts(e.cfg.Law, q, lam, drift)
+		for i, qi := range q {
+			li := lam[i]
+			v := li - e.cfg.Mu
+			d := v
+			if qi <= 0 && v < 0 {
+				d = 0
+			}
+			qNew := qi + d*dt
+			if e.cfg.Sigma > 0 {
+				qNew += noise * r.Norm()
+			}
+			if qNew < 0 {
+				qNew = -qNew
+				reflected++
+			}
+			lamNew := li + drift[i]*dt
+			if lamNew < 0 {
+				lamNew = 0
+			}
+			q[i] = qNew
+			lam[i] = lamNew
+		}
+	}
+	e.t += dt
+	return reflected
+}
+
+// TestStepMatchesOracle pins the batched step to the per-particle
+// reference: 200 steps over a partial last chunk, with and without
+// noise, at one and three workers. q̂ sits inside the cloud and the
+// cloud starts near q = 0, so both AIMD arms, the empty-queue clamp
+// and the reflection all run.
+func TestStepMatchesOracle(t *testing.T) {
+	for _, sigma := range []float64{2, 0} {
+		for _, workers := range []int{1, 3} {
+			cfg := baseConfig()
+			cfg.Law = control.AIMD{C0: 2, C1: 0.8, QHat: 1.5}
+			cfg.Particles = 2*chunkSize + 1809 // 10 001: the last chunk is partial
+			cfg.Sigma = sigma
+			cfg.Q0, cfg.InitStdQ = 1, 1.5
+			cfg.Lambda0, cfg.InitStdL = 10, 2
+			cfg.Dt = 0.01
+			cfg.Workers = workers
+			got, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var below, above bool
+			reflected := 0
+			for step := 0; step < 200; step++ {
+				for i := range want.q {
+					below = below || want.q[i] <= 1.5
+					above = above || want.q[i] > 1.5
+				}
+				reflected += stepOracle(want)
+				got.Step()
+				for i := range got.q {
+					if math.Float64bits(got.q[i]) != math.Float64bits(want.q[i]) ||
+						math.Float64bits(got.lam[i]) != math.Float64bits(want.lam[i]) {
+						t.Fatalf("sigma %v, workers %d, step %d, particle %d: Step (%v, %v), oracle (%v, %v)",
+							sigma, workers, step, i, got.q[i], got.lam[i], want.q[i], want.lam[i])
+					}
+				}
+			}
+			if got.Time() != want.t {
+				t.Fatalf("sigma %v, workers %d: time %v, oracle %v", sigma, workers, got.Time(), want.t)
+			}
+			if !below || !above || reflected == 0 {
+				t.Fatalf("sigma %v, workers %d: coverage below q̂ %v, above q̂ %v, reflections %d",
+					sigma, workers, below, above, reflected)
+			}
+		}
+	}
+}
+
 func TestQueueNeverNegative(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Sigma = 3 // strong noise to stress the reflection
