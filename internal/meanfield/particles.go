@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fpcc/internal/obs"
+	"fpcc/internal/parallel"
 	"fpcc/internal/rng"
 	"fpcc/internal/stats"
 	"fpcc/internal/sweep"
@@ -190,7 +191,7 @@ func (p *Particles) Step() error {
 	for k := range p.cfg.Classes {
 		qObs[k] = p.observedQueue(k)
 	}
-	_, err := sweep.Map(len(p.chunks), p.workers, func(i int) (struct{}, error) {
+	parallel.Each(len(p.chunks), p.workers, func(i int) {
 		c := p.chunks[i]
 		cl := &p.cfg.Classes[c.class]
 		law := cl.Law
@@ -209,11 +210,7 @@ func (p *Particles) Step() error {
 		}
 		c.sum = sum
 		c.mom = mom
-		return struct{}{}, nil
 	})
-	if err != nil {
-		return fmt.Errorf("meanfield: particle step: %w", err)
-	}
 	p.q = math.Max(p.q+(agg-p.cfg.Mu)*dt, 0)
 	p.t += dt
 	p.hist.Record(p.t, p.q, p.t-p.maxDelay-1)

@@ -1,8 +1,11 @@
-// Package parallel is the deterministic fork-join primitive for
-// intra-step loops: the counterpart of sweep.Map for the tight sweeps
-// inside a solver step (per-row advection, per-column diffusion
-// solves, per-chunk particle updates), where spawning a goroutine per
-// item would dominate the work.
+// Package parallel is the repository's one deterministic fork-join
+// pool. EachWorker is the pool itself: workers claim indices in
+// ascending order from a shared counter. For, ForWorker and ReduceSum
+// run the tight loops inside a solver step (per-row advection,
+// per-column diffusion solves, per-chunk particle updates) on it in
+// fixed blocks, where a scheduling slot per item would dominate the
+// work; sweep.Map runs parameter-grid cells and whole experiments on
+// it one item at a time.
 //
 // The package owns two invariants every hot path built on it relies
 // on:
@@ -98,40 +101,28 @@ func ForWorker(n, workers int, fn func(w, lo, hi int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= count {
-					return
-				}
-				lo := b * size
-				hi := min(lo+size, n)
-				fn(w, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
+	EachWorker(count, workers, func(w, b int) {
+		lo := b * size
+		fn(w, lo, min(lo+size, n))
+	})
 }
 
 // Each runs fn(i) once for every i in [0, n) on up to workers
 // goroutines, claiming indices in ascending order from a shared
-// counter — the no-result analogue of sweep.Map, for coarse work
-// items (particle chunks, solver classes) that are each already
-// thousands of operations, where For's block batching would merge
-// items that deserve their own scheduling slot. fn(i) must be
-// self-contained per index, which makes Each trivially deterministic
-// for any worker count.
+// counter, for coarse work items (particle chunks, solver classes,
+// sweep cells) that are each already thousands of operations, where
+// For's block batching would merge items that deserve their own
+// scheduling slot. fn(i) must be self-contained per index, which
+// makes Each trivially deterministic for any worker count.
 func Each(n, workers int, fn func(i int)) {
 	EachWorker(n, workers, func(_, i int) { fn(i) })
 }
 
 // EachWorker is Each with a worker slot for per-worker scratch, with
-// the same caveat as ForWorker: w is a scheduling artifact.
+// the same caveat as ForWorker: w is a scheduling artifact. Every
+// other entry point of this package, and sweep.Map, forks and joins
+// here. Because claims are ascending, once index i has been claimed
+// every lower index has been claimed too.
 func EachWorker(n, workers int, fn func(w, i int)) {
 	if n <= 0 {
 		return

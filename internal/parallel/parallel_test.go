@@ -145,3 +145,29 @@ func TestWorkersResolution(t *testing.T) {
 		t.Fatal("Workers(<=0) must be at least 1")
 	}
 }
+
+// TestSerialPathAllocatesNothing pins the inline serial path: with one
+// worker, ForWorker and ReduceSum call fn directly, with no closure or
+// partials array built per call. The solver step loops call them once
+// per step, so one allocation here is one per step at workers = 1.
+func TestSerialPathAllocatesNothing(t *testing.T) {
+	xs := make([]float64, 4097)
+	forBody := func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			xs[i]++
+		}
+	}
+	sumBody := func(lo, hi int) float64 {
+		var s float64
+		for i := lo; i < hi; i++ {
+			s += xs[i]
+		}
+		return s
+	}
+	if a := testing.AllocsPerRun(100, func() { ForWorker(len(xs), 1, forBody) }); a != 0 {
+		t.Errorf("ForWorker at workers=1: %v allocs per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { ReduceSum(len(xs), 1, sumBody) }); a != 0 {
+		t.Errorf("ReduceSum at workers=1: %v allocs per call, want 0", a)
+	}
+}

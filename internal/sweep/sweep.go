@@ -1,7 +1,7 @@
 // Package sweep is the engine-agnostic parameter-sweep runner: it
 // evaluates an arbitrary cell function over every cell of an
 // N-dimensional grid of named parameter dimensions, sharding cells
-// across a bounded pool of workers.
+// across a bounded pool of workers (parallel.EachWorker).
 //
 // The package owns the three properties every sweep in this
 // repository relies on, independent of which engine (netsim, des,
@@ -14,8 +14,9 @@
 //     as workers finish, so the aggregate — and any CSV/JSON rendered
 //     from it — is byte-identical for any worker count.
 //   - Deterministic failure: a failing cell stops work on every
-//     higher-indexed cell (lower-indexed ones still run), so the
-//     reported error is always the globally lowest-indexed failure.
+//     higher-indexed cell not yet started (lower-indexed ones still
+//     run), so the reported error is always the globally
+//     lowest-indexed failure.
 //
 // Run is the generic entry point (any result type); RunRows adds a
 // named-column result schema with byte-stable CSV and JSON emission.
@@ -23,11 +24,10 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"fpcc/internal/obs"
+	"fpcc/internal/parallel"
 	"fpcc/internal/rng"
 )
 
@@ -124,70 +124,23 @@ func (e *CellError) Error() string { return fmt.Sprintf("cell %d: %v", e.Index, 
 // Unwrap exposes the cell function's error to errors.Is/As.
 func (e *CellError) Unwrap() error { return e.Err }
 
-// Map evaluates fn(0..n-1) on up to workers goroutines and returns
-// the results in index order. It is the worker pool under Run and
-// under the experiment suite runner. Items are distributed by
-// work-stealing over per-worker contiguous index ranges: each worker
-// drains its own range front-to-back and, when empty, steals the top
-// half of the largest leftover range — so uneven grids (a few slow
-// cells clustered at one end) don't tail-stall behind one worker.
-// Results land by index, so the output is byte-identical for any
-// worker count. On failure, every index below the lowest failing one
-// is still evaluated (only higher indices are skipped), so the
-// returned *CellError is always the globally lowest-indexed failure,
-// deterministic regardless of worker count or scheduling.
+// Map evaluates fn(0..n-1) on up to workers goroutines (0 means
+// GOMAXPROCS) and returns the results in index order. Run and the
+// experiment suite runner sit on it, and it sits on
+// parallel.EachWorker: items are claimed one at a time in
+// ascending index order from a shared counter, so uneven grids
+// balance item by item. Results land by index, so the output is
+// byte-identical for any worker count. On failure, items above the
+// lowest failing index seen so far are skipped; because claims are
+// ascending, every lower index has already been claimed and runs to
+// completion, so the returned *CellError is always the globally
+// lowest-indexed failure, deterministic regardless of worker count or
+// scheduling.
 func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil function")
 	}
 	return MapWorker(n, workers, func(_, i int) (T, error) { return fn(i) })
-}
-
-// stealRange is one worker's claimable index range [next, limit),
-// packed into a single CAS word (next in the high 32 bits, limit in
-// the low 32) so owner pops and thief steals are each one
-// compare-and-swap. The pad spaces ranges a cache line apart.
-type stealRange struct {
-	word atomic.Uint64
-	_    [56]byte
-}
-
-func packRange(next, limit int) uint64 { return uint64(next)<<32 | uint64(limit) }
-
-func unpackRange(w uint64) (next, limit int) { return int(w >> 32), int(w & 0xffffffff) }
-
-// pop claims the lowest index of the range, returning ok=false when
-// the range is empty.
-func (r *stealRange) pop() (idx int, ok bool) {
-	for {
-		w := r.word.Load()
-		next, limit := unpackRange(w)
-		if next >= limit {
-			return 0, false
-		}
-		if r.word.CompareAndSwap(w, packRange(next+1, limit)) {
-			return next, true
-		}
-	}
-}
-
-// stealHalf removes the top ⌈half⌉ of the range (the victim keeps
-// the bottom half, preserving its front-to-back scan) and returns it.
-// The stolen range is never empty: a single remaining item is taken
-// whole, so a thief can always relieve a tail-stalled victim.
-func (r *stealRange) stealHalf() (next, limit int, ok bool) {
-	for {
-		w := r.word.Load()
-		vNext, vLimit := unpackRange(w)
-		avail := vLimit - vNext
-		if avail <= 0 {
-			return 0, 0, false
-		}
-		mid := vNext + avail/2
-		if r.word.CompareAndSwap(w, packRange(vNext, mid)) {
-			return mid, vLimit, true
-		}
-	}
 }
 
 // MapWorker is Map with the executing worker's 0-based index handed
@@ -199,84 +152,30 @@ func MapWorker[T any](n, workers int, fn func(worker, i int) (T, error)) ([]T, e
 	if n < 0 {
 		return nil, fmt.Errorf("sweep: negative item count %d", n)
 	}
-	if n > 1<<31-1 {
-		return nil, fmt.Errorf("sweep: item count %d exceeds 2^31-1", n)
-	}
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil function")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if n == 0 {
-		return []T{}, nil
-	}
 	results := make([]T, n)
 	errs := make([]error, n)
-	// Initial partition: contiguous blocks, sized within one of each
-	// other, lower-indexed blocks to lower-indexed workers.
-	ranges := make([]stealRange, workers)
-	block, rem := n/workers, n%workers
-	start := 0
-	for w := range ranges {
-		size := block
-		if w < rem {
-			size++
-		}
-		ranges[w].word.Store(packRange(start, start+size))
-		start += size
-	}
 	// lowestFail is the lowest failing index seen so far (n = none).
-	// Indices above it are skipped; indices below it always run, which
-	// pins the reported failure to the globally lowest one.
 	var lowestFail atomic.Int64
 	lowestFail.Store(int64(n))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+	parallel.EachWorker(n, workers, func(w, idx int) {
+		if int64(idx) > lowestFail.Load() {
+			return
+		}
+		var err error
+		results[idx], err = fn(w, idx)
+		if err != nil {
+			errs[idx] = err
 			for {
-				idx, ok := ranges[w].pop()
-				if !ok {
-					// Own range drained: steal the top half of another
-					// worker's range. Install the remainder as our own
-					// range immediately (our word is empty, and empty
-					// ranges are never stolen from, so a plain Store is
-					// race-free).
-					for off := 1; off < workers; off++ {
-						v := (w + off) % workers
-						if next, limit, stole := ranges[v].stealHalf(); stole {
-							idx, ok = next, true
-							ranges[w].word.Store(packRange(next+1, limit))
-							break
-						}
-					}
-					if !ok {
-						return
-					}
-				}
-				if int64(idx) > lowestFail.Load() {
-					continue
-				}
-				var err error
-				results[idx], err = fn(w, idx)
-				if err != nil {
-					errs[idx] = err
-					for {
-						cur := lowestFail.Load()
-						if int64(idx) >= cur || lowestFail.CompareAndSwap(cur, int64(idx)) {
-							break
-						}
-					}
+				cur := lowestFail.Load()
+				if int64(idx) >= cur || lowestFail.CompareAndSwap(cur, int64(idx)) {
+					break
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	for idx, err := range errs {
 		if err != nil {
 			return nil, &CellError{Index: idx, Err: err}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fpcc/internal/rng"
 )
@@ -122,6 +123,89 @@ func TestMapLowestIndexedError(t *testing.T) {
 		}
 		if calls.Load() >= 1000 {
 			t.Errorf("workers=%d: no early abort (%d calls)", workers, calls.Load())
+		}
+	}
+}
+
+// TestMapStealExactlyOnce drives the pool through a pathologically
+// uneven load — the whole tail of the index space is slow while one
+// worker is stuck on a very slow first item, so the others drain the
+// middle around it — and pins the two invariants any schedule must
+// keep: every item runs exactly once, and results land by index.
+func TestMapStealExactlyOnce(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{2, 4, 16} {
+		calls := make([]atomic.Int32, n)
+		got, err := Map(n, workers, func(i int) (int, error) {
+			switch {
+			case i == 0:
+				time.Sleep(20 * time.Millisecond)
+			case i >= n-8:
+				time.Sleep(2 * time.Millisecond)
+			}
+			calls[i].Add(1)
+			return i + 1, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range calls {
+			if c := calls[i].Load(); c != 1 {
+				t.Errorf("workers=%d: item %d ran %d times", workers, i, c)
+			}
+			if got[i] != i+1 {
+				t.Errorf("workers=%d: result[%d] = %d, want %d", workers, i, got[i], i+1)
+			}
+		}
+	}
+}
+
+// TestMapStealSingleItemRanges runs as many workers as items with a
+// slow first item, so every worker claims at most a single index and
+// the others race past the stuck one. Each item must still run
+// exactly once.
+func TestMapStealSingleItemRanges(t *testing.T) {
+	const n = 8
+	calls := make([]atomic.Int32, n)
+	if _, err := Map(n, n, func(i int) (int, error) {
+		if i == 0 {
+			time.Sleep(10 * time.Millisecond)
+		}
+		calls[i].Add(1)
+		return i, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Errorf("item %d ran %d times", i, c)
+		}
+	}
+}
+
+// TestMapStealLowestFailure: with failures scattered across the index
+// space and a slow tail reordering completion, the reported CellError
+// must still be the globally lowest failing index, for any worker
+// count.
+func TestMapStealLowestFailure(t *testing.T) {
+	const n = 200
+	fails := map[int]bool{23: true, 24: true, 120: true, 199: true}
+	for _, workers := range []int{1, 3, 7, 16} {
+		_, err := Map(n, workers, func(i int) (int, error) {
+			if i >= n-20 {
+				time.Sleep(time.Millisecond)
+			}
+			if fails[i] {
+				return 0, fmt.Errorf("fail %d", i)
+			}
+			return i, nil
+		})
+		ce, ok := err.(*CellError)
+		if !ok {
+			t.Fatalf("workers=%d: error %T is not *CellError", workers, err)
+		}
+		if ce.Index != 23 {
+			t.Errorf("workers=%d: reported index %d, want 23", workers, ce.Index)
 		}
 	}
 }
