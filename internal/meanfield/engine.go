@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fpcc/internal/grid"
+	"fpcc/internal/linalg"
 	"fpcc/internal/obs"
 	"fpcc/internal/parallel"
 )
@@ -82,7 +83,8 @@ func (n *Network) validate(classes int) error {
 //  3. each f_k is advected — conservative first-order upwind, or
 //     MUSCL/minmod when Config.SecondOrder is set — with zero-flux
 //     ends, then diffused by (σ_k²/2)·f_λλ with a Crank-Nicolson
-//     tridiagonal solve when σ_k > 0;
+//     tridiagonal solve when σ_k > 0, then clipped and (open classes)
+//     given its births and deaths;
 //  4. every queue advances by Q_j ← max(Q_j + (A_j − μ_j)·Dt, 0) and
 //     records its history.
 //
@@ -91,6 +93,15 @@ func (n *Network) validate(classes int) error {
 // per-class mass so the audit quantity does not bias the coupling.
 // Steps cost O(nodes + classes × bins + Σ_k |route_k|), independent of
 // every population size N_k.
+//
+// Step 3 runs on a partition fixed at NewEngine: the classes are cut
+// into one contiguous group per worker (Config.Workers, 0 meaning the
+// GOMAXPROCS of that moment). A group advects all its kernels, then
+// runs the diffusion solves of all of them through linalg.StepLanes,
+// then clips and applies churn, so equal-size solves interleave. The
+// phase kernels of an open class share one cached drift. Every kernel
+// does the same arithmetic in any group, so results do not depend on
+// the worker count.
 type Engine struct {
 	cfg Config
 	net Network
@@ -99,6 +110,8 @@ type Engine struct {
 	// built only when a recorder is attached.
 	prefix, gate string
 	kerns        []*classKernel
+	groups       []kernelGroup
+	stepGroup    func(w, g int) // e.runGroup, bound once at NewEngine
 	q            []float64
 	arr          []float64 // per-node arrival rate of the current step
 	hist         []History
@@ -138,6 +151,8 @@ func NewEngine(cfg Config, net Network) (*Engine, error) {
 		}
 		e.kerns = append(e.kerns, kern)
 	}
+	e.partition(parallel.Workers(cfg.Workers))
+	e.stepGroup = e.runGroup
 	for j := range e.hist {
 		e.hist[j].Record(0, e.q[j], 0)
 	}
@@ -294,17 +309,9 @@ func (e *Engine) Step() error {
 		}
 	}
 	// 3. Transport and diffusion sweeps (and the birth–death ledgers)
-	// — per-class kernels touch only their own densities, so they
-	// shard across the worker pool.
-	parallel.Each(len(e.kerns), e.cfg.Workers, func(k int) {
-		kern := e.kerns[k]
-		kern.Advect(dt)
-		if sigma := e.cfg.Classes[k].SigmaL; sigma > 0 {
-			kern.Diffuse(sigma, dt)
-		}
-		kern.ClampNegative()
-		kern.StepChurn(dt)
-	})
+	// — per-class kernels touch only their own densities, so the
+	// class groups run on the worker pool.
+	parallel.EachWorker(len(e.groups), len(e.groups), e.stepGroup)
 	// 4. Fluid queue ODEs and their histories.
 	e.t += dt
 	cut := e.t - e.maxDelay - 1
@@ -319,6 +326,75 @@ func (e *Engine) Step() error {
 		}
 	}
 	return nil
+}
+
+// kernelGroup is one worker's contiguous range of classes [lo, hi),
+// with the Crank-Nicolson systems of its diffusing kernels (those of
+// classes with σ > 0, in class and phase order) laid out as
+// linalg.StepLanes takes them, and the factor r each is built for.
+type kernelGroup struct {
+	lo, hi  int
+	rr      []float64
+	facs    []*linalg.CNFactor
+	xs, dps [][]float64
+}
+
+// partition cuts the classes into min(workers, classes) contiguous
+// groups of as equal a class count as possible. The lanes of all
+// groups are laid out once, in class order, so each group's lanes are
+// one window of them.
+func (e *Engine) partition(workers int) {
+	lanes := 0
+	for k, kern := range e.kerns {
+		if e.cfg.Classes[k].SigmaL > 0 {
+			lanes += len(kern.ph)
+		}
+	}
+	rr := make([]float64, 0, lanes)
+	facs := make([]*linalg.CNFactor, 0, lanes)
+	xs := make([][]float64, 0, lanes)
+	dps := make([][]float64, 0, lanes)
+	start := make([]int, len(e.kerns)+1) // each class's first lane
+	for k, kern := range e.kerns {
+		if sigma := e.cfg.Classes[k].SigmaL; sigma > 0 {
+			for _, rd := range kern.ph {
+				rr = append(rr, rd.diffusionR(sigma, e.cfg.Dt))
+				facs = append(facs, &rd.fac)
+				xs = append(xs, rd.f)
+				dps = append(dps, rd.col)
+			}
+		}
+		start[k+1] = len(rr)
+	}
+	n := len(e.kerns)
+	workers = min(workers, n)
+	e.groups = make([]kernelGroup, workers)
+	for g := range e.groups {
+		lo, hi := g*n/workers, (g+1)*n/workers
+		a, b := start[lo], start[hi]
+		e.groups[g] = kernelGroup{lo: lo, hi: hi, rr: rr[a:b], facs: facs[a:b], xs: xs[a:b], dps: dps[a:b]}
+	}
+}
+
+// runGroup is step 3 for group g: advect every kernel, diffuse the
+// diffusing ones together, then clip and apply churn. Advect has
+// already marked each kernel's cached sums stale when the solves
+// write f, and ClampNegative refreshes them.
+func (e *Engine) runGroup(_, g int) {
+	grp := &e.groups[g]
+	dt := e.cfg.Dt
+	kerns := e.kerns[grp.lo:grp.hi]
+	for _, kern := range kerns {
+		kern.Advect(dt)
+	}
+	for i, f := range grp.facs {
+		f.Ensure(grp.rr[i], len(grp.xs[i]))
+	}
+	linalg.StepLanes(grp.facs, grp.xs, grp.dps)
+	for _, kern := range kerns {
+		kern.ClampNegative()
+		kern.StepChurn(dt)
+	}
 }
 
 // observe feeds the attached recorder after a completed step: probe

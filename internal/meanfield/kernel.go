@@ -63,6 +63,9 @@ func newClassKernel(lMax float64, bins int, lambda0, initStd float64, secondOrde
 			return nil, err
 		}
 		rd.ScaleInit(p.Weight)
+		if len(k.ph) > 0 {
+			rd.drift = k.ph[0].drift // the phases see one law at one backlog
+		}
 		k.ph = append(k.ph, rd)
 		k.hazard = append(k.hazard, p.Rate)
 		k.share = append(k.share, p.Weight)
@@ -197,13 +200,17 @@ func (k *classKernel) Moments() (mean, variance float64) {
 	return mean, m2 / mass
 }
 
-// SetDrift caches (and CFL-checks) the drift on every phase kernel
-// without mutating any density — same protocol as RateDensity.
+// SetDrift caches (and CFL-checks) the drift for every phase kernel
+// without mutating any density — same protocol as RateDensity. The
+// phases share one λ-grid, law and backlog, so the drift is computed
+// once, into the slice they share, and only the Courant margin is
+// copied.
 func (k *classKernel) SetDrift(law control.Law, qObs, dt float64) error {
-	for _, rd := range k.ph {
-		if err := rd.SetDrift(law, qObs, dt); err != nil {
-			return err
-		}
+	if err := k.ph[0].SetDrift(law, qObs, dt); err != nil {
+		return err
+	}
+	for _, rd := range k.ph[1:] {
+		rd.courant = k.ph[0].courant
 	}
 	return nil
 }
@@ -212,13 +219,6 @@ func (k *classKernel) SetDrift(law control.Law, qObs, dt float64) error {
 func (k *classKernel) Advect(dt float64) {
 	for _, rd := range k.ph {
 		rd.Advect(dt)
-	}
-}
-
-// Diffuse applies the σ diffusion to every phase kernel.
-func (k *classKernel) Diffuse(sigma, dt float64) {
-	for _, rd := range k.ph {
-		rd.Diffuse(sigma, dt)
 	}
 }
 

@@ -124,11 +124,11 @@ type Config struct {
 	SecondOrder bool
 
 	// Workers bounds the density engine's per-step parallelism over
-	// classes (0 = GOMAXPROCS). It affects wall-clock time only,
-	// never results: each class's kernel is independent within a
-	// step and the coupling reductions stay in class order. (The
-	// particle backend takes its worker bound as a NewParticles
-	// argument instead, alongside its seed.)
+	// classes (0 = GOMAXPROCS when the engine is built). It affects
+	// wall-clock time only, never results: each class's kernel is
+	// independent within a step and the coupling reductions stay in
+	// class order. (The particle backend takes its worker bound as a
+	// NewParticles argument instead, alongside its seed.)
 	Workers int
 
 	// Obs, when non-nil, receives per-step probes (the engine's

@@ -247,8 +247,19 @@ func TestDensityCFLViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := d.Marginal(0)
-	if err := d.Step(); err == nil {
+	err = d.Step()
+	if err == nil {
 		t.Fatal("CFL-violating step accepted")
+	}
+	// The message names the first violating edge, its λ and |c|,
+	// exactly as a per-edge scan reports it.
+	ref, rerr := NewRateDensity(cfg.LMax, cfg.Bins, 1, 0.3, false)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	want := setDriftOracle(ref, cfg.Classes[0].Law, cfg.Q0, cfg.Dt)
+	if want == nil || err.Error() != "meanfield: class 0 "+want.Error() {
+		t.Errorf("CFL error %q, want %q", err, want)
 	}
 	// The check runs before any mutation: a failing Step must leave
 	// the solver exactly as it was.
@@ -261,6 +272,56 @@ func TestDensityCFLViolation(t *testing.T) {
 	if d.Time() != 0 || d.Queue() != cfg.Q0 {
 		t.Fatalf("failed Step advanced time/queue: t=%v q=%v", d.Time(), d.Queue())
 	}
+}
+
+// TestDensityCFLViolationInLaterClass: class 1's law is CFL-safe
+// while the queue sits below its target and violates the bound above
+// it. The step on which the queue first crosses has class 0 pass its
+// check and class 1 fail; it must leave every class's density, the
+// queue and the time as they were, and name class 1's first
+// violating edge.
+func TestDensityCFLViolationInLaterClass(t *testing.T) {
+	cfg := testConfig(100)
+	fast := control.AIMD{C0: 0.5, C1: 40, QHat: 205} // |g| = 40λ above q̂: violates for λ > 0.06
+	cfg.Classes = append(cfg.Classes, Class{Law: fast, N: 100, Lambda0: 1, InitStd: 0.3})
+	cfg.Mu = 200
+	d, err := NewDensity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 2000; step++ {
+		before := [][]float64{d.Marginal(0), d.Marginal(1)}
+		tb, qb := d.Time(), d.Queue()
+		err = d.Step()
+		if err == nil {
+			continue
+		}
+		if step == 0 {
+			t.Fatal("the first step already violates; the test wants clean steps before it")
+		}
+		ref, rerr := NewRateDensity(cfg.LMax, cfg.Bins, 1, 0.3, false)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if want := setDriftOracle(ref, fast, qb, cfg.Dt); want == nil || err.Error() != "meanfield: class 1 "+want.Error() {
+			t.Errorf("CFL error %q, want class 1's %v", err, want)
+		}
+		for k, m := range before {
+			for i, v := range d.Marginal(k) {
+				if math.Float64bits(v) != math.Float64bits(m[i]) {
+					t.Fatalf("failed Step mutated class %d at bin %d: %v -> %v", k, i, m[i], v)
+				}
+			}
+		}
+		if d.Time() != tb || d.Queue() != qb {
+			t.Fatalf("failed Step moved time/queue: t %v -> %v, q %v -> %v", tb, d.Time(), qb, d.Queue())
+		}
+		if d.kerns[0].ph[0].Courant() == 0 {
+			t.Error("class 0 was not checked before class 1 failed")
+		}
+		return
+	}
+	t.Fatal("the queue never crossed class 1's target")
 }
 
 // Heterogeneous weights: a class of weight 2 contributes twice its

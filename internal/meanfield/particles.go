@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"fpcc/internal/control"
+	"fpcc/internal/linalg"
 	"fpcc/internal/obs"
 	"fpcc/internal/parallel"
 	"fpcc/internal/rng"
@@ -51,6 +53,14 @@ type Particles struct {
 	t       float64
 	q       float64
 
+	// Per-step state the chunk steps read: the queue each class
+	// observes, a per-worker buffer (the observed-queue column, then
+	// the noise, in its first half; the drifts in its second), and
+	// the chunk step bound once so a step allocates nothing.
+	qObs      []float64
+	buf       *parallel.Scratch[[]float64]
+	stepChunk func(w, i int)
+
 	hist     History
 	maxDelay float64
 	step     int64 // completed steps, stamping probes and violations
@@ -58,8 +68,8 @@ type Particles struct {
 
 // NewParticles builds the particle backend with every source's
 // initial rate drawn from its class blob (clipped to [0, LMax]).
-// workers bounds the per-step parallelism (0 = GOMAXPROCS); it
-// affects wall-clock time only, never results.
+// workers bounds the per-step parallelism (0 = GOMAXPROCS at
+// construction); it affects wall-clock time only, never results.
 func NewParticles(cfg Config, seed uint64, workers int) (*Particles, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -69,10 +79,13 @@ func NewParticles(cfg Config, seed uint64, workers int) (*Particles, error) {
 	}
 	p := &Particles{
 		cfg:      cfg,
-		workers:  workers,
+		workers:  parallel.Workers(workers),
 		q:        cfg.Q0,
+		qObs:     make([]float64, len(cfg.Classes)),
 		maxDelay: cfg.maxDelay(),
 	}
+	p.buf = parallel.NewScratch(p.workers, func() []float64 { return make([]float64, 2*chunkSize) })
+	p.stepChunk = p.runChunk
 	for k, cl := range cfg.Classes {
 		arr := make([]float64, cl.N)
 		p.lam = append(p.lam, arr)
@@ -186,31 +199,10 @@ func (p *Particles) observedQueue(k int) float64 {
 func (p *Particles) Step() error {
 	agg := p.AggregateRate()
 	dt := p.cfg.Dt
-	sqdt := math.Sqrt(dt)
-	qObs := make([]float64, len(p.cfg.Classes))
 	for k := range p.cfg.Classes {
-		qObs[k] = p.observedQueue(k)
+		p.qObs[k] = p.observedQueue(k)
 	}
-	parallel.Each(len(p.chunks), p.workers, func(i int) {
-		c := p.chunks[i]
-		cl := &p.cfg.Classes[c.class]
-		law := cl.Law
-		qo := qObs[c.class]
-		sum := 0.0
-		mom := stats.Moments{}
-		for j, l := range c.lam {
-			l += law.Drift(qo, l) * dt
-			if cl.SigmaL > 0 {
-				l += cl.SigmaL * sqdt * c.r.Norm()
-			}
-			l = clampRate(l, p.cfg.LMax)
-			c.lam[j] = l
-			sum += l
-			mom.Add(l)
-		}
-		c.sum = sum
-		c.mom = mom
-	})
+	parallel.EachWorker(len(p.chunks), p.workers, p.stepChunk)
 	p.q = math.Max(p.q+(agg-p.cfg.Mu)*dt, 0)
 	p.t += dt
 	p.hist.Record(p.t, p.q, p.t-p.maxDelay-1)
@@ -221,6 +213,57 @@ func (p *Particles) Step() error {
 		}
 	}
 	return nil
+}
+
+// runChunk steps chunk i on worker w. Every particle's drift comes
+// from one control.Drifts call and its noise from one rng.FillNorm;
+// one pass then applies λ ← clamp(λ + g·dt + σ√dt·z) and accumulates
+// the chunk's rate sum and moments. That is the arithmetic of a Drift
+// call, a Norm call and a stats.Moments.Add per particle, in the same
+// order; Add's recurrence runs on locals so its division chain
+// overlaps the rate updates.
+func (p *Particles) runChunk(w, i int) {
+	c := p.chunks[i]
+	cl := &p.cfg.Classes[c.class]
+	dt := p.cfg.Dt
+	lmax := p.cfg.LMax
+	n := len(c.lam)
+	buf := p.buf.Get(w)
+	z, g := buf[:n], buf[chunkSize:chunkSize+n]
+	linalg.Fill(z, p.qObs[c.class])
+	control.Drifts(cl.Law, z, c.lam, g)
+	noisy := cl.SigmaL > 0
+	noise := cl.SigmaL * math.Sqrt(dt)
+	if noisy {
+		c.r.FillNorm(z)
+	}
+	sum := 0.0
+	var count int
+	var mean, m2, lo, hi float64
+	for j, l := range c.lam {
+		l += g[j] * dt
+		if noisy {
+			l += noise * z[j]
+		}
+		l = clampRate(l, lmax)
+		c.lam[j] = l
+		sum += l
+		if count == 0 {
+			lo, hi = l, l
+		}
+		if l < lo {
+			lo = l
+		}
+		if l > hi {
+			hi = l
+		}
+		count++
+		d := l - mean
+		mean += d / float64(count)
+		m2 += d * (l - mean)
+	}
+	c.sum = sum
+	c.mom = stats.MomentsOf(count, mean, m2, lo, hi)
 }
 
 // observe feeds the attached recorder after a completed step. The

@@ -3,6 +3,9 @@ package meanfield
 import (
 	"math"
 	"testing"
+
+	"fpcc/internal/parallel"
+	"fpcc/internal/stats"
 )
 
 // runParticles advances a fresh particle system and returns its queue
@@ -126,5 +129,122 @@ func TestParticlesRatesStayInDomain(t *testing.T) {
 	}
 	if h.Underflow != 0 || h.Overflow != 0 {
 		t.Fatalf("histogram under/overflow %d/%d, want 0/0", h.Underflow, h.Overflow)
+	}
+}
+
+// stepOracle is Particles.Step as it was before the batched drift and
+// noise: one Drift call, one Norm call and one Moments.Add per
+// particle, on a fresh closure and qObs slice each step. Step must
+// reproduce it bit for bit.
+func stepOracle(p *Particles) error {
+	agg := p.AggregateRate()
+	dt := p.cfg.Dt
+	sqdt := math.Sqrt(dt)
+	qObs := make([]float64, len(p.cfg.Classes))
+	for k := range p.cfg.Classes {
+		qObs[k] = p.observedQueue(k)
+	}
+	parallel.Each(len(p.chunks), p.workers, func(i int) {
+		c := p.chunks[i]
+		cl := &p.cfg.Classes[c.class]
+		law := cl.Law
+		qo := qObs[c.class]
+		sum := 0.0
+		mom := stats.Moments{}
+		for j, l := range c.lam {
+			l += law.Drift(qo, l) * dt
+			if cl.SigmaL > 0 {
+				l += cl.SigmaL * sqdt * c.r.Norm()
+			}
+			l = clampRate(l, p.cfg.LMax)
+			c.lam[j] = l
+			sum += l
+			mom.Add(l)
+		}
+		c.sum = sum
+		c.mom = mom
+	})
+	p.q = math.Max(p.q+(agg-p.cfg.Mu)*dt, 0)
+	p.t += dt
+	p.hist.Record(p.t, p.q, p.t-p.maxDelay-1)
+	p.step++
+	if rec := p.cfg.Obs; rec.Enabled() {
+		return p.observe(rec)
+	}
+	return nil
+}
+
+// TestParticlesStepMatchesOracle pins the batched Step to stepOracle
+// bit for bit over 200 steps: every rate, chunk sum and chunk Welford
+// state, the queue and the time. The populations end on a partial
+// chunk (10000 = 2·4096 + 1808), and the configurations cover a noisy
+// class, a noise-free one, and both side by side with a delayed
+// observation, at one and three workers.
+func TestParticlesStepMatchesOracle(t *testing.T) {
+	noisy := testConfig(10_000)
+	quiet := testConfig(10_000)
+	quiet.Classes[0].SigmaL = 0
+	mixed := testConfig(10_000)
+	mixed.Classes = append(mixed.Classes, Class{
+		Law: testLaw(10_000, 2), N: 5000, Delay: 0.05, Lambda0: 0.8, InitStd: 0.2,
+	})
+	mixed.Mu *= 1.5
+	for name, cfg := range map[string]Config{"sigma>0": noisy, "sigma=0": quiet, "mixed": mixed} {
+		for _, workers := range []int{1, 3} {
+			p, err := NewParticles(cfg, 21, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewParticles(cfg, 21, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 200; step++ {
+				if err := p.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if err := stepOracle(want); err != nil {
+					t.Fatal(err)
+				}
+				if p.q != want.q || p.t != want.t {
+					t.Fatalf("%s workers=%d step %d: q, t = %v, %v; oracle %v, %v", name, workers, step, p.q, p.t, want.q, want.t)
+				}
+				for i, c := range p.chunks {
+					o := want.chunks[i]
+					if c.sum != o.sum || c.mom != o.mom {
+						t.Fatalf("%s workers=%d step %d chunk %d: sum/moments differ from the oracle", name, workers, step, i)
+					}
+					for j := range c.lam {
+						if math.Float64bits(c.lam[j]) != math.Float64bits(o.lam[j]) {
+							t.Fatalf("%s workers=%d step %d chunk %d: rate %d = %v, oracle %v", name, workers, step, i, j, c.lam[j], o.lam[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParticlesStepAllocatesNothing pins the serial step at zero
+// allocations once the queue history has reached its pruned size.
+func TestParticlesStepAllocatesNothing(t *testing.T) {
+	p, err := NewParticles(testConfig(5000), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmHistory(t, p)
+	if a := testing.AllocsPerRun(50, func() { _ = p.Step() }); a != 0 {
+		t.Errorf("Particles.Step at workers=1: %v allocs per step, want 0", a)
+	}
+}
+
+// warmHistory steps s past the queue history's first prune (8192
+// samples), after which Record appends within the capacity it has.
+func warmHistory(t *testing.T, s Stepper) {
+	t.Helper()
+	for i := 0; i < 8300; i++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

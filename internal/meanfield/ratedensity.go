@@ -25,19 +25,31 @@ import (
 // and performs the CFL check WITHOUT touching the density, then
 // Advect/Diffuse/ClampNegative apply the cached step.
 type RateDensity struct {
-	ax  grid.Uniform1D
-	f   []float64 // cell-centered density, length Bins
-	tmp []float64 // scratch row for the transport sweeps
-	lc  []float64 // cell centers
+	ax grid.Uniform1D
+	f  []float64 // cell-centered density, length Bins
+	lc []float64 // cell centers
 
+	// edges holds λ at the interior cell edges 1..Bins-1: the rate
+	// column SetDrift hands control.Drifts. Its queue column, the
+	// observed queue once per edge, is written into col, which is free
+	// until the diffusion solve.
+	edges []float64
 	// drift caches the cell-edge drifts SetDrift filled (and
-	// CFL-checked) for the pending step; edges 1..Bins-1 are used.
+	// CFL-checked) for the pending step; edges 1..Bins-1 are used. The
+	// phase kernels of one class share a single drift slice.
 	drift       []float64
 	secondOrder bool
 
 	// courant is the largest |g|·dt/Δλ of the drifts SetDrift last
 	// cached — the margin the invariant checker re-verifies.
 	courant float64
+
+	// sum and m1 cache Σf and Σf·λ over the cells in index order, as
+	// ClampNegative's pass left them; sumsOK is cleared by every other
+	// write to f. MeanRate and Mass read the cache while it is valid,
+	// so a step's coupling costs no extra pass over the density.
+	sum, m1 float64
+	sumsOK  bool
 
 	// Prefactored Crank-Nicolson solve for the σ diffusion: the
 	// bands depend only on rr, so the shared kernel rebuilds its
@@ -68,12 +80,15 @@ func NewRateDensity(lMax float64, bins int, lambda0, initStd float64, secondOrde
 	r := &RateDensity{
 		ax:          ax,
 		f:           make([]float64, bins),
-		tmp:         make([]float64, bins),
 		lc:          ax.Centers(),
 		drift:       make([]float64, bins),
 		secondOrder: secondOrder,
 		col:         make([]float64, bins),
 		base:        1,
+	}
+	r.edges = make([]float64, bins-1)
+	for e := range r.edges {
+		r.edges[e] = ax.Edge(e + 1)
 	}
 	blob, err := blobProfile(ax, r.lc, lambda0, initStd)
 	if err != nil {
@@ -137,6 +152,9 @@ func (r *RateDensity) Died() float64 { return r.died }
 // Mass = base + ClippedMass + Born − Died to rounding (base is 1, and
 // the ledger zero, outside the open-system configurations).
 func (r *RateDensity) Mass() float64 {
+	if r.sumsOK {
+		return r.sum * r.ax.Dx
+	}
 	var m float64
 	for _, v := range r.f {
 		m += v
@@ -165,12 +183,16 @@ func (r *RateDensity) CheckInvariants(rec *obs.Recorder, step int64, t float64, 
 }
 
 // MeanRate returns ⟨λ⟩, the mean rate of the density normalized by
-// its current mass, in a single O(Bins) pass.
+// its current mass: free after ClampNegative, otherwise a single
+// O(Bins) pass.
 func (r *RateDensity) MeanRate() float64 {
-	var mass, m1 float64
-	for i, v := range r.f {
-		mass += v
-		m1 += v * r.lc[i]
+	mass, m1 := r.sum, r.m1
+	if !r.sumsOK {
+		mass, m1 = 0, 0
+		for i, v := range r.f {
+			mass += v
+			m1 += v * r.lc[i]
+		}
 	}
 	if mass <= 0 {
 		return math.NaN()
@@ -202,21 +224,48 @@ func (r *RateDensity) Moments() (mean, variance float64) {
 // size dt and checks the CFL bound max|g|·dt/Δλ ≤ 1. It does NOT
 // mutate the density, so an engine can SetDrift every class before
 // advecting any: a CFL error leaves the whole system untouched.
+//
+// The drifts come from one control.Drifts call over the edges. The
+// bound is checked once, on max|g|: x ↦ x·dt/Δλ rounds monotonically,
+// so that one product is exactly the largest per-edge Courant number
+// (NaN drifts are skipped, as a per-edge comparison skips them).
 func (r *RateDensity) SetDrift(law control.Law, qObs, dt float64) error {
-	dl := r.ax.Dx
-	var cmax float64
+	q := r.col[:len(r.edges)]
+	linalg.Fill(q, qObs)
+	g := r.drift[1:]
+	control.Drifts(law, q, r.edges, g)
+	var gmax float64
+	for _, a := range g {
+		if a := math.Abs(a); a > gmax {
+			gmax = a
+		}
+	}
+	c := gmax * dt / r.ax.Dx
+	if c > cflLimit {
+		return r.cflError(dt)
+	}
+	r.courant = 0
+	if c > 0 {
+		r.courant = c
+	}
+	return nil
+}
+
+// cflLimit is the largest Courant number SetDrift accepts (1 plus a
+// rounding allowance).
+const cflLimit = 1.0000001
+
+// cflError names the first edge whose cached drift violates the CFL
+// bound.
+func (r *RateDensity) cflError(dt float64) error {
 	for e := 1; e < r.ax.N; e++ {
-		a := law.Drift(qObs, r.ax.Edge(e))
-		if c := math.Abs(a) * dt / dl; c > 1.0000001 {
+		a := r.drift[e]
+		if c := math.Abs(a) * dt / r.ax.Dx; c > cflLimit {
 			return fmt.Errorf("drift %v at λ=%v violates CFL (|c|=%.3f > 1); reduce Dt",
 				a, r.ax.Edge(e), c)
-		} else if c > cmax {
-			cmax = c
 		}
-		r.drift[e] = a
 	}
-	r.courant = cmax
-	return nil
+	panic("meanfield: CFL violation without a violating edge")
 }
 
 // Advect performs the conservative transport sweep of f_t + (g f)_λ =
@@ -224,40 +273,64 @@ func (r *RateDensity) SetDrift(law control.Law, qObs, dt float64) error {
 // MUSCL/minmod with the time-centred correction when the kernel is
 // second-order. Both ends are zero-flux (a source's rate cannot leave
 // [0, LMax]), so transport conserves mass exactly.
+//
+// The sweep runs in place. Edge e moves mass between cells e−1 and e
+// and reads pre-step values up to cell e+1, which no earlier edge has
+// written, so the pre-step values the fluxes need ride along in
+// registers (o, the pre-step cell e−1; acc, its running value; sm, its
+// slope) instead of in a copy of f.
 func (r *RateDensity) Advect(dt float64) {
+	r.sumsOK = false
 	f := r.f
-	nb := r.ax.N
+	nb := len(f)
+	drift := r.drift[:nb]
 	dl := r.ax.Dx
-	copy(r.tmp, f)
-	at := func(i int) float64 { return r.tmp[i] }
-	slope := func(i int) float64 {
-		if i <= 0 || i >= nb-1 {
-			return 0 // first-order fallback at the boundary cells
-		}
-		return linalg.Minmod(at(i)-at(i-1), at(i+1)-at(i))
-	}
-	for e := 1; e < nb; e++ { // interior edges; 0 and nb are zero-flux
-		a := r.drift[e]
-		if a == 0 {
-			continue
-		}
-		c := a * dt / dl
-		var up float64
-		if a > 0 {
-			up = at(e - 1)
-			if r.secondOrder {
-				up += 0.5 * (1 - c) * slope(e-1)
+	o := f[0]
+	acc := o
+	if !r.secondOrder {
+		for e := 1; e < nb; e++ {
+			oe := f[e]
+			ae := oe
+			if a := drift[e]; a != 0 {
+				up := oe
+				if a > 0 {
+					up = o
+				}
+				dm := a * up * dt / dl
+				acc -= dm
+				ae += dm
 			}
-		} else {
-			up = at(e)
-			if r.secondOrder {
-				up -= 0.5 * (1 + c) * slope(e)
-			}
+			f[e-1] = acc
+			o, acc = oe, ae
 		}
-		dm := a * up * dt / dl
-		f[e-1] -= dm
-		f[e] += dm
+		f[nb-1] = acc
+		return
 	}
+	// sm is the minmod slope of cell e−1 and sc that of cell e. The
+	// boundary cells fall back to first order: s(0) = 0 seeds sm, and
+	// at the last edge the clamped read makes the right difference
+	// exactly zero, so minmod returns 0.
+	var sm float64
+	for e := 1; e < nb; e++ {
+		oe := f[e]
+		sc := linalg.Minmod(oe-o, f[min(e+1, nb-1)]-oe)
+		ae := oe
+		if a := drift[e]; a != 0 {
+			c := a * dt / dl
+			var up float64
+			if a > 0 {
+				up = o + 0.5*(1-c)*sm
+			} else {
+				up = oe - 0.5*(1+c)*sc
+			}
+			dm := a * up * dt / dl
+			acc -= dm
+			ae += dm
+		}
+		f[e-1] = acc
+		o, acc, sm = oe, ae, sc
+	}
+	f[nb-1] = acc
 }
 
 // Diffuse performs the Crank-Nicolson solve of f_t = (σ²/2) f_λλ with
@@ -266,18 +339,40 @@ func (r *RateDensity) Advect(dt float64) {
 // kernel (linalg.CNFactor): one fused RHS-build/forward-elimination
 // and back-substitution pass, with no per-call band construction.
 func (r *RateDensity) Diffuse(sigma, dt float64) {
-	dl := r.ax.Dx
-	rr := 0.5 * sigma * sigma * dt / (2 * dl * dl) // θ=1/2 CN factor
-	r.fac.Ensure(rr, r.ax.N)
+	r.fac.Ensure(r.diffusionR(sigma, dt), r.ax.N)
 	r.fac.Step(r.f, r.col)
+	r.sumsOK = false
+}
+
+// diffusionR returns the Crank-Nicolson factor r of a Diffuse step of
+// size dt at σ — what fac is built for. The Engine runs the solves
+// itself, several kernels at once through linalg.StepLanes.
+func (r *RateDensity) diffusionR(sigma, dt float64) float64 {
+	dl := r.ax.Dx
+	return 0.5 * sigma * sigma * dt / (2 * dl * dl) // θ=1/2 CN factor
 }
 
 // ClampNegative zeroes the tiny negative undershoots the explicit
 // sweeps can leave, accumulating the mass added into ClippedMass so
 // the audit quantity stays available without biasing any coupling
 // (means are normalized by the current mass).
+//
+// The same pass accumulates Σf and Σf·λ for MeanRate and Mass, in
+// the order their own passes would.
 func (r *RateDensity) ClampNegative() {
-	r.clipped += -linalg.ClampNonNegative(r.f) * r.ax.Dx
+	lc := r.lc[:len(r.f)]
+	var removed, mass, m1 float64
+	for i, v := range r.f {
+		if v < 0 {
+			removed += v
+			r.f[i] = 0
+			v = 0
+		}
+		mass += v
+		m1 += v * lc[i]
+	}
+	r.clipped += -removed * r.ax.Dx
+	r.sum, r.m1, r.sumsOK = mass, m1, true
 }
 
 // ScaleInit scales the freshly built initial condition (and the base
@@ -287,6 +382,7 @@ func (r *RateDensity) ClampNegative() {
 func (r *RateDensity) ScaleInit(w float64) {
 	linalg.Scale(w, r.f)
 	r.base = w
+	r.sumsOK = false
 }
 
 // BlobProfile returns the unit-mass (∫ = 1) grid discretization of
@@ -304,6 +400,7 @@ func (r *RateDensity) Deposit(profile []float64, mass float64) {
 		r.f[i] += mass * profile[i]
 	}
 	r.born += mass
+	r.sumsOK = false
 }
 
 // Decay removes the fraction frac of the current mass uniformly
@@ -319,4 +416,5 @@ func (r *RateDensity) Decay(frac float64) {
 	removed := frac * r.Mass()
 	linalg.Scale(1-frac, r.f)
 	r.died += removed
+	r.sumsOK = false
 }

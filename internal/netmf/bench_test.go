@@ -9,11 +9,16 @@ import (
 // sources per class — the benchmark scenario for the O(links +
 // classes × bins) step-cost claim.
 func benchLot(tb testing.TB, n int) *Engine {
+	return benchLotWorkers(tb, n, 0)
+}
+
+// benchLotWorkers is benchLot with the engine's worker count set.
+func benchLotWorkers(tb testing.TB, n, workers int) *Engine {
 	cfg, err := ParkingLot(ParkingLotConfig{Hops: 3, N: n, Delay: 0.2})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg.SecondOrder = true
+	cfg.SecondOrder, cfg.Workers = true, workers
 	e, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -103,5 +108,20 @@ func TestStepCostFlatInN(t *testing.T) {
 		small, large, float64(large)/float64(small))
 	if large > 2*small {
 		t.Errorf("step cost grew with N: %v at 10³ vs %v at 10⁶ per class", small, large)
+	}
+}
+
+// TestStepAllocatesNothing pins the serial parking-lot step at zero
+// allocations once the link-queue histories have reached their pruned
+// size (8192 samples).
+func TestStepAllocatesNothing(t *testing.T) {
+	e := benchLotWorkers(t, 1_000_000, 1)
+	for i := 0; i < 8300; i++ {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(50, func() { _ = e.Step() }); a != 0 {
+		t.Errorf("parking-lot Step at workers=1: %v allocs per step, want 0", a)
 	}
 }

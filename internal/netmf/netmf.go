@@ -121,9 +121,10 @@ type Config struct {
 	SecondOrder bool
 
 	// Workers bounds the per-step parallelism over classes
-	// (0 = GOMAXPROCS). It affects wall-clock time only, never
-	// results: each class's kernel is independent within a step and
-	// the arrival-rate coupling stays in class order.
+	// (0 = GOMAXPROCS when the engine is built). It affects
+	// wall-clock time only, never results: each class's kernel is
+	// independent within a step and the arrival-rate coupling stays
+	// in class order.
 	Workers int
 
 	// Obs, when non-nil, receives per-step probes (total and per-node

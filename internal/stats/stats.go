@@ -41,6 +41,16 @@ func (m *Moments) Add(x float64) {
 	m.m2 += d * (x - m.mean)
 }
 
+// MomentsOf rebuilds an accumulator from its running state: the
+// count n, the Welford mean and sum of squared deviations m2, and the
+// extremes. A hot loop that runs Add's recurrence on local variables,
+// next to its own work, hands the result back through it; the fields
+// of a Moments live in memory, which would put a store and a reload on
+// the recurrence's chain of dependent divisions.
+func MomentsOf(n int, mean, m2, min, max float64) Moments {
+	return Moments{n: n, mean: mean, m2: m2, min: min, max: max}
+}
+
 // Merge incorporates the observations summarized by other into m, as
 // if every observation fed to other had been fed to m directly
 // (Chan-Golub-LeVeque pairwise update of the Welford state). It lets

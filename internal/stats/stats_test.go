@@ -276,3 +276,22 @@ func TestAutocorrelationWhiteNoise(t *testing.T) {
 		t.Fatalf("white-noise lag-10 autocorr = %v, want ~0", got)
 	}
 }
+
+// TestMomentsOfRebuildsAdd: an accumulator rebuilt from the running
+// state of an Add loop is the accumulator that loop left, and keeps
+// accumulating identically.
+func TestMomentsOfRebuildsAdd(t *testing.T) {
+	var m Moments
+	for i := 0; i < 100; i++ {
+		m.Add(math.Sin(float64(i)) * 3)
+	}
+	r := MomentsOf(m.n, m.mean, m.m2, m.min, m.max)
+	if r != m {
+		t.Fatalf("MomentsOf rebuilt %+v, want %+v", r, m)
+	}
+	m.Add(7)
+	r.Add(7)
+	if r != m {
+		t.Fatalf("after one more Add: %+v, want %+v", r, m)
+	}
+}
