@@ -6,8 +6,6 @@
 // mode runs the same Config as a finite-N SoA Monte-Carlo
 // cross-check (practical up to ~10⁵ sources).
 //
-// Examples:
-//
 // With -churn-mean > 0 the scenario becomes an open system: sessions
 // of every compliant class are born at the Little's-law rate N/mean
 // and live exponential (or, with -churn-pareto, heavy-tailed Pareto)
@@ -64,8 +62,11 @@ func main() {
 	)
 	obsCLI := fpcc.BindObsFlags(flag.CommandLine)
 	flag.Parse()
+	// Errors from the fpcc packages already carry their package's
+	// name and print as they are; only the messages this command
+	// writes itself are prefixed with its name.
 	if err := obsCLI.Setup(); err != nil {
-		log.Fatalf("meanfield: %v", err)
+		log.Fatal(err)
 	}
 	defer obsCLI.Close()
 
@@ -75,7 +76,7 @@ func main() {
 	cfg, err := buildConfig(*n, *slowFrac, *rttRatio, *delay, *c0, *c1, *qhat0, *share,
 		*sigma, *lmax, *bins, *dt, !*firstOrd, *churnMean, *churnPareto, *attackFrac)
 	if err != nil {
-		log.Fatalf("meanfield: %v", err)
+		log.Fatal(err)
 	}
 	rec := obsCLI.Recorder(*mode)
 	cfg.Obs = rec
@@ -85,7 +86,7 @@ func main() {
 	case "density":
 		d, err := fpcc.NewMeanField(cfg)
 		if err != nil {
-			log.Fatalf("meanfield: %v", err)
+			log.Fatal(err)
 		}
 		eng = d
 	case "particle":
@@ -94,7 +95,7 @@ func main() {
 		}
 		p, err := fpcc.NewMeanFieldParticles(cfg, *seed, *workers)
 		if err != nil {
-			log.Fatalf("meanfield: %v", err)
+			log.Fatal(err)
 		}
 		eng = p
 	default:
@@ -160,10 +161,10 @@ func buildConfig(n int, slowFrac, rttRatio, delay, c0, c1, qhat0, share, sigma, 
 	bins int, dt float64, secondOrder bool,
 	churnMean float64, churnPareto bool, attackFrac float64) (fpcc.MeanFieldConfig, error) {
 	if slowFrac < 0 || slowFrac >= 1 {
-		return fpcc.MeanFieldConfig{}, fmt.Errorf("slow-frac %v outside [0, 1)", slowFrac)
+		return fpcc.MeanFieldConfig{}, fmt.Errorf("meanfield: slow-frac %v outside [0, 1)", slowFrac)
 	}
 	if rttRatio < 1 {
-		return fpcc.MeanFieldConfig{}, fmt.Errorf("rtt-ratio %v below 1", rttRatio)
+		return fpcc.MeanFieldConfig{}, fmt.Errorf("meanfield: rtt-ratio %v below 1", rttRatio)
 	}
 	qhat := qhat0 * float64(n)
 	nSlow := int(slowFrac * float64(n))
@@ -219,7 +220,7 @@ func buildConfig(n int, slowFrac, rttRatio, delay, c0, c1, qhat0, share, sigma, 
 		lamA := attackFrac * share * float64(n) / float64(nAtt)
 		if lamA > lmax*share {
 			return fpcc.MeanFieldConfig{}, fmt.Errorf(
-				"attack-frac %v needs per-source rate %.3g beyond the λ-domain %.3g; raise -lmax",
+				"meanfield: attack-frac %v needs per-source rate %.3g beyond the λ-domain %.3g; raise -lmax",
 				attackFrac, lamA, lmax*share)
 		}
 		classes = append(classes, fpcc.MeanFieldClass{

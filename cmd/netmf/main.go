@@ -5,8 +5,6 @@
 // constant-rate class at the second hop), at any population size —
 // the per-step cost is O(links + classes × bins), independent of N.
 //
-// Examples:
-//
 // With -churn-mean > 0 the multi-hop (long) class becomes an open
 // session population: Little's-law Poisson arrivals, exponential (or,
 // with -churn-pareto, heavy-tailed Pareto) lifetimes, evolved as
@@ -55,8 +53,11 @@ func main() {
 	)
 	obsCLI := fpcc.BindObsFlags(flag.CommandLine)
 	flag.Parse()
+	// Errors from the fpcc packages already carry their package's
+	// name and print as they are; only the messages this command
+	// writes itself are prefixed with its name.
 	if err := obsCLI.Setup(); err != nil {
-		log.Fatalf("netmf: %v", err)
+		log.Fatal(err)
 	}
 	defer obsCLI.Close()
 
@@ -79,7 +80,7 @@ func main() {
 		log.Fatalf("netmf: unknown scenario %q (want parking-lot or cross-chain)", *scenario)
 	}
 	if err != nil {
-		log.Fatalf("netmf: %v", err)
+		log.Fatal(err)
 	}
 	cfg.SecondOrder = !*firstOrd
 	if *churnMean > 0 {
@@ -90,13 +91,13 @@ func main() {
 		if *churnPareto {
 			p, perr := fpcc.NewChurnPareto(1.5, *churnMean/3)
 			if perr != nil {
-				log.Fatalf("netmf: %v", perr)
+				log.Fatal(perr)
 			}
 			lt = p
 		} else {
 			e, eerr := fpcc.NewChurnExponential(*churnMean)
 			if eerr != nil {
-				log.Fatalf("netmf: %v", eerr)
+				log.Fatal(eerr)
 			}
 			lt = e
 		}
@@ -113,7 +114,7 @@ func main() {
 	setup := rec.Span("setup")
 	eng, err := fpcc.NewNetMeanField(cfg)
 	if err != nil {
-		log.Fatalf("netmf: %v", err)
+		log.Fatal(err)
 	}
 	setup.End()
 

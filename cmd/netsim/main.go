@@ -68,7 +68,7 @@ func buildConfig(topology string, p params, seed uint64) (fpcc.NetConfig, error)
 			Buffer: p.buffer, Seed: seed,
 		})
 	default:
-		return fpcc.NetConfig{}, fmt.Errorf("unknown topology %q (want parking-lot or cross-chain)", topology)
+		return fpcc.NetConfig{}, fmt.Errorf("netsim: unknown topology %q (want parking-lot or cross-chain)", topology)
 	}
 }
 
@@ -164,8 +164,10 @@ func output(path string) (io.Writer, func() error, error) {
 }
 
 func main() {
+	// Errors from the fpcc packages already carry their package's
+	// name and print as they are; only the messages this command
+	// writes itself are prefixed with its name.
 	log.SetFlags(0)
-	log.SetPrefix("netsim: ")
 
 	topology := flag.String("topology", "cross-chain", "topology: parking-lot or cross-chain")
 	hops := flag.Int("hops", 3, "parking-lot: number of bottleneck hops")
@@ -210,7 +212,7 @@ func main() {
 
 	if *sweepSpec == "" {
 		if *csvPath != "" || *jsonPath != "" {
-			log.Fatal("-csv and -json apply to sweeps; add -sweep or drop them")
+			log.Fatal("netsim: -csv and -json apply to sweeps; add -sweep or drop them")
 		}
 		sp := rec.Span("run")
 		runSingle(obsCLI, *topology, base, ch, *seed, *horizon, *warmup)
@@ -218,16 +220,16 @@ func main() {
 		return
 	}
 	if ch != nil {
-		log.Fatal("-churn-* flags apply to single runs; drop -sweep")
+		log.Fatal("netsim: -churn-* flags apply to single runs; drop -sweep")
 	}
 
 	axes, err := parseSweep(*sweepSpec)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("netsim: %v", err)
 	}
 	for _, axis := range axes {
 		if err := checkAxis(*topology, axis.Name); err != nil {
-			log.Fatal(err)
+			log.Fatalf("netsim: %v", err)
 		}
 	}
 	sweepSpan := rec.Span("sweep")
@@ -264,23 +266,23 @@ func main() {
 		}
 		w, closeFn, err := output(out.path)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("netsim: %v", err)
 		}
 		if err := out.write(w); err != nil {
-			log.Fatal(err)
+			log.Fatalf("netsim: %v", err)
 		}
 		if err := closeFn(); err != nil {
-			log.Fatal(err)
+			log.Fatalf("netsim: %v", err)
 		}
 		wrote = true
 	}
 	if !wrote {
 		// No sink chosen: default to CSV on stdout.
 		if err := res.WriteCSV(os.Stdout); err != nil {
-			log.Fatal(err)
+			log.Fatalf("netsim: %v", err)
 		}
 	}
-	log.Printf("swept %d cells over %d parameters", len(res.Cells), len(res.Params))
+	log.Printf("netsim: swept %d cells over %d parameters", len(res.Cells), len(res.Params))
 }
 
 // churnSpec is the optional open-system class of a single run.
@@ -294,12 +296,12 @@ type churnSpec struct {
 func buildChurn(mean, arrival float64, n0 int, pareto bool) (*churnSpec, error) {
 	if mean <= 0 {
 		if arrival > 0 || n0 > 0 {
-			return nil, fmt.Errorf("-churn-arrival/-churn-n0 need -churn-mean > 0")
+			return nil, fmt.Errorf("netsim: -churn-arrival/-churn-n0 need -churn-mean > 0")
 		}
 		return nil, nil
 	}
 	if arrival <= 0 && n0 <= 0 {
-		return nil, fmt.Errorf("-churn-mean needs -churn-arrival or -churn-n0")
+		return nil, fmt.Errorf("netsim: -churn-mean needs -churn-arrival or -churn-n0")
 	}
 	var lt fpcc.ChurnLifetime
 	if pareto {

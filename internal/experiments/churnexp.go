@@ -35,12 +35,6 @@ import (
 // attacker's load fraction, for every attacker model.
 func E32AdversarialDegradation(ctx *Ctx) (*Table, error) {
 	rc := ctx.Rec()
-	return e32Table(rc, ctx.Inner())
-}
-
-// e32Table is E32 with an explicit sweep worker bound, so determinism
-// tests can pin workers=1 vs 8 and compare bytes.
-func e32Table(rc *Recorder, workers int) (*Table, error) {
 	t := &Table{
 		ID:      "E32",
 		Caption: "misbehaving sources vs 10⁶ compliant AIMD sources: compliant share by attacker model × load fraction (mean-field)",
@@ -86,7 +80,7 @@ func e32Table(rc *Recorder, workers int) (*Table, error) {
 		{Name: "attacker", Values: []float64{0, 1, 2}},
 		{Name: "loadfrac", Values: []float64{0.1, 0.3, 0.5}},
 	}}
-	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 32, Workers: workers, Obs: rc}, func(c sweep.Cell) (cellOut, error) {
+	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 32, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		kind, frac := int(c.Values[0]), c.Values[1]
 		// The attacker's per-source peak rate: nAtt sources offering
 		// frac·μ in aggregate.
@@ -183,11 +177,6 @@ func e32Table(rc *Recorder, workers int) (*Table, error) {
 // has filled.
 func E33GatewayProtection(ctx *Ctx) (*Table, error) {
 	rc := ctx.Rec()
-	return e33Table(rc, ctx.Inner())
-}
-
-// e33Table is E33 with an explicit sweep worker bound (see e32Table).
-func e33Table(rc *Recorder, workers int) (*Table, error) {
 	t := &Table{
 		ID:      "E33",
 		Caption: "gateway protection under an unresponsive on/off blaster: compliant goodput and loss by discipline × attacker load (netsim)",
@@ -210,7 +199,7 @@ func e33Table(rc *Recorder, workers int) (*Table, error) {
 		{Name: "loadfrac", Values: []float64{0, 0.4, 0.8}},
 	}}
 	stepSpan := rc.Span("step")
-	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 33, Workers: workers, Obs: rc}, func(c sweep.Cell) (cellOut, error) {
+	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 33, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		kind, frac := int(c.Values[0]), c.Values[1]
 		// Gateways are stateful: construct a fresh instance per cell.
 		var gw des.Gateway
@@ -322,11 +311,6 @@ func e33Table(rc *Recorder, workers int) (*Table, error) {
 // fairness, is what keeps multi-hop paths alive in the kinetic limit.
 func E34ChurnTurnover(ctx *Ctx) (*Table, error) {
 	rc := ctx.Rec()
-	return e34Table(rc, ctx.Inner())
-}
-
-// e34Table is E34 with an explicit sweep worker bound (see e32Table).
-func e34Table(rc *Recorder, workers int) (*Table, error) {
 	t := &Table{
 		ID:      "E34",
 		Caption: "session churn vs kinetic starvation on a two-hop path at N=10⁶: long-class share by turnover × lifetime law (netmf)",
@@ -391,7 +375,7 @@ func e34Table(rc *Recorder, workers int) (*Table, error) {
 		{Name: "meanlife", Values: []float64{16, 4, 1}},
 		{Name: "lifelaw", Values: []float64{0, 1}},
 	}}
-	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 34, Workers: workers, Obs: rc}, func(c sweep.Cell) (cellOut, error) {
+	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 34, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		mean, kind := c.Values[0], int(c.Values[1])
 		var lt churn.Lifetime
 		var err error

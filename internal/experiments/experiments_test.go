@@ -7,142 +7,44 @@ import (
 	"testing"
 )
 
-// checkTable verifies an experiment ran, produced rows, and did not
-// flag an unexpected shape (findings containing capitalized alarm
-// words mark a reproduction failure).
-func checkTable(t *testing.T, tb *Table, err error, wantRows int) {
+// checkRows verifies that render A's table of experiment id has at
+// least the rows its claim needs. (Its findings and alarms are
+// checked for every experiment by TestSuiteDeterministicAcrossWorkers,
+// and every byte of it by the goldens.)
+func checkRows(t *testing.T, id string, want int) {
 	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) < wantRows {
-		t.Fatalf("%s: %d rows, want >= %d", tb.ID, len(tb.Rows), wantRows)
-	}
-	if len(tb.Findings) == 0 {
-		t.Fatalf("%s: no findings recorded", tb.ID)
-	}
-	if alarm := tb.Alarm(); alarm != "" {
-		t.Fatalf("%s: alarmed finding: %s", tb.ID, alarm)
-	}
-	// The table must render without panicking and contain its id.
-	s := tb.String()
-	if !strings.Contains(s, tb.ID) {
-		t.Fatalf("%s: rendered table missing id", tb.ID)
+	if got := len(renderA.get(t).report(t, id).Table.Rows); got < want {
+		t.Errorf("%s: %d rows, want >= %d", id, got, want)
 	}
 }
 
-func TestE1(t *testing.T) {
-	tb, err := E1QuadrantDrifts(nil)
-	checkTable(t, tb, err, 4)
-}
-
-func TestE2(t *testing.T) {
-	tb, err := E2ConvergentSpiral(nil)
-	checkTable(t, tb, err, 5)
-}
-
-func TestE3(t *testing.T) {
-	tb, err := E3QueueTrace(nil)
-	checkTable(t, tb, err, 5)
-}
-
-func TestE4(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long fluid+DES run")
-	}
-	tb, err := E4FairnessEqual(nil)
-	checkTable(t, tb, err, 2)
-}
-
-func TestE5(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long fluid run")
-	}
-	tb, err := E5FairnessHetero(nil)
-	checkTable(t, tb, err, 3)
-}
-
-func TestE6(t *testing.T) {
-	if testing.Short() {
-		t.Skip("delay sweep")
-	}
-	tb, err := E6DelayOscillation(nil)
-	checkTable(t, tb, err, 5)
-}
-
-func TestE7(t *testing.T) {
-	if testing.Short() {
-		t.Skip("delay-ratio sweep")
-	}
-	tb, err := E7DelayUnfairness(nil)
-	checkTable(t, tb, err, 4)
-}
-
-func TestE8(t *testing.T) {
-	tb, err := E8AlgorithmOscillation(nil)
-	checkTable(t, tb, err, 2)
-}
-
-func TestE9(t *testing.T) {
-	if testing.Short() {
-		t.Skip("PDE + 40k-particle ensemble")
-	}
-	tb, err := E9FokkerPlanckVsMonteCarlo(nil)
-	checkTable(t, tb, err, 5)
-}
-
-func TestE10(t *testing.T) {
-	if testing.Short() {
-		t.Skip("PDE steady-state run")
-	}
-	tb, err := E10VariabilityVsFluid(nil)
-	checkTable(t, tb, err, 5)
-}
-
-func TestE11(t *testing.T) {
-	if testing.Short() {
-		t.Skip("9-point parameter sweep")
-	}
-	tb, err := E11ParameterSweep(nil)
-	checkTable(t, tb, err, 9)
-}
-
-func TestE12(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sigma sweep of PDE runs")
-	}
-	tb, err := E12DiffusionSpread(nil)
-	checkTable(t, tb, err, 4)
-}
-
-func TestE13(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two long DES runs")
-	}
-	tb, err := E13WindowRateEquivalence(nil)
-	checkTable(t, tb, err, 2)
-}
-
-func TestE14(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two PDE runs + ensemble")
-	}
-	tb, err := E14SchemeAblation(nil)
-	checkTable(t, tb, err, 3)
-}
-
-func TestE15(t *testing.T) {
-	tb, err := E15ReturnMapLaw(nil)
-	checkTable(t, tb, err, 6)
-}
-
-func TestE16(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long tandem run")
-	}
-	tb, err := E16TandemHopCount(nil)
-	checkTable(t, tb, err, 3)
-}
+func TestE1(t *testing.T)  { checkRows(t, "E1", 4) }
+func TestE2(t *testing.T)  { checkRows(t, "E2", 5) }
+func TestE3(t *testing.T)  { checkRows(t, "E3", 5) }
+func TestE4(t *testing.T)  { checkRows(t, "E4", 2) }
+func TestE5(t *testing.T)  { checkRows(t, "E5", 3) }
+func TestE6(t *testing.T)  { checkRows(t, "E6", 5) }
+func TestE7(t *testing.T)  { checkRows(t, "E7", 4) }
+func TestE8(t *testing.T)  { checkRows(t, "E8", 2) }
+func TestE9(t *testing.T)  { checkRows(t, "E9", 5) }
+func TestE10(t *testing.T) { checkRows(t, "E10", 5) }
+func TestE11(t *testing.T) { checkRows(t, "E11", 9) }
+func TestE12(t *testing.T) { checkRows(t, "E12", 4) }
+func TestE13(t *testing.T) { checkRows(t, "E13", 2) }
+func TestE14(t *testing.T) { checkRows(t, "E14", 3) }
+func TestE15(t *testing.T) { checkRows(t, "E15", 6) }
+func TestE16(t *testing.T) { checkRows(t, "E16", 3) }
+func TestE17(t *testing.T) { checkRows(t, "E17", 4) }
+func TestE18(t *testing.T) { checkRows(t, "E18", 4) }
+func TestE19(t *testing.T) { checkRows(t, "E19", 7) }
+func TestE20(t *testing.T) { checkRows(t, "E20", 3) }
+func TestE21(t *testing.T) { checkRows(t, "E21", 4) }
+func TestE22(t *testing.T) { checkRows(t, "E22", 9) }
+func TestE23(t *testing.T) { checkRows(t, "E23", 5) }
+func TestE24(t *testing.T) { checkRows(t, "E24", 4) }
+func TestE25(t *testing.T) { checkRows(t, "E25", 3) }
+func TestE26(t *testing.T) { checkRows(t, "E26", 4) }
+func TestE27(t *testing.T) { checkRows(t, "E27", 6) }
 
 func TestAllRegistryComplete(t *testing.T) {
 	all := All()
@@ -198,92 +100,4 @@ func TestTableRendering(t *testing.T) {
 			t.Fatalf("rendered table missing %q:\n%s", want, s)
 		}
 	}
-}
-
-func TestE17(t *testing.T) {
-	if testing.Short() {
-		t.Skip("uniformization + FP run")
-	}
-	tb, err := E17FokkerPlanckVsMarkov(nil)
-	checkTable(t, tb, err, 4)
-}
-
-func TestE18(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long DES sweep")
-	}
-	tb, err := E18BurstinessSweep(nil)
-	checkTable(t, tb, err, 4)
-}
-
-func TestE19(t *testing.T) {
-	if testing.Short() {
-		t.Skip("DDE sweep")
-	}
-	tb, err := E19StabilityBoundary(nil)
-	checkTable(t, tb, err, 7)
-}
-
-func TestE20(t *testing.T) {
-	if testing.Short() {
-		t.Skip("DES gateway sweep")
-	}
-	tb, err := E20GatewayComparison(nil)
-	checkTable(t, tb, err, 3)
-}
-
-func TestE21(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Tahoe sweep")
-	}
-	tb, err := E21TahoeRTTShare(nil)
-	checkTable(t, tb, err, 4)
-}
-
-func TestE22(t *testing.T) {
-	if testing.Short() {
-		t.Skip("reference integration")
-	}
-	tb, err := E22IntegratorAblation(nil)
-	checkTable(t, tb, err, 9)
-}
-
-func TestE23(t *testing.T) {
-	if testing.Short() {
-		t.Skip("DDE sweep")
-	}
-	tb, err := E23DelayBudgetEngineering(nil)
-	checkTable(t, tb, err, 5)
-}
-
-func TestE24(t *testing.T) {
-	if testing.Short() {
-		t.Skip("n-source DDE sweep")
-	}
-	tb, err := E24MultiSourceDelay(nil)
-	checkTable(t, tb, err, 4)
-}
-
-func TestE25(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long DES runs")
-	}
-	tb, err := E25ImplicitVsExplicit(nil)
-	checkTable(t, tb, err, 3)
-}
-
-func TestE26(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long netsim run")
-	}
-	tb, err := E26ParkingLotFairness(nil)
-	checkTable(t, tb, err, 4)
-}
-
-func TestE27(t *testing.T) {
-	if testing.Short() {
-		t.Skip("netsim sweep")
-	}
-	tb, err := E27BottleneckMigration(nil)
-	checkTable(t, tb, err, 6)
 }

@@ -45,13 +45,6 @@ const (
 // seeds.
 func E28MeanFieldConvergence(ctx *Ctx) (*Table, error) {
 	rc := ctx.Rec()
-	return e28Table(rc, ctx.Inner())
-}
-
-// e28Table is E28 with an explicit worker bound for both the sweep
-// pool and the per-cell particle chunk pool, so determinism tests can
-// pin workers=1 vs 8 and compare bytes.
-func e28Table(rc *Recorder, workers int) (*Table, error) {
 	t := &Table{
 		ID:      "E28",
 		Caption: "mean-field convergence: particle ensembles vs kinetic density as N grows (per-source units)",
@@ -102,11 +95,11 @@ func e28Table(rc *Recorder, workers int) (*Table, error) {
 		{Name: "N", Values: []float64{100, 1000, 10000}},
 	}}
 	dl := cfg.LMax / float64(cfg.Bins)
-	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 28, Workers: workers, Obs: rc}, func(c sweep.Cell) (cellOut, error) {
+	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 28, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		n := int(c.Values[0])
 		pcfg := mfScaledConfig(n)
 		pcfg.Obs = rc.Child("cell" + strconv.Itoa(c.Index))
-		p, err := meanfield.NewParticles(pcfg, c.Seed, workers)
+		p, err := meanfield.NewParticles(pcfg, c.Seed, ctx.Inner())
 		if err != nil {
 			return cellOut{}, err
 		}
@@ -172,11 +165,6 @@ func e28Table(rc *Recorder, workers int) (*Table, error) {
 // grid dimensions of the parallel sweep runner.
 func E29HeterogeneousRTTMix(ctx *Ctx) (*Table, error) {
 	rc := ctx.Rec()
-	return e29Table(rc, ctx.Inner())
-}
-
-// e29Table is E29 with an explicit sweep worker bound (see e28Table).
-func e29Table(rc *Recorder, workers int) (*Table, error) {
 	t := &Table{
 		ID:      "E29",
 		Caption: "heterogeneous RTT mix at N=10⁶: per-source shares of slow vs fast classes (mean-field density)",
@@ -194,7 +182,7 @@ func e29Table(rc *Recorder, workers int) (*Table, error) {
 		{Name: "rttratio", Values: []float64{2, 8}},
 	}}
 	stepSpan := rc.Span("step")
-	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 29, Workers: workers, Obs: rc}, func(c sweep.Cell) (cellOut, error) {
+	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 29, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		frac, ratio := c.Values[0], c.Values[1]
 		nSlow := int(frac * total)
 		nFast := total - nSlow

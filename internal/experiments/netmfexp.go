@@ -33,12 +33,6 @@ import (
 // completely.
 func E30ParkingLotLargeN(ctx *Ctx) (*Table, error) {
 	rc := ctx.Rec()
-	return e30Table(rc, ctx.Inner())
-}
-
-// e30Table is E30 with an explicit sweep worker bound, so determinism
-// tests can pin workers=1 vs 8 and compare bytes.
-func e30Table(rc *Recorder, workers int) (*Table, error) {
 	t := &Table{
 		ID:      "E30",
 		Caption: "parking-lot fairness at N=10⁶ per class: hop count × RTT stretch (netmf sweep)",
@@ -53,7 +47,7 @@ func e30Table(rc *Recorder, workers int) (*Table, error) {
 		{Name: "rttstretch", Values: []float64{1, 4}},
 	}}
 	stepSpan := rc.Span("step")
-	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 30, Workers: workers, Obs: rc}, func(c sweep.Cell) (cellOut, error) {
+	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 30, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		hops := int(c.Values[0])
 		cfg, err := netmf.ParkingLot(netmf.ParkingLotConfig{
 			Hops: hops, N: n, Delay: 0.2, RTTStretch: c.Values[1],
@@ -142,11 +136,6 @@ func e30Table(rc *Recorder, workers int) (*Table, error) {
 // stands.
 func E31BottleneckMigrationLargeN(ctx *Ctx) (*Table, error) {
 	rc := ctx.Rec()
-	return e31Table(rc, ctx.Inner())
-}
-
-// e31Table is E31 with an explicit sweep worker bound (see e30Table).
-func e31Table(rc *Recorder, workers int) (*Table, error) {
 	t := &Table{
 		ID:      "E31",
 		Caption: "bottleneck migration under a class-mix ramp at N=10⁶: adaptive 2-hop class vs constant cross class (netmf sweep)",
@@ -160,7 +149,7 @@ func e31Table(rc *Recorder, workers int) (*Table, error) {
 		{Name: "crossfrac", Values: []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}},
 	}}
 	stepSpan := rc.Span("step")
-	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 31, Workers: workers, Obs: rc}, func(c sweep.Cell) (cellOut, error) {
+	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 31, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		cfg, err := netmf.CrossChain(netmf.CrossChainConfig{
 			N: n, CrossFrac: c.Values[0], Delay: 0.1,
 		})

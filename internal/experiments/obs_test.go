@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"maps"
 	"os"
@@ -20,7 +21,8 @@ import (
 // instrumented heavy experiments must report setup/step/render phase
 // breakdowns, traced runs must stream parseable JSONL with the
 // documented probe series, and every catalogued probe must appear in
-// EXPERIMENTS.md.
+// EXPERIMENTS.md. The full-suite checks read render B (see
+// suite_test.go), the suite's one traced render.
 
 // renderSuiteObs renders the selected suite with an explicit obs
 // configuration (nil = uninstrumented) and returns the three
@@ -44,24 +46,47 @@ func renderSuiteObs(t *testing.T, filter *regexp.Regexp, oc *obs.Config) (text, 
 	return tb.String(), cb.String(), jb.String(), suite
 }
 
-// parseTrace decodes every line of a JSONL trace, failing the test on
-// the first malformed line, and returns the events.
-func parseTrace(t *testing.T, buf *bytes.Buffer) []obs.Event {
-	t.Helper()
-	var evs []obs.Event
-	sc := bufio.NewScanner(buf)
+// scanTrace decodes every line of a JSONL trace and hands each event
+// to fn, stopping at the first malformed line.
+func scanTrace(r io.Reader, fn func(obs.Event)) error {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		var e obs.Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("trace line %q does not decode: %v", sc.Text(), err)
+			return fmt.Errorf("trace line %q does not decode: %w", sc.Text(), err)
 		}
-		evs = append(evs, e)
+		fn(e)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return evs
+	return sc.Err()
+}
+
+// traceStats is a suite trace summarized per experiment; an event's
+// experiment is its scope up to the first '/' ("E28/cell0" → "E28").
+type traceStats struct {
+	probes     map[string]map[string]int // id → probe series → samples
+	spans      map[string]int            // id → span and span_total events
+	violations []obs.Event
+}
+
+// summarizeTrace reads a JSONL suite trace into its traceStats.
+func summarizeTrace(r io.Reader) (traceStats, error) {
+	st := traceStats{probes: map[string]map[string]int{}, spans: map[string]int{}}
+	err := scanTrace(r, func(e obs.Event) {
+		id, _, _ := strings.Cut(e.Scope, "/")
+		switch e.Kind {
+		case "probe":
+			if st.probes[id] == nil {
+				st.probes[id] = map[string]int{}
+			}
+			st.probes[id][e.Name]++
+		case "span", "span_total":
+			st.spans[id]++
+		case "violation":
+			st.violations = append(st.violations, e)
+		}
+	})
+	return st, err
 }
 
 // TestSuiteObsByteIdentityCheap: on the fast registry cross-section,
@@ -82,72 +107,41 @@ func TestSuiteObsByteIdentityCheap(t *testing.T) {
 	if bj != ij {
 		t.Error("JSON output differs with obs enabled")
 	}
-	for _, e := range parseTrace(t, &trace) {
+	if err := scanTrace(&trace, func(e obs.Event) {
 		if e.Kind == "violation" {
 			t.Errorf("invariant violation in clean suite: %+v", e)
 		}
-	}
-}
-
-// TestSuiteObsByteIdentityFull is the satellite's acceptance
-// criterion: the FULL 31-experiment registry renders byte-identical
-// with observability (sink + invariants) enabled versus absent.
-func TestSuiteObsByteIdentityFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full experiment suite twice")
-	}
-	bt, bc, bj, _ := renderSuiteObs(t, nil, nil)
-	var trace bytes.Buffer
-	oc := &obs.Config{Sink: obs.NewJSONL(&trace), Invariants: true}
-	it, ic, ij, _ := renderSuiteObs(t, nil, oc)
-	if bt != it {
-		t.Error("full-suite text output differs with obs enabled")
-	}
-	if bc != ic {
-		t.Error("full-suite CSV output differs with obs enabled")
-	}
-	if bj != ij {
-		t.Error("full-suite JSON output differs with obs enabled")
-	}
-	violations := 0
-	for _, e := range parseTrace(t, &trace) {
-		if e.Kind == "violation" {
-			violations++
-			t.Errorf("invariant violation in clean suite: %+v", e)
-		}
-	}
-	t.Logf("full instrumented suite: %d violations", violations)
-}
-
-// TestSuitePhaseBreakdown: an instrumented heavy experiment reports
-// its setup/step/render span totals through Report.Phases and the
-// versioned bench JSON artifact.
-func TestSuitePhaseBreakdown(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs E9 (Fokker-Planck vs Monte-Carlo)")
-	}
-	suite, err := RunSuite(SuiteConfig{
-		Filter:  regexp.MustCompile(`^E9$`),
-		Workers: 1,
-		Obs:     &obs.Config{},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(suite.Reports) != 1 {
-		t.Fatalf("selected %d reports, want 1", len(suite.Reports))
-	}
-	phases := suite.Reports[0].Phases
+}
+
+// TestSuiteObsByteIdentityFull: render B — eight outer workers, inner
+// grants forced to 3, a streaming recorder with invariant checks —
+// renders every experiment's text, CSV and JSON to the bytes of render
+// A (serial, no recorder). Unlike the golden check this holds on every
+// GOARCH.
+func TestSuiteObsByteIdentityFull(t *testing.T) {
+	a, b := renderA.get(t), renderB.get(t)
+	checkSums(t, b.label, renderSums(t, b.suite), parseSums(t, renderSums(t, a.suite)))
+}
+
+// TestSuitePhaseBreakdown: in render B, the instrumented heavy
+// experiment E9 reports its setup/step/render span totals through
+// Report.Phases and the versioned bench JSON artifact.
+func TestSuitePhaseBreakdown(t *testing.T) {
+	b := renderB.get(t)
+	e9 := b.report(t, "E9")
 	for _, name := range []string{"setup", "step", "render"} {
-		if phases[name] <= 0 {
-			t.Errorf("phase %q missing from report (phases = %v)", name, phases)
+		if e9.Phases[name] <= 0 {
+			t.Errorf("phase %q missing from report (phases = %v)", name, e9.Phases)
 		}
 	}
-	if phases["step"] < phases["render"] {
-		t.Errorf("step phase (%v s) shorter than render (%v s) — span placement suspect", phases["step"], phases["render"])
+	if e9.Phases["step"] < e9.Phases["render"] {
+		t.Errorf("step phase (%v s) shorter than render (%v s) — span placement suspect", e9.Phases["step"], e9.Phases["render"])
 	}
 	var buf bytes.Buffer
-	if err := suite.WriteBenchJSON(&buf, 1, suite.Reports[0].Elapsed); err != nil {
+	if err := b.suite.WriteBenchJSON(&buf, b.outer, e9.Elapsed); err != nil {
 		t.Fatal(err)
 	}
 	var rep BenchReport
@@ -157,8 +151,9 @@ func TestSuitePhaseBreakdown(t *testing.T) {
 	if rep.Schema != BenchSchema {
 		t.Errorf("bench schema = %q, want %q", rep.Schema, BenchSchema)
 	}
-	if len(rep.Experiments) != 1 || rep.Experiments[0].Phases["step"] <= 0 {
-		t.Errorf("bench entry missing phase breakdown: %+v", rep.Experiments)
+	i := slices.IndexFunc(rep.Experiments, func(e BenchEntry) bool { return e.ID == "E9" })
+	if i < 0 || rep.Experiments[i].Phases["step"] <= 0 {
+		t.Errorf("bench JSON has no E9 step phase: %+v", rep.Experiments)
 	}
 }
 
@@ -177,7 +172,7 @@ func TestE3Trace(t *testing.T) {
 	}
 	kinds := map[string]int{}
 	probes := map[string]int{}
-	for _, e := range parseTrace(t, &trace) {
+	if err := scanTrace(&trace, func(e obs.Event) {
 		kinds[e.Kind]++
 		if e.Kind == "probe" {
 			probes[e.Name]++
@@ -185,6 +180,8 @@ func TestE3Trace(t *testing.T) {
 		if e.Kind == "violation" {
 			t.Errorf("violation in clean E3 run: %+v", e)
 		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if probes["des.q"] < 10 {
 		t.Errorf("des.q probe sampled %d times, want ≥ 10", probes["des.q"])
@@ -214,68 +211,28 @@ func checkCatalogued(t *testing.T, probes map[string]int) {
 	}
 }
 
-// traceProbes runs one experiment with a streaming sink and invariant
-// checks on, failing the test on any violation, and returns the count
-// of samples per probe series plus the number of span events.
-func traceProbes(t *testing.T, id string, run func(*Ctx) (*Table, error)) (probes map[string]int, spans int) {
-	t.Helper()
-	var trace bytes.Buffer
-	rec := (&obs.Config{Sink: obs.NewJSONL(&trace), Invariants: true}).Recorder(id)
-	if _, err := run(NewCtx(rec, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	probes = map[string]int{}
-	for _, e := range parseTrace(t, &trace) {
-		switch e.Kind {
-		case "probe":
-			probes[e.Name]++
-		case "span", "span_total":
-			spans++
-		case "violation":
-			t.Errorf("violation in clean %s run: %+v", id, e)
-		}
-	}
-	if rec.Violations() != 0 {
-		t.Errorf("recorder counted %d violations", rec.Violations())
-	}
-	return probes, spans
-}
-
-// TestE28Trace: a traced single-bottleneck kinetic run (E28, the
-// density engine against the particle backend) emits the mf and mfp
-// series, every one of them catalogued, with zero violations.
+// TestE28Trace: in render B's trace the single-bottleneck kinetic run
+// (E28, the density engine against the particle backend) emits the mf
+// and mfp series.
 func TestE28Trace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the E28 convergence study")
-	}
-	probes, _ := traceProbes(t, "E28", E28MeanFieldConvergence)
+	probes := renderB.get(t).trace.probes["E28"]
 	for _, name := range []string{"mf.q", "mf.bottleneck.q", "mfp.queue"} {
 		if probes[name] == 0 {
 			t.Errorf("probe %s never sampled (got %v)", name, probes)
 		}
 	}
-	checkCatalogued(t, probes)
 }
 
-// TestE30Trace is the end-to-end acceptance check at the experiment
-// layer: a traced netmf E30 run emits parseable JSONL carrying span
-// timings and at least three distinct probe series, every one of them
-// catalogued, with zero invariant violations.
+// TestE30Trace: in render B's trace the netmf E30 sweep carries span
+// timings and at least three distinct probe series.
 func TestE30Trace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the E30 parking-lot sweep")
-	}
-	probes, spans := traceProbes(t, "E30", E30ParkingLotLargeN)
-	if len(probes) < 3 {
+	b := renderB.get(t)
+	if probes := b.trace.probes["E30"]; len(probes) < 3 {
 		t.Errorf("%d distinct probe series, want ≥ 3 (got %v)", len(probes), probes)
 	}
-	if spans == 0 {
+	if b.trace.spans["E30"] == 0 {
 		t.Error("no span timing events in the trace")
 	}
-	checkCatalogued(t, probes)
 }
 
 // TestProbeCatalogDocumented: every probe series in the obs catalog

@@ -167,13 +167,15 @@ func (c *CLI) DumpViolation(err error) {
 // context attached to err, closes the observability layer — so the
 // trace, Chrome export and summary manifest survive for the
 // post-mortem — and exits 1. (log.Fatalf would skip the deferred
-// Close and lose all of that.)
+// Close and lose all of that.) err is printed as it is, since package
+// errors already carry their package's name; prefix, the command's
+// name, heads only the message Fatal writes itself.
 func (c *CLI) Fatal(prefix string, err error) {
 	c.DumpViolation(err)
 	if cerr := c.Close(); cerr != nil {
 		fmt.Fprintf(os.Stderr, "%s: closing observability: %v\n", prefix, cerr)
 	}
-	log.Fatalf("%s: %v", prefix, err)
+	log.Fatal(err)
 }
 
 // Close flushes summary events for every recorder handed out, writes
