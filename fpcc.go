@@ -372,8 +372,10 @@ func SweepGridRows(cfg GridConfig, columns []string, fn func(GridCell) (GridRow,
 // truth the density limit is validated against (experiment E28).
 
 // MeanFieldClass describes one homogeneous sub-population: law,
-// population size, weight, feedback delay (RTT), initial rate blob
-// and intrinsic rate noise.
+// population size, weight, feedback delay (RTT), route, initial rate
+// blob and intrinsic rate noise. It is also NetMeanFieldClass: one
+// class type serves both front ends, and its Route is nil (the
+// bottleneck) on MeanField.
 type MeanFieldClass = meanfield.Class
 
 // MeanFieldConfig describes a mean-field scenario: class mix, shared
@@ -410,7 +412,7 @@ type MeanFieldStepper = meanfield.Stepper
 
 // MeanFieldSteadyStats advances either backend to the horizon and
 // returns the window-averaged queue and per-class mean rates over
-// (warm, horizon]; onStep (optional) runs after every step for trace
+// [warm, horizon]; onStep (optional) runs after every step for trace
 // sampling.
 func MeanFieldSteadyStats(s MeanFieldStepper, warm, horizon float64, onStep func()) (meanQ float64, meanRates []float64, err error) {
 	return meanfield.SteadyStats(s, warm, horizon, onStep)
@@ -430,9 +432,9 @@ func MeanFieldSteadyStats(s MeanFieldStepper, warm, horizon float64, onStep func
 // networked mean-field engine (route validation, path delays).
 type NetTopology = netsim.Topology
 
-// NetMeanFieldClass describes one source class of a networked
-// mean-field scenario: law, population, route, RTT, initial blob and
-// rate noise.
+// NetMeanFieldClass is MeanFieldClass under its network name: on
+// NetMeanField its Route is required and must follow the topology's
+// links.
 type NetMeanFieldClass = netmf.Class
 
 // NetMeanFieldConfig describes a networked mean-field scenario
@@ -450,10 +452,11 @@ func NewNetMeanField(cfg NetMeanFieldConfig) (*NetMeanField, error) { return net
 
 // NetMeanFieldSteadyStats advances the networked engine to the
 // horizon and returns the window-averaged per-node queues and
-// per-class mean rates over [warm, horizon]; onStep (optional) runs
-// after every step for trace sampling.
+// per-class mean rates over [warm, horizon] — MeanFieldSteadyStats's
+// window loop, read per node; onStep (optional) runs after every step
+// for trace sampling.
 func NetMeanFieldSteadyStats(e *NetMeanField, warm, horizon float64, onStep func()) (meanQ, meanRates []float64, err error) {
-	return netmf.SteadyStats(e, warm, horizon, onStep)
+	return meanfield.NodeSteadyStats(e, warm, horizon, onStep)
 }
 
 // NetMeanFieldParkingLotConfig parameterizes the large-N parking-lot
@@ -482,7 +485,7 @@ func NewNetMeanFieldCrossChain(cc NetMeanFieldCrossChainConfig) (NetMeanFieldCon
 // laws in internal/control): birth–death session dynamics — Poisson
 // arrivals, exponential or heavy-tailed Pareto lifetimes — threaded
 // through the kinetic engines as O(classes × bins) source/sink terms
-// (MeanFieldClass.Churn, NetMeanFieldClass.Churn) and through the
+// (MeanFieldClass.Churn, on either front end) and through the
 // packet simulator as per-session birth/death events
 // (NetConfig.Churn), plus the non-cooperating source laws the
 // honest-vs-adversarial experiments E32–E34 are built on.
@@ -505,7 +508,7 @@ type ChurnPareto = churn.Pareto
 
 // ChurnFlow opens one engine class: Poisson session arrivals, a
 // lifetime distribution, and the newborn rate profile. Assign it to
-// MeanFieldClass.Churn or NetMeanFieldClass.Churn.
+// MeanFieldClass.Churn (the class type of both kinetic front ends).
 type ChurnFlow = churn.Flow
 
 // ChurnPulse is the synchronized on/off duty-cycle envelope of a

@@ -338,7 +338,7 @@ func E34ChurnTurnover(ctx *Ctx) (*Table, error) {
 	measure := func(e *netmf.Engine) (pop, long, minCross, qPerHop float64, err error) {
 		var popSum float64
 		var popN int
-		meanQ, rates, err := netmf.SteadyStats(e, 60, 120, func() {
+		meanQ, rates, err := meanfield.NodeSteadyStats(e, 60, 120, func() {
 			if e.Time() >= 60 {
 				popSum += e.ClassPopulation(0)
 				popN++

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 
+	"fpcc/internal/meanfield"
 	"fpcc/internal/netmf"
 	"fpcc/internal/stats"
 	"fpcc/internal/sweep"
@@ -61,7 +62,7 @@ func E30ParkingLotLargeN(ctx *Ctx) (*Table, error) {
 		if err != nil {
 			return cellOut{}, err
 		}
-		meanQ, rates, err := netmf.SteadyStats(e, 60, 120, nil)
+		meanQ, rates, err := meanfield.NodeSteadyStats(e, 60, 120, nil)
 		if err != nil {
 			return cellOut{}, err
 		}
@@ -162,7 +163,7 @@ func E31BottleneckMigrationLargeN(ctx *Ctx) (*Table, error) {
 		if err != nil {
 			return cellOut{}, err
 		}
-		meanQ, rates, err := netmf.SteadyStats(e, 60, 120, nil)
+		meanQ, rates, err := meanfield.NodeSteadyStats(e, 60, 120, nil)
 		if err != nil {
 			return cellOut{}, err
 		}

@@ -22,19 +22,13 @@ func NewDensity(cfg Config) (*Density, error) {
 }
 
 // oneNode returns the network of a Density: the single bottleneck
-// queue, with every class routed through it.
+// queue every class routes through.
 func (c *Config) oneNode() Network {
-	route := []int{0}
-	routes := make([][]int, len(c.Classes))
-	for k := range routes {
-		routes[k] = route
-	}
 	return Network{
-		Scope:  "mf",
-		Nodes:  []string{"bottleneck"},
-		Mu:     []float64{c.Mu},
-		Q0:     []float64{c.Q0},
-		Routes: routes,
+		Scope: "mf",
+		Nodes: []string{"bottleneck"},
+		Mu:    []float64{c.Mu},
+		Q0:    []float64{c.Q0},
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // Network is the queue graph an Engine couples its classes to: one
-// fluid queue per node and one route per class. NewDensity builds the
-// one-node network (every route [0]); internal/netmf derives it from
-// a validated topology. Config.ValidateOn checks it.
+// fluid queue per node; each class's Route says which queues it
+// crosses. NewDensity builds the one-node network; internal/netmf
+// derives it from a validated topology. Config.ValidateOn checks it.
 type Network struct {
 	// Scope prefixes every probe and violation field the engine emits
 	// ("mf" for NewDensity, "netmf" for the networked scenarios).
@@ -25,12 +25,11 @@ type Network struct {
 	// Q0, when non-nil, holds each node's initial queue length (nil
 	// means every queue starts empty).
 	Q0 []float64
-	// Routes holds each class's ordered list of node indices.
-	Routes [][]int
 }
 
-// validate checks the network's shape against a class count.
-func (n *Network) validate(classes int) error {
+// validate checks the network's shape, service rates and initial
+// queues.
+func (n *Network) validate() error {
 	switch {
 	case len(n.Nodes) == 0:
 		return fmt.Errorf("meanfield: network has no nodes")
@@ -38,8 +37,6 @@ func (n *Network) validate(classes int) error {
 		return fmt.Errorf("meanfield: %d service rates for %d nodes", len(n.Mu), len(n.Nodes))
 	case n.Q0 != nil && len(n.Q0) != len(n.Nodes):
 		return fmt.Errorf("meanfield: %d initial queues for %d nodes", len(n.Q0), len(n.Nodes))
-	case len(n.Routes) != classes:
-		return fmt.Errorf("meanfield: %d routes for %d classes", len(n.Routes), classes)
 	}
 	for j, mu := range n.Mu {
 		if !(mu > 0) || math.IsInf(mu, 1) {
@@ -47,21 +44,22 @@ func (n *Network) validate(classes int) error {
 		}
 	}
 	for j, q := range n.Q0 {
-		if !(q >= 0) {
+		if !finiteNonNeg(q) {
 			return fmt.Errorf("meanfield: node %s has invalid initial queue %v", n.Nodes[j], q)
 		}
 	}
-	for k, route := range n.Routes {
-		if len(route) == 0 {
-			return fmt.Errorf("meanfield: class %d has an empty route", k)
-		}
-		for _, j := range route {
-			if j < 0 || j >= len(n.Nodes) {
-				return fmt.Errorf("meanfield: class %d route node %d out of range", k, j)
-			}
-		}
-	}
 	return nil
+}
+
+// node0 is the route of a class without one.
+var node0 = []int{0}
+
+// route returns class k's route: Class.Route, or node 0 when nil.
+func (e *Engine) route(k int) []int {
+	if r := e.cfg.Classes[k].Route; r != nil {
+		return r
+	}
+	return node0
 }
 
 // Engine is the kinetic solver: one kernel group per class (a single
@@ -242,8 +240,8 @@ func (e *Engine) ClassOfferedRate(k int) float64 {
 // densities, Σ over classes routing through j of Λ_k.
 func (e *Engine) NodeArrival(j int) float64 {
 	var a float64
-	for k, route := range e.net.Routes {
-		for _, h := range route {
+	for k := range e.kerns {
+		for _, h := range e.route(k) {
 			if h == j {
 				a += e.ClassOfferedRate(k)
 			}
@@ -260,11 +258,11 @@ func (e *Engine) PathBacklog(k int) float64 {
 	var b float64
 	if tau := e.cfg.Classes[k].Delay; tau > 0 {
 		obsT := e.t - tau
-		for _, j := range e.net.Routes[k] {
+		for _, j := range e.route(k) {
 			b += e.hist[j].At(obsT)
 		}
 	} else {
-		for _, j := range e.net.Routes[k] {
+		for _, j := range e.route(k) {
 			b += e.q[j]
 		}
 	}
@@ -284,10 +282,11 @@ func (e *Engine) FaultInjectBorn(k, phase int, delta float64) {
 	e.kerns[k].FaultInjectBorn(phase, delta)
 }
 
-// Step advances the system by one Dt. It returns an error if any
-// class's drift violates the CFL bound max|g|·Dt/Δλ ≤ 1 (choose a
-// smaller Dt or a coarser grid); the check runs before any state is
-// mutated, so a failing Step leaves the solver exactly as it was.
+// Step advances the system by one Dt. It returns an error if a
+// node's queue would leave the float range or any class's drift
+// violates the CFL bound max|g|·Dt/Δλ ≤ 1 (choose a smaller Dt or a
+// coarser grid); both checks run before any state is mutated, so a
+// failing Step leaves the solver exactly as it was.
 func (e *Engine) Step() error {
 	dt := e.cfg.Dt
 	// 1. Arrival rates from the current densities, accumulated in
@@ -295,10 +294,15 @@ func (e *Engine) Step() error {
 	for j := range e.arr {
 		e.arr[j] = 0
 	}
-	for k, route := range e.net.Routes {
+	for k := range e.kerns {
 		lam := e.ClassOfferedRate(k)
-		for _, j := range route {
+		for _, j := range e.route(k) {
 			e.arr[j] += lam
+		}
+	}
+	for j, a := range e.arr {
+		if q := e.q[j] + (a-e.net.Mu[j])*dt; math.IsInf(q, 1) {
+			return fmt.Errorf("meanfield: node %s queue overflows (arrival rate %v)", e.net.Nodes[j], a)
 		}
 	}
 	// 2. Delayed path backlogs and CFL-checked drifts, before any

@@ -88,9 +88,9 @@ func engineStepOracle(e *Engine) error {
 	for j := range e.arr {
 		e.arr[j] = 0
 	}
-	for k, route := range e.net.Routes {
+	for k := range e.kerns {
 		lam := e.ClassOfferedRate(k)
-		for _, j := range route {
+		for _, j := range e.route(k) {
 			e.arr[j] += lam
 		}
 	}
@@ -161,10 +161,11 @@ func oracleMix(t *testing.T, n int) []Class {
 func TestEngineStepMatchesOracle(t *testing.T) {
 	const n = 1_000_000
 	classes := oracleMix(t, n)
-	twoNode := Network{
-		Scope: "mf", Nodes: []string{"a", "b"}, Mu: []float64{2 * n, 2.5 * n},
-		Routes: [][]int{{0, 1}, {0}, {1}, {0, 1}},
+	routed := append([]Class(nil), classes...)
+	for k, route := range [][]int{{0, 1}, {0}, {1}, {0, 1}} {
+		routed[k].Route = route
 	}
+	twoNode := Network{Scope: "mf", Nodes: []string{"a", "b"}, Mu: []float64{2 * n, 2.5 * n}}
 	for _, second := range []bool{false, true} {
 		for _, workers := range []int{1, 3} {
 			cfg := Config{
@@ -172,6 +173,9 @@ func TestEngineStepMatchesOracle(t *testing.T) {
 				SecondOrder: second, Workers: workers,
 			}
 			for _, net := range []Network{cfg.oneNode(), twoNode} {
+				if len(net.Nodes) == 2 {
+					cfg.Classes = routed
+				}
 				name := fmt.Sprintf("nodes=%d second=%v workers=%d", len(net.Nodes), second, workers)
 				e, err := NewEngine(cfg, net)
 				if err != nil {

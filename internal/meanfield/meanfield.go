@@ -31,9 +31,11 @@
 //     Config.SecondOrder) transport in λ per class, in the style of
 //     internal/fokkerplanck's advection sweeps, plus a Crank-Nicolson
 //     diffusion solve when σ_k > 0, coupled to one fluid queue per
-//     node of a Network with per-class routes. Density is its
-//     one-node constructor — the shared bottleneck above, every route
-//     [0] — and internal/netmf runs the same engine on a topology.
+//     node of a Network along each class's Route. Density is its
+//     one-node constructor — the shared bottleneck above, every Route
+//     nil — and internal/netmf runs the same engine on a topology,
+//     with the same Class type. SteadyStats and NodeSteadyStats share
+//     one window loop.
 //   - Particles: a finite-N structure-of-arrays Monte-Carlo backend
 //     (flat []float64 rate arrays in fixed-size chunks, stepped on a
 //     bounded worker pool with rng.Mix-derived per-chunk streams), the
@@ -71,8 +73,14 @@ type Class struct {
 	// whose packets are twice the base size.
 	Weight float64
 	// Delay is the class's feedback delay τ (its RTT): controllers
-	// observe Q(t−τ).
+	// observe Q(t−τ), or on a network the delayed path backlog
+	// B(t−τ), the sum of the route's queues.
 	Delay float64
+	// Route is the ordered list of node indices the class's sources
+	// traverse on an Engine's network; the class offers its rate to
+	// every hop and observes their summed backlog. Nil means node 0,
+	// the only node of a Density (the particle backend has no other).
+	Route []int
 	// Lambda0 and InitStd define the initial rate distribution: a
 	// Gaussian blob clipped to [0, LMax] (InitStd = 0 is a point
 	// mass).
@@ -147,10 +155,11 @@ type Config struct {
 func (c *Config) Validate() error { return c.ValidateOn(c.oneNode()) }
 
 // ValidateOn checks the configuration of an Engine on net: the class
-// mix, the rate grid and the step, then the network's shape, service
-// rates, initial queues and routes. Mu and Q0 are not read; the
-// network carries every node's service rate and initial queue.
+// mix and routes, the rate grid and the step, then the network's
+// shape, service rates and initial queues. Mu and Q0 are not read;
+// the network carries every node's service rate and initial queue.
 func (c *Config) ValidateOn(net Network) error {
+	dl := c.LMax / float64(c.Bins) // the rate cell width
 	switch {
 	case len(c.Classes) == 0:
 		return fmt.Errorf("meanfield: no classes")
@@ -158,28 +167,36 @@ func (c *Config) ValidateOn(net Network) error {
 		return fmt.Errorf("meanfield: LMax must be positive, got %v", c.LMax)
 	case c.Bins < 8:
 		return fmt.Errorf("meanfield: need at least 8 rate bins, got %d", c.Bins)
-	case !(c.Dt > 0):
-		return fmt.Errorf("meanfield: non-positive step %v", c.Dt)
+	case math.IsInf(1/dl, 1):
+		return fmt.Errorf("meanfield: %d rate bins on [0, %v] are too narrow", c.Bins, c.LMax)
+	case !(c.Dt > 0) || math.IsInf(c.Dt, 1):
+		return fmt.Errorf("meanfield: step must be positive and finite, got %v", c.Dt)
 	}
-	// The !(x >= 0) forms below reject NaN along with negatives: a NaN
-	// parameter would pass a plain x < 0 check and silently poison the
-	// queue ODE.
 	for k, cl := range c.Classes {
 		switch {
 		case cl.Law == nil:
 			return fmt.Errorf("meanfield: class %d has nil law", k)
 		case cl.N < 1:
 			return fmt.Errorf("meanfield: class %d has population %d, want >= 1", k, cl.N)
-		case !(cl.Weight >= 0):
+		case !finiteNonNeg(cl.Weight):
 			return fmt.Errorf("meanfield: class %d has invalid weight %v", k, cl.Weight)
-		case !(cl.Delay >= 0):
+		case !finiteNonNeg(cl.Delay):
 			return fmt.Errorf("meanfield: class %d has invalid delay %v", k, cl.Delay)
 		case !(cl.Lambda0 >= 0) || cl.Lambda0 > c.LMax:
 			return fmt.Errorf("meanfield: class %d initial rate %v outside [0, %v]", k, cl.Lambda0, c.LMax)
-		case !(cl.InitStd >= 0):
+		case !finiteNonNeg(cl.InitStd):
 			return fmt.Errorf("meanfield: class %d has invalid initial spread %v", k, cl.InitStd)
-		case !(cl.SigmaL >= 0):
+		case !finiteNonNeg(cl.SigmaL):
 			return fmt.Errorf("meanfield: class %d has invalid sigma %v", k, cl.SigmaL)
+		case cl.SigmaL > 0 && !(cl.SigmaL*cl.SigmaL*c.Dt/(4*dl*dl) <= maxDiffusionNumber):
+			return fmt.Errorf("meanfield: class %d sigma %v spreads over more than 2000 rate cells per step; reduce Dt", k, cl.SigmaL)
+		case cl.Route != nil && len(cl.Route) == 0:
+			return fmt.Errorf("meanfield: class %d has an empty route", k)
+		}
+		for _, j := range cl.Route {
+			if j < 0 || j >= len(net.Nodes) {
+				return fmt.Errorf("meanfield: class %d route node %d out of range", k, j)
+			}
 		}
 		if cl.Churn != nil {
 			if err := cl.Churn.Validate(c.LMax); err != nil {
@@ -187,8 +204,21 @@ func (c *Config) ValidateOn(net Network) error {
 			}
 		}
 	}
-	return net.validate(len(c.Classes))
+	return net.validate()
 }
+
+// maxDiffusionNumber bounds each diffusing class's Crank-Nicolson
+// diffusion number r = σ²·Dt/(4Δλ²), which must also be a number (σ²
+// and Δλ² both overflowing make it NaN). Beyond it one step's
+// diffusion length 2Δλ·√r spans over 2000 cells, and the float64
+// solve no longer holds the density's mass (its relative error grows
+// like r·1e-17).
+const maxDiffusionNumber = 1e6
+
+// finiteNonNeg reports whether x is a finite number >= 0. It rejects
+// NaN along with negatives and +Inf: a NaN parameter would pass a
+// plain x < 0 check, and either one silently poisons the queue ODE.
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // open reports whether any class carries churn or pulse dynamics (the
 // configurations the particle backend rejects).

@@ -52,6 +52,14 @@ func TestConfigValidate(t *testing.T) {
 		{"NaN delay", func(c *Config) { c.Classes[0].Delay = math.NaN() }},
 		{"NaN spread", func(c *Config) { c.Classes[0].InitStd = math.NaN() }},
 		{"NaN sigma", func(c *Config) { c.Classes[0].SigmaL = math.NaN() }},
+		{"+Inf sigma", func(c *Config) { c.Classes[0].SigmaL = math.Inf(1) }},
+		{"+Inf weight", func(c *Config) { c.Classes[0].Weight = math.Inf(1) }},
+		{"+Inf queue", func(c *Config) { c.Q0 = math.Inf(1) }},
+		{"+Inf dt", func(c *Config) { c.Dt = math.Inf(1) }},
+		{"+Inf delay", func(c *Config) { c.Classes[0].Delay = math.Inf(1) }},
+		{"+Inf spread", func(c *Config) { c.Classes[0].InitStd = math.Inf(1) }},
+		{"empty route", func(c *Config) { c.Classes[0].Route = []int{} }},
+		{"route off the bottleneck", func(c *Config) { c.Classes[0].Route = []int{1} }},
 	}
 	for _, tc := range cases {
 		cfg := testConfig(100)

@@ -99,8 +99,10 @@ func NewRateDensity(lMax float64, bins int, lambda0, initStd float64, secondOrde
 }
 
 // blobProfile builds the grid-discretized, renormalized Gaussian blob
-// at lambda0 with spread initStd (a point mass when initStd is 0) as
-// a unit-mass density (∫ = 1) on the axis.
+// at lambda0 with spread initStd as a unit-mass density (∫ = 1) on the
+// axis. A zero spread, or one so far below the cell width that the
+// Gaussian underflows at the cell centers, gives the point mass in the
+// cell holding lambda0.
 func blobProfile(ax grid.Uniform1D, lc []float64, lambda0, initStd float64) ([]float64, error) {
 	f := make([]float64, ax.N)
 	if initStd > 0 {
@@ -108,17 +110,20 @@ func blobProfile(ax grid.Uniform1D, lc []float64, lambda0, initStd float64) ([]f
 			z := (l - lambda0) / initStd
 			f[i] = math.Exp(-0.5 * z * z)
 		}
-	} else {
-		f[ax.CellOf(lambda0)] = 1
 	}
 	mass := 0.0
 	for _, v := range f {
 		mass += v
 	}
-	if !(mass > 0) {
-		return nil, fmt.Errorf("blob at %v±%v has no mass on [0, %v]", lambda0, initStd, ax.Max)
+	scale := 1 / (mass * ax.Dx)
+	if math.IsInf(scale, 1) {
+		clear(f)
+		f[ax.CellOf(lambda0)], scale = 1, 1/ax.Dx
 	}
-	linalg.Scale(1/(mass*ax.Dx), f)
+	if !(scale < math.Inf(1)) {
+		return nil, fmt.Errorf("blob at %v±%v is not a density on [0, %v]", lambda0, initStd, ax.Max)
+	}
+	linalg.Scale(scale, f)
 	return f, nil
 }
 

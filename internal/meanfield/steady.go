@@ -36,20 +36,49 @@ var (
 // both built-in backends (Density, Particles) step on; a Stepper with
 // a varying step size would need time-weighted accumulation instead.
 func SteadyStats(s Stepper, warm, horizon float64, onStep func()) (meanQ float64, meanRates []float64, err error) {
-	if !(horizon > warm) {
-		return 0, nil, fmt.Errorf("meanfield: horizon %v must exceed warmup %v", horizon, warm)
+	q, meanRates, err := window(s, 1, func(int) float64 { return s.Queue() }, warm, horizon, onStep)
+	if q == nil {
+		return 0, nil, err
 	}
+	return q[0], meanRates, err
+}
+
+// NodeSteadyStats is SteadyStats on every queue of an Engine: it
+// returns the window averages of each node's queue and each class's
+// mean per-source rate, with the same window, sums and onStep
+// contract.
+func NodeSteadyStats(e *Engine, warm, horizon float64, onStep func()) (meanQ, meanRates []float64, err error) {
+	return window(e, e.NumNodes(), e.Queue, warm, horizon, onStep)
+}
+
+// window is the one measurement loop behind SteadyStats and
+// NodeSteadyStats: it steps s to the horizon and averages queue(j)
+// for every j < nodes, and every class's mean rate, over the steps
+// ending in [warm, horizon]. It allocates its two result slices and
+// nothing per step.
+func window(s interface {
+	Step() error
+	Time() float64
+	NumClasses() int
+	ClassMeanRate(k int) float64
+}, nodes int, queue func(j int) float64, warm, horizon float64, onStep func()) (meanQ, meanRates []float64, err error) {
+	if !(horizon > warm) {
+		return nil, nil, fmt.Errorf("meanfield: horizon %v must exceed warmup %v", horizon, warm)
+	}
+	meanQ = make([]float64, nodes)
 	meanRates = make([]float64, s.NumClasses())
 	var cnt int
 	for s.Time() < horizon {
 		if err := s.Step(); err != nil {
-			return 0, nil, err
+			return nil, nil, err
 		}
 		if onStep != nil {
 			onStep()
 		}
 		if s.Time() >= warm {
-			meanQ += s.Queue()
+			for j := range meanQ {
+				meanQ[j] += queue(j)
+			}
 			for k := range meanRates {
 				meanRates[k] += s.ClassMeanRate(k)
 			}
@@ -57,9 +86,14 @@ func SteadyStats(s Stepper, warm, horizon float64, onStep func()) (meanQ float64
 		}
 	}
 	if cnt == 0 {
-		return math.NaN(), meanRates, fmt.Errorf("meanfield: no steps fell in the window [%v, %v] with Dt so large", warm, horizon)
+		for j := range meanQ {
+			meanQ[j] = math.NaN()
+		}
+		return meanQ, meanRates, fmt.Errorf("meanfield: no steps fell in the window [%v, %v] with Dt so large", warm, horizon)
 	}
-	meanQ /= float64(cnt)
+	for j := range meanQ {
+		meanQ[j] /= float64(cnt)
+	}
 	for k := range meanRates {
 		meanRates[k] /= float64(cnt)
 	}

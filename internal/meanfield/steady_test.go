@@ -72,3 +72,35 @@ func TestSteadyStatsRejectsEmptyWindow(t *testing.T) {
 		t.Error("accepted warm > horizon")
 	}
 }
+
+// TestNodeSteadyStatsAllocatesNothingPerStep pins the window loop's
+// allocation budget on a two-node Engine: a 400-step window allocates
+// exactly what a 40-step one does (its result slices and queue
+// reader), so nothing is allocated per step. The engine first runs
+// past its histories' first prune, after which stepping reuses their
+// buffers.
+func TestNodeSteadyStatsAllocatesNothingPerStep(t *testing.T) {
+	cfg := testConfig(1000)
+	cfg.Bins, cfg.Workers = 16, 1
+	cfg.Classes = []Class{cfg.Classes[0], cfg.Classes[0]}
+	cfg.Classes[0].Route = []int{0, 1}
+	cfg.Classes[1].Route = []int{1}
+	e, err := NewEngine(cfg, Network{Nodes: []string{"a", "b"}, Mu: []float64{1000, 1500}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	window := func(steps int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			start := e.Time()
+			if _, _, err := NodeSteadyStats(e, start, start+float64(steps)*cfg.Dt, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := window(40), window(400); long != short {
+		t.Errorf("a 400-step window allocates %v times, a 40-step one %v: the loop allocates per step", long, short)
+	}
+}

@@ -183,7 +183,7 @@ func TestChurnVsNetsimSmallN(t *testing.T) {
 	// oscillation.
 	var rateSum float64
 	var rateN int
-	meanQ, _, err := SteadyStats(e, 50, 200, func() {
+	meanQ, _, err := meanfield.NodeSteadyStats(e, 50, 200, func() {
 		if e.Time() > 50 {
 			rateSum += e.ClassOfferedRate(0)
 			rateN++

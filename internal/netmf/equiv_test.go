@@ -134,7 +134,7 @@ func TestVsNetsimSmallN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meanQ, _, err := SteadyStats(e, 50, 200, nil)
+	meanQ, _, err := meanfield.NodeSteadyStats(e, 50, 200, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestParkingLotFairnessOrderingMillion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rates, err := SteadyStats(e, 60, 120, nil)
+	_, rates, err := meanfield.NodeSteadyStats(e, 60, 120, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,66 +32,33 @@
 // N = 10⁶ per class in the time netsim spends on tens of flows
 // (experiments E30, E31).
 //
-// The package does not step anything itself: it validates the
-// topology and routes, translates a scenario into a meanfield.Network,
-// and runs meanfield's one kinetic Engine on it (meanfield.Density is
-// the same engine's one-node instance). The topology vocabulary
-// (netsim.Topology) is shared with the packet simulator, so the same
-// graph can be handed to either engine.
+// The package is the topology front end of meanfield's one kinetic
+// Engine (meanfield.Density is the same engine's one-node instance).
+// It steps nothing itself: it validates the topology and every
+// class's route, turns the topology into a meanfield.Network, and
+// builds the Engine on it. Class is meanfield.Class, and
+// meanfield.NodeSteadyStats measures the per-node steady state. The
+// topology vocabulary (netsim.Topology) is shared with the packet
+// simulator, so the same graph can be handed to either engine;
+// cmd/meanfield runs the canned scenarios (-topology parking-lot,
+// cross-chain).
 package netmf
 
 import (
 	"fmt"
 
-	"fpcc/internal/churn"
-	"fpcc/internal/control"
 	"fpcc/internal/meanfield"
 	"fpcc/internal/netsim"
 	"fpcc/internal/obs"
 )
 
-// Class describes one homogeneous sub-population of sources following
-// a common route.
-type Class struct {
-	// Name labels the class in reports (defaults to "class<k>").
-	Name string
-	// Law is the class's rate-control law g(B, λ), driven by the
-	// delayed path backlog B (the sum of the route's queue lengths),
-	// so its threshold q̂ is a total-path-queue target — exactly the
-	// feedback a netsim flow's controller sees.
-	Law control.Law
-	// N is the population size. The engine's per-step cost is
-	// independent of N.
-	N int
-	// Weight scales this class's per-source contribution to every
-	// arrival rate on its route (0 means 1).
-	Weight float64
-	// Delay is the class's feedback delay τ (its RTT): controllers
-	// observe the path backlog as it stood at t−τ.
-	Delay float64
-	// Route is the ordered list of node indices the class's sources
-	// traverse. Every consecutive pair must be connected by a link of
-	// the topology.
-	Route []int
-	// Lambda0 and InitStd define the initial rate distribution: a
-	// Gaussian blob clipped to [0, LMax] (InitStd = 0 is a point
-	// mass).
-	Lambda0 float64
-	InitStd float64
-	// SigmaL is the intrinsic rate variability σ_k, entering as the
-	// (σ_k²/2)·f_λλ diffusion.
-	SigmaL float64
-	// Churn, when non-nil, opens the class: sessions are born at
-	// Churn.Arrival flows/s and die after Churn.Lifetime, evolved as
-	// birth–death source terms on the class's phase kernels (see
-	// meanfield.Engine). N is then the population at t = 0 and
-	// the live population is N·(1 + born − died).
-	Churn *churn.Flow
-	// Pulse, when non-nil, scales the class's offered rate on every
-	// hop by the deterministic duty-cycle envelope — the synchronized
-	// on/off blaster of the adversarial experiments.
-	Pulse *churn.Pulse
-}
+// Class is the kinetic engine's class type. On a network its Route
+// is required: the ordered node indices its sources traverse, every
+// consecutive pair joined by a link of the topology. Its law observes
+// the delayed path backlog (the sum of the route's queues), so the
+// law's threshold q̂ is a total-path-queue target — the feedback a
+// netsim flow's controller sees.
+type Class = meanfield.Class
 
 // Config describes a networked mean-field problem: the node/link
 // graph, the class mix routed over it, the rate domain, and the time
@@ -151,37 +118,29 @@ func (c *Config) Validate() error {
 
 // kinetic checks the topology and every route against it, and
 // translates the configuration into the kinetic engine's inputs: the
-// class mix without routes, and the queue network carrying each
-// node's μ and initial queue and each class's route.
+// class mix, and the queue network carrying each node's μ and initial
+// queue.
 func (c *Config) kinetic() (meanfield.Config, meanfield.Network, error) {
 	if err := c.Topology.Validate(); err != nil {
 		return meanfield.Config{}, meanfield.Network{}, fmt.Errorf("netmf: topology: %w", err)
-	}
-	kc := meanfield.Config{
-		Classes: make([]meanfield.Class, len(c.Classes)),
-		LMax:    c.LMax, Bins: c.Bins, Dt: c.Dt,
-		SecondOrder: c.SecondOrder, Workers: c.Workers, Obs: c.Obs,
-	}
-	net := meanfield.Network{
-		Scope:  "netmf",
-		Nodes:  make([]string, len(c.Topology.Nodes)),
-		Mu:     make([]float64, len(c.Topology.Nodes)),
-		Q0:     c.Q0,
-		Routes: make([][]int, len(c.Classes)),
-	}
-	for j, node := range c.Topology.Nodes {
-		net.Nodes[j], net.Mu[j] = c.Topology.NodeName(j), node.Mu
 	}
 	for k, cl := range c.Classes {
 		if err := c.Topology.ValidateRoute(cl.Route); err != nil {
 			return meanfield.Config{}, meanfield.Network{}, fmt.Errorf("netmf: class %d: %w", k, err)
 		}
-		kc.Classes[k] = meanfield.Class{
-			Name: cl.Name, Law: cl.Law, N: cl.N, Weight: cl.Weight,
-			Delay: cl.Delay, Lambda0: cl.Lambda0, InitStd: cl.InitStd,
-			SigmaL: cl.SigmaL, Churn: cl.Churn, Pulse: cl.Pulse,
-		}
-		net.Routes[k] = cl.Route
+	}
+	net := meanfield.Network{
+		Scope: "netmf",
+		Nodes: make([]string, len(c.Topology.Nodes)),
+		Mu:    make([]float64, len(c.Topology.Nodes)),
+		Q0:    c.Q0,
+	}
+	for j, node := range c.Topology.Nodes {
+		net.Nodes[j], net.Mu[j] = c.Topology.NodeName(j), node.Mu
+	}
+	kc := meanfield.Config{
+		Classes: c.Classes, LMax: c.LMax, Bins: c.Bins, Dt: c.Dt,
+		SecondOrder: c.SecondOrder, Workers: c.Workers, Obs: c.Obs,
 	}
 	return kc, net, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fpcc/internal/control"
+	"fpcc/internal/meanfield"
 	"fpcc/internal/netsim"
 )
 
@@ -60,6 +61,10 @@ func TestConfigValidate(t *testing.T) {
 		{"non-positive step", func(c *Config) { c.Dt = 0 }},
 		{"Q0 length mismatch", func(c *Config) { c.Q0 = []float64{1, 2} }},
 		{"negative Q0", func(c *Config) { c.Q0 = []float64{-1} }},
+		{"+Inf sigma", func(c *Config) { c.Classes[0].SigmaL = math.Inf(1) }},
+		{"+Inf weight", func(c *Config) { c.Classes[0].Weight = math.Inf(1) }},
+		{"+Inf Q0", func(c *Config) { c.Q0 = []float64{math.Inf(1)} }},
+		{"+Inf step", func(c *Config) { c.Dt = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		cfg := oneNodeConfig(1000)
@@ -146,7 +151,7 @@ func TestSteadyStatsWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var steps int
-	meanQ, rates, err := SteadyStats(e, 5, 10, func() { steps++ })
+	meanQ, rates, err := meanfield.NodeSteadyStats(e, 5, 10, func() { steps++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +171,7 @@ func TestSteadyStatsWindow(t *testing.T) {
 	if got := rates[1]; math.Abs(got-cfg.Classes[1].Lambda0) > e.RateGrid().Dx {
 		t.Errorf("constant cross class drifted: mean rate %v, want ~%v", got, cfg.Classes[1].Lambda0)
 	}
-	if _, _, err := SteadyStats(e, 10, 10, nil); err == nil {
+	if _, _, err := meanfield.NodeSteadyStats(e, 10, 10, nil); err == nil {
 		t.Error("accepted horizon == warm")
 	}
 }
