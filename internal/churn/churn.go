@@ -121,9 +121,6 @@ func NewPareto(alpha, xm float64) (Pareto, error) {
 // Name implements Lifetime.
 func (p Pareto) Name() string { return "pareto" }
 
-// Alpha returns the shape parameter.
-func (p Pareto) Alpha() float64 { return p.alpha }
-
 // XMin returns the scale parameter (the minimum lifetime).
 func (p Pareto) XMin() float64 { return p.xm }
 

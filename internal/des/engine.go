@@ -61,14 +61,6 @@ type SourceConfig struct {
 	Lambda0  float64     // initial sending rate (packets/s)
 	MinRate  float64     // rate floor (> 0 keeps a silenced source probing)
 
-	// AvgWindow, when positive, feeds the controller the time-averaged
-	// queue length over the trailing AvgWindow seconds (ending at the
-	// delayed observation instant) instead of the instantaneous value.
-	// This is the DECbit-style congestion signal of Ramakrishnan-Jain
-	// [RaJa 88]: averaging filters the Poisson jitter out of the
-	// feedback, trading responsiveness for stability.
-	AvgWindow float64
-
 	// Burst, when non-nil, modulates the source's instantaneous
 	// arrival rate: packets are emitted at λ(t)·Factor(state) with the
 	// state evolving per the modulator (MMPP, on/off, square wave —
@@ -101,8 +93,7 @@ type Config struct {
 	// queue) and each control update passes the delayed signal
 	// through Gateway.Observe (e.g. RED marking) before the law sees
 	// it. Nil means the paper's transparent gateway — the raw queue
-	// length. Mutually exclusive with per-source AvgWindow, which is
-	// the source-side version of the same filtering.
+	// length.
 	Gateway Gateway
 	// Buffer, when positive, bounds the queue (including the packet
 	// in service): arrivals beyond it are dropped, as at a real
@@ -141,10 +132,6 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("des: source %d has negative initial rate %v", i, s.Lambda0)
 		case s.MinRate < 0:
 			return fmt.Errorf("des: source %d has negative rate floor %v", i, s.MinRate)
-		case s.AvgWindow < 0:
-			return fmt.Errorf("des: source %d has negative averaging window %v", i, s.AvgWindow)
-		case s.AvgWindow > 0 && c.Gateway != nil:
-			return fmt.Errorf("des: source %d sets AvgWindow with a gateway configured; use one filtering point, not both", i)
 		case s.ImplicitLoss && c.Buffer <= 0:
 			return fmt.Errorf("des: source %d uses implicit loss feedback but the buffer is infinite (set Config.Buffer)", i)
 		case s.ImplicitLoss && c.Gateway != nil:
@@ -263,7 +250,7 @@ func New(cfg Config) (*Sim, error) {
 	for i, sc := range cfg.Sources {
 		st := &sourceState{cfg: sc, lambda: sc.Lambda0, rng: root.Split(), factor: 1}
 		s.sources = append(s.sources, st)
-		look := sc.Delay + sc.AvgWindow
+		look := sc.Delay
 		if sc.ImplicitLoss {
 			look = sc.Delay + sc.Interval
 		}
@@ -462,8 +449,7 @@ func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
 			st := s.sources[e.src]
 			// The controller sees the queue as it was Delay seconds
 			// ago, read from the recorded history (exact, not an
-			// approximation) — optionally time-averaged over the
-			// trailing AvgWindow (DECbit-style signal).
+			// approximation), or the gateway's filtered signal.
 			obsT := s.t - st.cfg.Delay
 			var qObs float64
 			switch {
@@ -476,8 +462,6 @@ func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
 				}
 			case s.cfg.Gateway != nil:
 				qObs = s.cfg.Gateway.Observe(s.hist.SignalAt(obsT), st.cfg.Law.Target(), st.rng)
-			case st.cfg.AvgWindow > 0:
-				qObs = s.hist.AvgOver(obsT-st.cfg.AvgWindow, obsT)
 			default:
 				qObs = s.hist.QueueAt(obsT)
 			}

@@ -127,23 +127,6 @@ func TestREDObserveMarksBernoulli(t *testing.T) {
 	}
 }
 
-func TestGatewayAvgWindowMutuallyExclusive(t *testing.T) {
-	g, err := NewEWMAGateway(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Mu:      10,
-		Gateway: g,
-		Sources: []SourceConfig{{
-			Law: frozenLaw, Interval: 1, Lambda0: 5, AvgWindow: 2,
-		}},
-	}
-	if _, err := New(cfg); err == nil {
-		t.Error("AvgWindow + Gateway: want validation error")
-	}
-}
-
 // runGatewaySim runs one AIMD source behind the given gateway and
 // returns the post-warmup queue stats and rate trace.
 func runGatewaySim(t *testing.T, gw Gateway, seed uint64) (*Result, stats.WeightedMoments) {

@@ -87,32 +87,3 @@ func (h *QueueHistory) SignalAt(t float64) float64 {
 	}
 	return 0
 }
-
-// AvgOver returns the time-average of the (piecewise-constant) queue
-// history over [a, b]. Times before the first record contribute
-// queue 0.
-func (h *QueueHistory) AvgOver(a, b float64) float64 {
-	if b <= a {
-		return h.QueueAt(b)
-	}
-	// Index of the last change at or before a (ties resolved to the
-	// last same-time record, like QueueAt).
-	k := h.idxAt(a)
-	var integral float64
-	t := a
-	for k < len(h.t)-1 && h.t[k+1] < b {
-		var q float64
-		if k >= 0 {
-			q = float64(h.q[k])
-		}
-		integral += q * (h.t[k+1] - t)
-		t = h.t[k+1]
-		k++
-	}
-	var q float64
-	if k >= 0 {
-		q = float64(h.q[k])
-	}
-	integral += q * (b - t)
-	return integral / (b - a)
-}

@@ -50,28 +50,6 @@ func (s *shadowHistory) signalAt(t float64) float64 {
 	return 0
 }
 
-// avgOver integrates the piecewise-constant queue over [a, b] by brute
-// force: the window is cut at every distinct record time inside it and
-// each piece contributes its (post-tie) state times its width.
-func (s *shadowHistory) avgOver(a, b float64) float64 {
-	if b <= a {
-		return s.queueAt(b)
-	}
-	cuts := []float64{a}
-	for _, ti := range s.t {
-		if ti > a && ti < b {
-			cuts = append(cuts, ti)
-		}
-	}
-	// Record times arrive sorted, so cuts is sorted too.
-	cuts = append(cuts, b)
-	var integral float64
-	for i := 0; i+1 < len(cuts); i++ {
-		integral += s.queueAt(cuts[i]) * (cuts[i+1] - cuts[i])
-	}
-	return integral / (b - a)
-}
-
 // TestQueueAtDuplicateTimestamps is the regression test for the
 // same-time-burst flaw: several records sharing one timestamp (a burst
 // of arrivals processed at the same event time) must read back as the
@@ -122,41 +100,10 @@ func TestQueueAtDuplicateTimestamps(t *testing.T) {
 	}
 }
 
-// TestAvgOverDuplicateTimestamps pins the tie-break behaviour of the
-// windowed average: windows starting exactly on a duplicated
-// timestamp, windows starting before the first record, and the
-// degenerate point window must all resolve ties to the last same-time
-// record.
-func TestAvgOverDuplicateTimestamps(t *testing.T) {
-	h := NewQueueHistory(false)
-	// First records duplicated at t=5 (no t=0 sample), another burst
-	// at t=10.
-	h.Record(5, 1, 0, 0)
-	h.Record(5, 4, 0, 0)
-	h.Record(10, 2, 0, 0)
-	h.Record(10, 6, 0, 0)
-
-	cases := []struct {
-		name       string
-		a, b, want float64
-	}{
-		{"window start on duplicated first record", 5, 10, 4},
-		{"window start before first record, cut at duplicated start", 0, 10, (0*5 + 4*5) / 10.0},
-		{"window spanning both bursts", 5, 15, (4*5 + 6*5) / 10.0},
-		{"point window on a burst", 10, 10, 6},
-		{"window entirely before the history", -3, 2, 0},
-	}
-	for _, tc := range cases {
-		if got := h.AvgOver(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: AvgOver(%v, %v) = %v, want %v", tc.name, tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 // TestHistoryPropertyVsBruteForce drives QueueHistory and the
 // brute-force shadow model through randomized histories — duplicated
 // timestamps, bursts, and enough records to trigger pruning — and
-// requires QueueAt, SignalAt and AvgOver to agree with the shadow at
+// requires QueueAt and SignalAt to agree with the shadow at
 // query times inside the lookback window.
 func TestHistoryPropertyVsBruteForce(t *testing.T) {
 	const lookback = 30.0
@@ -202,23 +149,6 @@ func TestHistoryPropertyVsBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: SignalAt(%v) = %v, want %v", trial, qt, got, want)
 			}
 		}
-		for i := 0; i < 300; i++ {
-			a := lo + r.Float64()*(now-lo)
-			b := lo + r.Float64()*(now-lo)
-			if b < a {
-				a, b = b, a
-			}
-			switch i % 10 {
-			case 0:
-				b = a // degenerate point window
-			case 1:
-				a = shadow.t[shadow.idxAt(a)] // window starts on a record time
-			}
-			got, want := h.AvgOver(a, b), shadow.avgOver(a, b)
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("trial %d: AvgOver(%v, %v) = %v, want %v", trial, a, b, got, want)
-			}
-		}
 	}
 }
 
@@ -256,8 +186,5 @@ func TestRecordPruningKeepsLookbackResolvable(t *testing.T) {
 		if got, want := h.SignalAt(qt), shadow.signalAt(qt); got != want {
 			t.Errorf("after pruning: SignalAt(%v) = %v, want %v", qt, got, want)
 		}
-	}
-	if got, want := h.AvgOver(now-lookback, now), shadow.avgOver(now-lookback, now); math.Abs(got-want) > 1e-9 {
-		t.Errorf("after pruning: AvgOver over the lookback window = %v, want %v", got, want)
 	}
 }

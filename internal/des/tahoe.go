@@ -35,10 +35,11 @@ type TahoeFlowConfig struct {
 	// estimates it from RTT samples; a fixed multiple of the true RTT
 	// keeps the model analyzable. Must exceed the unloaded RTT.
 	RTO float64
-	// InitialSSThresh seeds ssthresh (packets); 0 means a large
-	// default so the first slow start probes up to buffer overflow.
-	InitialSSThresh float64
 }
+
+// initialSSThresh seeds every flow's ssthresh (packets): large enough
+// that the first slow start probes up to buffer overflow, as TCP does.
+const initialSSThresh = 1e9
 
 // TahoeConfig describes a Tahoe simulation.
 type TahoeConfig struct {
@@ -68,8 +69,6 @@ func (c *TahoeConfig) Validate() error {
 			return fmt.Errorf("des: flow %d propagation delay must be positive, got %v", i, f.PropDelay)
 		case !(f.RTO > 2*f.PropDelay):
 			return fmt.Errorf("des: flow %d RTO %v must exceed the unloaded RTT %v", i, f.RTO, 2*f.PropDelay)
-		case f.InitialSSThresh < 0:
-			return fmt.Errorf("des: flow %d negative ssthresh %v", i, f.InitialSSThresh)
 		}
 	}
 	if c.SampleEvery < 0 {
@@ -161,12 +160,8 @@ func NewTahoe(cfg TahoeConfig) (*TahoeSim, error) {
 	root := rng.New(cfg.Seed)
 	s := &TahoeSim{cfg: cfg, rng: root.Split()}
 	for i, fc := range cfg.Flows {
-		ss := fc.InitialSSThresh
-		if ss == 0 {
-			ss = 1e9 // probe until the first loss, as TCP does
-		}
 		f := &tahoeFlow{
-			cfg: fc, cwnd: 1, ssthresh: ss,
+			cfg: fc, cwnd: 1, ssthresh: initialSSThresh,
 			lost:         make(map[uint64]bool),
 			sentAt:       make(map[uint64]float64),
 			lastRecovery: -1,

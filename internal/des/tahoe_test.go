@@ -30,7 +30,6 @@ func TestTahoeConfigValidation(t *testing.T) {
 		{"no flows", mod(func(c *TahoeConfig) { c.Flows = nil })},
 		{"zero delay", mod(func(c *TahoeConfig) { c.Flows[0].PropDelay = 0 })},
 		{"rto below rtt", mod(func(c *TahoeConfig) { c.Flows[0].RTO = 0.05 })},
-		{"negative ssthresh", mod(func(c *TahoeConfig) { c.Flows[0].InitialSSThresh = -1 })},
 		{"negative sampling", mod(func(c *TahoeConfig) { c.SampleEvery = -1 })},
 	}
 	for _, tc := range cases {

@@ -212,9 +212,6 @@ type Experiment struct {
 	Width int
 }
 
-// Runner is the registry entry's pre-registry name, kept as an alias.
-type Runner = Experiment
-
 // All returns every experiment in order; EXPERIMENTS.md is the
 // companion index of claims and measured outcomes. Tags: "core"
 // (E1–E15, the paper's own analysis) vs "extension" (E16–E34), plus

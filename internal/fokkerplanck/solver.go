@@ -87,9 +87,6 @@ type Config struct {
 	VMax float64
 	NV   int // number of v cells
 
-	// CFLTarget is the Courant number StepAuto aims for (default 0.8).
-	CFLTarget float64
-
 	// DelayTau, when positive, enables the mean-field delayed-feedback
 	// closure: controllers observe E[Q](t−τ) instead of their own
 	// current q.
@@ -100,11 +97,6 @@ type Config struct {
 	// diffusion at the cost of ~2x work per step (see muscl.go and
 	// the scheme-comparison benchmarks).
 	SecondOrder bool
-
-	// SigmaV, when positive, adds intrinsic rate variability as a
-	// (SigmaV²/2)·f_vv diffusion term — the leading correction the
-	// paper's footnote 2 anticipates for burstier rate processes.
-	SigmaV float64
 
 	// Workers bounds the intra-step parallelism of the sweeps
 	// (0 = GOMAXPROCS). It affects wall-clock time only, never
@@ -126,20 +118,18 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Law == nil:
 		return fmt.Errorf("fokkerplanck: nil law")
-	case !(c.Mu > 0):
-		return fmt.Errorf("fokkerplanck: service rate must be positive, got %v", c.Mu)
-	case !(c.Sigma >= 0):
-		return fmt.Errorf("fokkerplanck: negative sigma %v", c.Sigma)
-	case !(c.QMax > 0):
-		return fmt.Errorf("fokkerplanck: QMax must be positive, got %v", c.QMax)
+	case !(c.Mu > 0) || math.IsInf(c.Mu, 1):
+		return fmt.Errorf("fokkerplanck: service rate must be finite and positive, got %v", c.Mu)
+	case !(c.Sigma >= 0) || math.IsInf(c.Sigma*c.Sigma, 1):
+		return fmt.Errorf("fokkerplanck: sigma must be non-negative with a finite square (the diffusion coefficient), got %v", c.Sigma)
+	case !(c.QMax > 0) || math.IsInf(c.QMax*c.QMax, 1):
+		return fmt.Errorf("fokkerplanck: QMax must be positive with a finite square (the variance bound), got %v", c.QMax)
 	case c.NQ < 4 || c.NV < 4:
 		return fmt.Errorf("fokkerplanck: need at least 4 cells per axis, got %dx%d", c.NQ, c.NV)
-	case !(c.VMax > c.VMin):
-		return fmt.Errorf("fokkerplanck: empty v range [%v, %v]", c.VMin, c.VMax)
-	case c.DelayTau < 0:
-		return fmt.Errorf("fokkerplanck: negative delay %v", c.DelayTau)
-	case c.SigmaV < 0:
-		return fmt.Errorf("fokkerplanck: negative sigmaV %v", c.SigmaV)
+	case !(c.VMax > c.VMin) || math.IsInf((c.VMax-c.VMin)*(c.VMax-c.VMin), 1):
+		return fmt.Errorf("fokkerplanck: v range [%v, %v] must be non-empty with a finite squared width", c.VMin, c.VMax)
+	case !(c.DelayTau >= 0) || math.IsInf(c.DelayTau, 1):
+		return fmt.Errorf("fokkerplanck: delay must be finite and non-negative, got %v", c.DelayTau)
 	}
 	return nil
 }
@@ -167,9 +157,9 @@ type Solver struct {
 	// cached CFL speed bounds (the law and grid are immutable)
 	maxV, maxG float64
 
-	// prefactored Crank-Nicolson systems for the two diffusion axes
-	// (shared kernel: the bands depend only on the step size)
-	qFac, vFac linalg.CNFactor
+	// prefactored Crank-Nicolson system of the q-diffusion (the bands
+	// depend only on the step size)
+	qFac linalg.CNFactor
 
 	// cq holds the per-row Courant numbers of the current q-sweep.
 	cq []float64 // length NV
@@ -206,12 +196,6 @@ func New(cfg Config) (*Solver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CFLTarget == 0 {
-		cfg.CFLTarget = 0.8
-	}
-	if !(cfg.CFLTarget > 0) || cfg.CFLTarget > 1 {
-		return nil, fmt.Errorf("fokkerplanck: CFL target %v outside (0, 1]", cfg.CFLTarget)
-	}
 	qAxis, err := grid.NewUniform1D(0, cfg.QMax, cfg.NQ)
 	if err != nil {
 		return nil, fmt.Errorf("fokkerplanck: q axis: %w", err)
@@ -232,7 +216,9 @@ func New(cfg Config) (*Solver, error) {
 		vc:       vAxis.Centers(),
 		rowDrift: make([]float64, cfg.NV+1),
 	}
-	s.maxV, s.maxG = s.computeMaxSpeeds()
+	if s.maxV, s.maxG, err = s.computeMaxSpeeds(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -395,25 +381,34 @@ func (s *Solver) delayedMeanQ() float64 {
 // computeMaxSpeeds scans the grid for the maximum advection speeds.
 // The law and grid are immutable, so New computes this once; the
 // delayed closure's observed queue always lies inside [0, QMax], the
-// range the scan already covers.
-func (s *Solver) computeMaxSpeeds() (maxV, maxG float64) {
+// range the scan already covers. A non-finite drift anywhere on the
+// grid is an error: an infinite one makes the stable step zero, and a
+// NaN one would turn the density into NaN.
+func (s *Solver) computeMaxSpeeds() (maxV, maxG float64, err error) {
 	maxV = math.Max(math.Abs(s.cfg.VMin), math.Abs(s.cfg.VMax))
 	for iq := 0; iq < s.cfg.NQ; iq++ {
 		for iv := 0; iv <= s.cfg.NV; iv++ {
-			vEdge := s.g2d.Y.Edge(iv)
-			g := s.cfg.Law.Drift(s.qc[iq], vEdge+s.cfg.Mu)
-			if a := math.Abs(g); a > maxG {
+			lambda := s.g2d.Y.Edge(iv) + s.cfg.Mu
+			g := s.cfg.Law.Drift(s.qc[iq], lambda)
+			if a := math.Abs(g); !(a <= maxG) { // a new maximum, or NaN
+				if math.IsNaN(a) || math.IsInf(a, 1) {
+					return 0, 0, fmt.Errorf("fokkerplanck: law drift %v at (q, λ) = (%v, %v)", g, s.qc[iq], lambda)
+				}
 				maxG = a
 			}
 		}
 	}
-	return maxV, maxG
+	return maxV, maxG, nil
 }
+
+// cflTarget is the Courant number MaxStableDt, StepAuto and Advance
+// aim for.
+const cflTarget = 0.8
 
 // MaxStableDt returns the largest advection-stable step at the CFL
 // target.
 func (s *Solver) MaxStableDt() float64 {
-	return s.g2d.MaxStableDt(s.cfg.CFLTarget, s.maxV, s.maxG)
+	return s.g2d.MaxStableDt(cflTarget, s.maxV, s.maxG)
 }
 
 // vEdgeDrifts returns the edge-drift row for q-row iq of the pending
@@ -451,14 +446,24 @@ func (s *Solver) prepareDrifts() {
 	s.edgeDriftReady = true
 }
 
+// maxDiffusionNumber bounds the Crank-Nicolson diffusion number
+// r = σ²·dt/(4Δq²) of one step. Beyond it one step's diffusion length
+// spans thousands of cells and the float64 solve no longer holds the
+// density's mass.
+const maxDiffusionNumber = 1e6
+
 // Step advances the solution by dt. It returns an error if dt violates
-// the CFL bound (use MaxStableDt or StepAuto).
+// the CFL bound (use MaxStableDt or StepAuto) or makes the
+// q-diffusion number exceed maxDiffusionNumber.
 func (s *Solver) Step(dt float64) error {
 	if !(dt > 0) {
 		return fmt.Errorf("fokkerplanck: non-positive step %v", dt)
 	}
 	if cfl := s.g2d.CFL(dt, s.maxV, s.maxG); cfl > 1.0000001 {
 		return fmt.Errorf("fokkerplanck: step %v violates CFL (number %.3f > 1)", dt, cfl)
+	}
+	if dq := s.g2d.X.Dx; s.cfg.Sigma > 0 && !(s.cfg.Sigma*s.cfg.Sigma*dt/(4*dq*dq) <= maxDiffusionNumber) {
+		return fmt.Errorf("fokkerplanck: step %v makes the q-diffusion number exceed %g", dt, maxDiffusionNumber)
 	}
 	s.prepareDrifts()
 	if s.cfg.SecondOrder {
@@ -470,9 +475,6 @@ func (s *Solver) Step(dt float64) error {
 	}
 	if s.cfg.Sigma > 0 {
 		s.diffuseQ(dt)
-	}
-	if s.cfg.SigmaV > 0 {
-		s.diffuseV(dt)
 	}
 	// Clip the tiny negative undershoots the explicit sweeps can
 	// leave, accumulating the audit through the block-ordered
@@ -510,7 +512,7 @@ func (s *Solver) observe(rec *obs.Recorder, dt float64) error {
 	// the field (tracked positive), outflow removes it, so the exact
 	// budget is ∫f = 1 + clipped − outflow to rounding.
 	mass := s.g2d.Integrate(s.f)
-	if err := rec.CheckMass(s.step, s.t, "fp.mass", mass, 1+s.clipped-s.outflow, rec.MassTol()); err != nil {
+	if err := rec.CheckMass(s.step, s.t, "fp.mass", mass, 1+s.clipped-s.outflow, obs.DefaultMassTol); err != nil {
 		return err
 	}
 	if err := rec.CheckNonNegative(s.step, s.t, "fp.density", s.f); err != nil {
@@ -536,10 +538,11 @@ func (s *Solver) StepAuto(dtMax float64) (float64, error) {
 }
 
 // Advance integrates until time tEnd with automatic steps capped at
-// dtMax (0 = no cap beyond CFL).
+// dtMax (0 = no cap beyond CFL). It fails when a step fails, or when
+// the step is too small to move the clock before tEnd is reached.
 func (s *Solver) Advance(tEnd, dtMax float64) error {
-	if tEnd < s.t {
-		return fmt.Errorf("fokkerplanck: cannot advance backwards from %v to %v", s.t, tEnd)
+	if !(tEnd >= s.t) {
+		return fmt.Errorf("fokkerplanck: cannot advance from %v to %v", s.t, tEnd)
 	}
 	for s.t < tEnd {
 		dt := s.MaxStableDt()
@@ -553,7 +556,10 @@ func (s *Solver) Advance(tEnd, dtMax float64) error {
 			dt = tEnd - s.t
 		}
 		if dt < 1e-15*(1+s.t) {
-			break
+			if tEnd-s.t < 1e-15*(1+s.t) {
+				break // the last sliver is below the time resolution
+			}
+			return fmt.Errorf("fokkerplanck: step %v is below the time resolution at t=%v", dt, s.t)
 		}
 		if err := s.Step(dt); err != nil {
 			return err

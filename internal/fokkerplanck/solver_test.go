@@ -40,6 +40,9 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.NV = 2 },
 		func(c *Config) { c.VMax = c.VMin },
 		func(c *Config) { c.DelayTau = -1 },
+		func(c *Config) { c.Sigma = math.Inf(1) },
+		func(c *Config) { c.Mu = math.Inf(1) },
+		func(c *Config) { c.DelayTau = math.NaN() },
 	}
 	for i, mut := range muts {
 		c := baseConfig()
@@ -47,11 +50,6 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
-	}
-	bad := baseConfig()
-	bad.CFLTarget = 1.5
-	if _, err := New(bad); err == nil {
-		t.Error("accepted CFL target > 1")
 	}
 }
 

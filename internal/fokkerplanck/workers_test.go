@@ -13,7 +13,6 @@ func workersTestConfig(workers int) Config {
 		Sigma: 1.5,
 		QMax:  60, NQ: 150,
 		VMin: -12, VMax: 12, NV: 120,
-		SigmaV:  0.4,
 		Workers: workers,
 	}
 }
@@ -38,7 +37,7 @@ func runWorkers(t *testing.T, cfg Config, horizon float64) ([]float64, float64, 
 // TestSolverBitIdenticalAcrossWorkers is the tentpole's determinism
 // bar for the PDE hot path: the raw density field — not just derived
 // moments — must be bit-identical for any Workers setting, for both
-// advection schemes and with both diffusion terms active.
+// advection schemes and with the q-diffusion active.
 func TestSolverBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, secondOrder := range []bool{false, true} {
 		base := workersTestConfig(1)
@@ -86,7 +85,6 @@ func TestSolverBitIdenticalAcrossWorkersDelayed(t *testing.T) {
 func TestDelayHistoryPruningBounded(t *testing.T) {
 	cfg := workersTestConfig(1)
 	cfg.NQ, cfg.NV = 60, 48 // keep the long run cheap
-	cfg.SigmaV = 0
 	cfg.DelayTau = 0.5
 	s, err := New(cfg)
 	if err != nil {
@@ -117,7 +115,6 @@ func TestDelayHistoryPruningBounded(t *testing.T) {
 func TestDelayedMeanQMatchesBruteForce(t *testing.T) {
 	cfg := workersTestConfig(1)
 	cfg.NQ, cfg.NV = 60, 48
-	cfg.SigmaV = 0
 	cfg.DelayTau = 0.7
 	s, err := New(cfg)
 	if err != nil {

@@ -41,32 +41,6 @@ func NewMM1K(lambda, mu float64, k int) (*BirthDeath, error) {
 	return bd, nil
 }
 
-// NewStateDependent builds a birth-death chain with rates given by
-// functions of the state (birth(n−1) is ignored, death(0) is ignored).
-// Negative returned rates are treated as zero.
-func NewStateDependent(n int, birth, death func(i int) float64) (*BirthDeath, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("markov: need at least 2 states, got %d", n)
-	}
-	if birth == nil || death == nil {
-		return nil, fmt.Errorf("markov: nil rate function")
-	}
-	bd := &BirthDeath{Birth: make([]float64, n), Death: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		if i < n-1 {
-			if r := birth(i); r > 0 {
-				bd.Birth[i] = r
-			}
-		}
-		if i > 0 {
-			if r := death(i); r > 0 {
-				bd.Death[i] = r
-			}
-		}
-	}
-	return bd, nil
-}
-
 // N returns the number of states.
 func (bd *BirthDeath) N() int { return len(bd.Birth) }
 
@@ -159,15 +133,6 @@ func (bd *BirthDeath) Transient(p0 []float64, t, tol float64) ([]float64, error)
 		return nil, err
 	}
 	return c.Transient(p0, t, tol)
-}
-
-// StateValues returns [0, 1, ..., N−1] for use with MeanVar.
-func (bd *BirthDeath) StateValues() []float64 {
-	vals := make([]float64, bd.N())
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	return vals
 }
 
 // MM1KStationary returns the closed-form stationary law of M/M/1/K —

@@ -64,12 +64,15 @@ func TestMM1KStationaryEqualRates(t *testing.T) {
 }
 
 func TestStationaryDetailedBalance(t *testing.T) {
-	bd, err := NewStateDependent(12,
-		func(i int) float64 { return 3 / (1 + float64(i)) },
-		func(i int) float64 { return 1 + 0.5*float64(i) },
-	)
-	if err != nil {
-		t.Fatal(err)
+	const n = 12
+	bd := &BirthDeath{Birth: make([]float64, n), Death: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		if i < n-1 {
+			bd.Birth[i] = 3 / (1 + float64(i))
+		}
+		if i > 0 {
+			bd.Death[i] = 1 + 0.5*float64(i)
+		}
 	}
 	pi, err := bd.Stationary()
 	if err != nil {
@@ -126,7 +129,10 @@ func TestTransientMonotoneMeanFromEmpty(t *testing.T) {
 	}
 	p0 := make([]float64, bd.N())
 	p0[0] = 1
-	vals := bd.StateValues()
+	vals := make([]float64, bd.N())
+	for i := range vals {
+		vals[i] = float64(i)
+	}
 	prev := -1.0
 	c, err := bd.Chain()
 	if err != nil {
@@ -145,28 +151,6 @@ func TestTransientMonotoneMeanFromEmpty(t *testing.T) {
 			t.Errorf("mean decreased at step %d: %v after %v", i, mean, prev)
 		}
 		prev = mean
-	}
-}
-
-func TestNewStateDependentValidation(t *testing.T) {
-	if _, err := NewStateDependent(1, func(int) float64 { return 1 }, func(int) float64 { return 1 }); err == nil {
-		t.Error("n=1: want error")
-	}
-	if _, err := NewStateDependent(5, nil, func(int) float64 { return 1 }); err == nil {
-		t.Error("nil birth: want error")
-	}
-	if _, err := NewStateDependent(5, func(int) float64 { return 1 }, nil); err == nil {
-		t.Error("nil death: want error")
-	}
-	// Negative rates are clamped to zero, not errors.
-	bd, err := NewStateDependent(3, func(int) float64 { return -1 }, func(int) float64 { return -2 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bd.Birth {
-		if bd.Birth[i] != 0 || bd.Death[i] != 0 {
-			t.Errorf("state %d: negative rates not clamped: %v %v", i, bd.Birth[i], bd.Death[i])
-		}
 	}
 }
 

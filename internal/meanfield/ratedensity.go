@@ -178,7 +178,7 @@ func (r *RateDensity) Courant() float64 { return r.courant }
 // cached Courant margin. Field names are prefixed with field (e.g.
 // "mf.class0" → "mf.class0.mass").
 func (r *RateDensity) CheckInvariants(rec *obs.Recorder, step int64, t float64, field string) error {
-	if err := rec.CheckMass(step, t, field+".mass", r.Mass(), r.base+r.clipped+r.born-r.died, rec.MassTol()); err != nil {
+	if err := rec.CheckMass(step, t, field+".mass", r.Mass(), r.base+r.clipped+r.born-r.died, obs.DefaultMassTol); err != nil {
 		return err
 	}
 	if err := rec.CheckNonNegative(step, t, field+".density", r.f); err != nil {

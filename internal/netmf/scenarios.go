@@ -39,10 +39,6 @@ type ParkingLotConfig struct {
 	RTTStretch float64
 	// Sigma is the per-source rate noise in Share units (0 = 0.3).
 	Sigma float64
-	// LinkDelay is the per-link propagation delay recorded on the
-	// topology (documentation for the packet twin; the fluid engine
-	// reads RTTs from Delay).
-	LinkDelay float64
 	// LMax (in Share units, 0 = 6), Bins (0 = 192) and Dt (0 = 0.005)
 	// shape the rate grid and step.
 	LMax float64
@@ -89,7 +85,7 @@ func ParkingLot(pc ParkingLotConfig) (Config, error) {
 			Name: fmt.Sprintf("hop%d", h), Mu: 2 * float64(pc.N) * share,
 		})
 		if h > 0 {
-			cfg.Topology.Links = append(cfg.Topology.Links, netsim.Link{From: h - 1, To: h, Delay: pc.LinkDelay})
+			cfg.Topology.Links = append(cfg.Topology.Links, netsim.Link{From: h - 1, To: h})
 		}
 	}
 	longRoute := make([]int, pc.Hops)
@@ -124,10 +120,6 @@ type CrossChainConfig struct {
 	CrossFrac float64
 	// Share is the per-source scale (0 = 1 pk/s).
 	Share float64
-	// Mu1Frac, Mu2Frac set each hop's service rate as a fraction of
-	// N·Share (0 defaults: 0.4 and 0.6 — hop 1 is the designed
-	// bottleneck until the cross class eats hop 2's residual).
-	Mu1Frac, Mu2Frac float64
 	// QHat0 is the adaptive class's per-source path-queue target
 	// (0 = 2): q̂ = QHat0·N.
 	QHat0 float64
@@ -135,9 +127,6 @@ type CrossChainConfig struct {
 	C0, C1 float64
 	// Delay is the adaptive class's RTT (s).
 	Delay float64
-	// CrossRate is the cross class's fixed per-source rate in Share
-	// units (0 = 1).
-	CrossRate float64
 	// Sigma is the adaptive class's rate noise in Share units
 	// (0 = 0.3).
 	Sigma float64
@@ -149,11 +138,12 @@ type CrossChainConfig struct {
 
 // CrossChain builds the bottleneck-migration scenario in the large-N
 // limit: an adaptive class crossing two hops in series plus an
-// uncontrolled constant-rate class injected at the second hop. With a
-// small cross class the slower hop 1 carries the standing queue; as
-// CrossFrac grows, hop 2's residual capacity μ2 − Λ_cross shrinks
-// below μ1 and the standing fluid queue migrates downstream.
-// Experiment E31 ramps CrossFrac at N = 10⁶.
+// uncontrolled class injected at the second hop, each of its sources
+// sending at the fixed rate Share. Hop 1 serves 0.4·N·Share and hop 2
+// 0.6·N·Share, so with a small cross class the slower hop 1 carries
+// the standing queue; as CrossFrac grows, hop 2's residual capacity
+// μ2 − Λ_cross shrinks below μ1 and the standing fluid queue migrates
+// downstream. Experiment E31 ramps CrossFrac at N = 10⁶.
 func CrossChain(cc CrossChainConfig) (Config, error) {
 	if cc.N < 2 {
 		return Config{}, fmt.Errorf("netmf: cross chain needs >= 2 sources, got %d", cc.N)
@@ -162,13 +152,13 @@ func CrossChain(cc CrossChainConfig) (Config, error) {
 		return Config{}, fmt.Errorf("netmf: cross fraction %v outside [0, 1)", cc.CrossFrac)
 	}
 	share := defaultTo(cc.Share, 1)
-	crossRate := defaultTo(cc.CrossRate, 1) * share
+	crossRate := share
 	nCross := int(cc.CrossFrac * float64(cc.N))
 	if nCross < 1 {
 		// Keep the class list sweep-stable across a CrossFrac ramp: a
 		// zero fraction still gets the cross class, as one source in
 		// the bottom rate cell (offered rate ≤ Δλ/2 — idle up to grid
-		// resolution, not the full CrossRate).
+		// resolution, not the full per-source rate).
 		nCross = 1
 		crossRate = 0
 	}
@@ -183,8 +173,8 @@ func CrossChain(cc CrossChainConfig) (Config, error) {
 	cfg := Config{
 		Topology: netsim.Topology{
 			Nodes: []netsim.Node{
-				{Name: "hop1", Mu: defaultTo(cc.Mu1Frac, 0.4) * float64(cc.N) * share},
-				{Name: "hop2", Mu: defaultTo(cc.Mu2Frac, 0.6) * float64(cc.N) * share},
+				{Name: "hop1", Mu: 0.4 * float64(cc.N) * share},
+				{Name: "hop2", Mu: 0.6 * float64(cc.N) * share},
 			},
 			Links: []netsim.Link{{From: 0, To: 1}},
 		},
@@ -206,7 +196,7 @@ func CrossChain(cc CrossChainConfig) (Config, error) {
 			SigmaL: defaultTo(cc.Sigma, 0.3) * share,
 		},
 		{
-			// Uncontrolled cross traffic: a point mass at CrossRate
+			// Uncontrolled cross traffic: a point mass at crossRate
 			// under a zero-drift law never moves.
 			Name: "cross", Law: netsim.ConstantRate(), N: nCross, Route: []int{1},
 			Lambda0: crossRate,

@@ -176,10 +176,9 @@ func sinceEpoch() float64 { return time.Since(epoch).Seconds() }
 // matter how event sizes relate to the internal buffer size. Emitted
 // events are stamped with Event.Wall (seconds since process start).
 type JSONL struct {
-	mu     sync.Mutex
-	bw     *bufio.Writer
-	events int64
-	err    error
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	err error
 }
 
 // NewJSONL wraps w in a buffered JSONL event sink.
@@ -208,7 +207,6 @@ func (s *JSONL) Emit(ev Event) {
 			s.err = werr
 		}
 	}
-	s.events++
 	s.mu.Unlock()
 }
 
@@ -245,18 +243,7 @@ func (s *JSONL) EmitBatch(evs []Event) {
 	if _, werr := s.bw.Write(block); werr != nil && s.err == nil {
 		s.err = werr
 	}
-	s.events += int64(len(evs))
 	s.mu.Unlock()
-}
-
-// Events returns the number of events emitted so far.
-func (s *JSONL) Events() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.events
 }
 
 // Flush drains the buffer to the underlying writer and returns the
@@ -279,8 +266,8 @@ func (s *JSONL) Flush() error {
 // that a long run stays a few thousand lines per series.
 const DefaultProbeDt = 0.25
 
-// DefaultMassTol is the mass-budget tolerance used when
-// Config.MassTol is zero. The solvers' transport is conservative to
+// DefaultMassTol is the relative tolerance of the density mass-budget
+// invariant checks. The solvers' transport is conservative to
 // rounding, so the budget drift over a long run stays orders of
 // magnitude below this.
 const DefaultMassTol = 1e-6
@@ -298,9 +285,6 @@ type Config struct {
 	// ProbeDt is the minimum simulation-time spacing between samples
 	// of one probe series (0 = DefaultProbeDt).
 	ProbeDt float64
-	// MassTol is the relative tolerance of the density mass-budget
-	// checks (0 = DefaultMassTol).
-	MassTol float64
 	// FlightRecorder, when positive, keeps a fixed-size ring buffer of
 	// the most recent events per recorder (probes, spans, violations —
 	// whether or not a sink is attached). When an invariant Violation
@@ -433,14 +417,6 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // Invariants reports whether the per-step invariant checks should
 // run.
 func (r *Recorder) Invariants() bool { return r != nil && r.cfg.Invariants }
-
-// MassTol returns the mass-budget tolerance of the invariant checks.
-func (r *Recorder) MassTol() float64 {
-	if r == nil || r.cfg.MassTol == 0 {
-		return DefaultMassTol
-	}
-	return r.cfg.MassTol
-}
 
 // Scope returns the recorder's scope label ("" on a nil recorder).
 func (r *Recorder) Scope() string {

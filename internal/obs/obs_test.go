@@ -25,9 +25,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.ProbeDue("x", 1) {
 		t.Fatal("nil recorder reports probe due")
 	}
-	if r.MassTol() != DefaultMassTol {
-		t.Fatalf("nil recorder mass tol %v", r.MassTol())
-	}
 	if r.Child("sub") != nil {
 		t.Fatal("nil recorder child not nil")
 	}

@@ -312,18 +312,6 @@ func (e *Ensemble) QueueHistogram(max float64, bins int) (*stats.Histogram1D, er
 	return h, nil
 }
 
-// JointHistogram bins the particles over [0, qMax) x [lMin, lMax).
-func (e *Ensemble) JointHistogram(qMax float64, qBins int, lMin, lMax float64, lBins int) (*stats.Histogram2D, error) {
-	h, err := stats.NewHistogram2D(0, qMax, qBins, lMin, lMax, lBins)
-	if err != nil {
-		return nil, err
-	}
-	for i := range e.q {
-		h.Add(e.q[i], e.lam[i])
-	}
-	return h, nil
-}
-
 // TailFraction returns the fraction of particles with q > b — the
 // Monte-Carlo estimate of the buffer-overflow probability P(Q > b)
 // that experiment E10 compares against the fluid model (which, being

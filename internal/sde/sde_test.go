@@ -330,13 +330,6 @@ func TestHistograms(t *testing.T) {
 	if h.Total() != cfg.Particles {
 		t.Fatalf("histogram total %d, want %d", h.Total(), cfg.Particles)
 	}
-	j, err := e.JointHistogram(100, 20, 0, 40, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Total() != cfg.Particles {
-		t.Fatalf("joint total %d, want %d", j.Total(), cfg.Particles)
-	}
 }
 
 func TestTailFraction(t *testing.T) {

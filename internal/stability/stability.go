@@ -237,36 +237,3 @@ func Classify(a, b, tau, tol float64) (Classification, complex128, error) {
 		return Marginal, r, nil
 	}
 }
-
-// RegionPoint is one cell of a stability-region sweep.
-type RegionPoint struct {
-	Tau      float64
-	A, B     float64
-	Root     complex128
-	Class    Classification
-	TauStar  float64 // closed-form critical delay for this (a, b)
-	OmegaHat float64 // Hopf frequency
-}
-
-// SweepDelay classifies the loop at each delay in taus.
-func SweepDelay(a, b float64, taus []float64, tol float64) ([]RegionPoint, error) {
-	if len(taus) == 0 {
-		return nil, fmt.Errorf("stability: no delays to sweep")
-	}
-	tauStar, omega, err := CriticalDelay(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RegionPoint, 0, len(taus))
-	for _, tau := range taus {
-		cls, root, err := Classify(a, b, tau, tol)
-		if err != nil {
-			return nil, fmt.Errorf("τ=%v: %w", tau, err)
-		}
-		out = append(out, RegionPoint{
-			Tau: tau, A: a, B: b, Root: root, Class: cls,
-			TauStar: tauStar, OmegaHat: omega,
-		})
-	}
-	return out, nil
-}

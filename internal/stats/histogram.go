@@ -90,91 +90,6 @@ func (h *Histogram1D) Mean() float64 {
 	return sum / float64(n)
 }
 
-// Histogram2D is a fixed-range 2-D histogram used to estimate the
-// joint density f(q, v) from particle ensembles. Values are stored
-// row-major: index = ix*BinsY + iy.
-type Histogram2D struct {
-	MinX, MaxX float64
-	MinY, MaxY float64
-	BinsX      int
-	BinsY      int
-	Counts     []int
-	OutOfRange int
-	total      int
-}
-
-// NewHistogram2D builds a 2-D histogram.
-func NewHistogram2D(minX, maxX float64, binsX int, minY, maxY float64, binsY int) (*Histogram2D, error) {
-	switch {
-	case binsX < 1 || binsY < 1:
-		return nil, fmt.Errorf("stats: need at least one bin per axis, got %dx%d", binsX, binsY)
-	case !(maxX > minX) || !(maxY > minY):
-		return nil, fmt.Errorf("stats: empty histogram range")
-	}
-	return &Histogram2D{
-		MinX: minX, MaxX: maxX, MinY: minY, MaxY: maxY,
-		BinsX: binsX, BinsY: binsY,
-		Counts: make([]int, binsX*binsY),
-	}, nil
-}
-
-// Add records one observation.
-func (h *Histogram2D) Add(x, y float64) {
-	h.total++
-	if x < h.MinX || x >= h.MaxX || y < h.MinY || y >= h.MaxY {
-		h.OutOfRange++
-		return
-	}
-	ix := int((x - h.MinX) / (h.MaxX - h.MinX) * float64(h.BinsX))
-	iy := int((y - h.MinY) / (h.MaxY - h.MinY) * float64(h.BinsY))
-	if ix >= h.BinsX {
-		ix = h.BinsX - 1
-	}
-	if iy >= h.BinsY {
-		iy = h.BinsY - 1
-	}
-	h.Counts[ix*h.BinsY+iy]++
-}
-
-// Total returns the number of observations including out-of-range.
-func (h *Histogram2D) Total() int { return h.total }
-
-// CellArea returns the area of one cell.
-func (h *Histogram2D) CellArea() float64 {
-	return (h.MaxX - h.MinX) / float64(h.BinsX) * (h.MaxY - h.MinY) / float64(h.BinsY)
-}
-
-// Density returns the normalized joint density estimate (integrates to
-// the in-range mass fraction).
-func (h *Histogram2D) Density() []float64 {
-	d := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return d
-	}
-	a := h.CellArea()
-	for i, c := range h.Counts {
-		d[i] = float64(c) / (float64(h.total) * a)
-	}
-	return d
-}
-
-// MarginalX returns the marginal density over the x axis.
-func (h *Histogram2D) MarginalX() []float64 {
-	m := make([]float64, h.BinsX)
-	if h.total == 0 {
-		return m
-	}
-	wx := (h.MaxX - h.MinX) / float64(h.BinsX)
-	for ix := 0; ix < h.BinsX; ix++ {
-		var c int
-		for iy := 0; iy < h.BinsY; iy++ {
-			c += h.Counts[ix*h.BinsY+iy]
-		}
-		m[ix] = float64(c) / (float64(h.total) * wx)
-	}
-	return m
-}
-
 // L1DensityDistance integrates |p − q| over the common support of two
 // densities sampled on the same uniform grid with cell size cell.
 // Identical densities give 0; disjoint unit-mass densities give 2.

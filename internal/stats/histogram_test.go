@@ -93,72 +93,6 @@ func TestHistogram1DEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogram2DBasics(t *testing.T) {
-	h, err := NewHistogram2D(0, 4, 4, -2, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(0.5, -1.9) // in range
-	h.Add(3.9, 1.9)  // in range
-	h.Add(4.0, 0)    // out (x at max)
-	h.Add(-1, 0)     // out
-	if h.OutOfRange != 2 {
-		t.Errorf("OutOfRange = %d, want 2", h.OutOfRange)
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	var inRange int
-	for _, c := range h.Counts {
-		inRange += c
-	}
-	if inRange != 2 {
-		t.Errorf("in-range count = %d, want 2", inRange)
-	}
-}
-
-func TestHistogram2DValidation(t *testing.T) {
-	if _, err := NewHistogram2D(0, 1, 0, 0, 1, 4); err == nil {
-		t.Error("accepted zero binsX")
-	}
-	if _, err := NewHistogram2D(1, 0, 4, 0, 1, 4); err == nil {
-		t.Error("accepted inverted range")
-	}
-}
-
-func TestHistogram2DDensityAndMarginal(t *testing.T) {
-	h, err := NewHistogram2D(0, 1, 8, 0, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(11)
-	const n = 200000
-	for i := 0; i < n; i++ {
-		h.Add(r.Float64(), r.Float64())
-	}
-	d := h.Density()
-	var integral float64
-	for _, v := range d {
-		integral += v * h.CellArea()
-	}
-	if math.Abs(integral-1) > 1e-9 {
-		t.Fatalf("joint density integral = %v, want 1", integral)
-	}
-	mx := h.MarginalX()
-	var mIntegral float64
-	for _, v := range mx {
-		mIntegral += v * (1.0 / 8)
-	}
-	if math.Abs(mIntegral-1) > 1e-9 {
-		t.Fatalf("marginal integral = %v, want 1", mIntegral)
-	}
-	for i, v := range mx {
-		if math.Abs(v-1) > 0.05 {
-			t.Fatalf("marginal bin %d = %v, want ~1", i, v)
-		}
-	}
-}
-
 func TestL1DensityDistance(t *testing.T) {
 	p := []float64{1, 0, 0, 0}
 	q := []float64{0, 0, 0, 1}

@@ -6,38 +6,11 @@ import (
 	"sort"
 )
 
-// This file implements Kolmogorov-Smirnov distribution comparisons,
-// used by the experiments to test whether the Fokker-Planck marginal
-// and the Monte-Carlo / Markov-chain queue distributions agree as
-// whole distributions rather than only in their first two moments.
-
-// KSOneSample returns the Kolmogorov-Smirnov statistic
-// D = sup |F̂(x) − F(x)| of a sample against a reference CDF, plus
-// the asymptotic p-value. The sample need not be sorted.
-func KSOneSample(sample []float64, cdf func(float64) float64) (d, pValue float64, err error) {
-	if len(sample) == 0 {
-		return 0, 0, fmt.Errorf("stats: empty sample")
-	}
-	if cdf == nil {
-		return 0, 0, fmt.Errorf("stats: nil reference CDF")
-	}
-	xs := append([]float64(nil), sample...)
-	sort.Float64s(xs)
-	n := float64(len(xs))
-	for i, x := range xs {
-		f := cdf(x)
-		if f < 0 || f > 1 || math.IsNaN(f) {
-			return 0, 0, fmt.Errorf("stats: reference CDF returned %v at %v", f, x)
-		}
-		if diff := math.Abs(float64(i+1)/n - f); diff > d {
-			d = diff
-		}
-		if diff := math.Abs(f - float64(i)/n); diff > d {
-			d = diff
-		}
-	}
-	return d, ksPValue(math.Sqrt(n) * d), nil
-}
+// This file implements the two-sample Kolmogorov-Smirnov comparison
+// and batch-means confidence intervals, exposed as fpcc.KSTwoSample
+// and fpcc.BatchMeans: a KS test asks whether two queue samples (say
+// Monte-Carlo and packet-level) agree as whole distributions rather
+// than only in their first two moments.
 
 // KSTwoSample returns the two-sample KS statistic
 // D = sup |F̂₁(x) − F̂₂(x)| and the asymptotic p-value.
@@ -96,43 +69,6 @@ func ksPValue(lambda float64) float64 {
 	default:
 		return p
 	}
-}
-
-// CDFFromPMF converts a discrete pmf on points xs (ascending) into a
-// right-continuous step CDF usable with KSOneSample.
-func CDFFromPMF(xs, pmf []float64) (func(float64) float64, error) {
-	if len(xs) == 0 || len(xs) != len(pmf) {
-		return nil, fmt.Errorf("stats: pmf/support length mismatch %d vs %d", len(xs), len(pmf))
-	}
-	if !sort.Float64sAreSorted(xs) {
-		return nil, fmt.Errorf("stats: pmf support must be ascending")
-	}
-	cum := make([]float64, len(pmf))
-	var total float64
-	for i, p := range pmf {
-		if p < -1e-12 || math.IsNaN(p) {
-			return nil, fmt.Errorf("stats: pmf[%d] = %v invalid", i, p)
-		}
-		total += p
-		cum[i] = total
-	}
-	if math.Abs(total-1) > 1e-6 {
-		return nil, fmt.Errorf("stats: pmf sums to %v, want 1", total)
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	support := append([]float64(nil), xs...)
-	return func(x float64) float64 {
-		k := sort.SearchFloat64s(support, x)
-		if k < len(support) && support[k] == x {
-			return cum[k]
-		}
-		if k == 0 {
-			return 0
-		}
-		return cum[k-1]
-	}, nil
 }
 
 // BatchMeans estimates the mean of a correlated stationary series and

@@ -7,68 +7,6 @@ import (
 	"fpcc/internal/rng"
 )
 
-func uniformCDF(x float64) float64 {
-	switch {
-	case x < 0:
-		return 0
-	case x > 1:
-		return 1
-	default:
-		return x
-	}
-}
-
-func TestKSOneSampleAcceptsMatchingDistribution(t *testing.T) {
-	r := rng.New(1)
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = r.Float64()
-	}
-	d, p, err := KSOneSample(xs, uniformCDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 0.05 {
-		t.Errorf("D = %v for a true uniform sample", d)
-	}
-	if p < 0.01 {
-		t.Errorf("p = %v rejects a correct null", p)
-	}
-}
-
-func TestKSOneSampleRejectsWrongDistribution(t *testing.T) {
-	// Squaring a uniform gives Beta(1/2, 1) — far from uniform.
-	r := rng.New(2)
-	xs := make([]float64, 2000)
-	for i := range xs {
-		u := r.Float64()
-		xs[i] = u * u
-	}
-	d, p, err := KSOneSample(xs, uniformCDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d < 0.1 {
-		t.Errorf("D = %v too small for a wrong null", d)
-	}
-	if p > 1e-6 {
-		t.Errorf("p = %v fails to reject", p)
-	}
-}
-
-func TestKSOneSampleValidation(t *testing.T) {
-	if _, _, err := KSOneSample(nil, uniformCDF); err == nil {
-		t.Error("empty sample: want error")
-	}
-	if _, _, err := KSOneSample([]float64{1}, nil); err == nil {
-		t.Error("nil cdf: want error")
-	}
-	bad := func(float64) float64 { return 2 }
-	if _, _, err := KSOneSample([]float64{1}, bad); err == nil {
-		t.Error("invalid cdf: want error")
-	}
-}
-
 func TestKSTwoSampleSameSource(t *testing.T) {
 	r := rng.New(3)
 	a := make([]float64, 1500)
@@ -129,32 +67,6 @@ func TestKSPValueBounds(t *testing.T) {
 			t.Fatalf("ksPValue not monotone at λ=%v", l)
 		}
 		prev = p
-	}
-}
-
-func TestCDFFromPMF(t *testing.T) {
-	cdf, err := CDFFromPMF([]float64{0, 1, 2}, []float64{0.2, 0.5, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct{ x, want float64 }{
-		{-1, 0}, {0, 0.2}, {0.5, 0.2}, {1, 0.7}, {1.5, 0.7}, {2, 1}, {5, 1},
-	} {
-		if got := cdf(tc.x); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("cdf(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-	if _, err := CDFFromPMF([]float64{1, 0}, []float64{0.5, 0.5}); err == nil {
-		t.Error("unsorted support: want error")
-	}
-	if _, err := CDFFromPMF([]float64{0, 1}, []float64{0.4, 0.4}); err == nil {
-		t.Error("pmf not normalized: want error")
-	}
-	if _, err := CDFFromPMF(nil, nil); err == nil {
-		t.Error("empty pmf: want error")
-	}
-	if _, err := CDFFromPMF([]float64{0, 1}, []float64{1.2, -0.2}); err == nil {
-		t.Error("negative mass: want error")
 	}
 }
 

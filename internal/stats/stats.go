@@ -1,8 +1,9 @@
 // Package stats provides the measurement toolkit shared by every
-// experiment in the repository: running moments, histograms (1-D and
-// 2-D), Jain's fairness index, oscillation metrics (peak detection,
-// amplitude, period), autocorrelation, and density distances used to
-// compare the Fokker-Planck solution against Monte-Carlo ensembles.
+// experiment in the repository: running moments, histograms, Jain's
+// fairness index, oscillation metrics (peak detection, amplitude,
+// period), two-sample Kolmogorov-Smirnov tests, batch-means confidence
+// intervals, and density distances used to compare the Fokker-Planck
+// solution against Monte-Carlo ensembles.
 package stats
 
 import (
@@ -199,30 +200,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Autocorrelation returns the lag-k autocorrelation of xs, or NaN when
-// it is undefined (fewer than k+2 points or zero variance).
-func Autocorrelation(xs []float64, k int) float64 {
-	n := len(xs)
-	if k < 0 || n-k < 2 {
-		return math.NaN()
-	}
-	var mean float64
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(n)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - mean
-		den += d * d
-		if i+k < n {
-			num += d * (xs[i+k] - mean)
-		}
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
 }

@@ -239,44 +239,6 @@ func TestQuantile(t *testing.T) {
 	Quantile(xs, 1.5)
 }
 
-func TestAutocorrelation(t *testing.T) {
-	// A perfectly periodic series has lag-period autocorrelation ~1.
-	n := 1000
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Sin(2 * math.Pi * float64(i) / 50)
-	}
-	if got := Autocorrelation(xs, 50); got < 0.9 {
-		t.Fatalf("lag-50 autocorr of period-50 wave = %v, want ~1", got)
-	}
-	if got := Autocorrelation(xs, 25); got > -0.9 {
-		t.Fatalf("half-period autocorr = %v, want ~-1", got)
-	}
-	if got := Autocorrelation(xs, 0); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("lag-0 autocorr = %v, want 1", got)
-	}
-	if !math.IsNaN(Autocorrelation([]float64{1, 1, 1}, 1)) {
-		t.Fatal("constant series should be NaN")
-	}
-	if !math.IsNaN(Autocorrelation(xs, -1)) {
-		t.Fatal("negative lag should be NaN")
-	}
-	if !math.IsNaN(Autocorrelation([]float64{1}, 1)) {
-		t.Fatal("too-short series should be NaN")
-	}
-}
-
-func TestAutocorrelationWhiteNoise(t *testing.T) {
-	r := rng.New(7)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = r.Norm()
-	}
-	if got := Autocorrelation(xs, 10); math.Abs(got) > 0.05 {
-		t.Fatalf("white-noise lag-10 autocorr = %v, want ~0", got)
-	}
-}
-
 // TestMomentsOfRebuildsAdd: an accumulator rebuilt from the running
 // state of an Add loop is the accumulator that loop left, and keeps
 // accumulating identically.

@@ -54,17 +54,24 @@ func (g Grid) Size() int {
 }
 
 // Validate rejects degenerate grids: no dimensions, unnamed
-// dimensions, or dimensions without values.
+// dimensions, dimensions without values, or a name used twice (each
+// cell runs with one value per name, so a repeated name would label
+// the row with values the cell never saw).
 func (g Grid) Validate() error {
 	if len(g.Dims) == 0 {
 		return fmt.Errorf("sweep: grid has no dimensions")
 	}
-	for _, d := range g.Dims {
+	for i, d := range g.Dims {
 		if d.Name == "" {
 			return fmt.Errorf("sweep: grid dimension with empty name")
 		}
 		if len(d.Values) == 0 {
 			return fmt.Errorf("sweep: grid dimension %q has no values", d.Name)
+		}
+		for _, prev := range g.Dims[:i] {
+			if prev.Name == d.Name {
+				return fmt.Errorf("sweep: grid dimension %q appears twice", d.Name)
+			}
 		}
 	}
 	return nil

@@ -50,6 +50,7 @@ func TestGridValidate(t *testing.T) {
 		{"empty", Grid{}},
 		{"unnamed", Grid{Dims: []Dim{{Name: "", Values: []float64{1}}}}},
 		{"no values", Grid{Dims: []Dim{{Name: "x"}}}},
+		{"duplicate name", Grid{Dims: []Dim{{Name: "x", Values: []float64{1}}, {Name: "x", Values: []float64{2}}}}},
 	} {
 		if err := tc.g.Validate(); err == nil {
 			t.Errorf("%s grid accepted", tc.name)

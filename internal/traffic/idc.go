@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -57,47 +56,4 @@ func IDC(times []float64, window, horizon float64) (float64, error) {
 	}
 	variance := ss / float64(len(counts)-1)
 	return variance / mean, nil
-}
-
-// IDCCurve evaluates IDC at several window widths, returning the
-// curve used to locate the burst timescale (IDC rises from ≈1 at
-// widths below the burst scale to the asymptote above it).
-func IDCCurve(times []float64, windows []float64, horizon float64) ([]float64, error) {
-	if len(windows) == 0 {
-		return nil, fmt.Errorf("traffic: no window widths")
-	}
-	out := make([]float64, len(windows))
-	for i, w := range windows {
-		v, err := IDC(times, w, horizon)
-		if err != nil {
-			return nil, fmt.Errorf("window %v: %w", w, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// PeakToMean returns the ratio of the busiest window's count to the
-// mean window count — a crude, scale-dependent burstiness measure
-// complementing IDC.
-func PeakToMean(times []float64, window, horizon float64) (float64, error) {
-	counts, err := CountsInWindows(times, window, horizon)
-	if err != nil {
-		return 0, err
-	}
-	var mean, peak float64
-	for _, c := range counts {
-		mean += float64(c)
-		if float64(c) > peak {
-			peak = float64(c)
-		}
-	}
-	mean /= float64(len(counts))
-	if !(mean > 0) {
-		return 0, fmt.Errorf("traffic: no arrivals in the measurement horizon")
-	}
-	if math.IsNaN(peak / mean) {
-		return 0, fmt.Errorf("traffic: degenerate counts")
-	}
-	return peak / mean, nil
 }

@@ -1,6 +1,6 @@
 // Package traffic models bursty arrival processes — Markov-modulated
-// Poisson processes (MMPP), on/off sources, square-wave modulation and
-// batch Poisson arrivals — together with the burstiness measurement
+// Poisson processes (MMPP), on/off sources and square-wave
+// modulation — together with the burstiness measurement
 // (index of dispersion for counts) used to characterize them.
 //
 // The paper's closing claim is that the Fokker-Planck model "addresses

@@ -154,9 +154,13 @@ func TestIDCCurveRises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve, err := IDCCurve(times, []float64{0.05, 1, 20}, horizon)
-	if err != nil {
-		t.Fatal(err)
+	var curve []float64
+	for _, w := range []float64{0.05, 1, 20} {
+		idc, err := IDC(times, w, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curve = append(curve, idc)
 	}
 	if !(curve[0] < curve[1] && curve[1] < curve[2]) {
 		t.Errorf("IDC curve not rising: %v", curve)
@@ -306,72 +310,6 @@ func TestModulatorProperties(t *testing.T) {
 	}
 }
 
-func TestBatchPoissonIDC(t *testing.T) {
-	b, err := NewBatchPoisson(30, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := b.IDC(), 7.0; got != want {
-		t.Fatalf("closed-form IDC = %v, want %v", got, want)
-	}
-	r := rng.New(5)
-	const horizon = 20000.0
-	times, err := b.Arrivals(r, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idc, err := IDC(times, 10, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(idc-7) > 2 {
-		t.Errorf("measured IDC %v, want ≈ 7", idc)
-	}
-	rate := float64(len(times)) / horizon
-	if math.Abs(rate-30) > 1.5 {
-		t.Errorf("packet rate %v, want ≈ 30", rate)
-	}
-}
-
-func TestBatchPoissonValidation(t *testing.T) {
-	if _, err := NewBatchPoisson(0, 2); err == nil {
-		t.Error("zero rate: want error")
-	}
-	if _, err := NewBatchPoisson(10, 0.5); err == nil {
-		t.Error("batch mean < 1: want error")
-	}
-	b, _ := NewBatchPoisson(10, 1)
-	if b.IDC() != 1 {
-		t.Errorf("batch mean 1 must be Poisson (IDC 1), got %v", b.IDC())
-	}
-	r := rng.New(3)
-	if _, err := b.Arrivals(r, 0); err == nil {
-		t.Error("zero horizon: want error")
-	}
-	if _, err := b.Arrivals(nil, 10); err == nil {
-		t.Error("nil rng: want error")
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := rng.New(8)
-	const n = 200000
-	for _, m := range []float64{1, 1.5, 4, 10} {
-		var sum float64
-		for i := 0; i < n; i++ {
-			k := geometric(r, m)
-			if k < 1 {
-				t.Fatalf("geometric returned %d < 1", k)
-			}
-			sum += float64(k)
-		}
-		got := sum / n
-		if math.Abs(got-m) > 0.05*m+0.01 {
-			t.Errorf("geometric mean %v, want %v", got, m)
-		}
-	}
-}
-
 func TestCountsInWindowsErrors(t *testing.T) {
 	if _, err := CountsInWindows([]float64{1, 0.5}, 1, 10); err == nil {
 		t.Error("unsorted times: want error")
@@ -389,24 +327,6 @@ func TestIDCErrors(t *testing.T) {
 		t.Error("single window: want error")
 	}
 	if _, err := IDC(nil, 1, 10); err == nil {
-		t.Error("no arrivals: want error")
-	}
-	if _, err := IDCCurve(nil, nil, 10); err == nil {
-		t.Error("no widths: want error")
-	}
-}
-
-func TestPeakToMean(t *testing.T) {
-	times := []float64{0.1, 0.2, 0.3, 5.5}
-	p, err := PeakToMean(times, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Counts: [3 0 0 0 0 1 0 0 0 0] → mean 0.4, peak 3.
-	if math.Abs(p-7.5) > 1e-12 {
-		t.Errorf("PeakToMean = %v, want 7.5", p)
-	}
-	if _, err := PeakToMean(nil, 1, 10); err == nil {
 		t.Error("no arrivals: want error")
 	}
 }
