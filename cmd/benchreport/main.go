@@ -1,4 +1,4 @@
-// Command benchreport runs the experiment registry (E1..E29) through
+// Command benchreport runs the experiment registry (E1..E34) through
 // the parallel suite runner and prints the paper-style result tables
 // as text, CSV or JSON. The CSV/JSON renderings carry full-precision
 // values and are byte-identical for any worker count.

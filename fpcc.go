@@ -712,12 +712,12 @@ func NewTahoeSim(cfg TahoeConfig) (*TahoeSim, error) { return des.NewTahoe(cfg) 
 // produce byte-identical results with or without a recorder attached.
 
 // ObsConfig configures the observability layer: an optional JSONL
-// sink, the invariant-checking switch, the probe sampling period, and
-// the mass-conservation tolerance.
+// sink, the invariant-checking switch (which also arms the flight
+// recorder), and a hook observing every root recorder created.
 type ObsConfig = obs.Config
 
-// ObsRecorder collects counters, gauges, histograms, span timings and
-// probe series for one scope. A nil *ObsRecorder is the zero-overhead
+// ObsRecorder collects counters, span timings and probe series for
+// one scope. A nil *ObsRecorder is the zero-overhead
 // disabled state accepted everywhere.
 type ObsRecorder = obs.Recorder
 
@@ -739,9 +739,9 @@ func NewObsJSONL(w io.Writer) *ObsJSONL { return obs.NewJSONL(w) }
 func ObsProbeCatalog() []obs.ProbeSeries { return obs.Catalog() }
 
 // ObsSummary is the point-in-time aggregate snapshot of a recorder
-// hierarchy: counters, gauges, probe series, log-bucketed histograms
-// and span totals, merged deterministically over the Child tree —
-// the JSON run manifest -obs-summary writes and fpcc-bench/4 embeds.
+// hierarchy: counters, probe series and span totals, merged
+// deterministically over the Child tree — the JSON run manifest
+// -obs-summary writes and fpcc-bench/4 embeds.
 type ObsSummary = obs.Summary
 
 // ObsResources are process resource deltas (wall/CPU time, allocs,
@@ -749,8 +749,9 @@ type ObsSummary = obs.Summary
 type ObsResources = obs.Resources
 
 // ObsCLI holds the shared observability flags every command binds
-// (-trace, -trace-dt, -trace-chrome, -obs-listen, -obs-summary,
-// -flight-recorder, -obs-invariants).
+// (-trace, -trace-chrome, -obs-listen, -obs-summary, -obs-invariants;
+// -obs-invariants also keeps each recorder's most recent events for
+// the post-mortem a violation carries).
 type ObsCLI = obscli.CLI
 
 // BindObsFlags registers the observability flags on fs (pass

@@ -128,17 +128,18 @@ func TestSuiteObsByteIdentityFull(t *testing.T) {
 
 // TestSuitePhaseBreakdown: in render B, the instrumented heavy
 // experiment E9 reports its setup/step/render span totals through
-// Report.Phases and the versioned bench JSON artifact.
+// its summary's spans and the versioned bench JSON artifact.
 func TestSuitePhaseBreakdown(t *testing.T) {
 	b := renderB.get(t)
 	e9 := b.report(t, "E9")
+	spans := e9.Summary.Spans
 	for _, name := range []string{"setup", "step", "render"} {
-		if e9.Phases[name] <= 0 {
-			t.Errorf("phase %q missing from report (phases = %v)", name, e9.Phases)
+		if spans[name].Seconds <= 0 {
+			t.Errorf("phase %q missing from report (spans = %v)", name, spans)
 		}
 	}
-	if e9.Phases["step"] < e9.Phases["render"] {
-		t.Errorf("step phase (%v s) shorter than render (%v s) — span placement suspect", e9.Phases["step"], e9.Phases["render"])
+	if spans["step"].Seconds < spans["render"].Seconds {
+		t.Errorf("step phase (%v s) shorter than render (%v s) — span placement suspect", spans["step"].Seconds, spans["render"].Seconds)
 	}
 	var buf bytes.Buffer
 	if err := b.suite.WriteBenchJSON(&buf, b.outer, e9.Elapsed); err != nil {

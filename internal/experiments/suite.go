@@ -28,26 +28,25 @@ type SuiteConfig struct {
 	Workers int
 	// Obs, when non-nil, instruments the run: each experiment gets a
 	// recorder scoped to its ID (streaming probes/spans/violations to
-	// the configured sink) and its setup/step/render phase spans are
-	// harvested into Report.Phases and the bench JSON. Nil is the
+	// the configured sink) and its setup/step/render phase spans land
+	// in Report.Summary.Spans and the bench JSON. Nil is the
 	// zero-overhead default; the suite renderings are byte-identical
 	// either way.
 	Obs *obs.Config
 }
 
 // Report is one executed experiment: its registry entry, the table it
-// produced, the wall-clock time it took, its resource-annotated
-// summary manifest, and — when the run was instrumented — the
-// per-phase span totals (seconds by span name, e.g. "setup", "step",
-// "render") its recorder accumulated.
+// produced, the wall-clock time it took, and its resource-annotated
+// summary manifest.
 type Report struct {
 	Experiment Experiment
 	Table      *Table
 	Elapsed    time.Duration
-	Phases     map[string]float64
 	// Summary is the experiment's obs.Summary node: the recorder
 	// hierarchy's aggregates merged deterministically (empty but for
-	// the scope on uninstrumented runs), annotated with the resource
+	// the scope on uninstrumented runs) — among them the per-phase
+	// span totals (Spans: seconds by span name, e.g. "setup", "step",
+	// "render") of an instrumented run — annotated with the resource
 	// deltas harvested around the run — wall and CPU seconds, bytes
 	// allocated, mallocs, GC cycles. The process-wide counters
 	// attribute exactly at workers=1 and are upper bounds when other
@@ -60,9 +59,8 @@ type Report struct {
 // base grant each experiment was offered before its Width cap (or the
 // SetInnerWorkers override, when set), and the run manifest root.
 type Suite struct {
-	Reports     []Report
-	InnerGrant  int
-	InnerForced bool // true when SetInnerWorkers overrode negotiation
+	Reports    []Report
+	InnerGrant int
 	// Resources are the whole-run process deltas (the per-experiment
 	// splits live on each Report.Summary).
 	Resources obs.Resources
@@ -145,7 +143,7 @@ func RunSuite(cfg SuiteConfig) (*Suite, error) {
 			sum = &obs.Summary{Scope: selected[i].ID}
 		}
 		sum.Resources = &res
-		return Report{Experiment: selected[i], Table: tb, Elapsed: elapsed, Phases: rec.SpanSeconds(), Summary: sum}, nil
+		return Report{Experiment: selected[i], Table: tb, Elapsed: elapsed, Summary: sum}, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: suite %w", err)
@@ -155,7 +153,7 @@ func RunSuite(cfg SuiteConfig) (*Suite, error) {
 	}
 	s := &Suite{Reports: reports, InnerGrant: negotiateInner(outer, 0), Resources: obs.ReadResources().Sub(runStart)}
 	if forced := InnerWorkersOverride(); forced > 0 {
-		s.InnerGrant, s.InnerForced = forced, true
+		s.InnerGrant = forced
 	}
 	return s, nil
 }
@@ -281,11 +279,14 @@ func (s *Suite) Bench(workers int, total time.Duration) *BenchReport {
 			Title:   r.Experiment.Title,
 			Seconds: r.Elapsed.Seconds(),
 		}
-		if len(r.Phases) > 0 {
-			entry.Phases = r.Phases
-		}
 		if r.Summary != nil {
 			entry.Resources = r.Summary.Resources
+			if len(r.Summary.Spans) > 0 {
+				entry.Phases = make(map[string]float64, len(r.Summary.Spans))
+				for name, sp := range r.Summary.Spans {
+					entry.Phases[name] = sp.Seconds
+				}
+			}
 		}
 		rep.Experiments = append(rep.Experiments, entry)
 	}

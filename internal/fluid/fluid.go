@@ -40,13 +40,15 @@ type Model struct {
 	Sources []Source // the senders
 }
 
-// Validate checks the model parameters.
+// Validate checks the model parameters. Every float must be finite:
+// a NaN or infinite initial state poisons the whole trajectory, and
+// an infinite delay has no history to read.
 func (m *Model) Validate() error {
 	switch {
 	case !(m.Mu > 0) || math.IsInf(m.Mu, 1):
-		return fmt.Errorf("fluid: service rate must be positive, got %v", m.Mu)
-	case m.Q0 < 0:
-		return fmt.Errorf("fluid: negative initial queue %v", m.Q0)
+		return fmt.Errorf("fluid: service rate must be positive and finite, got %v", m.Mu)
+	case !finiteNonNeg(m.Q0):
+		return fmt.Errorf("fluid: initial queue must be finite and non-negative, got %v", m.Q0)
 	case len(m.Sources) == 0:
 		return fmt.Errorf("fluid: no sources")
 	}
@@ -54,15 +56,18 @@ func (m *Model) Validate() error {
 		if s.Law == nil {
 			return fmt.Errorf("fluid: source %d has nil law", i)
 		}
-		if !(s.Delay >= 0) {
-			return fmt.Errorf("fluid: source %d has negative delay %v", i, s.Delay)
+		if !finiteNonNeg(s.Delay) {
+			return fmt.Errorf("fluid: source %d delay must be finite and non-negative, got %v", i, s.Delay)
 		}
-		if s.Lambda0 < 0 {
-			return fmt.Errorf("fluid: source %d has negative initial rate %v", i, s.Lambda0)
+		if !finiteNonNeg(s.Lambda0) {
+			return fmt.Errorf("fluid: source %d initial rate must be finite and non-negative, got %v", i, s.Lambda0)
 		}
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether x is a finite number >= 0 (NaN fails).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Solution is a solved fluid trajectory. State layout: index 0 is the
 // queue length Q, index 1+i is λ of source i.

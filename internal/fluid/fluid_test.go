@@ -30,6 +30,11 @@ func TestValidate(t *testing.T) {
 		{Mu: 5, Sources: []Source{{Law: nil}}},
 		{Mu: 5, Sources: []Source{{Law: l, Delay: -1}}},
 		{Mu: 5, Sources: []Source{{Law: l, Lambda0: -1}}},
+		{Mu: 5, Q0: math.NaN(), Sources: []Source{{Law: l}}},
+		{Mu: 5, Q0: math.Inf(1), Sources: []Source{{Law: l}}},
+		{Mu: 5, Sources: []Source{{Law: l, Lambda0: math.NaN()}}},
+		{Mu: 5, Sources: []Source{{Law: l, Lambda0: math.Inf(1)}}},
+		{Mu: 5, Sources: []Source{{Law: l, Delay: math.Inf(1)}}},
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {

@@ -96,7 +96,7 @@ func TestInvariantsCleanRun(t *testing.T) {
 	cfg := baseConfig()
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
-	rec := (&obs.Config{Sink: sink, Invariants: true, ProbeDt: 0.05}).Recorder("fp")
+	rec := (&obs.Config{Sink: sink, Invariants: true}).Recorder("fp")
 	cfg.Obs = rec
 	s, err := New(cfg)
 	if err != nil {
@@ -132,8 +132,8 @@ func TestInvariantsCleanRun(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDump pins the post-mortem path: with the flight
-// recorder on, the mass-corruption violation must carry the probe
+// TestFlightRecorderDump pins the post-mortem path: with invariants
+// on (which arms the flight recorder), the mass-corruption violation must carry the probe
 // events of the preceding clean step (sampled at an earlier
 // simulation time), and the sink must receive them as one contiguous
 // "flight" block immediately before the violation line.
@@ -141,7 +141,7 @@ func TestFlightRecorderDump(t *testing.T) {
 	cfg := baseConfig()
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
-	rec := (&obs.Config{Sink: sink, Invariants: true, FlightRecorder: 64}).Recorder("fp")
+	rec := (&obs.Config{Sink: sink, Invariants: true}).Recorder("fp")
 	cfg.Obs = rec
 	s, err := New(cfg)
 	if err != nil {

@@ -107,7 +107,7 @@ func TestFlightRecorderDump(t *testing.T) {
 	cfg := testConfig(100)
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
-	rec := (&obs.Config{Sink: sink, Invariants: true, FlightRecorder: 64}).Recorder("mf")
+	rec := (&obs.Config{Sink: sink, Invariants: true}).Recorder("mf")
 	cfg.Obs = rec
 	d, err := NewDensity(cfg)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestEngineInvariantsCleanRun(t *testing.T) {
 // samples (earlier simulation times) in Violation.Recent.
 func TestFlightRecorderDump(t *testing.T) {
 	cfg := oneNodeConfig(1000)
-	rec := (&obs.Config{Invariants: true, FlightRecorder: 64}).Recorder("netmf")
+	rec := (&obs.Config{Invariants: true}).Recorder("netmf")
 	cfg.Obs = rec
 	e, err := New(cfg)
 	if err != nil {

@@ -14,8 +14,8 @@
 //     seconds (shown as trace µs). Invariant violations and flight
 //     dumps appear as instant ("i") events on the same timeline.
 //
-// Summary events (counter/gauge/hist/span_total) carry no timeline
-// position and are skipped.
+// Summary events (counter/span_total) and the flight.* replays carry
+// no timeline position of their own and are skipped.
 package chrometrace
 
 import (
@@ -126,8 +126,8 @@ func Convert(r io.Reader, w io.Writer) error {
 				Args: map[string]any{"scope": ev.Scope, "step": ev.Step, "msg": ev.Msg},
 			})
 		default:
-			// counter/gauge/hist/span_total summaries and flight.*
-			// replays have no timeline position of their own.
+			// counter/span_total summaries and flight.* replays have
+			// no timeline position of their own.
 		}
 	}
 	if err := sc.Err(); err != nil {

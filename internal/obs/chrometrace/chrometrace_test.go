@@ -16,7 +16,7 @@ func buildTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
-	rec := (&obs.Config{Sink: sink, Invariants: true, FlightRecorder: 8}).Recorder("sim")
+	rec := (&obs.Config{Sink: sink, Invariants: true}).Recorder("sim")
 	rec.Span("setup").End()
 	rec.WorkerSpan("step", 2).End()
 	rec.Probe("q", 0.5, 1.25)

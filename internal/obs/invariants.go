@@ -19,7 +19,7 @@ type Violation struct {
 	Msg   string
 	// Recent is the flight-recorder dump: the events (oldest first)
 	// the violating recorder emitted before the violation, captured
-	// when Config.FlightRecorder > 0. It rides on the error so a CLI
+	// when Config.Invariants is on. It rides on the error so a CLI
 	// can print the post-mortem context without the run having
 	// streamed a full trace.
 	Recent []Event
@@ -35,11 +35,11 @@ func (v *Violation) Error() string {
 
 // Violationf records an invariant violation against the named field
 // at the given step and simulation time, emits a "violation" event,
-// and returns it as an error. With the flight recorder enabled, the
-// ring of recent events is attached to the Violation and dumped to
-// the sink as one contiguous block — a "flight" header followed by
-// the buffered events re-tagged "flight.<kind>" — immediately before
-// the violation event.
+// and returns it as an error. With invariants on, the flight ring of
+// recent events is attached to the Violation and dumped to the sink
+// as one contiguous block — a "flight" header followed by the
+// buffered events re-tagged "flight.<kind>" — immediately before the
+// violation event.
 func (r *Recorder) Violationf(step int64, t float64, field, format string, args ...any) error {
 	if r == nil {
 		return &Violation{Step: step, T: t, Field: field, Msg: fmt.Sprintf(format, args...)}
@@ -47,9 +47,7 @@ func (r *Recorder) Violationf(step int64, t float64, field, format string, args 
 	v := &Violation{Scope: r.scope, Step: step, T: t, Field: field, Msg: fmt.Sprintf(format, args...)}
 	r.mu.Lock()
 	r.violations++
-	if r.cfg.FlightRecorder > 0 {
-		v.Recent = r.ringSnapshot()
-	}
+	v.Recent = r.ringSnapshot()
 	r.mu.Unlock()
 	if len(v.Recent) > 0 {
 		batch := make([]Event, 0, len(v.Recent)+1)

@@ -1,8 +1,7 @@
 // Package obs is the observability layer shared by every engine in
-// this repository: counters, gauges, histograms, monotonic span
-// timers, periodic per-step probes, and a fail-fast invariant checker,
-// all behind a *Recorder whose disabled default — a nil pointer — is a
-// true no-op.
+// this repository: counters, monotonic span timers, periodic per-step
+// probes, and a fail-fast invariant checker, all behind a *Recorder
+// whose disabled default — a nil pointer — is a true no-op.
 //
 // # Zero overhead when off
 //
@@ -20,9 +19,9 @@
 //
 // When a JSONL sink is attached, probes, span timings, and invariant
 // violations stream out as one JSON object per line (Event), cheap
-// enough to leave running for whole experiment suites. Counters,
-// gauges, and histograms accumulate in memory and are emitted as
-// summary events by Flush.
+// enough to leave running for whole experiment suites. Counters and
+// span totals accumulate in memory and are emitted as summary events
+// by Flush.
 //
 // # Invariants
 //
@@ -48,11 +47,11 @@ import (
 )
 
 // Event is one observability record: a probe sample, a span timing, a
-// counter/gauge/histogram summary, or an invariant violation. Events
+// counter or span-total summary, or an invariant violation. Events
 // marshal to single-line JSON in the trace stream.
 type Event struct {
-	// Kind is "probe", "span", "span_total", "counter", "gauge",
-	// "hist", or "violation".
+	// Kind is "probe", "span", "span_total", "counter", "violation",
+	// or, in a flight-recorder dump, "flight" and "flight.<kind>".
 	Kind string `json:"kind"`
 	// Scope identifies the recorder that emitted the event (an
 	// experiment id, a CLI name, a sweep cell).
@@ -62,8 +61,7 @@ type Event struct {
 	// violations.
 	Step int64   `json:"step,omitempty"`
 	T    float64 `json:"t,omitempty"`
-	// Value carries the probe sample, gauge level, span seconds, or
-	// histogram mean.
+	// Value carries the probe sample or the span seconds.
 	Value float64 `json:"value,omitempty"`
 	Count int64   `json:"count,omitempty"`
 	// Worker is the 1-based worker index of an attributed span
@@ -260,11 +258,18 @@ func (s *JSONL) Flush() error {
 	return s.err
 }
 
-// DefaultProbeDt is the probe sampling interval (in simulation
-// seconds) used when Config.ProbeDt is zero: fine enough to resolve
-// the paper's oscillation periods (tens of seconds), coarse enough
-// that a long run stays a few thousand lines per series.
+// DefaultProbeDt is the probe sampling interval in simulation
+// seconds: fine enough to resolve the paper's oscillation periods
+// (tens of seconds), coarse enough that a long run stays a few
+// thousand lines per series.
 const DefaultProbeDt = 0.25
+
+// flightRing is the flight-recorder capacity: the number of most
+// recent events each recorder keeps while invariant checks are on.
+// When a Violation fires, the ring rides on it as Recent and is
+// dumped to the sink as one contiguous "flight.*" block, so a fault
+// post-mortem does not require re-running with full tracing.
+const flightRing = 256
 
 // DefaultMassTol is the relative tolerance of the density mass-budget
 // invariant checks. The solvers' transport is conservative to
@@ -272,26 +277,19 @@ const DefaultProbeDt = 0.25
 // magnitude below this.
 const DefaultMassTol = 1e-6
 
-// Config describes an observability setup: where events stream,
-// whether invariants run, and how often probes sample. The zero value
-// (and a nil *Config) disables everything.
+// Config describes an observability setup: where events stream and
+// whether invariants run. The zero value (and a nil *Config) disables
+// everything.
 type Config struct {
 	// Sink receives the event stream (nil discards probes and spans;
-	// counters still accumulate for SpanSeconds/Flush).
+	// counters and span totals still accumulate for Summary/Flush).
 	Sink *JSONL
 	// Invariants enables the per-step invariant checks in every
-	// engine holding a Recorder from this Config.
+	// engine holding a Recorder from this Config, and with them the
+	// flight recorder: each recorder keeps its flightRing most recent
+	// events (whether or not a sink is attached) for the post-mortem
+	// a Violation carries.
 	Invariants bool
-	// ProbeDt is the minimum simulation-time spacing between samples
-	// of one probe series (0 = DefaultProbeDt).
-	ProbeDt float64
-	// FlightRecorder, when positive, keeps a fixed-size ring buffer of
-	// the most recent events per recorder (probes, spans, violations —
-	// whether or not a sink is attached). When an invariant Violation
-	// fires, the ring is attached to the returned *Violation as Recent
-	// and dumped to the sink as one contiguous "flight.*" block, so a
-	// fault post-mortem does not require re-running with full tracing.
-	FlightRecorder int
 	// OnRecorder, when non-nil, observes every root recorder created
 	// from this config (Child recorders are reached through their
 	// parent's Summary tree). The obscli layer uses it to attach
@@ -327,56 +325,6 @@ type spanStat struct {
 	count int64
 }
 
-type histStat struct {
-	count         int64
-	sum, min, max float64
-	// buckets is the sparse log₂ histogram: buckets[e] counts samples
-	// v ∈ (2^(e−1), 2^e]; the upper bound exported to summaries and
-	// the Prometheus exposition is 2^e, so the buckets obey the
-	// "≤ le" convention. Non-positive samples land in bucketZero
-	// (bound 0).
-	buckets map[int]int64
-}
-
-// bucketZero keys the ≤ 0 histogram bucket; bucketMin/bucketMax clamp
-// the Frexp exponent so bucket bounds stay finite and the bucket set
-// bounded (2^-32 ≈ 2.3e-10 … 2^64 ≈ 1.8e19 covers every unit in the
-// probe catalog with saturating extreme buckets beyond).
-const (
-	bucketZero = -1 << 30
-	bucketMin  = -32
-	bucketMax  = 64
-)
-
-// histBucket maps a sample to its log₂ bucket key.
-func histBucket(v float64) int {
-	if !(v > 0) { // ≤ 0 and NaN
-		return bucketZero
-	}
-	frac, e := math.Frexp(v)
-	if frac == 0.5 {
-		// Exact powers of two belong to their own bound: buckets hold
-		// (2^(e−1), 2^e], matching the Prometheus "≤ le" convention.
-		e--
-	}
-	if e < bucketMin {
-		return bucketMin
-	}
-	if e > bucketMax {
-		return bucketMax
-	}
-	return e
-}
-
-// BucketBound returns the upper bound of the log₂ bucket keyed by e
-// (0 for the non-positive bucket).
-func BucketBound(e int) float64 {
-	if e == bucketZero {
-		return 0
-	}
-	return math.Ldexp(1, e)
-}
-
 // probeStat tracks one probe series: its sample count and last
 // (value, simulation-time) pair — the live reading the HTTP metrics
 // surface exports between flushes.
@@ -398,14 +346,12 @@ type Recorder struct {
 
 	mu         sync.Mutex
 	counters   map[string]int64
-	gauges     map[string]float64
-	hists      map[string]*histStat
 	spans      map[spanKey]*spanStat
 	probes     map[string]*probeStat
 	violations int64
 	children   []*Recorder
-	// ring is the flight recorder (cfg.FlightRecorder > 0): a circular
-	// buffer of the ringN most recent events this recorder emitted.
+	// ring is the flight recorder (cfg.Invariants): a circular buffer
+	// of the flightRing most recent events this recorder emitted.
 	ring      []Event
 	ringStart int
 }
@@ -427,7 +373,7 @@ func (r *Recorder) Scope() string {
 }
 
 // Child returns a recorder sharing this recorder's config (sink,
-// invariants, tolerances, flight-recorder size) under a nested
+// invariants and with them the flight recorder) under a nested
 // scope — e.g. one per sweep cell, so interleaved probe series from
 // concurrent cells stay distinguishable in the trace. The child is
 // registered with its parent, so Summary sees the whole hierarchy
@@ -445,7 +391,7 @@ func (r *Recorder) Child(scope string) *Recorder {
 
 func (r *Recorder) emit(ev Event) {
 	ev.Scope = r.scope
-	if r.cfg.FlightRecorder > 0 {
+	if r.cfg.Invariants {
 		r.mu.Lock()
 		r.ringAdd(ev)
 		r.mu.Unlock()
@@ -456,13 +402,12 @@ func (r *Recorder) emit(ev Event) {
 // ringAdd appends ev to the flight-recorder ring, overwriting the
 // oldest entry once full. Callers hold r.mu.
 func (r *Recorder) ringAdd(ev Event) {
-	n := r.cfg.FlightRecorder
-	if len(r.ring) < n {
+	if len(r.ring) < flightRing {
 		r.ring = append(r.ring, ev)
 		return
 	}
 	r.ring[r.ringStart] = ev
-	r.ringStart = (r.ringStart + 1) % n
+	r.ringStart = (r.ringStart + 1) % flightRing
 }
 
 // ringSnapshot copies the flight ring oldest-first. Callers hold r.mu.
@@ -490,47 +435,11 @@ func (r *Recorder) Count(name string, delta int64) {
 	r.mu.Unlock()
 }
 
-// Gauge sets the named gauge to v (last value wins).
-func (r *Recorder) Gauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]float64)
-	}
-	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// Observe adds a sample to the named histogram (count/sum/min/max
-// summary, emitted by Flush).
-func (r *Recorder) Observe(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.hists == nil {
-		r.hists = make(map[string]*histStat)
-	}
-	h := r.hists[name]
-	if h == nil {
-		h = &histStat{min: math.Inf(1), max: math.Inf(-1), buckets: make(map[int]int64)}
-		r.hists[name] = h
-	}
-	h.count++
-	h.sum += v
-	h.min = math.Min(h.min, v)
-	h.max = math.Max(h.max, v)
-	h.buckets[histBucket(v)]++
-	r.mu.Unlock()
-}
-
 // ProbeDue reports whether the named probe series is due for a sample
 // at simulation time t — true when no sample exists yet or at least
-// ProbeDt has elapsed since the last one. Engines call it BEFORE
-// computing an expensive probe value, so a between-samples step pays
-// only the check. Always false on a nil recorder.
+// DefaultProbeDt has elapsed since the last one. Engines call it
+// BEFORE computing an expensive probe value, so a between-samples step
+// pays only the check. Always false on a nil recorder.
 func (r *Recorder) ProbeDue(name string, t float64) bool {
 	if r == nil {
 		return false
@@ -538,14 +447,7 @@ func (r *Recorder) ProbeDue(name string, t float64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	p, ok := r.probes[name]
-	return !ok || t >= p.lastT+r.probeDt()
-}
-
-func (r *Recorder) probeDt() float64 {
-	if r.cfg.ProbeDt > 0 {
-		return r.cfg.ProbeDt
-	}
-	return DefaultProbeDt
+	return !ok || t >= p.lastT+DefaultProbeDt
 }
 
 // Probe records one sample of the named series at simulation time t,
@@ -616,26 +518,6 @@ func (s Span) End() {
 	r.emit(Event{Kind: "span", Name: s.name, Worker: s.worker + 1, Value: d.Seconds()})
 }
 
-// SpanSeconds returns the total seconds accumulated per span name
-// (workers summed) — the per-phase breakdown benchreport embeds in
-// its JSON artifact. The per-worker totals are accumulated in sorted
-// (name, worker) order, NOT map-iteration order, so the float sums —
-// and with them the suite's Report.Phases — are identical across
-// runs given identical span durations. Nil and empty recorders
-// return an empty map.
-func (r *Recorder) SpanSeconds() map[string]float64 {
-	if r == nil {
-		return map[string]float64{}
-	}
-	out := map[string]float64{}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, k := range sortedSpanKeys(r.spans) {
-		out[k.name] += r.spans[k].total.Seconds()
-	}
-	return out
-}
-
 // sortedSpanKeys orders span accumulators by (name, worker) — the
 // deterministic iteration order for sums and summaries.
 func sortedSpanKeys(m map[spanKey]*spanStat) []spanKey {
@@ -662,36 +544,24 @@ func (r *Recorder) Violations() int64 {
 	return r.violations
 }
 
-// Flush emits summary events for every counter, gauge, histogram, and
-// span total (sorted by name, so traces are deterministic given
-// deterministic values) and flushes the sink. Call it once at the end
-// of the scope's run.
+// Flush emits summary events for every counter and span total
+// (sorted by name, so traces are deterministic given deterministic
+// values) and flushes the sink. Call it once at the end of the
+// scope's run.
 func (r *Recorder) Flush() error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	counters := sortedKeys(r.counters)
-	gauges := sortedKeys(r.gauges)
-	hists := sortedKeys(r.hists)
+	counters := make([]string, 0, len(r.counters))
+	for n := range r.counters {
+		counters = append(counters, n)
+	}
+	sort.Strings(counters)
 	spanKeys := sortedSpanKeys(r.spans)
 	var evs []Event
 	for _, n := range counters {
 		evs = append(evs, Event{Kind: "counter", Name: n, Count: r.counters[n]})
-	}
-	for _, n := range gauges {
-		evs = append(evs, Event{Kind: "gauge", Name: n, Value: r.gauges[n]})
-	}
-	for _, n := range hists {
-		h := r.hists[n]
-		mean := 0.0
-		if h.count > 0 {
-			mean = h.sum / float64(h.count)
-		}
-		evs = append(evs, Event{
-			Kind: "hist", Name: n, Count: h.count, Value: mean,
-			Msg: fmt.Sprintf("min=%g max=%g sum=%g", h.min, h.max, h.sum),
-		})
 	}
 	for _, k := range spanKeys {
 		st := r.spans[k]
@@ -705,13 +575,4 @@ func (r *Recorder) Flush() error {
 		r.emit(ev)
 	}
 	return r.cfg.Sink.Flush()
-}
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -29,14 +29,12 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 		t.Fatal("nil recorder child not nil")
 	}
 	r.Count("c", 1)
-	r.Gauge("g", 2)
-	r.Observe("h", 3)
 	r.Probe("p", 0, 4)
 	sp := r.Span("s")
 	sp.End()
 	r.WorkerSpan("w", 3).End()
-	if got := r.SpanSeconds(); len(got) != 0 {
-		t.Fatalf("nil recorder span seconds %v", got)
+	if got := r.Summary(); got != nil {
+		t.Fatalf("nil recorder summary %+v", got)
 	}
 	if r.Violations() != 0 {
 		t.Fatal("nil recorder has violations")
@@ -85,26 +83,23 @@ func decodeEvents(t *testing.T, buf *bytes.Buffer) []Event {
 
 func TestJSONLStream(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{Sink: NewJSONL(&buf), ProbeDt: 1}
+	cfg := Config{Sink: NewJSONL(&buf)}
 	r := cfg.Recorder("E99")
 
 	if !r.ProbeDue("q", 0) {
 		t.Fatal("first probe not due")
 	}
 	r.Probe("q", 0, 3.5)
-	if r.ProbeDue("q", 0.5) {
-		t.Fatal("probe due before ProbeDt elapsed")
+	if r.ProbeDue("q", DefaultProbeDt/2) {
+		t.Fatal("probe due before DefaultProbeDt elapsed")
 	}
-	if !r.ProbeDue("q", 1.0) {
-		t.Fatal("probe not due after ProbeDt")
+	if !r.ProbeDue("q", DefaultProbeDt) {
+		t.Fatal("probe not due after DefaultProbeDt")
 	}
-	r.Probe("q", 1.0, 4.5)
+	r.Probe("q", DefaultProbeDt, 4.5)
 	r.Span("phase").End()
 	r.WorkerSpan("cell", 2).End()
 	r.Count("steps", 10)
-	r.Gauge("level", 7)
-	r.Observe("lat", 1)
-	r.Observe("lat", 3)
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +113,7 @@ func TestJSONLStream(t *testing.T) {
 		}
 	}
 	if kinds["probe"] != 2 || kinds["span"] != 2 || kinds["counter"] != 1 ||
-		kinds["gauge"] != 1 || kinds["hist"] != 1 || kinds["span_total"] != 2 {
+		kinds["span_total"] != 2 || len(kinds) != 4 {
 		t.Fatalf("event kinds %v", kinds)
 	}
 	for _, ev := range evs {
@@ -131,16 +126,13 @@ func TestJSONLStream(t *testing.T) {
 			if ev.Worker != 3 { // 0-based worker 2 → 1-based 3
 				t.Fatalf("cell span worker %d", ev.Worker)
 			}
-		case ev.Kind == "hist" && ev.Name == "lat":
-			if ev.Count != 2 || ev.Value != 2 {
-				t.Fatalf("hist summary %+v", ev)
-			}
-			if !strings.Contains(ev.Msg, "min=1") || !strings.Contains(ev.Msg, "max=3") {
-				t.Fatalf("hist msg %q", ev.Msg)
+		case ev.Kind == "counter" && ev.Name == "steps":
+			if ev.Count != 10 {
+				t.Fatalf("counter summary %+v", ev)
 			}
 		}
 	}
-	if got := r.SpanSeconds(); len(got) != 2 {
+	if got := r.Summary().Spans; len(got) != 2 {
 		t.Fatalf("span totals %v", got)
 	}
 }
@@ -219,12 +211,8 @@ func TestRecorderConcurrency(t *testing.T) {
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	total := 0.0
-	for _, s := range r.SpanSeconds() {
-		total += s
-	}
-	if total < 0 {
-		t.Fatal("negative span total")
+	if sp := r.Summary().Spans["cell"]; sp.Count != 800 || sp.Seconds < 0 {
+		t.Fatalf("cell span total %+v, want 800 spans of non-negative time", sp)
 	}
 	evs := decodeEvents(t, &buf)
 	for _, ev := range evs {

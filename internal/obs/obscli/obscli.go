@@ -1,5 +1,7 @@
 // Package obscli is the shared observability flag layer every cmd
-// binds. It lives one level below internal/obs so it can wire the
+// binds (see CLI). Probes sample every obs.DefaultProbeDt simulation
+// seconds, and -obs-invariants also arms each recorder's flight ring.
+// The package lives one level below internal/obs so it can wire the
 // recorder layer to the HTTP monitoring surface (obshttp) and the
 // Chrome trace exporter (chrometrace) without an import cycle.
 package obscli
@@ -22,8 +24,8 @@ import (
 
 // CLI is the shared observability flag set every cmd binds:
 //
-//	-trace out.jsonl     stream probe/span/metric events as JSONL
-//	-trace-dt t          probe sampling interval in simulation seconds
+//	-trace out.jsonl     stream probe/span/counter events as JSONL
+//	                     (probes every obs.DefaultProbeDt sim seconds)
 //	-trace-chrome out    export the run's trace as Chrome trace_event
 //	                     JSON (Perfetto-loadable); works with or
 //	                     without -trace
@@ -31,20 +33,17 @@ import (
 //	                     /debug/vars and /debug/pprof from the
 //	                     running process (turns the recorder on)
 //	-obs-summary out     write the end-of-run obs.Summary manifest
-//	-flight-recorder n   keep the n most recent events per recorder
-//	                     and dump them when an invariant fires
-//	                     (implies -obs-invariants)
-//	-obs-invariants      run per-step invariant checks (fail fast)
+//	-obs-invariants      run per-step invariant checks (fail fast);
+//	                     each recorder keeps its most recent events
+//	                     and dumps them when an invariant fires
 //
 // Bind the flags with Bind before flag.Parse, call Setup after, hand
 // Recorder(scope) to the engine configs, and defer Close.
 type CLI struct {
 	tracePath   string
-	traceDt     float64
 	chromePath  string
 	listenAddr  string
 	summaryPath string
-	flightN     int
 	invariants  bool
 
 	sink      *obs.JSONL
@@ -69,12 +68,10 @@ type CLI struct {
 func Bind(fs *flag.FlagSet) *CLI {
 	c := &CLI{}
 	fs.StringVar(&c.tracePath, "trace", "", "stream observability events (probes, spans, violations) as JSONL to this file")
-	fs.Float64Var(&c.traceDt, "trace-dt", 0, fmt.Sprintf("probe sampling interval in simulation seconds (default %g)", obs.DefaultProbeDt))
 	fs.StringVar(&c.chromePath, "trace-chrome", "", "export the run's event trace as Chrome trace_event JSON to this file (Perfetto-loadable; works without -trace)")
 	fs.StringVar(&c.listenAddr, "obs-listen", "", "serve live Prometheus /metrics, /summary, /debug/vars and /debug/pprof on this address (e.g. localhost:9190)")
 	fs.StringVar(&c.summaryPath, "obs-summary", "", "write the end-of-run obs.Summary JSON manifest (aggregates merged over the recorder hierarchy) to this file")
-	fs.IntVar(&c.flightN, "flight-recorder", 0, "keep this many recent events per recorder and dump them with any invariant violation (implies -obs-invariants)")
-	fs.BoolVar(&c.invariants, "obs-invariants", false, "run per-step invariant checks (mass budgets, non-negativity, CFL, history monotonicity); fail fast on violation")
+	fs.BoolVar(&c.invariants, "obs-invariants", false, "run per-step invariant checks (mass budgets, non-negativity, CFL, history monotonicity); fail fast on violation, dumping the recorder's recent events")
 	return c
 }
 
@@ -95,14 +92,8 @@ func (c *CLI) Setup() error {
 		c.traceMem = &bytes.Buffer{}
 		c.sink = obs.NewJSONL(c.traceMem)
 	}
-	if c.sink != nil || c.invariants || c.listenAddr != "" || c.summaryPath != "" || c.flightN > 0 {
-		c.cfg = &obs.Config{
-			Sink:           c.sink,
-			Invariants:     c.invariants || c.flightN > 0,
-			ProbeDt:        c.traceDt,
-			FlightRecorder: c.flightN,
-			OnRecorder:     c.register,
-		}
+	if c.sink != nil || c.invariants || c.listenAddr != "" || c.summaryPath != "" {
+		c.cfg = &obs.Config{Sink: c.sink, Invariants: c.invariants, OnRecorder: c.register}
 	}
 	if c.listenAddr != "" {
 		c.httpSrv = obshttp.New()
@@ -110,7 +101,7 @@ func (c *CLI) Setup() error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics, /summary, /debug/vars, /debug/pprof on http://%s\n", addr)
+		fmt.Fprintf(os.Stderr, "obs: serving /metrics (Prometheus), /summary (JSON), /debug/vars (memstats), /debug/pprof on http://%s\n", addr)
 	}
 	return nil
 }
@@ -148,7 +139,7 @@ func (c *CLI) Recorder(scope string) *obs.Recorder {
 // DumpViolation prints the flight-recorder context attached to an
 // invariant violation — the events the failing recorder buffered
 // before the fault — to stderr, as JSONL. It is a no-op for other
-// errors (including violations recorded without -flight-recorder),
+// errors (including violations recorded without -obs-invariants),
 // so cmds call it unconditionally on their run-error path.
 func (c *CLI) DumpViolation(err error) {
 	var v *obs.Violation

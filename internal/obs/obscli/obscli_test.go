@@ -42,8 +42,9 @@ func TestDisabledDefault(t *testing.T) {
 }
 
 // TestEndToEndArtifacts drives the full flag surface — JSONL trace,
-// Chrome export, summary manifest, flight recorder — through one
-// simulated run and checks every artifact lands on disk well-formed.
+// Chrome export, summary manifest, invariants with their flight
+// recorder — through one simulated run and checks every artifact
+// lands on disk well-formed.
 func TestEndToEndArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "run.jsonl")
@@ -51,10 +52,10 @@ func TestEndToEndArtifacts(t *testing.T) {
 	summary := filepath.Join(dir, "run.summary.json")
 	c := setupCLI(t,
 		"-trace", trace, "-trace-chrome", chrome,
-		"-obs-summary", summary, "-flight-recorder", "16")
+		"-obs-summary", summary, "-obs-invariants")
 
 	if cfg := c.Config(); cfg == nil || !cfg.Invariants {
-		t.Fatal("-flight-recorder must imply invariant checks")
+		t.Fatal("-obs-invariants must turn invariant checks on")
 	}
 	rec := c.Recorder("engine")
 	sp := rec.Span("step")

@@ -8,7 +8,7 @@
 //	               hierarchy (scrape cardinality stays independent
 //	               of sweep-cell count)
 //	/summary       the same state as a JSON obs.Summary tree
-//	/debug/vars    expvar (memstats, cmdline, and the fpcc.obs map)
+//	/debug/vars    expvar (memstats, cmdline)
 //	/debug/pprof/  net/http/pprof profiles
 //
 // Recorders are attached as they are created; snapshots are taken
@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fpcc/internal/obs"
@@ -43,28 +42,8 @@ type Server struct {
 	lis   net.Listener
 }
 
-// expvarSrv is the server the process-global /debug/vars map reads
-// from (expvar's registry forbids republishing, so the latest server
-// wins the single "fpcc.obs" slot).
-var (
-	expvarSrv  atomic.Pointer[Server]
-	expvarOnce sync.Once
-)
-
 // New returns a server with no recorders attached.
-func New() *Server {
-	s := &Server{start: time.Now()}
-	expvarSrv.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("fpcc.obs", expvar.Func(func() any {
-			if cur := expvarSrv.Load(); cur != nil {
-				return cur.summaries()
-			}
-			return nil
-		}))
-	})
-	return s
-}
+func New() *Server { return &Server{start: time.Now()} }
 
 // Attach registers a recorder for export. Nil recorders (the
 // disabled default) are ignored, so callers can attach
@@ -168,12 +147,6 @@ func WriteMetrics(w io.Writer, sums []*obs.Summary, uptime float64) {
 				emit(labelPair(s.Scope, "name", k), strconv.FormatInt(s.Counters[k], 10))
 			}
 		})
-	writeFamily(w, "fpcc_gauge", "gauge", "Recorder gauges (last value wins).", rolled,
-		func(s *obs.Summary, emit func(labels string, v string)) {
-			for _, k := range sortedKeysOf(s.Gauges) {
-				emit(labelPair(s.Scope, "name", k), fmtVal(s.Gauges[k]))
-			}
-		})
 	writeFamily(w, "fpcc_probe", "gauge", "Last sampled value of each probe series.", rolled,
 		func(s *obs.Summary, emit func(labels string, v string)) {
 			for _, k := range sortedKeysOf(s.Probes) {
@@ -208,27 +181,6 @@ func WriteMetrics(w io.Writer, sums []*obs.Summary, uptime float64) {
 		func(s *obs.Summary, emit func(labels string, v string)) {
 			emit(fmt.Sprintf("scope=%q", s.Scope), strconv.FormatInt(s.Violations, 10))
 		})
-
-	// Histograms: cumulative le buckets from the sparse log₂ counts.
-	wroteHeader := false
-	for _, s := range rolled {
-		for _, k := range sortedKeysOf(s.Hists) {
-			if !wroteHeader {
-				fmt.Fprintf(w, "# HELP fpcc_hist Log2-bucketed recorder histograms.\n# TYPE fpcc_hist histogram\n")
-				wroteHeader = true
-			}
-			h := s.Hists[k]
-			base := fmt.Sprintf("scope=%q,name=%q", s.Scope, k)
-			cum := int64(0)
-			for i, le := range h.Le {
-				cum += h.Counts[i]
-				fmt.Fprintf(w, "fpcc_hist_bucket{%s,le=%q} %d\n", base, fmtVal(le), cum)
-			}
-			fmt.Fprintf(w, "fpcc_hist_bucket{%s,le=\"+Inf\"} %d\n", base, h.Count)
-			fmt.Fprintf(w, "fpcc_hist_sum{%s} %s\n", base, fmtVal(h.Sum))
-			fmt.Fprintf(w, "fpcc_hist_count{%s} %d\n", base, h.Count)
-		}
-	}
 }
 
 // writeFamily emits one metric family: header once, then every

@@ -83,8 +83,8 @@ func find(samples []promSample, name string, labels map[string]string) (promSamp
 
 // TestScrapeMatchesRecorder starts the server, feeds a recorder, and
 // requires the live /metrics exposition to parse and to report the
-// exact counter, probe, span and histogram state — including a label
-// value that needs escaping.
+// exact counter, probe and span state — including a label value that
+// needs escaping.
 func TestScrapeMatchesRecorder(t *testing.T) {
 	srv := New()
 	rec := (&obs.Config{}).Recorder(`sim"with\escapes`)
@@ -93,10 +93,7 @@ func TestScrapeMatchesRecorder(t *testing.T) {
 
 	rec.Count("steps", 41)
 	rec.Count("steps", 1)
-	rec.Gauge("level", 2.5)
 	rec.Probe("q", 1.5, 7)
-	rec.Observe("lat", 0.75)
-	rec.Observe("lat", 3)
 	rec.Span("setup").End()
 	child := rec.Child("cell")
 	child.Count("steps", 8)
@@ -124,11 +121,11 @@ func TestScrapeMatchesRecorder(t *testing.T) {
 	if s, ok := find(samples, "fpcc_counter_total", merge(scope, "name", "steps")); !ok || s.value != 50 {
 		t.Errorf("counter steps = %+v, want 50 (rolled up over the child)", s)
 	}
-	if s, ok := find(samples, "fpcc_gauge", merge(scope, "name", "level")); !ok || s.value != 2.5 {
-		t.Errorf("gauge level = %+v, want 2.5", s)
-	}
 	if s, ok := find(samples, "fpcc_probe", merge(scope, "series", "q")); !ok || s.value != 7 {
 		t.Errorf("probe q = %+v, want 7", s)
+	}
+	if s, ok := find(samples, "fpcc_probe_sim_time", merge(scope, "series", "q")); !ok || s.value != 1.5 {
+		t.Errorf("probe q sim time = %+v, want 1.5", s)
 	}
 	if s, ok := find(samples, "fpcc_probe_samples_total", merge(scope, "series", "q")); !ok || s.value != 1 {
 		t.Errorf("probe samples = %+v, want 1", s)
@@ -136,28 +133,6 @@ func TestScrapeMatchesRecorder(t *testing.T) {
 	if s, ok := find(samples, "fpcc_span_count_total", merge(scope, "span", "setup")); !ok || s.value != 1 {
 		t.Errorf("span count = %+v, want 1", s)
 	}
-	if s, ok := find(samples, "fpcc_hist_count", merge(scope, "name", "lat")); !ok || s.value != 2 {
-		t.Errorf("hist count = %+v, want 2", s)
-	}
-	if s, ok := find(samples, "fpcc_hist_sum", merge(scope, "name", "lat")); !ok || s.value != 3.75 {
-		t.Errorf("hist sum = %+v, want 3.75", s)
-	}
-	// Histogram buckets must be cumulative and end at +Inf == count.
-	if s, ok := find(samples, "fpcc_hist_bucket", merge(scope, "name", "lat", "le", "+Inf")); !ok || s.value != 2 {
-		t.Errorf("hist +Inf bucket = %+v, want 2", s)
-	}
-	var prev float64
-	for _, le := range []string{"1", "4", "+Inf"} {
-		s, ok := find(samples, "fpcc_hist_bucket", merge(scope, "name", "lat", "le", le))
-		if !ok {
-			t.Fatalf("missing le=%s bucket", le)
-		}
-		if s.value < prev {
-			t.Errorf("bucket le=%s count %g below previous %g (not cumulative)", le, s.value, prev)
-		}
-		prev = s.value
-	}
-
 	// /summary must decode as the JSON manifest with the same state.
 	sresp, err := http.Get("http://" + addr + "/summary")
 	if err != nil {
@@ -218,7 +193,6 @@ func TestScrapeDuringRun(t *testing.T) {
 				default:
 					c.Count("ops", 1)
 					c.Probe("p", float64(i), float64(i))
-					c.Observe("h", float64(i%7)+0.5)
 				}
 			}
 		}(w)

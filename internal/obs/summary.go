@@ -6,32 +6,20 @@ import (
 )
 
 // This file is the streaming-aggregates half of the package: every
-// Recorder's counters, gauges, probes, log-bucketed histograms and
-// span totals can be snapshotted at any moment — concurrently with
-// the engines feeding them — into a Summary, a JSON-stable run
-// manifest. Summaries form the same tree the Child hierarchy does,
-// children sorted by scope, and merge deterministically (Rollup), so
-// two snapshots of identical recorder state are byte-identical JSON.
-// The suite runner attaches per-experiment Resources (wall/CPU time,
-// allocs, GC) and embeds the tree in the bench artifact
-// (fpcc-bench/4); the obshttp /metrics endpoint exports rolled-up
-// live summaries as Prometheus text.
-
-// HistSummary is the snapshot of one log-bucketed histogram. Le[i]
-// is a bucket's upper bound (2^e; 0 for the non-positive bucket) and
-// Counts[i] the NON-cumulative count of samples in (Le[i]/2, Le[i]],
-// ascending and sparse — only touched buckets appear.
-type HistSummary struct {
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-	Min    float64   `json:"min"`
-	Max    float64   `json:"max"`
-	Le     []float64 `json:"le,omitempty"`
-	Counts []int64   `json:"counts,omitempty"`
-}
+// Recorder's counters, probes and span totals can be snapshotted at
+// any moment — concurrently with the engines feeding them — into a
+// Summary, a JSON-stable run manifest. Summaries form the same tree
+// the Child hierarchy does, children sorted by scope, and merge
+// deterministically (Rollup), so two snapshots of identical recorder
+// state are byte-identical JSON. The suite runner attaches
+// per-experiment Resources (wall/CPU time, allocs, GC) and embeds the
+// tree in the bench artifact (fpcc-bench/4); the obshttp /metrics
+// endpoint exports rolled-up live summaries as Prometheus text.
 
 // SpanSummary is the snapshot of one span accumulator, workers
-// summed in deterministic (name, worker) order.
+// summed in deterministic (name, worker) order, so identical span
+// activity yields identical Seconds however goroutines interleaved.
+// The suite's per-phase breakdown (BenchEntry.Phases) reads it.
 type SpanSummary struct {
 	Count   int64   `json:"count"`
 	Seconds float64 `json:"seconds"`
@@ -97,14 +85,12 @@ func (r Resources) Add(o Resources) Resources {
 
 // Summary is the point-in-time aggregate snapshot of one recorder
 // and, recursively, its children (sorted by scope). It marshals to
-// deterministic JSON — maps sort by key, bucket and child orders are
-// fixed — so identical recorder states produce identical manifests.
+// deterministic JSON — maps sort by key, the child order is fixed —
+// so identical recorder states produce identical manifests.
 type Summary struct {
 	Scope      string                  `json:"scope"`
 	Counters   map[string]int64        `json:"counters,omitempty"`
-	Gauges     map[string]float64      `json:"gauges,omitempty"`
 	Probes     map[string]ProbeSummary `json:"probes,omitempty"`
-	Hists      map[string]HistSummary  `json:"hists,omitempty"`
 	Spans      map[string]SpanSummary  `json:"spans,omitempty"`
 	Violations int64                   `json:"violations,omitempty"`
 	Resources  *Resources              `json:"resources,omitempty"`
@@ -128,22 +114,10 @@ func (r *Recorder) Summary() *Summary {
 			s.Counters[k] = v
 		}
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges))
-		for k, v := range r.gauges {
-			s.Gauges[k] = v
-		}
-	}
 	if len(r.probes) > 0 {
 		s.Probes = make(map[string]ProbeSummary, len(r.probes))
 		for k, p := range r.probes {
 			s.Probes[k] = ProbeSummary{Count: p.count, Last: p.last, LastT: p.lastT}
-		}
-	}
-	if len(r.hists) > 0 {
-		s.Hists = make(map[string]HistSummary, len(r.hists))
-		for k, h := range r.hists {
-			s.Hists[k] = histSummaryLocked(h)
 		}
 	}
 	if len(r.spans) > 0 {
@@ -166,33 +140,14 @@ func (r *Recorder) Summary() *Summary {
 	return s
 }
 
-// histSummaryLocked converts a histStat (holder of r.mu) to its
-// summary: sparse buckets sorted by ascending bound.
-func histSummaryLocked(h *histStat) HistSummary {
-	hs := HistSummary{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	if len(h.buckets) > 0 {
-		keys := make([]int, 0, len(h.buckets))
-		for e := range h.buckets {
-			keys = append(keys, e)
-		}
-		sort.Ints(keys)
-		for _, e := range keys {
-			hs.Le = append(hs.Le, BucketBound(e))
-			hs.Counts = append(hs.Counts, h.buckets[e])
-		}
-	}
-	return hs
-}
-
 // Rollup merges the summary and all its descendants into one flat
-// node (Children nil, the receiver's scope kept): counters, spans,
-// violations and histogram buckets sum; gauges and probes are merged
-// depth-first in sorted child order with a child's entry replacing
-// the running one (for probes only when its LastT is at least as
-// recent), so the result is a pure function of the tree. The obshttp
-// /metrics endpoint exports one rolled-up node per attached
-// recorder, keeping scrape cardinality independent of how many sweep
-// cells a run spawns.
+// node (Children nil, the receiver's scope kept): counters, spans and
+// violations sum; probes are merged depth-first in sorted child order
+// with a child's last sample replacing the running one when its LastT
+// is at least as recent, so the result is a pure function of the
+// tree. The obshttp /metrics endpoint exports one rolled-up node per
+// attached recorder, keeping scrape cardinality independent of how
+// many sweep cells a run spawns.
 func (s *Summary) Rollup() *Summary {
 	if s == nil {
 		return nil
@@ -209,12 +164,6 @@ func (s *Summary) rollInto(out *Summary) {
 		}
 		out.Counters[k] += v
 	}
-	for k, v := range s.Gauges {
-		if out.Gauges == nil {
-			out.Gauges = map[string]float64{}
-		}
-		out.Gauges[k] = v
-	}
 	for k, p := range s.Probes {
 		if out.Probes == nil {
 			out.Probes = map[string]ProbeSummary{}
@@ -229,12 +178,6 @@ func (s *Summary) rollInto(out *Summary) {
 		} else {
 			out.Probes[k] = p
 		}
-	}
-	for k, h := range s.Hists {
-		if out.Hists == nil {
-			out.Hists = map[string]HistSummary{}
-		}
-		out.Hists[k] = mergeHist(out.Hists[k], h)
 	}
 	for k, sp := range s.Spans {
 		if out.Spans == nil {
@@ -260,63 +203,4 @@ func deref(r *Resources) Resources {
 		return Resources{}
 	}
 	return *r
-}
-
-// mergeHist merges two histogram summaries (bucket-wise merge-join
-// on ascending bounds). The zero HistSummary is the identity.
-func mergeHist(a, b HistSummary) HistSummary {
-	if a.Count == 0 && len(a.Le) == 0 {
-		return b
-	}
-	out := HistSummary{
-		Count: a.Count + b.Count,
-		Sum:   a.Sum + b.Sum,
-		Min:   minNonEmpty(a, b),
-		Max:   maxNonEmpty(a, b),
-	}
-	i, j := 0, 0
-	for i < len(a.Le) || j < len(b.Le) {
-		switch {
-		case j >= len(b.Le) || (i < len(a.Le) && a.Le[i] < b.Le[j]):
-			out.Le = append(out.Le, a.Le[i])
-			out.Counts = append(out.Counts, a.Counts[i])
-			i++
-		case i >= len(a.Le) || b.Le[j] < a.Le[i]:
-			out.Le = append(out.Le, b.Le[j])
-			out.Counts = append(out.Counts, b.Counts[j])
-			j++
-		default:
-			out.Le = append(out.Le, a.Le[i])
-			out.Counts = append(out.Counts, a.Counts[i]+b.Counts[j])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func minNonEmpty(a, b HistSummary) float64 {
-	switch {
-	case a.Count == 0:
-		return b.Min
-	case b.Count == 0:
-		return a.Min
-	case a.Min < b.Min:
-		return a.Min
-	default:
-		return b.Min
-	}
-}
-
-func maxNonEmpty(a, b HistSummary) float64 {
-	switch {
-	case a.Count == 0:
-		return b.Max
-	case b.Count == 0:
-		return a.Max
-	case a.Max > b.Max:
-		return a.Max
-	default:
-		return b.Max
-	}
 }

@@ -5,50 +5,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// TestHistBuckets pins the log₂ bucketing: each sample lands in the
-// bucket whose bound is the smallest power of two ≥ the sample, and
-// non-positive/NaN samples land in the zero bucket.
-func TestHistBuckets(t *testing.T) {
-	cases := []struct {
-		v     float64
-		bound float64
-	}{
-		{0.75, 1}, {1, 1}, {1.5, 2}, {2, 2}, {3, 4}, {1024, 1024},
-		{0.25, 0.25}, {0.3, 0.5},
-		{0, 0}, {-5, 0}, {math.NaN(), 0},
-	}
-	for _, c := range cases {
-		if got := BucketBound(histBucket(c.v)); got != c.bound {
-			t.Errorf("bucket bound of %g = %g, want %g", c.v, got, c.bound)
-		}
-	}
-	// Extreme magnitudes clamp instead of minting unbounded buckets.
-	if b := histBucket(math.MaxFloat64); b > bucketMax {
-		t.Errorf("huge sample bucket %d exceeds clamp %d", b, bucketMax)
-	}
-	if b := histBucket(math.SmallestNonzeroFloat64); b < bucketMin {
-		t.Errorf("tiny sample bucket %d below clamp %d", b, bucketMin)
-	}
-}
-
 // TestSummarySnapshot pins the Summary tree shape: per-recorder
-// aggregates, sparse ascending histogram buckets, worker-summed
-// spans, and children sorted by scope.
+// aggregates, worker-summed spans, and children sorted by scope.
 func TestSummarySnapshot(t *testing.T) {
 	r := (&Config{}).Recorder("root")
 	r.Count("events", 3)
-	r.Gauge("level", 0.5)
 	r.Probe("series", 1.0, 42)
 	r.Probe("series", 2.0, 43)
-	r.Observe("lat", 0.75)
-	r.Observe("lat", 3)
+	r.WorkerSpan("step", 0).End()
+	r.WorkerSpan("step", 1).End()
 	cb := r.Child("b")
 	ca := r.Child("a")
 	ca.Count("events", 1)
@@ -62,15 +32,8 @@ func TestSummarySnapshot(t *testing.T) {
 	if p.Count != 2 || p.Last != 43 || p.LastT != 2.0 {
 		t.Errorf("probe summary = %+v, want count 2 last 43 at t=2", p)
 	}
-	h := s.Hists["lat"]
-	if h.Count != 2 || h.Sum != 3.75 || h.Min != 0.75 || h.Max != 3 {
-		t.Errorf("hist summary = %+v", h)
-	}
-	if want := []float64{1, 4}; !reflect.DeepEqual(h.Le, want) {
-		t.Errorf("hist bounds = %v, want %v", h.Le, want)
-	}
-	if want := []int64{1, 1}; !reflect.DeepEqual(h.Counts, want) {
-		t.Errorf("hist counts = %v, want %v", h.Counts, want)
+	if sp := s.Spans["step"]; len(s.Spans) != 1 || sp.Count != 2 || sp.Seconds < 0 {
+		t.Errorf("span summary = %+v, want one name with 2 worker-summed spans", s.Spans)
 	}
 	if len(s.Children) != 2 || s.Children[0].Scope != "root/a" || s.Children[1].Scope != "root/b" {
 		t.Fatalf("children not sorted by scope: %+v", s.Children)
@@ -96,7 +59,7 @@ func TestSummaryDeterministicJSON(t *testing.T) {
 		for i := range names {
 			n := names[(i+seed)%len(names)]
 			r.Count(n, int64(len(n)))
-			r.Observe("h."+n, float64(strings.IndexByte("abcd", n[0])+1))
+			r.Probe("p."+n, 1, float64(strings.IndexByte("abcd", n[0])+1))
 			r.Child(n).Count("inner", 1)
 		}
 		raw, err := json.Marshal(r.Summary())
@@ -112,56 +75,35 @@ func TestSummaryDeterministicJSON(t *testing.T) {
 
 func b2(build func(int) []byte) []byte { return build(2) }
 
-// TestRollupMergesHistograms pins the bucket-wise merge-join: two
-// children with overlapping and disjoint buckets roll up into one
-// ascending sparse histogram with summed counts.
-func TestRollupMergesHistograms(t *testing.T) {
-	r := (&Config{}).Recorder("run")
-	a, b := r.Child("a"), r.Child("b")
-	a.Observe("h", 1)   // bucket 1
-	a.Observe("h", 3)   // bucket 4
-	b.Observe("h", 2)   // bucket 2
-	b.Observe("h", 3.5) // bucket 4
-	roll := r.Summary().Rollup()
-	h := roll.Hists["h"]
-	if h.Count != 4 || h.Min != 1 || h.Max != 3.5 {
-		t.Fatalf("merged hist = %+v", h)
-	}
-	if want := []float64{1, 2, 4}; !reflect.DeepEqual(h.Le, want) {
-		t.Errorf("merged bounds = %v, want %v", h.Le, want)
-	}
-	if want := []int64{1, 1, 2}; !reflect.DeepEqual(h.Counts, want) {
-		t.Errorf("merged counts = %v, want %v", h.Counts, want)
-	}
-}
-
-// TestFlightRingWraparound fills a small ring past capacity and
-// checks the snapshot keeps exactly the newest events, oldest first.
+// TestFlightRingWraparound fills the ring past capacity and checks
+// the snapshot keeps exactly the newest events, oldest first.
 func TestFlightRingWraparound(t *testing.T) {
-	r := (&Config{FlightRecorder: 4, Invariants: true}).Recorder("x")
-	for i := 0; i < 10; i++ {
+	r := (&Config{Invariants: true}).Recorder("x")
+	const emitted = flightRing + 10
+	for i := 0; i < emitted; i++ {
 		r.Probe("p", float64(i), float64(i))
 	}
-	err := r.Violationf(11, 11, "x.f", "boom")
+	err := r.Violationf(emitted, emitted, "x.f", "boom")
 	v := err.(*Violation)
-	if len(v.Recent) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(v.Recent))
+	if len(v.Recent) != flightRing {
+		t.Fatalf("ring kept %d events, want %d", len(v.Recent), flightRing)
 	}
 	for i, ev := range v.Recent {
-		if want := float64(6 + i); ev.T != want {
-			t.Errorf("ring[%d].T = %g, want %g (newest 4, oldest first)", i, ev.T, want)
+		if want := float64(emitted - flightRing + i); ev.T != want {
+			t.Errorf("ring[%d].T = %g, want %g (newest %d, oldest first)", i, ev.T, want, flightRing)
 		}
 	}
-	if !strings.Contains(v.Error(), "4 preceding events") {
+	if !strings.Contains(v.Error(), fmt.Sprintf("%d preceding events", flightRing)) {
 		t.Errorf("violation error does not mention the dump: %v", v)
 	}
 }
 
-// TestSpanSecondsDeterministic pins the satellite fix: Phases maps
-// built from identical span activity are equal however goroutines
-// interleaved, because accumulation iterates keys in sorted order.
+// TestSpanSecondsDeterministic pins the per-phase span totals the
+// suite's bench entries read from Summary().Spans: every worker's
+// spans are summed under their name however goroutines interleaved,
+// because accumulation iterates keys in sorted (name, worker) order.
 func TestSpanSecondsDeterministic(t *testing.T) {
-	build := func() map[string]float64 {
+	build := func() map[string]SpanSummary {
 		r := (&Config{}).Recorder("x")
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
@@ -175,16 +117,16 @@ func TestSpanSecondsDeterministic(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		return r.SpanSeconds()
+		return r.Summary().Spans
 	}
 	a, b := build(), build()
 	if len(a) != 2 || len(b) != 2 {
 		t.Fatalf("span names lost: %v %v", a, b)
 	}
-	for _, m := range []map[string]float64{a, b} {
-		for name, sec := range m {
-			if sec < 0 {
-				t.Errorf("%s accumulated negative time %g", name, sec)
+	for _, m := range []map[string]SpanSummary{a, b} {
+		for name, sp := range m {
+			if sp.Count != 8*50 || sp.Seconds < 0 {
+				t.Errorf("%s: %d spans of %g s, want 400 of non-negative time", name, sp.Count, sp.Seconds)
 			}
 		}
 	}

@@ -70,34 +70,39 @@ type Config struct {
 
 	// Obs, when non-nil, receives per-step probes (sde.meanq,
 	// sde.meanlam, sde.varq) and, when it enables invariants, scans
-	// the particle arrays for NaN/negative states. Step has no error
-	// return, so the first violation is latched and exposed through
-	// InvariantViolation rather than aborting mid-step. The nil
-	// default costs one branch per step and never changes any
-	// observable.
+	// the particle arrays for NaN/negative states and checks that the
+	// moments are finite. Step has no error return, so the first
+	// violation is latched and exposed through InvariantViolation
+	// rather than aborting mid-step. The nil default costs one branch
+	// per step and never changes any observable.
 	Obs *obs.Recorder
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Every float must be finite: a
+// NaN or infinite rate, step, noise level or initial state would
+// poison every particle on the first step.
 func (c *Config) Validate() error {
 	switch {
 	case c.Law == nil:
 		return fmt.Errorf("sde: nil law")
-	case !(c.Mu > 0):
-		return fmt.Errorf("sde: service rate must be positive, got %v", c.Mu)
-	case !(c.Sigma >= 0):
-		return fmt.Errorf("sde: negative sigma %v", c.Sigma)
+	case !(c.Mu > 0) || math.IsInf(c.Mu, 1):
+		return fmt.Errorf("sde: service rate must be positive and finite, got %v", c.Mu)
+	case !finiteNonNeg(c.Sigma):
+		return fmt.Errorf("sde: sigma must be finite and non-negative, got %v", c.Sigma)
 	case c.Particles < 1:
 		return fmt.Errorf("sde: need at least one particle, got %d", c.Particles)
-	case !(c.Dt > 0):
-		return fmt.Errorf("sde: non-positive step %v", c.Dt)
-	case c.Q0 < 0 || c.Lambda0 < 0:
-		return fmt.Errorf("sde: negative initial state (%v, %v)", c.Q0, c.Lambda0)
-	case c.InitStdQ < 0 || c.InitStdL < 0:
-		return fmt.Errorf("sde: negative initial spread")
+	case !(c.Dt > 0) || math.IsInf(c.Dt, 1):
+		return fmt.Errorf("sde: step must be positive and finite, got %v", c.Dt)
+	case !finiteNonNeg(c.Q0) || !finiteNonNeg(c.Lambda0):
+		return fmt.Errorf("sde: initial state must be finite and non-negative, got (%v, %v)", c.Q0, c.Lambda0)
+	case !finiteNonNeg(c.InitStdQ) || !finiteNonNeg(c.InitStdL):
+		return fmt.Errorf("sde: initial spread must be finite and non-negative, got (%v, %v)", c.InitStdQ, c.InitStdL)
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether x is a finite number >= 0 (NaN fails).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Ensemble is a particle ensemble evolving under the SDE. Create one
 // with New, advance it with Step/Run, and read it out with Moments,
@@ -225,26 +230,48 @@ func (e *Ensemble) Step() {
 }
 
 // observe feeds the attached recorder after a completed step. Moments
-// is an O(N) pass, so it runs only when the probe series is due.
+// is an O(N) pass, so it runs only when the probe series is due or
+// the invariant checks need it.
 func (e *Ensemble) observe(rec *obs.Recorder) {
-	if rec.ProbeDue("sde.meanq", e.t) {
-		m := e.Moments()
+	due := rec.ProbeDue("sde.meanq", e.t)
+	check := rec.Invariants() && e.invErr == nil
+	if !due && !check {
+		return
+	}
+	m := e.Moments()
+	if due {
 		rec.Probe("sde.meanq", e.t, m.MeanQ)
 		rec.Probe("sde.meanlam", e.t, m.MeanLam)
 		rec.Probe("sde.varq", e.t, m.VarQ)
 	}
-	if !rec.Invariants() || e.invErr != nil {
-		return
+	if check {
+		e.invErr = e.checkInvariants(rec, m)
 	}
-	// Reflection and clamping keep every particle in q ≥ 0, λ ≥ 0; a
-	// violation means a law produced NaN or the state was corrupted.
+}
+
+// checkInvariants verifies the stepped state. Reflection and clamping
+// keep every particle in q ≥ 0, λ ≥ 0; a violation means a law
+// produced NaN or the state was corrupted. Finite particles can still
+// be too large for their moments to be represented (a sum or square
+// overflows), which poisons every observable the ensemble reports, so
+// the moments must be finite too. Cov is bounded by the variances
+// (Cauchy–Schwarz), so checking those covers it.
+func (e *Ensemble) checkInvariants(rec *obs.Recorder, m EnsembleMoments) error {
 	if err := rec.CheckNonNegative(e.step, e.t, "sde.q", e.q); err != nil {
-		e.invErr = err
-		return
+		return err
 	}
 	if err := rec.CheckNonNegative(e.step, e.t, "sde.lambda", e.lam); err != nil {
-		e.invErr = err
+		return err
 	}
+	for _, f := range [...]struct {
+		field string
+		v     float64
+	}{{"sde.meanq", m.MeanQ}, {"sde.varq", m.VarQ}, {"sde.meanlam", m.MeanLam}, {"sde.varlam", m.VarLam}} {
+		if err := rec.CheckFinite(e.step, e.t, f.field, f.v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // InvariantViolation returns the first invariant violation latched by

@@ -1,11 +1,13 @@
 package sde
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"fpcc/internal/control"
+	"fpcc/internal/obs"
 )
 
 func baseConfig() Config {
@@ -35,6 +37,13 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Q0 = -1 },
 		func(c *Config) { c.Lambda0 = -1 },
 		func(c *Config) { c.InitStdQ = -1 },
+		func(c *Config) { c.Q0 = math.NaN() },
+		func(c *Config) { c.Lambda0 = math.NaN() },
+		func(c *Config) { c.Sigma = math.Inf(1) },
+		func(c *Config) { c.Mu = math.Inf(1) },
+		func(c *Config) { c.Dt = math.Inf(1) },
+		func(c *Config) { c.Q0 = math.Inf(1) },
+		func(c *Config) { c.InitStdQ = math.NaN() },
 	}
 	for i, mut := range mutations {
 		c := baseConfig()
@@ -387,5 +396,32 @@ func BenchmarkEnsembleStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// TestInvariantsFlagUnrepresentableMoments: a clean run under
+// invariant checks latches nothing, while finite particles too large
+// for their mean to be represented latch a violation naming the
+// moment instead of reporting an infinite mean as a result.
+func TestInvariantsFlagUnrepresentableMoments(t *testing.T) {
+	run := func(cfg Config) error {
+		cfg.Obs = (&obs.Config{Invariants: true}).Recorder("sde")
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 10 {
+			e.Step()
+		}
+		return e.InvariantViolation()
+	}
+	if err := run(baseConfig()); err != nil {
+		t.Fatalf("clean run latched %v", err)
+	}
+	huge := baseConfig()
+	huge.Q0, huge.Particles = 1e307, 256
+	var v *obs.Violation
+	if err := run(huge); !errors.As(err, &v) || v.Field != "sde.meanq" {
+		t.Fatalf("overflowing mean latched %v, want an sde.meanq violation", err)
 	}
 }
