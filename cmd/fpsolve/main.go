@@ -37,6 +37,9 @@ func main() {
 	marginal := flag.Bool("marginal", false, "print the final q-marginal density")
 	obsCLI := fpcc.BindObsFlags(flag.CommandLine)
 	flag.Parse()
+	if err := checkTimes(*horizon, *every); err != nil {
+		log.Fatal(err)
+	}
 	if err := obsCLI.Setup(); err != nil {
 		log.Fatal(err)
 	}
@@ -81,4 +84,19 @@ func main() {
 			fmt.Printf("%.4f\t%.6g\n", g.Center(i), d)
 		}
 	}
+}
+
+// checkTimes rejects a horizon or print interval that is not a
+// positive finite number: a zero interval never advances the print
+// loop, and a negative or NaN horizon would print only the header.
+func checkTimes(horizon, every float64) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-t", horizon}, {"-every", every}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s must be a positive finite number, got %v", f.name, f.v)
+		}
+	}
+	return nil
 }

@@ -99,6 +99,7 @@ var only = map[string]string{
 }
 
 func main() {
+	log.SetFlags(0)
 	f := bind(flag.CommandLine)
 	obsCLI := fpcc.BindObsFlags(flag.CommandLine)
 	flag.Parse()

@@ -52,68 +52,3 @@ func TestBenchSchemaV4(t *testing.T) {
 		t.Fatal("v4 fields lost in the JSON round-trip")
 	}
 }
-
-// TestBenchOldSchemasDecode pins backward compatibility: committed
-// BENCH_*.json baselines from every earlier schema generation must
-// still decode into BenchReport, with the later fields zero-valued.
-// The fixtures mirror the shapes actually committed to the repo root.
-func TestBenchOldSchemasDecode(t *testing.T) {
-	fixtures := []struct {
-		name, body   string
-		schema       string
-		innerWorkers int
-		phases       bool
-	}{
-		{
-			name: "v1 schema-less",
-			body: `{"workers":8,"total_seconds":12.5,
-			        "experiments":[{"id":"E2","title":"Two","seconds":1.5},
-			                       {"id":"E10","title":"Ten","seconds":3.25}]}`,
-		},
-		{
-			name:   "v2 phases",
-			schema: "fpcc-bench/2",
-			phases: true,
-			body: `{"schema":"fpcc-bench/2","workers":8,"total_seconds":10.1,
-			        "experiments":[{"id":"E9","title":"Nine","seconds":2.0,
-			                        "phases":{"setup":0.1,"step":1.7,"render":0.2}}]}`,
-		},
-		{
-			name:         "v3 inner_workers",
-			schema:       "fpcc-bench/3",
-			innerWorkers: 2,
-			body: `{"schema":"fpcc-bench/3","workers":8,"inner_workers":2,
-			        "total_seconds":8.7,
-			        "experiments":[{"id":"E30","title":"Thirty","seconds":4.5}]}`,
-		},
-	}
-	for _, f := range fixtures {
-		t.Run(f.name, func(t *testing.T) {
-			var rep BenchReport
-			if err := json.Unmarshal([]byte(f.body), &rep); err != nil {
-				t.Fatalf("baseline does not decode: %v", err)
-			}
-			if rep.Schema != f.schema {
-				t.Errorf("schema = %q, want %q", rep.Schema, f.schema)
-			}
-			if rep.InnerWorkers != f.innerWorkers {
-				t.Errorf("inner_workers = %d, want %d", rep.InnerWorkers, f.innerWorkers)
-			}
-			if len(rep.Experiments) == 0 {
-				t.Fatal("no experiments decoded")
-			}
-			if got := len(rep.Experiments[0].Phases) > 0; got != f.phases {
-				t.Errorf("phases present = %v, want %v", got, f.phases)
-			}
-			// Fields added after the fixture's generation stay zero.
-			if rep.Summary != nil {
-				t.Error("pre-v4 baseline grew a summary")
-			}
-			for _, e := range rep.Experiments {
-				if e.Resources != nil {
-					t.Errorf("pre-v4 entry %s grew resources", e.ID)
-				}
-			}
-		})
-	}
-}

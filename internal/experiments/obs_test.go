@@ -258,7 +258,8 @@ func TestProbeCatalogDocumented(t *testing.T) {
 // which must stay within the ≤ 1% overhead budget of the pre-obs
 // baseline (every recorder call site is one inlineable nil-check
 // branch — see BenchmarkDisabledRecorder in internal/obs; the
-// benchreport -baseline gate holds the absolute timing).
+// benchmark's fp-vs-mc workload, judged by benchreport -compare,
+// holds the end-to-end timing).
 func BenchmarkE9ObsOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := E9FokkerPlanckVsMonteCarlo(nil); err != nil {

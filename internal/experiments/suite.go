@@ -225,10 +225,10 @@ func (s *Suite) WriteJSON(w io.Writer) error {
 // breakdowns; "fpcc-bench/3" added inner_workers (the inner grant of
 // the two-level scheduler); "fpcc-bench/4" added per-experiment
 // resources (wall/CPU seconds, allocator traffic, GC cycles) and the
-// run's obs.Summary manifest. Schema-less files are the v1 shape;
-// older baselines still decode — every added field is optional — but
-// a pre-v3 baseline cannot be checked for inner-worker mismatch, so
-// benchreport only warns for those.
+// run's obs.Summary manifest. Schema-less files are the v1 shape.
+// Nothing reads the artifact back: the committed BENCH_*.json files
+// are a record, and the regression gate (benchreport -compare) judges
+// bench/run.sh results instead.
 const BenchSchema = "fpcc-bench/4"
 
 // BenchEntry is one experiment's timing in the machine-readable
@@ -254,7 +254,6 @@ type BenchReport struct {
 	Workers int    `json:"workers"`
 	// InnerWorkers is the per-experiment inner grant of the two-level
 	// scheduler (before Width caps), or the SetInnerWorkers override.
-	// 0 in pre-v3 baselines, which predate the field.
 	InnerWorkers int          `json:"inner_workers,omitempty"`
 	TotalSeconds float64      `json:"total_seconds"`
 	Experiments  []BenchEntry `json:"experiments"`
@@ -268,8 +267,8 @@ type BenchReport struct {
 // Bench summarizes the suite's timings. total is the wall-clock time
 // of the whole run (under parallelism it is less than the sum of the
 // per-experiment times); workers records the pool bound used, and the
-// suite's inner grant rides along so baseline diffs can refuse
-// mismatched worker configurations.
+// suite's inner grant rides along, so the report says which worker
+// split its timings describe.
 func (s *Suite) Bench(workers int, total time.Duration) *BenchReport {
 	rep := &BenchReport{Schema: BenchSchema, Workers: workers, InnerWorkers: s.InnerGrant, TotalSeconds: total.Seconds()}
 	rep.Summary = s.Summary()

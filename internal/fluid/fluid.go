@@ -69,6 +69,15 @@ func (m *Model) Validate() error {
 // finiteNonNeg reports whether x is a finite number >= 0 (NaN fails).
 func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
+func allFinite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Solution is a solved fluid trajectory. State layout: index 0 is the
 // queue length Q, index 1+i is λ of source i.
 type Solution struct {
@@ -133,10 +142,15 @@ func (s *Solution) MeanRates(tFrom float64) []float64 {
 // Solve integrates the model to time t1 with step h. With any nonzero
 // delay h must not exceed the smallest nonzero delay (the underlying
 // method of steps requires it). Stride subsamples the recorded output
-// (0 = every step).
+// (0 = every step). A trajectory that leaves the finite floats — a
+// step too coarse for the model, or a law whose drift is not finite —
+// is an error.
 func (m *Model) Solve(t1, h float64, stride int) (*Solution, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	if math.IsNaN(t1) || math.IsInf(t1, 0) || math.IsInf(h, 1) {
+		return nil, fmt.Errorf("fluid: horizon %v and step %v must be finite", t1, h)
 	}
 	n := len(m.Sources)
 	delays := make([]float64, 0, n)
@@ -184,6 +198,11 @@ func (m *Model) Solve(t1, h float64, stride int) (*Solution, error) {
 	res, err := dde.Solve(sys, history, delays, 0, t1, h, dde.Options{Stride: stride, Clamp: clamp})
 	if err != nil {
 		return nil, err
+	}
+	// Once a state is NaN or +Inf it stays so (the clamp only lifts
+	// negative values, -Inf included), so the last one speaks for all.
+	if t, y := res.Last(); !allFinite(y) {
+		return nil, fmt.Errorf("fluid: state %v at t=%v is not finite (step %v)", y, t, h)
 	}
 	return &Solution{Result: res, NumSources: n}, nil
 }

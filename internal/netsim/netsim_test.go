@@ -6,6 +6,7 @@ import (
 
 	"fpcc/internal/control"
 	"fpcc/internal/des"
+	"fpcc/internal/queue"
 )
 
 func testLaw(t *testing.T) control.AIMD {
@@ -22,6 +23,35 @@ func relDiff(a, b float64) float64 {
 		return 0
 	}
 	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
+}
+
+// TestMM1Anchor holds the engine to a closed form, as des's test of
+// the same name does: one constant-rate Poisson flow into one
+// exponential server with an infinite buffer is an M/M/1 queue.
+func TestMM1Anchor(t *testing.T) {
+	const lam, mu = 6.0, 10.0
+	s, err := New(Config{
+		Nodes: []Node{{Mu: mu}},
+		Flows: []Flow{{Law: control.Unresponsive{}, Route: []int{0}, Interval: 1000, Lambda0: lam}},
+		Seed:  7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(30000, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := queue.NewMM1(lam, mu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.NodeQueue[0].Mean(), q.MeanNumber(); math.Abs(got-want)/want > 0.08 {
+		t.Errorf("mean queue %v, want M/M/1 value %v", got, want)
+	}
+	if got := res.Throughput[0]; math.Abs(got-lam)/lam > 0.05 {
+		t.Errorf("throughput %v, want ~%v", got, lam)
+	}
 }
 
 func TestValidateErrors(t *testing.T) {
