@@ -74,6 +74,19 @@ var identity = []string{"nproc", "goarch", "go_version", "cpu_model", "seed", "s
 // a worse metric.
 const maxMovers = 3
 
+// workloadLayers maps each workload to the prefixes of the per-layer
+// metrics its experiments run, after the "moves" column of
+// bench/README.md's per-layer table. Every traced run reports every
+// per-layer metric, so a workload's movers are drawn from its own
+// layers only: a layer it never runs can only move by noise.
+var workloadLayers = map[string][]string{
+	"fp-vs-mc":    {"sde.step_us", "sde.step_allocs", "rng.norm", "control.", "fokkerplanck.step_us", "fokkerplanck.step2_us", "fokkerplanck.observe", "linalg.cn_step_ns"},
+	"kinetic-1e6": {"meanfield.", "linalg.cn_step_rate", "netmf.step_us", "netmf.churn"},
+	"fluid-dde":   {"dde.", "fluid.", "stability."},
+	"packet-des":  {"des.", "eventq.", "netsim.", "rng.exp"},
+	"sharded-2":   {"parallel.", "sweep.", "linalg.cn_step_rate", "netmf.step_us", "netmf.step_w2"},
+}
+
 // runCompare is the -compare mode: args are the parent's results
 // files, "--", then the change's, judged by the spec at specPath. It
 // returns the exit code: 1 when the change is worse, 2 when the files
@@ -187,10 +200,10 @@ func compare(w io.Writer, spec benchSpec, parentPaths, changePaths []string) (bo
 				continue
 			}
 			worse = true
-			if s := movers(p, c, expRel); s != "" {
+			if s := movers(p, c, expRel, nil); s != "" {
 				fmt.Fprintln(w, "  experiments: "+s)
 			}
-			if s := movers(p, c, perLayer); s != "" {
+			if s := movers(p, c, perLayer, workloadLayers[wl.Name]); s != "" {
 				fmt.Fprintln(w, "  per_layer:   "+s)
 			}
 		}
@@ -258,9 +271,10 @@ func judge(m specEntry, ps, cs []float64) (pm, cm, spread float64, verdict strin
 }
 
 // movers names up to maxMovers values of group, reported on both
-// sides, whose median rose most, largest rise first. It returns "" when
-// none rose.
-func movers(parent, change []benchRun, group func(benchRun) []benchValue) string {
+// sides, whose median rose most, largest rise first. With prefixes
+// non-nil, only names starting with one of them count. It returns ""
+// when none rose.
+func movers(parent, change []benchRun, group func(benchRun) []benchValue, prefixes []string) string {
 	type move struct {
 		name  string
 		delta float64
@@ -270,7 +284,8 @@ func movers(parent, change []benchRun, group func(benchRun) []benchValue) string
 	for _, r := range parent {
 		for _, v := range group(r) {
 			cs := samples(change, group, v.Name)
-			if seen[v.Name] || len(cs) == 0 {
+			own := prefixes == nil || slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(v.Name, p) })
+			if seen[v.Name] || len(cs) == 0 || !own {
 				continue
 			}
 			seen[v.Name] = true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -217,5 +218,57 @@ func TestCompareUsage(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := runCompare(&out, &errb, spec, []string{parentFixtures[0], "--", parentFixtures[0]}); code != 2 || !strings.Contains(errb.String(), "ops_per_s") {
 		t.Errorf("higher-is-better spec: exit %d, stderr %q, want 2 naming the metric", code, errb.String())
+	}
+}
+
+func TestCompareMoversStayInWorkload(t *testing.T) {
+	// Every traced run reports every layer; one packet-des never runs
+	// rises most and must not be named under packet-des.
+	offLayer := func(k float64) func(*benchFile, *benchRun) {
+		return func(_ *benchFile, r *benchRun) {
+			if r.Workload == "packet-des" && len(r.PerLayer) > 0 {
+				r.PerLayer = append(r.PerLayer, benchValue{"fokkerplanck.step2_us.p99", 100 * k})
+			}
+		}
+	}
+	parent := derive(t, offLayer(1))
+	change := derive(t, func(f *benchFile, r *benchRun) {
+		offLayer(3)(f, r)
+		if r.Workload != "packet-des" {
+			return
+		}
+		scale(r.EndToEnd, "wall_rel", 1.4)
+		scale(r.PerLayer, "netsim.packet_ns", 1.6)
+		scale(r.PerLayer, "des.packet_ns", 1.1)
+	})
+	code, out, stderr := runFixtures(t, parent, change)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\n%s%s", code, out, stderr)
+	}
+	if want := "  per_layer:   netsim.packet_ns +60.0%, des.packet_ns +10.0%\n"; !strings.Contains(out, want) || strings.Contains(out, "fokkerplanck") {
+		t.Errorf("output lacks %q or names an off-workload layer:\n%s", want, out)
+	}
+}
+
+func TestWorkloadLayersMatchSpec(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec benchSpec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, wl := range spec.Workloads {
+		if _, ok := workloadLayers[wl.Name]; !ok {
+			t.Errorf("workload %s has no layer prefixes", wl.Name)
+		}
+	}
+	for name, prefixes := range workloadLayers {
+		for _, p := range prefixes {
+			if !slices.ContainsFunc(spec.PerLayer, func(m specEntry) bool { return strings.HasPrefix(m.Name, p) }) {
+				t.Errorf("%s: prefix %q names no per-layer metric", name, p)
+			}
+		}
 	}
 }

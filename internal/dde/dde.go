@@ -12,18 +12,19 @@
 // The integrator is the method of steps with a fixed-step RK4 core.
 // Past states live in a bounded flat window of about maxDelay/h + 256
 // samples (maxDelay the largest delay passed to Solve), pruned in place
-// every 256 steps, and delayed values are read by linear interpolation
-// between stored samples. Every declared delay stays reachable; a Lag
-// beyond every declared delay would read a pruned window, so Solve
-// reports it as an error. Stage evaluations may only look back at least
-// one step (the step size must not exceed the smallest delay), which
-// keeps the scheme explicit.
+// every 256 steps. Samples are one step h apart (only the last step may
+// be shorter), so a delayed value is read by indexing the window from
+// its oldest time and h, correcting that guess by a step or two, and
+// interpolating linearly between the two bracketing samples. Every
+// declared delay stays reachable; a Lag beyond every declared delay
+// would read a pruned window, so Solve reports it as an error. Stage
+// evaluations may only look back at least one step (the step size must
+// not exceed the smallest delay), which keeps the scheme explicit.
 package dde
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Lagger provides access to past state values during integration.
@@ -59,13 +60,14 @@ const rowBlock = 256
 // nonsensical horizon cannot request an absurd up-front allocation.
 const maxHint = 1 << 24
 
-// buffer is the solution history window: strictly increasing times
-// with their states stored flat, dim values per sample, pruned in
-// place to the lookback window.
+// buffer is the solution history window: strictly increasing times,
+// h apart but for a short last step, with their states stored flat,
+// dim values per sample, pruned in place to the lookback window.
 type buffer struct {
 	times    []float64
 	states   []float64 // sample k is states[k*dim : (k+1)*dim]
 	dim      int
+	h        float64 // step between stored samples
 	history  History
 	t0       float64
 	curT     float64 // time of the current RHS evaluation
@@ -74,7 +76,30 @@ type buffer struct {
 	bad      bool
 }
 
-// Lag implements Lagger via binary search + linear interpolation.
+// search returns the index of the first stored time >= t, or
+// len(times) if there is none (as sort.SearchFloat64s does, NaN
+// included). It guesses the index from times[0] and the step h, then
+// walks to the exact one; only rounding in the accumulated times and
+// the short last step put the guess off, by a step or two.
+func (b *buffer) search(t float64) int {
+	n := len(b.times)
+	k := n
+	if g := (t - b.times[0]) / b.h; g <= 0 {
+		k = 0
+	} else if g < float64(n) {
+		k = int(g) + 1
+	}
+	for k < n && b.times[k] < t {
+		k++
+	}
+	for k > 0 && b.times[k-1] >= t {
+		k--
+	}
+	return k
+}
+
+// Lag implements Lagger via a step-indexed search + linear
+// interpolation.
 func (b *buffer) Lag(i int, delay float64) float64 {
 	if !(delay <= b.maxDelay) && !b.bad {
 		b.bad, b.badDelay = true, delay
@@ -83,8 +108,7 @@ func (b *buffer) Lag(i int, delay float64) float64 {
 	if t <= b.t0 {
 		return b.history(t)[i]
 	}
-	// Find the first stored time >= t.
-	k := sort.SearchFloat64s(b.times, t)
+	k := b.search(t)
 	if k == 0 {
 		return b.states[i]
 	}
@@ -112,7 +136,7 @@ func (b *buffer) append(t float64, y []float64) {
 // or before it so interpolation at the window edge stays valid. It
 // compacts in place, so the window's storage is reused.
 func (b *buffer) prune(keepBefore float64) {
-	k := sort.SearchFloat64s(b.times, keepBefore)
+	k := b.search(keepBefore)
 	if k <= 1 {
 		return
 	}
@@ -201,6 +225,7 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 		times:    make([]float64, 0, window),
 		states:   make([]float64, 0, window*dim),
 		dim:      dim,
+		h:        h,
 		history:  history,
 		t0:       t0,
 		maxDelay: maxDelay,

@@ -154,3 +154,95 @@ func TestObservedOrderOfAccuracy(t *testing.T) {
 		}
 	}
 }
+
+// stationaryErrors runs Eq. 14 with λ frozen below μ (a zero-drift
+// law, as sde.TestReflectedDiffusionStationary does for the
+// Monte-Carlo side) until the q-marginal has relaxed, and returns the
+// error of its mean against σ²/(2(μ−λ)) and its L1 distance to the
+// exact stationary law. With v = λ − μ < 0 fixed, the zero-flux
+// condition v·f − (σ²/2)·f_q = 0 at q = 0 makes that law exponential
+// with mean m = σ²/(2|v|). All mass sits in the v = −1 row (the rows
+// beside it at ±0.4 get exp(−800) = 0), so the v-sweep is the
+// identity. With σ = 1 the mean is 0.5 and the slowest mode decays as
+// exp(−v²t/(2σ²)) = exp(−t/2), so t = 40 leaves exp(−20) of the
+// initial condition; QMax = 10 truncates exp(−20) of the law.
+func stationaryErrors(t *testing.T, nq int, secondOrder bool) (meanErr, l1 float64) {
+	t.Helper()
+	const (
+		sigma, v = 1.0, -1.0
+		horizon  = 40.0
+	)
+	cfg := Config{
+		Law: control.Custom{DriftFunc: func(q, lambda float64) float64 { return 0 }, QHat: 1e9},
+		Mu:  10, Sigma: sigma,
+		QMax: 10, NQ: nq,
+		VMin: -2, VMax: 0, NV: 5,
+		SecondOrder: secondOrder,
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetGaussian(2, v, 0.5, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Advance(horizon, 0); err != nil {
+		t.Fatal(err)
+	}
+	m := sigma * sigma / (2 * -v)
+	gx := s.Grid().X
+	for iq, p := range s.MarginalQ() {
+		// The exact law's average over the cell.
+		lo, hi := gx.Center(iq)-gx.Dx/2, gx.Center(iq)+gx.Dx/2
+		want := (math.Exp(-lo/m) - math.Exp(-hi/m)) / gx.Dx
+		l1 += math.Abs(p-want) * gx.Dx
+	}
+	return math.Abs(s.Moments().MeanQ - m), l1
+}
+
+// TestStationaryLawAnchor holds the Fokker-Planck solver to the
+// closed-form stationary law of a frozen rate below capacity, over
+// three grids, each halving Δq (Advance keeps Δt/Δq fixed at the CFL
+// target).
+//
+//   - Upwind: with flux v·f taken from the upwind cell, the discrete
+//     zero-flux law is geometric, f_{i+1}/f_i = D/(D + |v|·Δq) with
+//     D = σ²/2, and its mean over the cell centres is exactly
+//     m + Δq/2. The mean error must be Δq/2 to within 1% (measured:
+//     0.0499999, 0.025, 0.0125), so its order is 1. The L1 distance
+//     must show order in [0.8, 1.2] (measured 0.955 and 0.977).
+//   - MUSCL: the law peaks at the reflecting boundary, where the
+//     minmod limiter flattens the slope, and the scheme is first order
+//     here too (measured mean orders 1.16 and 1.09, L1 orders 0.905
+//     and 0.930). Both
+//     errors must fall with order in [0.8, 1.2] and stay below
+//     upwind's on every grid (the mean error by about half).
+func TestStationaryLawAnchor(t *testing.T) {
+	grids := []int{100, 200, 400}
+	var upMean, upL1, musclMean, musclL1 []float64
+	for _, nq := range grids {
+		m, l := stationaryErrors(t, nq, false)
+		upMean, upL1 = append(upMean, m), append(upL1, l)
+		m, l = stationaryErrors(t, nq, true)
+		musclMean, musclL1 = append(musclMean, m), append(musclL1, l)
+	}
+	t.Logf("upwind mean error %.6g, orders %.3f", upMean, observedOrders(upMean))
+	t.Logf("upwind L1 %.3g, orders %.3f", upL1, observedOrders(upL1))
+	t.Logf("MUSCL mean error %.3g, orders %.3f", musclMean, observedOrders(musclMean))
+	t.Logf("MUSCL L1 %.3g, orders %.3f", musclL1, observedOrders(musclL1))
+	for k, nq := range grids {
+		if half := 10 / float64(nq) / 2; math.Abs(upMean[k]-half) > 0.01*half {
+			t.Errorf("upwind mean error %.6g at NQ=%d, want Δq/2 = %.6g", upMean[k], nq, half)
+		}
+		if musclMean[k] >= upMean[k] || musclL1[k] >= upL1[k] {
+			t.Errorf("MUSCL errors (mean %.3g, L1 %.3g) at NQ=%d not below upwind's (%.3g, %.3g)", musclMean[k], musclL1[k], nq, upMean[k], upL1[k])
+		}
+	}
+	for name, errs := range map[string][]float64{"upwind L1": upL1, "MUSCL mean": musclMean, "MUSCL L1": musclL1} {
+		for k, p := range observedOrders(errs) {
+			if p < 0.8 || p > 1.2 {
+				t.Errorf("%s order %.3f between NQ=%d and %d, want [0.8, 1.2]", name, p, grids[k], grids[k+1])
+			}
+		}
+	}
+}
