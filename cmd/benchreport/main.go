@@ -11,7 +11,7 @@
 //	benchreport -only E6                 # run one experiment (exact id)
 //	benchreport -workers 8 -format json  # parallel, machine output
 //	benchreport -workers 1 -inner-workers 8  # serial suite, parallel solver sweeps
-//	benchreport -bench-json bench.json   # also write per-experiment timings
+//	benchreport -workers 1 -obs-summary m.json  # per-experiment phases and resources
 //	benchreport -list                    # list the registry
 //	benchreport -compare parent*.json -- change*.json  # regression gate over bench/run.sh results
 package main
@@ -37,7 +37,6 @@ func main() {
 	workers := flag.Int("workers", 0, "experiment worker count (0 = GOMAXPROCS)")
 	innerWorkers := flag.Int("inner-workers", 0, "force the per-experiment inner worker grant (0 = negotiate GOMAXPROCS across the outer pool); never changes results")
 	format := flag.String("format", "text", "output format: text, csv or json")
-	benchJSON := flag.String("bench-json", "", "write a machine-readable per-experiment timing report here")
 	list := flag.Bool("list", false, "list experiments and exit")
 	compareMode := flag.Bool("compare", false, `judge bench/run.sh results files given as arguments: the parent's, "--", then the change's; exits 1 when worse, 2 when incomparable`)
 	obsCLI := obscli.Bind(flag.CommandLine)
@@ -110,19 +109,6 @@ func main() {
 
 	if err := render(suite, os.Stdout); err != nil {
 		fatal(err)
-	}
-
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fatal(err)
-		}
-		if err := suite.WriteBenchJSON(f, *workers, total); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
 	}
 
 	// Timing and reproduction summary on stderr, keeping stdout

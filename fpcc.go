@@ -741,11 +741,12 @@ func ObsProbeCatalog() []obs.ProbeSeries { return obs.Catalog() }
 // ObsSummary is the point-in-time aggregate snapshot of a recorder
 // hierarchy: counters, probe series and span totals, merged
 // deterministically over the Child tree — the JSON run manifest
-// -obs-summary writes and fpcc-bench/4 embeds.
+// -obs-summary writes.
 type ObsSummary = obs.Summary
 
 // ObsResources are process resource deltas (wall/CPU time, allocs,
-// GC cycles) attached to summary nodes by the suite runner.
+// GC cycles) the suite runner attaches to each experiment's summary
+// node when it runs one experiment at a time.
 type ObsResources = obs.Resources
 
 // ObsCLI holds the shared observability flags every command binds

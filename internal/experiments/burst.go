@@ -16,6 +16,7 @@ import (
 // the equivalent index of dispersion grows with β. The β grid runs on
 // the parallel sweep runner, one independent DES per cell.
 func E18BurstinessSweep(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	rc := ctx.Rec()
 	t := &Table{
 		ID:      "E18",

@@ -27,6 +27,7 @@ func refLaw() control.AIMD {
 // (dq/dt, dv/dt) drift field in the four quadrants around the
 // operating point, which forces clockwise rotation.
 func E1QuadrantDrifts(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E1",
 		Caption: "drift directions by quadrant (AIMD law, Figure 2)",
@@ -67,6 +68,7 @@ func E1QuadrantDrifts(ctx *Ctx) (*Table, error) {
 // trajectory spirals into (q̂, μ); successive Poincaré amplitudes
 // contract.
 func E2ConvergentSpiral(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E2",
 		Caption: "Poincaré amplitudes of the exact AIMD spiral (Theorem 1, Figure 3)",

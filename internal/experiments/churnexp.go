@@ -61,11 +61,11 @@ func E32AdversarialDegradation(ctx *Ctx) (*Table, error) {
 
 	// Honest-only baseline: the share and queue the compliant million
 	// get with nobody misbehaving.
-	stepSpan := rc.Span("step")
 	d, err := build([]meanfield.Class{honest()}, rc.Child("base"))
 	if err != nil {
 		return nil, err
 	}
+	ctx.Stepping()
 	baseQ, baseRates, err := meanfield.SteadyStats(d, 60, 120, nil)
 	if err != nil {
 		return nil, err
@@ -127,13 +127,10 @@ func E32AdversarialDegradation(ctx *Ctx) (*Table, error) {
 			q:       meanQ / n,
 		}, nil
 	})
-	stepSpan.End()
 	if err != nil {
 		return nil, err
 	}
 
-	render := rc.Span("render")
-	defer render.End()
 	t.AddRow("none", 0.0, baseShare, 0.0, 0.0, baseQ/n)
 	monotone := true
 	measurable := true
@@ -176,6 +173,7 @@ func E32AdversarialDegradation(ctx *Ctx) (*Table, error) {
 // therefore how many of their packets die in a buffer the attacker
 // has filled.
 func E33GatewayProtection(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	rc := ctx.Rec()
 	t := &Table{
 		ID:      "E33",
@@ -198,7 +196,6 @@ func E33GatewayProtection(ctx *Ctx) (*Table, error) {
 		{Name: "gateway", Values: []float64{0, 1, 2}},
 		{Name: "loadfrac", Values: []float64{0, 0.4, 0.8}},
 	}}
-	stepSpan := rc.Span("step")
 	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 33, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		kind, frac := int(c.Values[0]), c.Values[1]
 		// Gateways are stateful: construct a fresh instance per cell.
@@ -263,13 +260,10 @@ func E33GatewayProtection(ctx *Ctx) (*Table, error) {
 		}
 		return cellOut{honest: honest, loss: loss, att: att, q: res.NodeQueue[0].Mean()}, nil
 	})
-	stepSpan.End()
 	if err != nil {
 		return nil, err
 	}
 
-	render := rc.Span("render")
-	defer render.End()
 	// Retained fraction: each cell's compliant goodput against the
 	// same discipline's unattacked (load 0) baseline — the protection
 	// metric proper, independent of the disciplines' differing
@@ -357,11 +351,11 @@ func E34ChurnTurnover(ctx *Ctx) (*Table, error) {
 
 	// Closed-system baseline: the E30 starvation this experiment
 	// opens. (No churn: the population column is pinned at 1.)
-	stepSpan := rc.Span("step")
 	e, err := build(nil, rc.Child("base"))
 	if err != nil {
 		return nil, err
 	}
+	ctx.Stepping()
 	_, baseShare, baseCross, baseQ, err := measure(e)
 	if err != nil {
 		return nil, err
@@ -404,13 +398,10 @@ func E34ChurnTurnover(ctx *Ctx) (*Table, error) {
 		}
 		return cellOut{pop: pop, long: long, minCross: minCross, q: q}, nil
 	})
-	stepSpan.End()
 	if err != nil {
 		return nil, err
 	}
 
-	render := rc.Span("render")
-	defer render.End()
 	t.AddRow("closed", "∞", 0.0, 1.0, baseShare, baseCross, baseQ)
 	sharesRise := true
 	allAboveClosed := true

@@ -14,6 +14,7 @@ import (
 // "a delay in the feedback information introduces cyclic behavior",
 // with amplitude growing with the delay and vanishing as τ → 0).
 func E6DelayOscillation(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E6",
 		Caption: "limit-cycle amplitude and period vs feedback delay τ (Section 7)",
@@ -73,6 +74,7 @@ func E6DelayOscillation(ctx *Ctx) (*Table, error) {
 //     the longer connection, beyond the parameter-only C0/C1 share
 //     law of Section 6.
 func E7DelayUnfairness(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E7",
 		Caption: "unfairness vs connection length (Section 7): pure delay vs full RTT coupling",
@@ -139,6 +141,7 @@ func E7DelayUnfairness(ctx *Ctx) (*Table, error) {
 // linear-increase/linear-decrease oscillates because of the algorithm
 // itself (neutrally stable closed orbits).
 func E8AlgorithmOscillation(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E8",
 		Caption: "oscillation without delay: AIMD converges, AIAD cycles (Sections 1, 7)",

@@ -75,12 +75,12 @@ func TestAllRegistryComplete(t *testing.T) {
 		if !heading.Match(doc) {
 			t.Errorf("%s is registered but has no '### %s' section in EXPERIMENTS.md", r.ID, r.ID)
 		}
-		// The suite runner derives the experiment-level span metric
-		// ("exp.<ID>") and the trace scope from the ID, so IDs must
+		// The suite runner scopes each experiment's recorder, and so
+		// its trace events and manifest node, by the ID, so IDs must
 		// stay plain E<number> tokens — anything else would produce
-		// trace names that filters and dashboards can't address.
+		// scopes that filters and dashboards can't address.
 		if !regexp.MustCompile(`^E\d+$`).MatchString(r.ID) {
-			t.Errorf("id %q is not a plain E<number> token (breaks exp.<ID> span naming)", r.ID)
+			t.Errorf("id %q is not a plain E<number> token (breaks recorder scoping)", r.ID)
 		}
 	}
 }

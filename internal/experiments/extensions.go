@@ -35,6 +35,7 @@ func E13WindowRateEquivalence(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx.Stepping()
 	wres, err := wsim.Run(3000, 300)
 	if err != nil {
 		return nil, err
@@ -97,6 +98,7 @@ func E14SchemeAblation(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx.Stepping()
 	ens.Run(horizon)
 	mc := ens.Moments()
 
@@ -136,6 +138,7 @@ func E14SchemeAblation(ctx *Ctx) (*Table, error) {
 // small-amplitude law a' = a − (2/3)a²/μ — the sharpened form of
 // Theorem 1 this reproduction derives (see EXPERIMENTS.md E2).
 func E15ReturnMapLaw(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E15",
 		Caption: "Poincaré return map of the AIMD spiral and its quadratic contraction law",

@@ -21,7 +21,6 @@ func E3QueueTrace(ctx *Ctx) (*Table, error) {
 		Columns: []string{"metric", "value"},
 	}
 	const mu = 50.0
-	setup := rc.Span("setup")
 	cfg := des.Config{
 		Mu:          mu,
 		Obs:         rc,
@@ -38,15 +37,11 @@ func E3QueueTrace(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	setup.End()
-	stepSpan := rc.Span("step")
+	ctx.Stepping()
 	res, err := sim.Run(400, 50)
-	stepSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	render := rc.Span("render")
-	defer render.End()
 	meanQ := res.QueueStats.Mean()
 	stdQ := res.QueueStats.StdDev()
 	osc := stats.MeasureOscillation(res.TraceT, res.TraceQ, 50, 5)
@@ -64,6 +59,7 @@ func E3QueueTrace(ctx *Ctx) (*Table, error) {
 // using identical parameters converge to equal shares, in both the
 // deterministic fluid system and the packet simulator.
 func E4FairnessEqual(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E4",
 		Caption: "equal-parameter sources share the bottleneck equally (Section 6)",
@@ -129,6 +125,7 @@ func fmtShares(x []float64) string {
 // E5FairnessHetero verifies Section 6's exact-share law: sources with
 // different (C0, C1) receive shares proportional to C0/C1.
 func E5FairnessHetero(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E5",
 		Caption: "heterogeneous-parameter shares vs the C0/C1 prediction (Section 6)",

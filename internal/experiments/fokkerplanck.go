@@ -36,7 +36,6 @@ func E9FokkerPlanckVsMonteCarlo(ctx *Ctx) (*Table, error) {
 	const sigma = 1.5
 	const q0, l0, stdQ, stdL = 5.0, 8.0, 1.5, 1.0
 	inner := ctx.Inner()
-	setup := rc.Span("setup")
 	cfg := e9Config(sigma, inner)
 	cfg.Obs = rc
 	s, err := fokkerplanck.New(cfg)
@@ -56,8 +55,7 @@ func E9FokkerPlanckVsMonteCarlo(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	setup.End()
-	stepSpan := rc.Span("step")
+	ctx.Stepping()
 	checkpoints := []float64{1, 2, 5, 10, 20}
 	worstL1 := 0.0
 	worstMean := 0.0
@@ -89,12 +87,9 @@ func E9FokkerPlanckVsMonteCarlo(ctx *Ctx) (*Table, error) {
 		}
 		t.AddRow(cp, fp.MeanQ, mc.MeanQ, fp.VarQ, mc.VarQ, l1)
 	}
-	stepSpan.End()
 	if err := ens.InvariantViolation(); err != nil {
 		return nil, err
 	}
-	render := rc.Span("render")
-	defer render.End()
 	if worstMean < 2.5 && worstL1 < 0.5 {
 		t.AddFinding("FP tracks the particle system through the transient (worst mean gap %.2f, worst L1 %.2f): Eq. 14 is the right forward equation", worstMean, worstL1)
 	} else {
@@ -122,7 +117,6 @@ func E10VariabilityVsFluid(ctx *Ctx) (*Table, error) {
 	const sigma = 2.0
 	const horizon = 80.0
 	inner := ctx.Inner()
-	setup := rc.Span("setup")
 	cfg := e9Config(sigma, inner)
 	cfg.Obs = rc
 	s, err := fokkerplanck.New(cfg)
@@ -132,8 +126,7 @@ func E10VariabilityVsFluid(ctx *Ctx) (*Table, error) {
 	if err := s.SetGaussian(5, -2, 1.5, 1); err != nil {
 		return nil, err
 	}
-	setup.End()
-	stepSpan := rc.Span("step")
+	ctx.Stepping()
 	if err := s.Advance(horizon, 0); err != nil {
 		return nil, err
 	}
@@ -148,12 +141,9 @@ func E10VariabilityVsFluid(ctx *Ctx) (*Table, error) {
 		return nil, err
 	}
 	ens.Run(horizon)
-	stepSpan.End()
 	if err := ens.InvariantViolation(); err != nil {
 		return nil, err
 	}
-	render := rc.Span("render")
-	defer render.End()
 
 	// Fluid trajectory: deterministic point state at the horizon.
 	m := fluid.Model{Mu: refMu, Q0: 5, Sources: []fluid.Source{{Law: refLaw(), Lambda0: 8}}}

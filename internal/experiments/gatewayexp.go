@@ -15,6 +15,7 @@ import (
 // of the delayed-feedback oscillation is attributable to the raw,
 // synchronous congestion signal.
 func E20GatewayComparison(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E20",
 		Caption: "gateway feedback disciplines under feedback delay 0.5s (AIMD, μ=30, q̂=15)",

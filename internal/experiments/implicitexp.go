@@ -15,6 +15,7 @@ import (
 // must operate the queue near the top of the buffer and pay a loss
 // rate; explicit feedback can hold the queue at q̂ ≪ B with zero loss.
 func E25ImplicitVsExplicit(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E25",
 		Caption: "explicit vs implicit feedback at a 40-packet buffer (AIMD, μ=30, q̂=15, delay 0.1s)",

@@ -18,6 +18,7 @@ import (
 // (a controller that backs off within milliseconds, as a window halving
 // per RTT at short RTTs effectively does).
 func E22IntegratorAblation(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E22",
 		Caption: "stiff fluid loop (SmoothAIMD C1=300): integrator error at t=1.5 vs step size",

@@ -54,6 +54,7 @@ func E17FokkerPlanckVsMarkov(ctx *Ctx) (*Table, error) {
 	if err := fp.SetGaussian(q0+0.5, lam0-mu, 0.8, 0.8); err != nil {
 		return nil, err
 	}
+	ctx.Stepping()
 
 	times := []float64{2, 5, 10, 20}
 	series, err := cq.Chain().TransientSeries(p0, times, 1e-9)

@@ -53,7 +53,6 @@ func E28MeanFieldConvergence(ctx *Ctx) (*Table, error) {
 
 	// Kinetic reference: one density solve serves every N (the
 	// scenario is scaled so per-source observables are N-invariant).
-	setup := rc.Span("setup")
 	cfg := mfScaledConfig(10000)
 	cfg.SecondOrder = true
 	cfg.Obs = rc.Child("ref")
@@ -61,8 +60,7 @@ func E28MeanFieldConvergence(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	setup.End()
-	stepSpan := rc.Span("step")
+	ctx.Stepping()
 	if err := d.Run(mfWarm); err != nil {
 		return nil, err
 	}
@@ -133,12 +131,9 @@ func E28MeanFieldConvergence(ctx *Ctx) (*Table, error) {
 		meanQ := qSum / float64(qn) / float64(n)
 		return cellOut{meanQ: meanQ, gap: 100 * math.Abs(meanQ-refQ) / refQ, l1: l1}, nil
 	})
-	stepSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	render := rc.Span("render")
-	defer render.End()
 	l1Monotone := true
 	for i, c := range cells {
 		t.AddRow(grid.Dims[0].Values[i], c.meanQ, refQ, c.gap, c.l1)
@@ -164,6 +159,7 @@ func E28MeanFieldConvergence(ctx *Ctx) (*Table, error) {
 // the queue later), swept over the mix fraction and the RTT ratio as
 // grid dimensions of the parallel sweep runner.
 func E29HeterogeneousRTTMix(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	rc := ctx.Rec()
 	t := &Table{
 		ID:      "E29",
@@ -181,7 +177,6 @@ func E29HeterogeneousRTTMix(ctx *Ctx) (*Table, error) {
 		{Name: "slowfrac", Values: []float64{0.2, 0.5, 0.8}},
 		{Name: "rttratio", Values: []float64{2, 8}},
 	}}
-	stepSpan := rc.Span("step")
 	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 29, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		frac, ratio := c.Values[0], c.Values[1]
 		nSlow := int(frac * total)
@@ -221,12 +216,9 @@ func E29HeterogeneousRTTMix(ctx *Ctx) (*Table, error) {
 			jain: sum * sum / (float64(total) * sumSq),
 		}, nil
 	})
-	stepSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	render := rc.Span("render")
-	defer render.End()
 	allBeaten := true
 	ratioGrows := true
 	maxRatio := math.Inf(-1)

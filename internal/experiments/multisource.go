@@ -24,6 +24,7 @@ import (
 //     "oscillations for every individual user" — while their pairwise
 //     spread (the fairness gap) stays damped.
 func E24MultiSourceDelay(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	rc := ctx.Rec()
 	t := &Table{
 		ID:      "E24",

@@ -33,6 +33,7 @@ import (
 // the multi-bottleneck observation bias alone starves a long path
 // completely.
 func E30ParkingLotLargeN(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	rc := ctx.Rec()
 	t := &Table{
 		ID:      "E30",
@@ -47,7 +48,6 @@ func E30ParkingLotLargeN(ctx *Ctx) (*Table, error) {
 		{Name: "hops", Values: []float64{2, 3, 5}},
 		{Name: "rttstretch", Values: []float64{1, 4}},
 	}}
-	stepSpan := rc.Span("step")
 	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 30, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		hops := int(c.Values[0])
 		cfg, err := netmf.ParkingLot(netmf.ParkingLotConfig{
@@ -84,12 +84,9 @@ func E30ParkingLotLargeN(ctx *Ctx) (*Table, error) {
 		alloc = append(alloc, rates...)
 		return cellOut{long: long, minCross: minCross, q: qPerHop, jain: stats.JainIndex(alloc)}, nil
 	})
-	stepSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	render := rc.Span("render")
-	defer render.End()
 	allBeaten := true
 	jainRises := true
 	minLong, maxLong := math.Inf(1), math.Inf(-1)
@@ -136,6 +133,7 @@ func E30ParkingLotLargeN(ctx *Ctx) (*Table, error) {
 // because its feedback sums the path backlog wherever the queue
 // stands.
 func E31BottleneckMigrationLargeN(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	rc := ctx.Rec()
 	t := &Table{
 		ID:      "E31",
@@ -149,7 +147,6 @@ func E31BottleneckMigrationLargeN(ctx *Ctx) (*Table, error) {
 	grid := sweep.Grid{Dims: []sweep.Dim{
 		{Name: "crossfrac", Values: []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}},
 	}}
-	stepSpan := rc.Span("step")
 	cells, err := sweep.Run(sweep.Config{Grid: grid, BaseSeed: 31, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		cfg, err := netmf.CrossChain(netmf.CrossChainConfig{
 			N: n, CrossFrac: c.Values[0], Delay: 0.1,
@@ -175,12 +172,9 @@ func E31BottleneckMigrationLargeN(ctx *Ctx) (*Table, error) {
 			q2:   meanQ[1] / n,
 		}, nil
 	})
-	stepSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	render := rc.Span("render")
-	defer render.End()
 	firstBottleneck, lastBottleneck := "", ""
 	var tputs []float64
 	for i, c := range cells {

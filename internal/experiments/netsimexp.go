@@ -41,6 +41,7 @@ func E26ParkingLotFairness(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx.Stepping()
 	res, err := sim.Run(3000, 300)
 	if err != nil {
 		return nil, err
@@ -72,6 +73,7 @@ func E26ParkingLotFairness(ctx *Ctx) (*Table, error) {
 // working across the migration because the flow observes its summed
 // path backlog, wherever the queue happens to stand.
 func E27BottleneckMigration(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E27",
 		Caption: "cross-traffic bottleneck migration: two-hop chain, μ1=40, μ2=60 (netsim sweep)",

@@ -18,6 +18,7 @@ import (
 // at AIMD's own a and sweeps Kl; the last column verifies with the
 // nonlinear DDE at a delay where AIMD already rings.
 func E23DelayBudgetEngineering(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E23",
 		Caption: "engineering the delay budget: AIMD's fixed damping vs PD damping sweep (τ test = 0.30 s)",

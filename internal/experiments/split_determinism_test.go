@@ -4,6 +4,8 @@ import (
 	"regexp"
 	"runtime"
 	"testing"
+
+	"fpcc/internal/obs"
 )
 
 // TestSuiteDeterministicAcrossSplits is the two-level scheduler's
@@ -69,11 +71,18 @@ func TestNegotiateInner(t *testing.T) {
 
 // TestCtxNil: a nil context is the valid direct-invocation default —
 // no recorder, unconstrained grant — and the SetInnerWorkers override
-// applies to it too.
+// applies to it too. Stepping is a no-op on it and on a runner-less
+// context: only RunSuite opens phase spans.
 func TestCtxNil(t *testing.T) {
 	var c *Ctx
 	if c.Rec() != nil {
 		t.Error("nil ctx has a recorder")
+	}
+	c.Stepping()
+	rec := (&obs.Config{}).Recorder("direct")
+	NewCtx(rec, 1).Stepping()
+	if spans := rec.Summary().Spans; len(spans) != 0 {
+		t.Errorf("Stepping on a runner-less ctx recorded spans %v", spans)
 	}
 	if c.Inner() != 0 {
 		t.Errorf("nil ctx grant = %d, want 0 (GOMAXPROCS)", c.Inner())

@@ -18,6 +18,7 @@ import (
 // The τ/τ* grid runs on the parallel sweep runner, one DDE solve per
 // cell.
 func E19StabilityBoundary(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	rc := ctx.Rec()
 	t := &Table{
 		ID:      "E19",

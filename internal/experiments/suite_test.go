@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"fpcc/internal/obs"
 )
@@ -353,40 +352,31 @@ func TestSuiteSelect(t *testing.T) {
 	}
 }
 
-// TestSuiteBenchJSON: the timing report decodes, covers every report,
-// and records the worker bound.
-func TestSuiteBenchJSON(t *testing.T) {
-	suite, err := RunSuite(SuiteConfig{Filter: cheapFilter, Workers: 2})
+// TestSuiteResourcesSerialOnly: a one-worker instrumented run puts
+// each experiment's own resource delta on its report's summary; under
+// two outer workers the process-wide counters would mix experiments,
+// so no report carries one.
+func TestSuiteResourcesSerialOnly(t *testing.T) {
+	serial, err := RunSuite(SuiteConfig{Filter: cheapFilter, Workers: 1, Obs: &obs.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := suite.WriteBenchJSON(&buf, 2, 123*time.Millisecond); err != nil {
+	for _, r := range serial.Reports {
+		if res := r.Summary.Resources; res == nil || res.WallSeconds <= 0 {
+			t.Errorf("%s at one worker: resources %+v, want a positive wall time", r.Experiment.ID, res)
+		}
+	}
+	parallel, err := RunSuite(SuiteConfig{Filter: cheapFilter, Workers: 2, Obs: &obs.Config{}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var rep BenchReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("bench JSON does not decode: %v", err)
-	}
-	if rep.Workers != 2 {
-		t.Errorf("workers = %d, want 2", rep.Workers)
-	}
-	if rep.TotalSeconds != 0.123 {
-		t.Errorf("total = %v, want 0.123", rep.TotalSeconds)
-	}
-	if len(rep.Experiments) != len(suite.Reports) {
-		t.Fatalf("%d timing entries for %d reports", len(rep.Experiments), len(suite.Reports))
-	}
-	for i, e := range rep.Experiments {
-		if e.ID != suite.Reports[i].Experiment.ID || e.Title == "" {
-			t.Errorf("entry %d = %+v", i, e)
-		}
-		if e.Seconds < 0 {
-			t.Errorf("%s has negative elapsed %v", e.ID, e.Seconds)
+	for _, r := range parallel.Reports {
+		if r.Summary.Resources != nil {
+			t.Errorf("%s at two workers carries resources %+v", r.Experiment.ID, r.Summary.Resources)
 		}
 	}
-	if len(suite.Alarms()) != 0 {
-		t.Errorf("cheap suite alarmed: %v", suite.Alarms())
+	if len(parallel.Alarms()) != 0 {
+		t.Errorf("cheap suite alarmed: %v", parallel.Alarms())
 	}
 }
 

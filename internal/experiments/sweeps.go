@@ -16,6 +16,7 @@ import (
 // grid runs on the generic parallel sweep runner; cell order (C1
 // varying fastest) matches the original nested loop.
 func E11ParameterSweep(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	rc := ctx.Rec()
 	t := &Table{
 		ID:      "E11",
@@ -84,6 +85,7 @@ func E11ParameterSweep(ctx *Ctx) (*Table, error) {
 // whose width grows with σ. We sweep σ on the parallel runner and
 // report the stationary queue spread around q̂.
 func E12DiffusionSpread(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	rc := ctx.Rec()
 	t := &Table{
 		ID:      "E12",

@@ -14,6 +14,7 @@ import (
 // ratio should grow with the RTT ratio (between linear and quadratic
 // in it, per the classic TCP-friendliness analyses that followed).
 func E21TahoeRTTShare(ctx *Ctx) (*Table, error) {
+	ctx.Stepping()
 	t := &Table{
 		ID:      "E21",
 		Caption: "TCP-Tahoe share of a drop-tail bottleneck vs RTT ratio (μ=100 pkt/s, buffer 25)",

@@ -42,6 +42,7 @@ func E16TandemHopCount(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx.Stepping()
 	res, err := sim.Run(4000, 500)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,10 @@
 package experiments
 
-import "runtime"
+import (
+	"runtime"
+
+	"fpcc/internal/obs"
+)
 
 // This file is the inner half of the suite's two-level scheduler.
 // The suite-level worker knob (SuiteConfig.Workers) shards
@@ -15,18 +19,38 @@ import "runtime"
 // only.
 
 // Ctx is the per-experiment run context handed to every Experiment.Run:
-// the experiment's recorder (nil when observability is off) and its
-// negotiated inner-worker grant. A nil *Ctx is valid — the
-// zero-overhead default for direct invocations — and means no recorder
-// and an unconstrained grant (GOMAXPROCS).
+// the experiment's recorder (nil when observability is off), its
+// negotiated inner-worker grant and, under RunSuite, its open phase
+// span. A nil *Ctx is valid — the zero-overhead default for direct
+// invocations — and means no recorder and an unconstrained grant
+// (GOMAXPROCS).
 type Ctx struct {
 	rec   *Recorder
 	inner int
+	// worker is the outer suite worker running the experiment, and
+	// phase its open phase span ("setup", then "step" after Stepping);
+	// RunSuite sets both, so phase is nil on a runner-less context.
+	worker int
+	phase  *obs.Span
 }
 
 // NewCtx builds a run context: rec may be nil (no observability);
-// inner is the inner-worker grant (0 = GOMAXPROCS).
+// inner is the inner-worker grant (0 = GOMAXPROCS). It carries no
+// phase span, so Stepping is a no-op on it.
 func NewCtx(rec *Recorder, inner int) *Ctx { return &Ctx{rec: rec, inner: inner} }
+
+// Stepping marks the experiment's setup/step boundary: it ends the
+// "setup" span RunSuite opened before Run and opens "step", which the
+// runner ends when Run returns. Every experiment calls it exactly
+// once — after building its engines, or first thing if it builds them
+// as it steps. A no-op on a nil or runner-less context.
+func (c *Ctx) Stepping() {
+	if c == nil || c.phase == nil {
+		return
+	}
+	c.phase.End()
+	*c.phase = c.rec.WorkerSpan("step", c.worker)
+}
 
 // Rec returns the experiment's recorder; nil on a nil context (the
 // recorder's methods are nil-safe no-ops).
@@ -64,21 +88,14 @@ var innerWorkersBound int
 // worker counts and splits.
 func SetInnerWorkers(n int) { innerWorkersBound = n }
 
-// InnerWorkersOverride reports the current SetInnerWorkers override
-// (0 = none); benchreport records it in the bench JSON.
-func InnerWorkersOverride() int { return innerWorkersBound }
-
 // negotiateInner computes the per-experiment inner grant for a suite
-// run with the given outer worker count: the shared budget is
+// run with the given outer worker count (≥ 1): the shared budget is
 // GOMAXPROCS, each of the outer workers runs one experiment at a
 // time, and an experiment never receives more inner workers than the
 // parallel width it declares (Width 0 = the experiment has no inner
 // parallelism; it gets the grant anyway, harmlessly).
 func negotiateInner(outer int, width int) int {
 	budget := runtime.GOMAXPROCS(0)
-	if outer <= 0 {
-		outer = budget
-	}
 	grant := budget / outer
 	if grant < 1 {
 		grant = 1

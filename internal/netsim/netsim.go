@@ -195,10 +195,12 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("netsim: %s has nil law", who)
 		case len(f.Route) == 0:
 			return fmt.Errorf("netsim: %s has empty route", who)
-		case !(f.IngressDelay >= 0) || !(f.ReturnDelay >= 0):
-			return fmt.Errorf("netsim: %s has negative access delay", who)
-		case !(f.FeedbackDelay >= 0):
-			return fmt.Errorf("netsim: %s has negative feedback delay %v", who, f.FeedbackDelay)
+		case !(f.IngressDelay >= 0) || math.IsInf(f.IngressDelay, 1):
+			return fmt.Errorf("netsim: %s has invalid ingress delay %v", who, f.IngressDelay)
+		case !(f.ReturnDelay >= 0) || math.IsInf(f.ReturnDelay, 1):
+			return fmt.Errorf("netsim: %s has invalid return delay %v", who, f.ReturnDelay)
+		case !(f.FeedbackDelay >= 0) || math.IsInf(f.FeedbackDelay, 1):
+			return fmt.Errorf("netsim: %s has invalid feedback delay %v", who, f.FeedbackDelay)
 		case !(f.Interval >= 0) || math.IsInf(f.Interval, 1):
 			return fmt.Errorf("netsim: %s has invalid control interval %v", who, f.Interval)
 		case !(f.Lambda0 >= 0) || math.IsInf(f.Lambda0, 1):
@@ -206,14 +208,14 @@ func (c *Config) Validate() error {
 		case !(f.MinRate >= 0) || math.IsInf(f.MinRate, 1):
 			return fmt.Errorf("netsim: %s has invalid rate floor %v", who, f.MinRate)
 		}
-		if err := tp.validateRouteIn(tab, f.Route); err != nil {
-			return fmt.Errorf("netsim: %s: %w", who, err)
-		}
-		path, err := pathDelayIn(tab, f.Route)
+		path, err := tp.routeDelayIn(tab, f.Route)
 		if err != nil {
 			return fmt.Errorf("netsim: %s: %w", who, err)
 		}
 		rtt := f.IngressDelay + path + f.ReturnDelay
+		if math.IsInf(rtt, 1) {
+			return fmt.Errorf("netsim: %s round-trip delay overflows to %v", who, rtt)
+		}
 		if f.Interval == 0 && !(rtt > 0) {
 			return fmt.Errorf("netsim: %s has zero control interval and zero RTT; set Interval", who)
 		}
@@ -242,8 +244,8 @@ func (c *Config) Validate() error {
 			return err
 		}
 	}
-	if c.SampleEvery < 0 {
-		return fmt.Errorf("netsim: negative sample period %v", c.SampleEvery)
+	if !(c.SampleEvery >= 0) || math.IsInf(c.SampleEvery, 1) {
+		return fmt.Errorf("netsim: invalid sample period %v", c.SampleEvery)
 	}
 	return nil
 }

@@ -74,11 +74,25 @@ func TestValidateErrors(t *testing.T) {
 		{"duplicate link", Config{Nodes: []Node{node, node}, Links: []Link{{From: 0, To: 1}, {From: 0, To: 1}}, Flows: []Flow{{Law: law, Route: []int{0}, Interval: 1}}}},
 		{"zero interval zero rtt", Config{Nodes: []Node{node}, Flows: []Flow{{Law: law, Route: []int{0}}}}},
 		{"negative feedback delay", Config{Nodes: []Node{node}, Flows: []Flow{{Law: law, Route: []int{0}, Interval: 1, FeedbackDelay: -1}}}},
+		{"infinite ingress delay", Config{Nodes: []Node{node}, Flows: []Flow{{Law: law, Route: []int{0}, Interval: 1, IngressDelay: math.Inf(1)}}}},
+		{"infinite return delay", Config{Nodes: []Node{node}, Flows: []Flow{{Law: law, Route: []int{0}, Interval: 1, ReturnDelay: math.Inf(1)}}}},
+		{"infinite feedback delay", Config{Nodes: []Node{node}, Flows: []Flow{{Law: law, Route: []int{0}, Interval: 1, FeedbackDelay: math.Inf(1)}}}},
+		{"route delay overflows", Config{Nodes: []Node{node, node, node}, Links: []Link{{From: 0, To: 1, Delay: 1e308}, {From: 1, To: 2, Delay: 1e308}}, Flows: []Flow{{Law: law, Route: []int{0, 1, 2}, Interval: 1}}}},
+		{"NaN sample period", Config{Nodes: []Node{node}, Flows: []Flow{{Law: law, Route: []int{0}, Interval: 1}}, SampleEvery: math.NaN()}},
 	}
 	for _, tc := range cases {
 		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid config", tc.name)
 		}
+	}
+	// The overflowing route is an error for every route-checking
+	// caller, not only Validate.
+	over := Topology{Nodes: []Node{node, node, node}, Links: []Link{{From: 0, To: 1, Delay: 1e308}, {From: 1, To: 2, Delay: 1e308}}}
+	if d, err := over.PathDelay([]int{0, 1, 2}); err == nil {
+		t.Errorf("PathDelay accepted an overflowing route (delay %v)", d)
+	}
+	if err := over.ValidateRoute([]int{0, 1, 2}); err == nil {
+		t.Error("ValidateRoute accepted an overflowing route")
 	}
 	good := Config{
 		Nodes: []Node{node, node},

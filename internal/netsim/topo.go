@@ -62,38 +62,37 @@ func (tp *Topology) Validate() error {
 }
 
 // ValidateRoute checks that route is non-empty, stays inside the node
-// range, and that every consecutive hop pair is connected by a link.
+// range, that every consecutive hop pair is connected by a link, and
+// that the link delays along it sum to a finite delay.
 // Callers validating many routes should build the link table once and
-// use validateRouteIn (inside the package) — this convenience form
+// use routeDelayIn (inside the package) — this convenience form
 // rebuilds it per call.
 func (tp *Topology) ValidateRoute(route []int) error {
 	tab, err := tp.linkTable()
 	if err != nil {
 		return err
 	}
-	return tp.validateRouteIn(tab, route)
+	_, err = tp.routeDelayIn(tab, route)
+	return err
 }
 
-// validateRouteIn is ValidateRoute against a pre-built link table.
-func (tp *Topology) validateRouteIn(tab map[linkKey]float64, route []int) error {
+// routeDelayIn is ValidateRoute against a pre-built link table; it
+// also returns the route's path delay.
+func (tp *Topology) routeDelayIn(tab map[linkKey]float64, route []int) (float64, error) {
 	if len(route) == 0 {
-		return fmt.Errorf("empty route")
+		return 0, fmt.Errorf("empty route")
 	}
 	for _, h := range route {
 		if h < 0 || h >= len(tp.Nodes) {
-			return fmt.Errorf("route node %d out of range", h)
+			return 0, fmt.Errorf("route node %d out of range", h)
 		}
 	}
-	for k := 0; k+1 < len(route); k++ {
-		if _, ok := tab[linkKey{route[k], route[k+1]}]; !ok {
-			return fmt.Errorf("route hop %d -> %d has no link", route[k], route[k+1])
-		}
-	}
-	return nil
+	return pathDelayIn(tab, route)
 }
 
 // PathDelay returns the summed one-way propagation delay of the links
-// along route (0 for a single-node route).
+// along route (0 for a single-node route); a sum that overflows to
+// +Inf is an error.
 func (tp *Topology) PathDelay(route []int) (float64, error) {
 	tab, err := tp.linkTable()
 	if err != nil {
@@ -102,7 +101,9 @@ func (tp *Topology) PathDelay(route []int) (float64, error) {
 	return pathDelayIn(tab, route)
 }
 
-// pathDelayIn is PathDelay against a pre-built link table.
+// pathDelayIn is PathDelay against a pre-built link table. Every link
+// delay is finite, but their sum can still overflow; such a route is
+// an error.
 func pathDelayIn(tab map[linkKey]float64, route []int) (float64, error) {
 	var d float64
 	for k := 0; k+1 < len(route); k++ {
@@ -111,6 +112,9 @@ func pathDelayIn(tab map[linkKey]float64, route []int) (float64, error) {
 			return 0, fmt.Errorf("route hop %d -> %d has no link", route[k], route[k+1])
 		}
 		d += ld
+	}
+	if math.IsInf(d, 1) {
+		return 0, fmt.Errorf("route delay overflows to %v", d)
 	}
 	return d, nil
 }

@@ -349,6 +349,7 @@ type Recorder struct {
 	spans      map[spanKey]*spanStat
 	probes     map[string]*probeStat
 	violations int64
+	resources  *Resources
 	children   []*Recorder
 	// ring is the flight recorder (cfg.Invariants): a circular buffer
 	// of the flightRing most recent events this recorder emitted.
@@ -532,6 +533,19 @@ func sortedSpanKeys(m map[spanKey]*spanStat) []spanKey {
 		return ks[i].worker < ks[j].worker
 	})
 	return ks
+}
+
+// SetResources attaches the resource delta of the recorder's whole
+// scope, which Summary then carries. The suite runner calls it only
+// when one experiment runs at a time, so the process-wide counters
+// the delta is read from are the experiment's alone.
+func (r *Recorder) SetResources(res Resources) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.resources = &res
+	r.mu.Unlock()
 }
 
 // Violations returns the number of invariant violations recorded.

@@ -11,15 +11,16 @@ import (
 // Summary, a JSON-stable run manifest. Summaries form the same tree
 // the Child hierarchy does, children sorted by scope, and merge
 // deterministically (Rollup), so two snapshots of identical recorder
-// state are byte-identical JSON. The suite runner attaches
-// per-experiment Resources (wall/CPU time, allocs, GC) and embeds the
-// tree in the bench artifact (fpcc-bench/4); the obshttp /metrics
-// endpoint exports rolled-up live summaries as Prometheus text.
+// state are byte-identical JSON. The suite runner opens each
+// experiment's setup/step phase spans and, when experiments run one
+// at a time, attaches its Resources (wall/CPU time, allocs, GC) via
+// SetResources; the -obs-summary manifest and the obshttp /summary
+// endpoint carry the tree, and /metrics exports rolled-up live
+// summaries as Prometheus text.
 
 // SpanSummary is the snapshot of one span accumulator, workers
 // summed in deterministic (name, worker) order, so identical span
 // activity yields identical Seconds however goroutines interleaved.
-// The suite's per-phase breakdown (BenchEntry.Phases) reads it.
 type SpanSummary struct {
 	Count   int64   `json:"count"`
 	Seconds float64 `json:"seconds"`
@@ -35,9 +36,9 @@ type ProbeSummary struct {
 
 // Resources are process resource deltas harvested around a region of
 // work: wall and CPU time, allocator traffic, and GC cycles. The
-// counters are process-wide, so under parallel outer workers a
-// per-experiment delta attributes concurrent experiments' traffic
-// too — exact at workers=1, an upper bound otherwise.
+// counters are process-wide, so a delta is one region's own only when
+// nothing else runs beside it; the suite runner records
+// per-experiment deltas only when it runs one experiment at a time.
 type Resources struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	CPUSeconds  float64 `json:"cpu_seconds"`
@@ -107,7 +108,9 @@ func (r *Recorder) Summary() *Summary {
 		return nil
 	}
 	r.mu.Lock()
-	s := &Summary{Scope: r.scope, Violations: r.violations}
+	// SetResources swaps the pointer and never writes through it, so
+	// the snapshot may share it.
+	s := &Summary{Scope: r.scope, Violations: r.violations, Resources: r.resources}
 	if len(r.counters) > 0 {
 		s.Counters = make(map[string]int64, len(r.counters))
 		for k, v := range r.counters {
