@@ -8,11 +8,17 @@
 // The heap is generic over the simulator's event type, so each
 // simulator keeps its own plain event struct (no boxing through
 // container/heap's `any`) and implements the one-line Key method.
+// Each heap slot caches the event's (time, sequence) key next to the
+// event: Key is read once, at Push, and every compare reads the
+// cached pair inline instead of calling Key through the generic
+// dictionary. Sifts move a hole — one slot copy per level — and
+// write the moving entry once, where the hole stops.
 package eventq
 
 // Event exposes the (time, sequence) ordering key of a simulator
 // event. Sequence numbers must be unique per queue, which makes the
-// order strict.
+// order strict. The queue reads Key once, when the event is pushed,
+// so the key must not change while the event is queued.
 type Event interface {
 	Key() (t float64, seq uint64)
 }
@@ -26,75 +32,89 @@ type Event interface {
 // event behind every post-wrap one.
 func seqBefore(a, b uint64) bool { return int64(a-b) < 0 }
 
+// before reports whether key (ta, sa) orders before key (tb, sb).
+func before(ta float64, sa uint64, tb float64, sb uint64) bool {
+	if ta != tb {
+		return ta < tb
+	}
+	return seqBefore(sa, sb)
+}
+
+// entry is one heap slot: an event with its cached key.
+type entry[E Event] struct {
+	t   float64
+	seq uint64
+	e   E
+}
+
 // Q is a binary min-heap of events ordered by (time, sequence).
 // The zero value is an empty queue ready for use.
 type Q[E Event] struct {
-	es []E
+	es []entry[E]
 }
 
 // Len returns the number of queued events.
 func (q *Q[E]) Len() int { return len(q.es) }
 
-// less reports whether event i orders before event j.
-func (q *Q[E]) less(i, j int) bool {
-	ti, si := q.es[i].Key()
-	tj, sj := q.es[j].Key()
-	if ti != tj {
-		return ti < tj
-	}
-	return seqBefore(si, sj)
-}
-
 // Push adds an event to the queue.
 func (q *Q[E]) Push(e E) {
-	q.es = append(q.es, e)
-	// Sift up.
-	i := len(q.es) - 1
+	t, seq := e.Key()
+	q.es = append(q.es, entry[E]{})
+	es := q.es
+	// Sift up: move the hole from the new last slot toward the root
+	// while its parent orders after the new key.
+	i := len(es) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !before(t, seq, es[parent].t, es[parent].seq) {
 			break
 		}
-		q.es[i], q.es[parent] = q.es[parent], q.es[i]
+		es[i] = es[parent]
 		i = parent
 	}
+	es[i] = entry[E]{t: t, seq: seq, e: e}
 }
 
 // Pop removes and returns the earliest event. It panics on an empty
 // queue (callers guard with Len, as with container/heap).
 func (q *Q[E]) Pop() E {
-	top := q.es[0]
+	top := q.es[0].e
 	n := len(q.es) - 1
-	q.es[0] = q.es[n]
-	var zero E
-	q.es[n] = zero // release references held by the vacated slot
+	last := q.es[n]
+	q.es[n] = entry[E]{} // release references held by the vacated slot
 	q.es = q.es[:n]
-	// Sift down.
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
-			child = right
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q.es[i], q.es[child] = q.es[child], q.es[i]
-		i = child
+	if n > 0 {
+		q.siftDown(last)
 	}
 	return top
 }
 
+// siftDown fills the hole at the root with x: it moves the hole down
+// past every child that orders before x and writes x where it stops.
+func (q *Q[E]) siftDown(x entry[E]) {
+	es := q.es
+	n := len(es)
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && before(es[right].t, es[right].seq, es[child].t, es[child].seq) {
+			child = right
+		}
+		if !before(es[child].t, es[child].seq, x.t, x.seq) {
+			break
+		}
+		es[i] = es[child]
+		i = child
+	}
+	es[i] = x
+}
+
 // NextTime returns the timestamp of the earliest queued event. It
 // panics on an empty queue (callers guard with Len, as with Pop).
-func (q *Q[E]) NextTime() float64 {
-	t, _ := q.es[0].Key()
-	return t
-}
+func (q *Q[E]) NextTime() float64 { return q.es[0].t }
 
 // PopBatch removes every event sharing the earliest queued timestamp
 // — a same-time burst — and appends them to dst in (time, sequence)
@@ -113,13 +133,10 @@ func (q *Q[E]) PopBatch(dst []E) []E {
 	if len(q.es) == 0 {
 		return dst
 	}
-	t0, _ := q.es[0].Key()
+	t0 := q.es[0].t
 	for {
 		dst = append(dst, q.Pop())
-		if len(q.es) == 0 {
-			return dst
-		}
-		if t, _ := q.es[0].Key(); t != t0 {
+		if len(q.es) == 0 || q.es[0].t != t0 {
 			return dst
 		}
 	}
