@@ -2,6 +2,7 @@ package characteristics
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -421,9 +422,42 @@ func BenchmarkTraceExact(b *testing.B) {
 
 func BenchmarkTraceNumeric(b *testing.B) {
 	l := control.AIMD{C0: 2, C1: 0.8, QHat: 20}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Trace(l, 10, Point{Q: 0, Lambda: 2}, 100, 1e-2); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTraceAllocatesNearItsStorage: E8's AIAD trace (400 s at
+// dt = 1e-3, about 400k samples) appends every segment straight into
+// one flat trajectory that grows by doubling, so the bytes it
+// allocates stay within 2.5× the trajectory's final storage (its
+// capacity: cap(Times) samples of one time and two state values;
+// doubling alone accounts for 2×) instead of re-copying every segment.
+func TestTraceAllocatesNearItsStorage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("400k-sample trace")
+	}
+	law, err := control.NewAIAD(2, 8, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := Trace(law, 10, Point{Q: 10, Lambda: 12}, 400, 1e-3)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() < 400000 {
+		t.Fatalf("%d samples, want at least 400000", tr.Len())
+	}
+	storage := float64(cap(tr.Times) * 3 * 8)
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d samples, %.2f MB of storage, %.2f MB allocated (%.2f×)", tr.Len(), storage/1e6, alloc/1e6, alloc/storage)
+	if alloc > 2.5*storage {
+		t.Errorf("Trace allocated %.2f MB for %.2f MB of storage (%.2f×), want at most 2.5×", alloc/1e6, storage/1e6, alloc/storage)
 	}
 }

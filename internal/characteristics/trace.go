@@ -64,6 +64,12 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 			dydt[1] = law.Drift(0, y[1])
 		},
 	}
+	atTarget := func(_ float64, y []float64) float64 { return y[0] - qHat }
+	exits := map[traceRegion][]ode.EventFunc{
+		regionIncrease: {atTarget, func(_ float64, y []float64) float64 { return y[0] }},
+		regionDecrease: {atTarget},
+		regionStuck:    {func(_ float64, y []float64) float64 { return y[1] - mu }},
+	}
 	regionOf := func(p Point) traceRegion {
 		switch {
 		case p.Q <= 0 && p.Lambda < mu:
@@ -79,8 +85,7 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 	tol := math.Min(dt*1e-6, 1e-9)
 	y := []float64{p0.Q, p0.Lambda}
 	full := &ode.Trajectory{}
-	full.Times = append(full.Times, 0)
-	full.States = append(full.States, append([]float64(nil), y...))
+	full.Append(0, y)
 
 	// Near the Filippov equilibrium (q̂, μ) region cycles become
 	// arbitrarily short (the spiral converges in infinite time with
@@ -96,43 +101,22 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 	t := 0.0
 	for t < t1 {
 		if math.Abs(y[0]-qHat) < eqTol && math.Abs(y[1]-mu) < eqTol {
-			full.Times = append(full.Times, t1)
-			full.States = append(full.States, []float64{qHat, mu})
+			full.Append(t1, []float64{qHat, mu})
 			break
 		}
 		reg := regionOf(Point{Q: y[0], Lambda: y[1]})
-		var events []ode.EventFunc
-		switch reg {
-		case regionIncrease:
-			events = []ode.EventFunc{
-				func(tt float64, yy []float64) float64 { return yy[0] - qHat },
-				func(tt float64, yy []float64) float64 { return yy[0] },
-			}
-		case regionDecrease:
-			events = []ode.EventFunc{
-				func(tt float64, yy []float64) float64 { return yy[0] - qHat },
-			}
-		case regionStuck:
-			events = []ode.EventFunc{
-				func(tt float64, yy []float64) float64 { return yy[1] - mu },
-			}
-		}
-		seg, evs, err := ode.SolveWithEvents(rhs[reg], stepper, y, t, t1, dt, tol, events, nil, 1)
+		// The segment's samples follow full's last one, taken at t.
+		evs, err := ode.SolveWithEvents(full, rhs[reg], stepper, y, t, t1, dt, tol, exits[reg], nil, 1)
 		if err != nil {
 			return nil, err
 		}
-		// Append the segment, skipping its duplicated initial sample.
-		// The segment is discarded, so full takes over its rows.
-		full.Times = append(full.Times, seg.Times[1:]...)
-		full.States = append(full.States, seg.States[1:]...)
-		tEnd, yEnd := seg.Last()
+		tEnd, yEnd := full.Last()
 		copy(y, yEnd)
+		t = tEnd
 		if len(evs) == 0 {
 			// Ran to the horizon without leaving the region.
-			t = tEnd
 			break
 		}
-		t = tEnd
 		// Snap exactly onto the boundary the event located.
 		switch reg {
 		case regionIncrease:
@@ -147,9 +131,7 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 			y[0] = 0
 			y[1] = mu
 		}
-		if len(full.States) > 0 {
-			copy(full.States[len(full.States)-1], y)
-		}
+		copy(yEnd, y) // nothing was appended since Last, so yEnd is still the last sample
 		if y[0] < 0 {
 			y[0] = 0
 		}

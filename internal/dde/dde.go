@@ -20,11 +20,16 @@
 // would read a pruned window, so Solve reports it as an error. Stage
 // evaluations may only look back at least one step (the step size must
 // not exceed the smallest delay), which keeps the scheme explicit.
+//
+// The recorded solution, Result, is ode.Trajectory: one flat store of
+// times and state rows, presized from the step count and stride.
 package dde
 
 import (
 	"fmt"
 	"math"
+
+	"fpcc/internal/ode"
 )
 
 // Lagger provides access to past state values during integration.
@@ -51,10 +56,6 @@ type History func(t float64) []float64
 
 // pruneEvery is the number of steps between history prunes.
 const pruneEvery = 256
-
-// rowBlock is the row count of the block Result rows are carved from
-// once the preallocated estimate runs out.
-const rowBlock = 256
 
 // maxHint caps preallocation sizes computed from the interval, so a
 // nonsensical horizon cannot request an absurd up-front allocation.
@@ -155,22 +156,7 @@ func sizeHint(n float64) int {
 }
 
 // Result holds the sampled DDE solution.
-type Result struct {
-	Times  []float64
-	States [][]float64
-}
-
-// Len returns the number of samples.
-func (r *Result) Len() int { return len(r.Times) }
-
-// At returns sample i.
-func (r *Result) At(i int) (float64, []float64) { return r.Times[i], r.States[i] }
-
-// Last returns the final sample. It panics on an empty result.
-func (r *Result) Last() (float64, []float64) {
-	n := len(r.Times)
-	return r.Times[n-1], r.States[n-1]
-}
+type Result = ode.Trajectory
 
 // Options configures Solve.
 type Options struct {
@@ -232,22 +218,8 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 	}
 	buf.append(t0, y)
 
-	// Result rows are carved from shared blocks; the full slice
-	// expression keeps every row's capacity to its own dim values.
-	nRec := sizeHint(steps/float64(stride) + 3)
-	res := &Result{Times: make([]float64, 0, nRec), States: make([][]float64, 0, nRec)}
-	rows := make([]float64, nRec*dim)
-	record := func(t float64, y []float64) {
-		if len(rows) < dim {
-			rows = make([]float64, rowBlock*dim)
-		}
-		row := rows[:dim:dim]
-		rows = rows[dim:]
-		copy(row, y)
-		res.Times = append(res.Times, t)
-		res.States = append(res.States, row)
-	}
-	record(t0, y)
+	res := ode.NewTrajectory(dim, sizeHint(steps/float64(stride)+3))
+	res.Append(t0, y)
 
 	k1 := make([]float64, dim)
 	k2 := make([]float64, dim)
@@ -293,7 +265,7 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 		buf.append(t, y)
 		step++
 		if step%stride == 0 || t >= t1 {
-			record(t, y)
+			res.Append(t, y)
 		}
 		if buf.bad {
 			return nil, fmt.Errorf("dde: Lag requested delay %v, beyond every declared delay (largest %v)", buf.badDelay, maxDelay)
@@ -305,7 +277,7 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 		}
 	}
 	if res.Times[len(res.Times)-1] < t {
-		record(t, y)
+		res.Append(t, y)
 	}
 	return res, nil
 }

@@ -10,25 +10,28 @@ import (
 
 // interpOracle is Lag's lookup done over a full, never-pruned sample
 // list: the first n samples of a Stride-1 result are exactly what the
-// solver had stored when the step after sample n-1 began.
-func interpOracle(times []float64, states [][]float64, hist History, t0, t float64, i int) float64 {
+// solver had stored when the step after sample n-1 began. It reads
+// the samples through At.
+func interpOracle(ref *Result, n int, hist History, t0, t float64, i int) float64 {
 	if t <= t0 {
 		return hist(t)[i]
 	}
-	k := sort.SearchFloat64s(times, t)
+	k := sort.SearchFloat64s(ref.Times[:n], t)
 	if k == 0 {
-		return states[0][i]
+		_, y := ref.At(0)
+		return y[i]
 	}
-	if k >= len(times) {
-		return states[len(states)-1][i]
+	if k >= n {
+		_, y := ref.At(n - 1)
+		return y[i]
 	}
-	tL, tR := times[k-1], times[k]
-	yL, yR := states[k-1][i], states[k][i]
+	tL, yL := ref.At(k - 1)
+	tR, yR := ref.At(k)
 	if tR == tL {
-		return yR
+		return yR[i]
 	}
 	frac := (t - tL) / (tR - tL)
-	return yL + frac*(yR-yL)
+	return yL[i] + frac*(yR[i]-yL[i])
 }
 
 // TestLagMatchesUnprunedOracle: every value Lag returns through the
@@ -89,7 +92,7 @@ func TestLagMatchesUnprunedOracle(t *testing.T) {
 				// Four stage evaluations per step; during step s the
 				// window's newest sample is ref sample s.
 				s := calls / 4
-				want := interpOracle(ref.Times[:s+1], ref.States[:s+1], hist, 0, evalT-delay, i)
+				want := interpOracle(ref, s+1, hist, 0, evalT-delay, i)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("step %d, Lag(%d, %v) at t=%v: got %v, oracle %v", s, i, delay, evalT, got, want)
 				}
@@ -260,7 +263,7 @@ func solveAgainstOracle(t testing.TB, delays []float64, t1, h float64, stride in
 		// Four stage evaluations per step; during step s the window's
 		// newest sample is ref sample s.
 		s := evals / 4
-		want := interpOracle(ref.Times[:s+1], ref.States[:s+1], oracleHist, 0, evalT-delay, i)
+		want := interpOracle(ref, s+1, oracleHist, 0, evalT-delay, i)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("h=%v delays=%v step %d: Lag(%d, %v) at t=%v: got %v, oracle %v", h, delays, s, i, delay, evalT, got, want)
 		}

@@ -85,27 +85,26 @@ type Solution struct {
 	NumSources int
 }
 
-// Queue returns the queue-length series (aliasing the result storage).
-func (s *Solution) Queue() (times, q []float64) {
-	times = s.Times
-	q = make([]float64, len(s.States))
-	for i, st := range s.States {
-		q[i] = st[0]
-	}
-	return times, q
-}
+// Queue returns the queue-length series (times alias the result
+// storage).
+func (s *Solution) Queue() (times, q []float64) { return s.Times, s.column(0) }
 
 // Rate returns the rate series of source i.
 func (s *Solution) Rate(i int) (times, lam []float64) {
 	if i < 0 || i >= s.NumSources {
 		panic(fmt.Sprintf("fluid: source index %d out of range [0, %d)", i, s.NumSources))
 	}
-	times = s.Times
-	lam = make([]float64, len(s.States))
-	for k, st := range s.States {
-		lam[k] = st[1+i]
+	return s.Times, s.column(1 + i)
+}
+
+// column copies state component j of every sample.
+func (s *Solution) column(j int) []float64 {
+	out := make([]float64, s.Len())
+	for k := range out {
+		_, y := s.At(k)
+		out[k] = y[j]
 	}
-	return times, lam
+	return out
 }
 
 // MeanRates returns the time-averaged rate of each source over

@@ -66,10 +66,11 @@ func FuzzModel(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for k, y := range sol.States {
-			for _, v := range append([]float64{sol.Times[k]}, y...) {
+		for k := range sol.Len() {
+			tk, y := sol.At(k)
+			for _, v := range append([]float64{tk}, y...) {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("sample %d of %d is not finite: t=%v %v", k, sol.Len(), sol.Times[k], y)
+					t.Fatalf("sample %d of %d is not finite: t=%v %v", k, sol.Len(), tk, y)
 				}
 			}
 		}

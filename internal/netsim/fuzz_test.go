@@ -2,8 +2,12 @@ package netsim
 
 import (
 	"math"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
+	"fpcc/internal/churn"
 	"fpcc/internal/control"
 	"fpcc/internal/des"
 )
@@ -86,7 +90,7 @@ func decodeConfig(data []byte) Config {
 // FuzzConfig holds the packet simulator to its config contract: a
 // config Validate rejects makes New return an error (never panic),
 // and one it accepts runs a 20 s horizon to a Result whose every
-// number is finite (queue moments only where they accrued weight).
+// number is finite, queue moments included.
 func FuzzConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := decodeConfig(data)
@@ -114,14 +118,8 @@ func FuzzConfig(f *testing.F) {
 		finite("Throughput", res.Throughput...)
 		finite("FlowRTT", res.FlowRTT...)
 		finite("TraceT", res.TraceT...)
-		// A node whose queue never changes after warmup accrues no
-		// weight (the tail after the last event is excluded, as in
-		// des), and empty moments read NaN by the stats convention.
 		for _, q := range res.NodeQueue {
-			finite("NodeQueue weight", q.TotalWeight())
-			if q.TotalWeight() > 0 {
-				finite("NodeQueue mean/std", q.Mean(), q.StdDev())
-			}
+			finite("NodeQueue weight/mean/std", q.TotalWeight(), q.Mean(), q.StdDev())
 		}
 		for _, tq := range res.TraceQ {
 			finite("TraceQ", tq...)
@@ -131,4 +129,49 @@ func FuzzConfig(f *testing.F) {
 			finite("RateL", res.RateL[i]...)
 		}
 	})
+}
+
+// TestIdleNetworkQueueStats: on the idle-network seed no event fires
+// after warmup (the one flow has a zero rate and a 1e308 s link, so its
+// control never runs), and each node's queue statistic is its constant
+// empty queue over the whole [warmup, horizon] window rather than the
+// NaN of empty moments. A churn class whose one session dies long
+// before warmup reads a live population of 0 the same way.
+func TestIdleNetworkQueueStats(t *testing.T) {
+	data, err := os.ReadFile("testdata/fuzz/FuzzConfig/idle-network")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The corpus file is "go test fuzz v1" then one []byte("...") line.
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(data)), "[]byte(")
+	in, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := decodeConfig([]byte(in))
+	lt, err := churn.NewExponential(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Churn = []ChurnClass{{Template: cfg.Flows[0], Lifetime: lt, N0: 1}}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon, warmup = 20.0, 5.0
+	res, err := sim.Run(horizon, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FinalT > warmup {
+		t.Fatalf("an event fired after warmup (FinalT %v); the seed no longer exercises the idle tail", res.FinalT)
+	}
+	for h, q := range res.NodeQueue {
+		if q.TotalWeight() != horizon-warmup || q.Mean() != 0 || q.StdDev() != 0 {
+			t.Errorf("node %d: weight %v mean %v std %v, want %v, 0, 0", h, q.TotalWeight(), q.Mean(), q.StdDev(), horizon-warmup)
+		}
+	}
+	if l := res.ChurnLive[0]; l.TotalWeight() != horizon-warmup || l.Mean() != 0 {
+		t.Errorf("churn live: weight %v mean %v, want %v, 0", l.TotalWeight(), l.Mean(), horizon-warmup)
+	}
 }

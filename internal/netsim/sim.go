@@ -446,11 +446,16 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 	// Flush each node's final constant stretch up to the last
 	// processed event, matching the every-event accumulation of
 	// des.Engine (the [last event, horizon] tail is excluded there
-	// too).
-	for h := range s.nodes {
-		accrue(h, res.FinalT)
-	}
+	// too). With no event after warmup nothing accrued, and the value
+	// the node held since its last change is its value over the whole
+	// window.
 	window := horizon - warmup
+	for h, ns := range s.nodes {
+		accrue(h, res.FinalT)
+		if res.NodeQueue[h].TotalWeight() == 0 {
+			res.NodeQueue[h].Add(float64(ns.qLen()), window)
+		}
+	}
 	for i := range res.Throughput {
 		res.Throughput[i] = float64(res.Delivered[i]) / window
 	}
@@ -459,6 +464,9 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 	}
 	for j, cs := range s.classes {
 		accrueClass(j, res.FinalT)
+		if res.ChurnLive[j].TotalWeight() == 0 {
+			res.ChurnLive[j].Add(float64(cs.live), window)
+		}
 		res.ChurnBorn[j] = cs.born
 		res.ChurnDied[j] = cs.died
 		res.ChurnLiveEnd[j] = int64(cs.live)

@@ -13,6 +13,10 @@
 // crossing to tolerance and restarts the integrator on the far side —
 // the same technique the paper's characteristic analysis performs
 // analytically.
+//
+// Every solver records its samples in a Trajectory, one flat store of
+// times and state rows that package dde shares for its results; see
+// Trajectory for how long a row read from it stays aliased.
 package ode
 
 import (
@@ -94,19 +98,34 @@ func (r *RK4) Step(f System, t, h float64, y []float64) {
 // Order implements Stepper.
 func (r *RK4) Order() int { return 4 }
 
-// Trajectory records sampled states of an integration: Times[i] is
-// the time of sample i and States[i] the state vector (owned by the
-// Trajectory).
+// Trajectory records sampled states of an integration in one flat
+// store: Times[i] is the time of sample i, and its dim state values
+// sit contiguously after those of sample i-1 in a single backing
+// slice. Append grows both slices by doubling; a producer that knows
+// its sample count presizes them with NewTrajectory.
+//
+// At and Last return a view of a row in that store, its capacity
+// limited to the row, so appending to the view copies it instead of
+// overwriting the next sample. A view aliases the store until the
+// next Append that has to grow it: until then a write through the
+// view changes the sample, afterwards the view is a stale copy.
 type Trajectory struct {
-	Times  []float64
-	States [][]float64
+	Times []float64
 
-	rows []float64 // unused tail of the block the next rows are carved from
+	states []float64 // sample i is states[i*dim : (i+1)*dim]
+	dim    int
+}
+
+// NewTrajectory returns an empty trajectory of dim-dimensional states
+// with room for n samples.
+func NewTrajectory(dim, n int) *Trajectory {
+	return &Trajectory{Times: make([]float64, 0, n), states: make([]float64, 0, n*dim), dim: dim}
 }
 
 // At returns the state at sample i.
 func (tr *Trajectory) At(i int) (t float64, y []float64) {
-	return tr.Times[i], tr.States[i]
+	lo, hi := i*tr.dim, (i+1)*tr.dim
+	return tr.Times[i], tr.states[lo:hi:hi]
 }
 
 // Len returns the number of samples.
@@ -114,24 +133,28 @@ func (tr *Trajectory) Len() int { return len(tr.Times) }
 
 // Last returns the final time and state. It panics on an empty
 // trajectory.
-func (tr *Trajectory) Last() (t float64, y []float64) {
-	n := len(tr.Times)
-	return tr.Times[n-1], tr.States[n-1]
+func (tr *Trajectory) Last() (t float64, y []float64) { return tr.At(len(tr.Times) - 1) }
+
+// Append records a copy of y at time t. The first sample of a zero
+// Trajectory fixes its dimension; every later y must have it.
+func (tr *Trajectory) Append(t float64, y []float64) {
+	if len(tr.Times) == 0 && tr.dim == 0 {
+		tr.dim = len(y)
+	}
+	if len(y) != tr.dim {
+		panic(fmt.Sprintf("ode: appending a %d-dimensional state to a %d-dimensional trajectory", len(y), tr.dim))
+	}
+	tr.Times = append(grow(tr.Times, 1), t)
+	tr.states = append(grow(tr.states, tr.dim), y...)
 }
 
-// append records a copy of y at time t. Rows are carved from shared
-// 256-row blocks; the full slice expression keeps each row's capacity
-// to its own len(y) values.
-func (tr *Trajectory) append(t float64, y []float64) {
-	n := len(y)
-	if len(tr.rows) < n {
-		tr.rows = make([]float64, 256*n)
+// grow returns s with room for n more values, doubling its capacity
+// (to at least 16n) when it has to reallocate.
+func grow(s []float64, n int) []float64 {
+	if len(s)+n <= cap(s) {
+		return s
 	}
-	row := tr.rows[:n:n]
-	tr.rows = tr.rows[n:]
-	copy(row, y)
-	tr.Times = append(tr.Times, t)
-	tr.States = append(tr.States, row)
+	return append(make([]float64, 0, max(2*cap(s), 16*n)), s...)
 }
 
 // FixedSolve integrates dy/dt = f from t0 to t1 with fixed step h
@@ -147,7 +170,7 @@ func FixedSolve(f System, s Stepper, y0 []float64, t0, t1, h float64) (*Trajecto
 	}
 	y := append([]float64(nil), y0...)
 	tr := &Trajectory{}
-	tr.append(t0, y)
+	tr.Append(t0, y)
 	t := t0
 	for t < t1 {
 		step := h
@@ -159,7 +182,7 @@ func FixedSolve(f System, s Stepper, y0 []float64, t0, t1, h float64) (*Trajecto
 		}
 		s.Step(f, t, step, y)
 		t += step
-		tr.append(t, y)
+		tr.Append(t, y)
 	}
 	return tr, nil
 }
@@ -178,25 +201,27 @@ type Event struct {
 // zero crossings of each event function by bisection to time tolerance
 // tol, records them, and invokes onEvent (if non-nil) at each crossing
 // so the caller can mutate the state (e.g. switch a controller branch).
-// Crossing states are included in the trajectory. maxEvents bounds the
-// number of located events (<= 0 means unbounded).
-func SolveWithEvents(f System, s Stepper, y0 []float64, t0, t1, h, tol float64,
-	events []EventFunc, onEvent func(idx int, t float64, y []float64), maxEvents int) (*Trajectory, []Event, error) {
+// maxEvents bounds the number of located events (<= 0 means
+// unbounded). Every sample after (t0, y0), crossing states included,
+// is appended to tr, so a caller can chain segments into one
+// trajectory; (t0, y0) itself is the caller's to record. The event
+// values computed after a step with no crossing carry over to the next
+// step unevaluated, so an EventFunc must be a pure function of (t, y).
+func SolveWithEvents(tr *Trajectory, f System, s Stepper, y0 []float64, t0, t1, h, tol float64,
+	events []EventFunc, onEvent func(idx int, t float64, y []float64), maxEvents int) ([]Event, error) {
 	if !(h > 0) {
-		return nil, nil, fmt.Errorf("ode: non-positive step %v", h)
+		return nil, fmt.Errorf("ode: non-positive step %v", h)
 	}
 	if !(tol > 0) {
-		return nil, nil, fmt.Errorf("ode: non-positive event tolerance %v", tol)
+		return nil, fmt.Errorf("ode: non-positive event tolerance %v", tol)
 	}
 	if t1 < t0 {
-		return nil, nil, fmt.Errorf("ode: reversed interval [%v, %v]", t0, t1)
+		return nil, fmt.Errorf("ode: reversed interval [%v, %v]", t0, t1)
 	}
 	dim := len(y0)
 	y := append([]float64(nil), y0...)
 	prev := make([]float64, dim)
 	trial := make([]float64, dim)
-	tr := &Trajectory{}
-	tr.append(t0, y)
 	var found []Event
 
 	evPrev := make([]float64, len(events))
@@ -259,25 +284,23 @@ func SolveWithEvents(f System, s Stepper, y0 []float64, t0, t1, h, tol float64,
 			// Restart from (possibly mutated) event state.
 			copy(y, trial)
 			t = tEv
-			tr.append(t, y)
+			tr.Append(t, y)
 			for j, ej := range events {
 				evPrev[j] = ej(t, y)
 			}
 			if maxEvents > 0 && len(found) >= maxEvents {
-				return tr, found, nil
+				return found, nil
 			}
 			break
 		}
 		if crossed >= 0 {
 			continue
 		}
+		// No crossing: evPrev already holds every event at (tNext, y).
 		t = tNext
-		tr.append(t, y)
-		for i, e := range events {
-			evPrev[i] = e(t, y)
-		}
+		tr.Append(t, y)
 	}
-	return tr, found, nil
+	return found, nil
 }
 
 // rkf45 coefficients (Fehlberg).
@@ -318,7 +341,7 @@ func Adaptive(f System, y0 []float64, t0, t1, h0, atol, rtol float64) (*Trajecto
 	y5 := make([]float64, dim)
 
 	tr := &Trajectory{}
-	tr.append(t0, y)
+	tr.Append(t0, y)
 	t, h := t0, h0
 	hMin := 1e-14 * (1 + math.Abs(t1-t0))
 	for t < t1 {
@@ -361,7 +384,7 @@ func Adaptive(f System, y0 []float64, t0, t1, h0, atol, rtol float64) (*Trajecto
 			// Accept the (higher-order) solution.
 			t += h
 			copy(y, y5)
-			tr.append(t, y)
+			tr.Append(t, y)
 		}
 		// Standard step-size controller with safety factor.
 		var factor float64

@@ -124,13 +124,95 @@ func TestTrajectoryAccessors(t *testing.T) {
 	}
 }
 
+// TestTrajectoryRowsAreCapped: a row read through At or Last has its
+// capacity limited to the row, so appending to it copies the row
+// rather than overwriting the sample after it, and a write through
+// the view changes the sample while nothing has grown the store.
+func TestTrajectoryRowsAreCapped(t *testing.T) {
+	tr := NewTrajectory(2, 3)
+	tr.Append(0, []float64{1, 2})
+	tr.Append(1, []float64{3, 4})
+	_, row := tr.At(0)
+	if cap(row) != 2 {
+		t.Fatalf("cap(At(0)) = %d, want 2", cap(row))
+	}
+	_ = append(row, -1, -1)
+	if _, y := tr.At(1); y[0] != 3 || y[1] != 4 {
+		t.Fatalf("appending to row 0 overwrote sample 1: %v", y)
+	}
+	_, last := tr.Last()
+	tr.Append(2, []float64{5, 6}) // fits: the store does not grow
+	_ = append(last, -1, -1)
+	if _, y := tr.At(2); y[0] != 5 || y[1] != 6 {
+		t.Fatalf("appending to a row from Last overwrote the next sample: %v", y)
+	}
+	last[0] = 7
+	if _, y := tr.At(1); y[0] != 7 {
+		t.Fatalf("a write through Last's view did not reach the sample: %v", y)
+	}
+}
+
+// TestTrajectoryGrowsByDoubling: from an empty zero Trajectory the
+// store reallocates only when full, doubling, and keeps every sample.
+func TestTrajectoryGrowsByDoubling(t *testing.T) {
+	var tr Trajectory
+	grows := 0
+	for i := range 1000 {
+		c := cap(tr.Times)
+		tr.Append(float64(i), []float64{float64(i), -float64(i)})
+		if cap(tr.Times) != c {
+			grows++
+			if c > 0 && cap(tr.Times) != 2*c {
+				t.Fatalf("capacity %d grew to %d, want %d", c, cap(tr.Times), 2*c)
+			}
+		}
+	}
+	if grows != 7 { // 16, 32, ..., 1024
+		t.Errorf("store grew %d times for 1000 samples, want 7", grows)
+	}
+	for i := range tr.Len() {
+		if ti, y := tr.At(i); ti != float64(i) || y[0] != float64(i) || y[1] != -float64(i) {
+			t.Fatalf("sample %d = (%v, %v)", i, ti, y)
+		}
+	}
+}
+
+// TestEventCallsPerStep: a crossing-free solve of N steps evaluates
+// each event function N+1 times, once at (t0, y0) and once at every
+// appended sample: the value found after a step is reused as the next
+// step's starting value.
+func TestEventCallsPerStep(t *testing.T) {
+	const n = 100
+	calls := [2]int{}
+	ev := func(k int, offset float64) EventFunc {
+		return func(tt float64, y []float64) float64 {
+			calls[k]++
+			return y[0] + offset
+		}
+	}
+	var tr Trajectory
+	events, err := SolveWithEvents(&tr, expSystem, NewRK4(1), []float64{1}, 0, 1, 1.0/n, 1e-9,
+		[]EventFunc{ev(0, 0), ev(1, 10)}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 0 || tr.Len() != n {
+		t.Fatalf("%d events and %d samples after the initial one, want 0 and %d", len(events), tr.Len(), n)
+	}
+	for k, c := range calls {
+		if c != n+1 {
+			t.Errorf("event %d called %d times, want %d", k, c, n+1)
+		}
+	}
+}
+
 // TestEventCrossing locates the zero of cos(t) for y' = -sin(t),
 // i.e. the event y(t) = cos(t) crossing zero at t = pi/2.
 func TestEventCrossing(t *testing.T) {
 	f := func(tt float64, y, dydt []float64) { dydt[0] = -math.Sin(tt) }
 	ev := func(tt float64, y []float64) float64 { return y[0] }
 	s := NewRK4(1)
-	_, events, err := SolveWithEvents(f, s, []float64{1}, 0, 3, 0.01, 1e-10,
+	events, err := SolveWithEvents(&Trajectory{}, f, s, []float64{1}, 0, 3, 0.01, 1e-10,
 		[]EventFunc{ev}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +236,8 @@ func TestEventMutation(t *testing.T) {
 	floor := func(tt float64, y []float64) float64 { return y[0] }
 	s := NewRK4(2)
 	bounces := 0
-	tr, events, err := SolveWithEvents(fall, s, []float64{1, 0}, 0, 10, 0.001, 1e-9,
+	tr := &Trajectory{}
+	events, err := SolveWithEvents(tr, fall, s, []float64{1, 0}, 0, 10, 0.001, 1e-9,
 		[]EventFunc{floor},
 		func(idx int, tt float64, y []float64) {
 			y[0] = 0
@@ -186,7 +269,7 @@ func TestSolveWithEventsMaxEvents(t *testing.T) {
 	}
 	floor := func(tt float64, y []float64) float64 { return y[0] }
 	s := NewRK4(2)
-	_, events, err := SolveWithEvents(fall, s, []float64{1, 0}, 0, 100, 0.001, 1e-9,
+	events, err := SolveWithEvents(&Trajectory{}, fall, s, []float64{1, 0}, 0, 100, 0.001, 1e-9,
 		[]EventFunc{floor},
 		func(idx int, tt float64, y []float64) { y[1] = -y[1] }, 2)
 	if err != nil {
@@ -199,10 +282,10 @@ func TestSolveWithEventsMaxEvents(t *testing.T) {
 
 func TestSolveWithEventsValidation(t *testing.T) {
 	s := NewRK4(1)
-	if _, _, err := SolveWithEvents(expSystem, s, []float64{1}, 0, 1, 0, 1e-9, nil, nil, 0); err == nil {
+	if _, err := SolveWithEvents(&Trajectory{}, expSystem, s, []float64{1}, 0, 1, 0, 1e-9, nil, nil, 0); err == nil {
 		t.Error("expected error for zero step")
 	}
-	if _, _, err := SolveWithEvents(expSystem, s, []float64{1}, 0, 1, 0.1, 0, nil, nil, 0); err == nil {
+	if _, err := SolveWithEvents(&Trajectory{}, expSystem, s, []float64{1}, 0, 1, 0.1, 0, nil, nil, 0); err == nil {
 		t.Error("expected error for zero tolerance")
 	}
 }
