@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -26,46 +28,64 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ccsim: ")
-
-	mu := flag.Float64("mu", 60, "bottleneck service rate μ (packets/s)")
-	n := flag.Int("n", 2, "number of sources")
-	c0 := flag.Float64("c0", 10, "additive increase rate C0")
-	c1 := flag.Float64("c1", 2, "multiplicative decrease constant C1")
-	qHat := flag.Float64("qhat", 12, "target queue length q̂")
-	interval := flag.Float64("interval", 0.05, "control update period Δ (s)")
-	delays := flag.String("delays", "", "comma-separated per-source feedback delays (default all 0)")
-	horizon := flag.Float64("t", 1000, "simulation horizon (s)")
-	warmup := flag.Float64("warmup", 100, "warmup excluded from statistics (s)")
-	seed := flag.Uint64("seed", 1, "RNG seed")
-	tracePath := flag.String("qtrace", "", "write queue trace TSV to this file")
-	buffer := flag.Int("buffer", 0, "finite buffer size in packets (0 = infinite)")
-	implicit := flag.Bool("implicit", false, "use implicit loss feedback instead of queue observation (needs -buffer)")
-	gateway := flag.String("gateway", "", "gateway discipline: '', 'ewma' or 'red'")
-	burst := flag.Float64("burst", 0, "on/off burstiness factor β > 1 (0 = smooth Poisson)")
-	obsCLI := fpcc.BindObsFlags(flag.CommandLine)
-	flag.Parse()
-	if err := obsCLI.Setup(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
-	defer obsCLI.Close()
+}
+
+// run parses args, runs the simulation and writes its report to
+// stdout; the flag usage and the queue-trace note go to stderr.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("ccsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mu := fs.Float64("mu", 60, "bottleneck service rate μ (packets/s)")
+	n := fs.Int("n", 2, "number of sources")
+	c0 := fs.Float64("c0", 10, "additive increase rate C0")
+	c1 := fs.Float64("c1", 2, "multiplicative decrease constant C1")
+	qHat := fs.Float64("qhat", 12, "target queue length q̂")
+	interval := fs.Float64("interval", 0.05, "control update period Δ (s)")
+	delays := fs.String("delays", "", "comma-separated per-source feedback delays (default all 0)")
+	horizon := fs.Float64("t", 1000, "simulation horizon (s)")
+	warmup := fs.Float64("warmup", 100, "warmup excluded from statistics (s)")
+	seed := fs.Uint64("seed", 1, "RNG seed")
+	tracePath := fs.String("qtrace", "", "write queue trace TSV to this file")
+	buffer := fs.Int("buffer", 0, "finite buffer size in packets (0 = infinite)")
+	implicit := fs.Bool("implicit", false, "use implicit loss feedback instead of queue observation (needs -buffer)")
+	gateway := fs.String("gateway", "", "gateway discipline: '', 'ewma' or 'red'")
+	burst := fs.Float64("burst", 0, "on/off burstiness factor β > 1 (0 = smooth Poisson)")
+	obsCLI := fpcc.BindObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if err := obsCLI.Setup(); err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := obsCLI.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("closing observability: %w", cerr)
+		}
+	}()
 
 	if *n < 1 {
-		log.Fatal("need at least one source")
+		return errors.New("need at least one source")
 	}
 	law, err := fpcc.NewAIMD(*c0, *c1, *qHat)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	delayList := make([]float64, *n)
 	if *delays != "" {
 		parts := strings.Split(*delays, ",")
 		if len(parts) != *n {
-			log.Fatalf("-delays has %d entries for %d sources", len(parts), *n)
+			return fmt.Errorf("-delays has %d entries for %d sources", len(parts), *n)
 		}
 		for i, p := range parts {
 			d, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 			if err != nil {
-				log.Fatalf("bad delay %q: %v", p, err)
+				return fmt.Errorf("bad delay %q: %v", p, err)
 			}
 			delayList[i] = d
 		}
@@ -75,11 +95,11 @@ func main() {
 		const cycle = 2.0
 		m, err := fpcc.NewOnOff(cycle / *burst, cycle - cycle / *burst)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		mod = m
 	} else if *burst != 0 {
-		log.Fatal("-burst must be > 1 (or 0 for smooth Poisson)")
+		return errors.New("-burst must be > 1 (or 0 for smooth Poisson)")
 	}
 	srcs := make([]fpcc.PacketSource, *n)
 	for i := range srcs {
@@ -99,17 +119,17 @@ func main() {
 	case "ewma":
 		g, err := fpcc.NewEWMAGateway(1.0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		gw = g
 	case "red":
 		g, err := fpcc.NewREDGateway(*qHat/3, 2**qHat, 0.3, 0.5)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		gw = g
 	default:
-		log.Fatalf("unknown gateway %q (want '', 'ewma' or 'red')", *gateway)
+		return fmt.Errorf("unknown gateway %q (want '', 'ewma' or 'red')", *gateway)
 	}
 	sampleEvery := 0.0
 	if *tracePath != "" {
@@ -121,26 +141,27 @@ func main() {
 		Buffer: *buffer, Gateway: gw, Obs: rec,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	runSpan := rec.Span("step")
 	res, err := sim.Run(*horizon, *warmup)
 	runSpan.End()
 	if err != nil {
-		obsCLI.Fatal("ccsim", err)
+		obsCLI.DumpViolation(err)
+		return err
 	}
 
 	var total float64
 	for _, tp := range res.Throughput {
 		total += tp
 	}
-	fmt.Printf("horizon %.0fs (warmup %.0fs), mu=%.1f, %d sources\n", *horizon, *warmup, *mu, *n)
-	fmt.Printf("%-8s %-10s %-12s %-8s\n", "source", "delay(s)", "throughput", "share")
+	fmt.Fprintf(stdout, "horizon %.0fs (warmup %.0fs), mu=%.1f, %d sources\n", *horizon, *warmup, *mu, *n)
+	fmt.Fprintf(stdout, "%-8s %-10s %-12s %-8s\n", "source", "delay(s)", "throughput", "share")
 	for i, tp := range res.Throughput {
-		fmt.Printf("S%-7d %-10.2f %-12.3f %-8.3f\n", i+1, delayList[i], tp, tp/total)
+		fmt.Fprintf(stdout, "S%-7d %-10.2f %-12.3f %-8.3f\n", i+1, delayList[i], tp, tp/total)
 	}
-	fmt.Printf("utilization %.3f, Jain fairness %.4f\n", total / *mu, fpcc.JainIndex(res.Throughput))
-	fmt.Printf("mean queue %.3f (std %.3f), target q̂ = %.1f\n",
+	fmt.Fprintf(stdout, "utilization %.3f, Jain fairness %.4f\n", total / *mu, fpcc.JainIndex(res.Throughput))
+	fmt.Fprintf(stdout, "mean queue %.3f (std %.3f), target q̂ = %.1f\n",
 		res.QueueStats.Mean(), res.QueueStats.StdDev(), *qHat)
 	if *buffer > 0 {
 		var dropped, delivered int64
@@ -148,20 +169,23 @@ func main() {
 			dropped += res.Dropped[i]
 			delivered += res.Delivered[i]
 		}
-		fmt.Printf("buffer %d: dropped %d of %d offered (loss rate %.4f)\n",
+		fmt.Fprintf(stdout, "buffer %d: dropped %d of %d offered (loss rate %.4f)\n",
 			*buffer, dropped, dropped+delivered, float64(dropped)/float64(dropped+delivered))
 	}
 
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer f.Close()
 		fmt.Fprintln(f, "# t\tqueue")
 		for i := range res.TraceT {
 			fmt.Fprintf(f, "%.3f\t%.0f\n", res.TraceT[i], res.TraceQ[i])
 		}
-		log.Printf("queue trace written to %s (%d samples)", *tracePath, len(res.TraceT))
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "ccsim: queue trace written to %s (%d samples)\n", *tracePath, len(res.TraceT))
 	}
+	return nil
 }

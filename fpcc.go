@@ -222,7 +222,10 @@ type PacketSource = des.SourceConfig
 // PacketSim is the discrete-event packet-level simulator.
 type PacketSim = des.Sim
 
-// PacketSimResult summarizes a packet simulation run.
+// PacketSimResult summarizes a packet simulation run: each source's
+// post-warmup deliveries, drops, throughput and rate moments, the
+// time-weighted queue moments, and the queue trace when
+// PacketSimConfig.SampleEvery is set.
 type PacketSimResult = des.Result
 
 // NewPacketSim builds a packet-level simulator.
@@ -270,13 +273,18 @@ type NetLink = netsim.Link
 // route.
 type NetFlow = netsim.Flow
 
-// NetConfig describes an arbitrary-topology packet simulation.
+// NetConfig describes an arbitrary-topology packet simulation: nodes,
+// links, static flows and churn classes. It has no trace option; a
+// run reports aggregates only (NetResult).
 type NetConfig = netsim.Config
 
 // NetSim is the general-topology packet simulator.
 type NetSim = netsim.Sim
 
-// NetResult summarizes a netsim run.
+// NetResult summarizes a netsim run in post-warmup aggregates: each
+// static flow's deliveries, drops and throughput, each node's queue
+// moments and drops, and each churn class's population and traffic.
+// It keeps no per-event trace.
 type NetResult = netsim.Result
 
 // NewNetSim builds a general-topology packet simulator.

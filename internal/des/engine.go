@@ -124,14 +124,14 @@ func (c *Config) Validate() error {
 		switch {
 		case s.Law == nil:
 			return fmt.Errorf("des: source %d has nil law", i)
-		case !(s.Interval > 0):
-			return fmt.Errorf("des: source %d has non-positive control interval %v", i, s.Interval)
+		case !(s.Interval > 0) || math.IsInf(s.Interval, 1):
+			return fmt.Errorf("des: source %d has invalid control interval %v", i, s.Interval)
 		case !(s.Delay >= 0):
 			return fmt.Errorf("des: source %d has negative delay %v", i, s.Delay)
-		case s.Lambda0 < 0:
-			return fmt.Errorf("des: source %d has negative initial rate %v", i, s.Lambda0)
-		case s.MinRate < 0:
-			return fmt.Errorf("des: source %d has negative rate floor %v", i, s.MinRate)
+		case !validRate(s.Lambda0):
+			return fmt.Errorf("des: source %d has invalid initial rate %v", i, s.Lambda0)
+		case !validRate(s.MinRate):
+			return fmt.Errorf("des: source %d has invalid rate floor %v", i, s.MinRate)
 		case s.ImplicitLoss && c.Buffer <= 0:
 			return fmt.Errorf("des: source %d uses implicit loss feedback but the buffer is infinite (set Config.Buffer)", i)
 		case s.ImplicitLoss && c.Gateway != nil:
@@ -141,11 +141,15 @@ func (c *Config) Validate() error {
 	if c.Buffer < 0 {
 		return fmt.Errorf("des: negative buffer %d", c.Buffer)
 	}
-	if c.SampleEvery < 0 {
-		return fmt.Errorf("des: negative sample period %v", c.SampleEvery)
+	if !(c.SampleEvery >= 0) || math.IsInf(c.SampleEvery, 1) {
+		return fmt.Errorf("des: invalid sample period %v", c.SampleEvery)
 	}
 	return nil
 }
+
+// validRate reports whether r is a finite, non-negative rate: a NaN
+// or infinite one would reach rng.Exp as an arrival rate.
+func validRate(r float64) bool { return r >= 0 && !math.IsInf(r, 1) }
 
 // sourceState is the runtime state of one sender.
 type sourceState struct {
@@ -166,9 +170,9 @@ type Result struct {
 	// Trace of queue length over time (present when SampleEvery > 0).
 	TraceT []float64
 	TraceQ []float64
-	// RateT/RateL[i] trace each source's rate at its control updates.
-	RateT [][]float64
-	RateL [][]float64
+	// Rate[i] aggregates source i's rate after each of its control
+	// updates at or after warmup (an update exactly at warmup counts).
+	Rate []stats.Moments
 	// Delivered[i] counts packets of source i that completed service
 	// after warmup.
 	Delivered []int64
@@ -180,9 +184,6 @@ type Result struct {
 	// QueueStats aggregates the time-weighted queue length after
 	// warmup.
 	QueueStats stats.WeightedMoments
-	// FinalT is the simulation end time; WarmupT the warmup boundary.
-	FinalT  float64
-	WarmupT float64
 }
 
 // Sim is the simulator instance. Create with New, execute with Run.
@@ -333,9 +334,7 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 		Delivered:  make([]int64, len(s.sources)),
 		Dropped:    make([]int64, len(s.sources)),
 		Throughput: make([]float64, len(s.sources)),
-		RateT:      make([][]float64, len(s.sources)),
-		RateL:      make([][]float64, len(s.sources)),
-		WarmupT:    warmup,
+		Rate:       make([]stats.Moments, len(s.sources)),
 	}
 	nextSample := 0.0
 	lastQChange := 0.0
@@ -390,8 +389,12 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 		rec.Count("des.dropped", dropped)
 		rec.Count("des.events", nEvents)
 	}
-	res.FinalT = math.Min(s.t, horizon)
+	// With no event after warmup nothing accrued, and the queue held
+	// since the last event is its value over the whole window.
 	window := horizon - warmup
+	if res.QueueStats.TotalWeight() == 0 {
+		res.QueueStats.Add(float64(s.queue), window)
+	}
 	for i := range res.Throughput {
 		res.Throughput[i] = float64(res.Delivered[i]) / window
 	}
@@ -472,8 +475,9 @@ func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
 			if st.lambda < 0 {
 				st.lambda = 0
 			}
-			res.RateT[e.src] = append(res.RateT[e.src], s.t)
-			res.RateL[e.src] = append(res.RateL[e.src], st.lambda)
+			if s.t >= warmup {
+				res.Rate[e.src].Add(st.lambda)
+			}
 			// Reschedule this source's arrivals at the new rate
 			// (memorylessness makes the fresh draw unbiased).
 			s.scheduleArrival(e.src)

@@ -32,10 +32,20 @@ func TestValidate(t *testing.T) {
 		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, Lambda0: -1}}},
 		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, MinRate: -1}}},
 		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1}}, SampleEvery: -1},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1}}, SampleEvery: math.NaN()},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1}}, SampleEvery: math.Inf(1)},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: math.Inf(1)}}},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, Lambda0: math.NaN()}}},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, Lambda0: math.Inf(1)}}},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, MinRate: math.NaN()}}},
+		{Mu: 10, Sources: []SourceConfig{{Law: l, Interval: 0.1, MinRate: math.Inf(1)}}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+		if _, err := New(c); err == nil {
+			t.Errorf("New built bad config %d", i)
 		}
 	}
 }
@@ -258,13 +268,64 @@ func TestRateTraceRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RateT[0]) < 400 {
-		t.Fatalf("only %d control updates in 50s at 0.1s interval", len(res.RateT[0]))
+	if n := res.Rate[0].Count(); n < 400 {
+		t.Fatalf("only %d control updates in the 45s after warmup at 0.1s interval", n)
 	}
-	for _, l := range res.RateL[0] {
-		if l < 0 {
-			t.Fatal("negative rate recorded")
-		}
+	if m := res.Rate[0].Min(); m < 0 {
+		t.Fatalf("negative rate %v recorded", m)
+	}
+}
+
+// TestRateCountsUpdateAtWarmup runs E20's threshold-gateway source and
+// pins Rate's warmup boundary: its 0.25 s control interval puts one
+// update exactly at t = 500, and Rate counts it with the 10,000 after
+// it, as E20's rate spread always has.
+func TestRateCountsUpdateAtWarmup(t *testing.T) {
+	law, err := control.NewAIMD(2, 0.5, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mu: 30, Seed: 61, Sources: []SourceConfig{{
+		Law: law, Interval: 0.25, Delay: 0.5, Lambda0: 10, MinRate: 0.5,
+	}}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon, warmup = 3000.0, 500.0
+	res, err := s.Run(horizon, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Control updates fire at k·0.25 s for k = 1, 2, …: warmup/0.25 is
+	// the update at t = 500 itself.
+	want := int((horizon-warmup)/0.25) + 1
+	if n := res.Rate[0].Count(); n != want {
+		t.Fatalf("Rate[0] counts %d updates, want %d (t = %v through %v)", n, want, warmup, horizon)
+	}
+}
+
+// TestIdleRunQueueStats: a silent source whose control never fires
+// leaves no event after warmup, and the queue statistic is its
+// constant empty queue over the whole [warmup, horizon] window rather
+// than the NaN of empty moments.
+func TestIdleRunQueueStats(t *testing.T) {
+	cfg := Config{Mu: 30, Sources: []SourceConfig{{Law: frozenLaw, Interval: 1e308}}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const horizon, warmup = 20.0, 5.0
+	res, err := s.Run(horizon, warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := res.QueueStats
+	if q.TotalWeight() != horizon-warmup || q.Mean() != 0 || q.StdDev() != 0 {
+		t.Errorf("queue weight %v mean %v std %v, want %v, 0, 0", q.TotalWeight(), q.Mean(), q.StdDev(), horizon-warmup)
+	}
+	if n := res.Rate[0].Count(); n != 0 {
+		t.Errorf("Rate[0] counts %d updates from a control that never fires", n)
 	}
 }
 

@@ -170,23 +170,16 @@ func TestREDKeepsLoopAliveAndBoundsQueue(t *testing.T) {
 
 func TestEWMAGatewaySmoothsRateSwing(t *testing.T) {
 	// Source-visible signal smoothing cuts the high-frequency rate
-	// jitter: the standard deviation of the rate trace behind an EWMA
-	// gateway must not exceed the raw-threshold one by much, and the
-	// loop must stay near the same operating point.
+	// jitter: the post-warmup standard deviation of the rate behind an
+	// EWMA gateway must not exceed the raw-threshold one by much, and
+	// the loop must stay near the same operating point.
 	ewma, err := NewEWMAGateway(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resE, _ := runGatewaySim(t, ewma, 42)
 	resT, _ := runGatewaySim(t, nil, 42)
-	sdev := func(xs []float64) float64 {
-		var m stats.Moments
-		for _, x := range xs {
-			m.Add(x)
-		}
-		return m.StdDev()
-	}
-	sdE, sdT := sdev(resE.RateL[0]), sdev(resT.RateL[0])
+	sdE, sdT := resE.Rate[0].StdDev(), resT.Rate[0].StdDev()
 	if sdE > 1.5*sdT {
 		t.Errorf("EWMA rate stdev %v much larger than threshold %v", sdE, sdT)
 	}

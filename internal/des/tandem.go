@@ -81,8 +81,8 @@ func (c *TandemConfig) Validate() error {
 				return fmt.Errorf("des: tandem source %d path hop %d out of range", i, h)
 			}
 		}
-		if s.Lambda0 < 0 || s.MinRate < 0 {
-			return fmt.Errorf("des: tandem source %d has negative rates", i)
+		if !validRate(s.Lambda0) || !validRate(s.MinRate) {
+			return fmt.Errorf("des: tandem source %d has an invalid rate (initial %v, floor %v)", i, s.Lambda0, s.MinRate)
 		}
 	}
 	return nil
@@ -137,7 +137,6 @@ type TandemResult struct {
 	Throughput []float64 // Delivered / measurement window
 	// MeanBacklog[h] is the time-average queue at hop h after warmup.
 	MeanBacklog []float64
-	FinalT      float64
 }
 
 // TandemSim is a tandem-network simulator instance.
@@ -336,7 +335,6 @@ func (s *TandemSim) Run(horizon, warmup float64) (*TandemResult, error) {
 			s.push(tandemEvent{t: s.t + st.rtt, kind: tevControl, src: e.src})
 		}
 	}
-	res.FinalT = math.Min(s.t, horizon)
 	window := horizon - warmup
 	for i := range res.Throughput {
 		res.Throughput[i] = float64(res.Delivered[i]) / window

@@ -26,10 +26,17 @@ func TestTandemValidate(t *testing.T) {
 		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: nil}}},
 		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{3}}}},
 		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, Lambda0: -1}}},
+		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, Lambda0: math.NaN()}}},
+		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, Lambda0: math.Inf(1)}}},
+		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, MinRate: math.NaN()}}},
+		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, MinRate: math.Inf(1)}}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+		if _, err := NewTandem(c); err == nil {
+			t.Errorf("NewTandem built bad config %d", i)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fpcc/internal/control"
 	"fpcc/internal/des"
-	"fpcc/internal/stats"
 )
 
 // E20GatewayComparison holds the control law, delay and load fixed
@@ -44,16 +43,6 @@ func E20GatewayComparison(ctx *Ctx) (*Table, error) {
 		}
 		return sim.Run(horizon, warmup)
 	}
-	rateStd := func(res *des.Result) float64 {
-		var m stats.Moments
-		for i, tt := range res.RateT[0] {
-			if tt < warmup {
-				continue
-			}
-			m.Add(res.RateL[0][i])
-		}
-		return m.StdDev()
-	}
 
 	ewma, err := des.NewEWMAGateway(1.0)
 	if err != nil {
@@ -77,7 +66,7 @@ func E20GatewayComparison(ctx *Ctx) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs := rateStd(res)
+		rs := res.Rate[0].StdDev()
 		t.AddRow(r.name, res.Throughput[0], res.Throughput[0]/mu,
 			res.QueueStats.Mean(), res.QueueStats.StdDev(), rs)
 		qstd = append(qstd, res.QueueStats.StdDev())

@@ -7,8 +7,8 @@ import (
 	"fpcc/internal/control"
 )
 
-// TestBurstLoopMatchesScalar pins the burst event loop (PopBatch +
-// per-burst trace sampling, per-node arena queues) byte-identical to
+// TestBurstLoopMatchesScalar pins the burst event loop (PopBatch,
+// per-node arena queues) byte-identical to
 // the one-event-at-a-time scalar reference on the same seed, on a
 // 2-hop parking lot with a finite buffer. The injected variant forces
 // genuine multi-event bursts through same-timestamp control updates.
@@ -23,8 +23,7 @@ func TestBurstLoopMatchesScalar(t *testing.T) {
 				{Route: []int{0}, Law: law, Lambda0: 8, FeedbackDelay: 0.05, Interval: 0.08, MinRate: 0.1},
 				{Route: []int{1}, Law: law, Lambda0: 8, FeedbackDelay: 0.05, Interval: 0.08, MinRate: 0.1},
 			},
-			Seed:        7,
-			SampleEvery: 0.05,
+			Seed: 7,
 		}
 	}
 	run := func(scalar, inject bool) *Result {

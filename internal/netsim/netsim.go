@@ -140,9 +140,6 @@ type Config struct {
 	// arrays.
 	Churn []ChurnClass
 	Seed  uint64
-	// SampleEvery records every node's queue length each SampleEvery
-	// seconds into Result.TraceQ (0 disables tracing).
-	SampleEvery float64
 }
 
 // Topo returns the node/link graph of the configuration as a
@@ -243,9 +240,6 @@ func (c *Config) Validate() error {
 		if err := validateFlow(fmt.Sprintf("churn class %d template", j), &cc.Template); err != nil {
 			return err
 		}
-	}
-	if !(c.SampleEvery >= 0) || math.IsInf(c.SampleEvery, 1) {
-		return fmt.Errorf("netsim: invalid sample period %v", c.SampleEvery)
 	}
 	return nil
 }

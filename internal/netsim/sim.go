@@ -110,13 +110,6 @@ type classState struct {
 
 // Result summarizes a netsim run.
 type Result struct {
-	// TraceT / TraceQ[h] trace each node's queue length over time
-	// (present when SampleEvery > 0).
-	TraceT []float64
-	TraceQ [][]float64
-	// RateT/RateL[i] trace each flow's rate at its control updates.
-	RateT [][]float64
-	RateL [][]float64
 	// Delivered[i] counts flow i's packets that exited the network
 	// after warmup; Dropped[i] its post-warmup drop-tail losses.
 	// (Static flows only; churn sessions aggregate per class below.)
@@ -145,9 +138,9 @@ type Result struct {
 	NodeQueue []stats.WeightedMoments
 	// FlowRTT[i] is flow i's base (propagation-only) round-trip time.
 	FlowRTT []float64
-	// FinalT is the simulation end time; WarmupT the warmup boundary.
-	FinalT  float64
-	WarmupT float64
+	// FinalT is the time of the last event processed, capped at the
+	// horizon.
+	FinalT float64
 }
 
 // Sim is the simulator instance. Create with New, execute with Run.
@@ -362,12 +355,9 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 		Delivered:   make([]int64, nStatic),
 		Dropped:     make([]int64, nStatic),
 		Throughput:  make([]float64, nStatic),
-		RateT:       make([][]float64, nStatic),
-		RateL:       make([][]float64, nStatic),
 		NodeDropped: make([]int64, len(s.nodes)),
 		NodeQueue:   make([]stats.WeightedMoments, len(s.nodes)),
 		FlowRTT:     make([]float64, nStatic),
-		WarmupT:     warmup,
 	}
 	for i := 0; i < nStatic; i++ {
 		res.FlowRTT[i] = s.flows[i].rtt
@@ -380,9 +370,6 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 		res.ChurnDelivered = make([]int64, len(s.classes))
 		res.ChurnDropped = make([]int64, len(s.classes))
 		res.ChurnThroughput = make([]float64, len(s.classes))
-	}
-	if s.cfg.SampleEvery > 0 {
-		res.TraceQ = make([][]float64, len(s.nodes))
 	}
 	// accrue adds node h's time-weighted queue statistic for the
 	// constant stretch from its last change to now. Accumulating at
@@ -411,14 +398,11 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 		}
 		cs.lastChange = now
 	}
-	nextSample := 0.0
 	for s.events.Len() > 0 {
 		// Drain the whole same-timestamp burst at once into the reused
-		// buffer (eventq.PopBatch pops in exactly repeated-Pop order).
-		// Trace sampling advances once per burst: within a burst the
-		// clock is frozen, so the per-event version is a no-op after
-		// the first event — the burst loop is byte-identical to the
-		// scalar one (pinned by TestBurstLoopMatchesScalar).
+		// buffer (eventq.PopBatch pops in exactly repeated-Pop order),
+		// so the burst loop is byte-identical to the scalar one (pinned
+		// by TestBurstLoopMatchesScalar).
 		if s.scalarLoop {
 			s.batch = append(s.batch[:0], s.events.Pop())
 		} else {
@@ -427,16 +411,6 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 		bt := s.batch[0].t
 		if bt > horizon {
 			break
-		}
-		// Trace sampling between bursts (piecewise-constant queues).
-		if s.cfg.SampleEvery > 0 {
-			for nextSample <= bt {
-				res.TraceT = append(res.TraceT, nextSample)
-				for h, ns := range s.nodes {
-					res.TraceQ[h] = append(res.TraceQ[h], float64(ns.qLen()))
-				}
-				nextSample += s.cfg.SampleEvery
-			}
 		}
 		s.t = bt
 
@@ -544,12 +518,6 @@ func (s *Sim) processBatch(res *Result, warmup float64, accrue, accrueClass func
 			fs.lambda += fs.cfg.Law.Drift(qObs, fs.lambda) * fs.interval
 			if fs.lambda < fs.cfg.MinRate {
 				fs.lambda = fs.cfg.MinRate
-			}
-			if fs.class < 0 {
-				// Rate traces are per static flow; churn sessions are
-				// unbounded in number and report class aggregates.
-				res.RateT[e.flow] = append(res.RateT[e.flow], s.t)
-				res.RateL[e.flow] = append(res.RateL[e.flow], fs.lambda)
 			}
 			// Reschedule this flow's emissions at the new rate
 			// (memorylessness makes the fresh draw unbiased).

@@ -120,9 +120,6 @@ func (s *ImplicitTrapezoid) Step(f System, t, h float64, y []float64) {
 	}
 }
 
-// Order implements Stepper.
-func (s *ImplicitTrapezoid) Order() int { return 2 }
-
 // BDF2 is the two-step backward differentiation formula
 // y⁺ = (4·yₙ − yₙ₋₁)/3 + (2h/3)·f(t+h, y⁺), L-stable, second order.
 // The first step bootstraps with the implicit trapezoid rule. Fixed
@@ -175,6 +172,3 @@ func (s *BDF2) Step(f System, t, h float64, y []float64) {
 		s.err = err
 	}
 }
-
-// Order implements Stepper.
-func (s *BDF2) Order() int { return 2 }

@@ -1,7 +1,8 @@
 // Package ode provides the ordinary-differential-equation integrators
-// used throughout the repository: fixed-step Euler and RK4 and an
-// adaptive Runge-Kutta-Fehlberg 4(5) method, plus event location by
-// bisection on a sign-changing event function.
+// used throughout the repository: the fixed-step explicit RK4 and the
+// implicit trapezoid and BDF2 steppers, and one fixed-step driver,
+// SolveWithEvents, that locates sign changes of event functions by
+// bisection.
 //
 // The congestion-control dynamics analysed by the paper,
 //
@@ -14,13 +15,12 @@
 // the same technique the paper's characteristic analysis performs
 // analytically.
 //
-// Every solver records its samples in a Trajectory, one flat store of
+// The driver records its samples in a Trajectory, one flat store of
 // times and state rows that package dde shares for its results; see
 // Trajectory for how long a row read from it stays aliased.
 package ode
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -30,32 +30,11 @@ import (
 // must not retain either slice.
 type System func(t float64, y, dydt []float64)
 
-// Step advances y by one fixed step of size h using the given method
-// and scratch workspace (see NewWorkspace).
+// Stepper advances a state by one step of a fixed method.
 type Stepper interface {
 	// Step advances y in place from t to t+h.
 	Step(f System, t, h float64, y []float64)
-	// Order returns the formal order of accuracy (1 for Euler, 4 for RK4).
-	Order() int
 }
-
-// Euler is the first-order explicit Euler method. Primarily used as a
-// cross-check and in convergence-order tests.
-type Euler struct{ k []float64 }
-
-// NewEuler returns an Euler stepper for systems of dimension dim.
-func NewEuler(dim int) *Euler { return &Euler{k: make([]float64, dim)} }
-
-// Step implements Stepper.
-func (e *Euler) Step(f System, t, h float64, y []float64) {
-	f(t, y, e.k)
-	for i := range y {
-		y[i] += h * e.k[i]
-	}
-}
-
-// Order implements Stepper.
-func (e *Euler) Order() int { return 1 }
 
 // RK4 is the classic fourth-order Runge-Kutta method with
 // preallocated stages. It allocates nothing per step.
@@ -94,9 +73,6 @@ func (r *RK4) Step(f System, t, h float64, y []float64) {
 		y[i] += h / 6 * (r.k1[i] + 2*r.k2[i] + 2*r.k3[i] + r.k4[i])
 	}
 }
-
-// Order implements Stepper.
-func (r *RK4) Order() int { return 4 }
 
 // Trajectory records sampled states of an integration in one flat
 // store: Times[i] is the time of sample i, and its dim state values
@@ -157,36 +133,6 @@ func grow(s []float64, n int) []float64 {
 	return append(make([]float64, 0, max(2*cap(s), 16*n)), s...)
 }
 
-// FixedSolve integrates dy/dt = f from t0 to t1 with fixed step h
-// using stepper s, recording every step (including the endpoints).
-// The final partial step is shortened to land exactly on t1.
-// It returns an error for invalid h or a reversed interval.
-func FixedSolve(f System, s Stepper, y0 []float64, t0, t1, h float64) (*Trajectory, error) {
-	if !(h > 0) {
-		return nil, fmt.Errorf("ode: non-positive step %v", h)
-	}
-	if t1 < t0 {
-		return nil, fmt.Errorf("ode: reversed interval [%v, %v]", t0, t1)
-	}
-	y := append([]float64(nil), y0...)
-	tr := &Trajectory{}
-	tr.Append(t0, y)
-	t := t0
-	for t < t1 {
-		step := h
-		if t+step > t1 {
-			step = t1 - t
-		}
-		if step < 1e-15*(1+math.Abs(t)) {
-			break
-		}
-		s.Step(f, t, step, y)
-		t += step
-		tr.Append(t, y)
-	}
-	return tr, nil
-}
-
 // EventFunc evaluates a scalar event function e(t, y); an event is a
 // sign change of e along the trajectory.
 type EventFunc func(t float64, y []float64) float64
@@ -197,9 +143,10 @@ type Event struct {
 	Y []float64 // state at the event
 }
 
-// SolveWithEvents integrates like FixedSolve but additionally locates
-// zero crossings of each event function by bisection to time tolerance
-// tol, records them, and invokes onEvent (if non-nil) at each crossing
+// SolveWithEvents integrates dy/dt = f from t0 to t1 with fixed step h
+// using stepper s, shortening the final step to land exactly on t1. It
+// locates zero crossings of each event function by bisection to time
+// tolerance tol, records them, and invokes onEvent (if non-nil) at each crossing
 // so the caller can mutate the state (e.g. switch a controller branch).
 // maxEvents bounds the number of located events (<= 0 means
 // unbounded). Every sample after (t0, y0), crossing states included,
@@ -301,104 +248,4 @@ func SolveWithEvents(tr *Trajectory, f System, s Stepper, y0 []float64, t0, t1, 
 		tr.Append(t, y)
 	}
 	return found, nil
-}
-
-// rkf45 coefficients (Fehlberg).
-var (
-	rkfA = [6]float64{0, 1. / 4, 3. / 8, 12. / 13, 1, 1. / 2}
-	rkfB = [6][5]float64{
-		{},
-		{1. / 4},
-		{3. / 32, 9. / 32},
-		{1932. / 2197, -7200. / 2197, 7296. / 2197},
-		{439. / 216, -8, 3680. / 513, -845. / 4104},
-		{-8. / 27, 2, -3544. / 2565, 1859. / 4104, -11. / 40},
-	}
-	rkfC4 = [6]float64{25. / 216, 0, 1408. / 2565, 2197. / 4104, -1. / 5, 0}
-	rkfC5 = [6]float64{16. / 135, 0, 6656. / 12825, 28561. / 56430, -9. / 50, 2. / 55}
-)
-
-// Adaptive integrates dy/dt = f from t0 to t1 with the adaptive
-// RKF4(5) method, holding the per-step error estimate below
-// atol + rtol*|y| componentwise. It records every accepted step and
-// returns an error if the step size underflows (stiff or singular
-// problem) or the arguments are invalid.
-func Adaptive(f System, y0 []float64, t0, t1, h0, atol, rtol float64) (*Trajectory, error) {
-	if t1 < t0 {
-		return nil, fmt.Errorf("ode: reversed interval [%v, %v]", t0, t1)
-	}
-	if !(h0 > 0) || !(atol > 0) || !(rtol >= 0) {
-		return nil, fmt.Errorf("ode: invalid tolerances h0=%v atol=%v rtol=%v", h0, atol, rtol)
-	}
-	dim := len(y0)
-	y := append([]float64(nil), y0...)
-	var k [6][]float64
-	for i := range k {
-		k[i] = make([]float64, dim)
-	}
-	tmp := make([]float64, dim)
-	y4 := make([]float64, dim)
-	y5 := make([]float64, dim)
-
-	tr := &Trajectory{}
-	tr.Append(t0, y)
-	t, h := t0, h0
-	hMin := 1e-14 * (1 + math.Abs(t1-t0))
-	for t < t1 {
-		if t+h > t1 {
-			h = t1 - t
-		}
-		if h < hMin {
-			return tr, errors.New("ode: step size underflow in Adaptive")
-		}
-		// Evaluate the six stages.
-		for s := 0; s < 6; s++ {
-			copy(tmp, y)
-			for j := 0; j < s; j++ {
-				b := rkfB[s][j]
-				if b == 0 {
-					continue
-				}
-				for i := 0; i < dim; i++ {
-					tmp[i] += h * b * k[j][i]
-				}
-			}
-			f(t+rkfA[s]*h, tmp, k[s])
-		}
-		// Fourth- and fifth-order solutions and error estimate.
-		maxRatio := 0.0
-		for i := 0; i < dim; i++ {
-			var s4, s5 float64
-			for s := 0; s < 6; s++ {
-				s4 += rkfC4[s] * k[s][i]
-				s5 += rkfC5[s] * k[s][i]
-			}
-			y4[i] = y[i] + h*s4
-			y5[i] = y[i] + h*s5
-			sc := atol + rtol*math.Abs(y[i])
-			if ratio := math.Abs(y5[i]-y4[i]) / sc; ratio > maxRatio {
-				maxRatio = ratio
-			}
-		}
-		if maxRatio <= 1 {
-			// Accept the (higher-order) solution.
-			t += h
-			copy(y, y5)
-			tr.Append(t, y)
-		}
-		// Standard step-size controller with safety factor.
-		var factor float64
-		if maxRatio == 0 {
-			factor = 4
-		} else {
-			factor = 0.9 * math.Pow(maxRatio, -0.2)
-			if factor > 4 {
-				factor = 4
-			} else if factor < 0.1 {
-				factor = 0.1
-			}
-		}
-		h *= factor
-	}
-	return tr, nil
 }

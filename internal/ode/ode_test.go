@@ -9,6 +9,19 @@ import (
 // expSystem is dy/dt = y, solution y(t) = y0*e^t.
 func expSystem(t float64, y, dydt []float64) { dydt[0] = y[0] }
 
+// fixedSolve integrates dy/dt = f from t0 to t1 with fixed step h
+// through SolveWithEvents with no events, the way a caller without
+// switching surfaces drives a stepper, and returns every sample,
+// (t0, y0) included.
+func fixedSolve(f System, s Stepper, y0 []float64, t0, t1, h float64) (*Trajectory, error) {
+	var tr Trajectory
+	tr.Append(t0, y0)
+	if _, err := SolveWithEvents(&tr, f, s, y0, t0, t1, h, 1, nil, nil, 0); err != nil {
+		return nil, err
+	}
+	return &tr, nil
+}
+
 // oscillator is the harmonic oscillator y” = -y as a 2-D system,
 // solution (cos t, -sin t) from (1, 0).
 func oscillator(t float64, y, dydt []float64) {
@@ -18,7 +31,7 @@ func oscillator(t float64, y, dydt []float64) {
 
 func TestRK4Exponential(t *testing.T) {
 	s := NewRK4(1)
-	tr, err := FixedSolve(expSystem, s, []float64{1}, 0, 1, 1e-3)
+	tr, err := fixedSolve(expSystem, s, []float64{1}, 0, 1, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,34 +41,16 @@ func TestRK4Exponential(t *testing.T) {
 	}
 }
 
-func TestEulerExponential(t *testing.T) {
-	s := NewEuler(1)
-	tr, err := FixedSolve(expSystem, s, []float64{1}, 0, 1, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, y := tr.Last()
-	// Euler at h=1e-4 should be within ~1.4e-4 of e.
-	if got, want := y[0], math.E; math.Abs(got-want) > 5e-4 {
-		t.Fatalf("y(1) = %v, want e = %v", got, want)
-	}
-}
-
-// TestConvergenceOrders verifies the formal orders: halving h shrinks
-// the error by ~2 for Euler and ~16 for RK4.
+// TestConvergenceOrders verifies RK4's formal order: halving h shrinks
+// the error by ~16.
 func TestConvergenceOrders(t *testing.T) {
 	errAt := func(s Stepper, h float64) float64 {
-		tr, err := FixedSolve(expSystem, s, []float64{1}, 0, 1, h)
+		tr, err := fixedSolve(expSystem, s, []float64{1}, 0, 1, h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, y := tr.Last()
 		return math.Abs(y[0] - math.E)
-	}
-	e1 := errAt(NewEuler(1), 1e-2)
-	e2 := errAt(NewEuler(1), 5e-3)
-	if ratio := e1 / e2; ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("Euler error ratio %v, want ~2", ratio)
 	}
 	r1 := errAt(NewRK4(1), 1e-1)
 	r2 := errAt(NewRK4(1), 5e-2)
@@ -66,7 +61,7 @@ func TestConvergenceOrders(t *testing.T) {
 
 func TestRK4Oscillator(t *testing.T) {
 	s := NewRK4(2)
-	tr, err := FixedSolve(oscillator, s, []float64{1, 0}, 0, 2*math.Pi, 1e-3)
+	tr, err := fixedSolve(oscillator, s, []float64{1, 0}, 0, 2*math.Pi, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +71,11 @@ func TestRK4Oscillator(t *testing.T) {
 	}
 }
 
+// TestFixedSolveLandsOnEnd: SolveWithEvents shortens its final step
+// to land exactly on t1.
 func TestFixedSolveLandsOnEnd(t *testing.T) {
 	s := NewRK4(1)
-	tr, err := FixedSolve(expSystem, s, []float64{1}, 0, 0.35, 0.1)
+	tr, err := fixedSolve(expSystem, s, []float64{1}, 0, 0.35, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +85,24 @@ func TestFixedSolveLandsOnEnd(t *testing.T) {
 	}
 }
 
+// TestFixedSolveValidation: SolveWithEvents rejects a zero step and a
+// reversed interval.
 func TestFixedSolveValidation(t *testing.T) {
 	s := NewRK4(1)
-	if _, err := FixedSolve(expSystem, s, []float64{1}, 0, 1, 0); err == nil {
+	if _, err := fixedSolve(expSystem, s, []float64{1}, 0, 1, 0); err == nil {
 		t.Error("expected error for zero step")
 	}
-	if _, err := FixedSolve(expSystem, s, []float64{1}, 1, 0, 0.1); err == nil {
+	if _, err := fixedSolve(expSystem, s, []float64{1}, 1, 0, 0.1); err == nil {
 		t.Error("expected error for reversed interval")
 	}
 }
 
+// TestFixedSolveDoesNotMutateInitial: SolveWithEvents integrates a
+// copy of y0.
 func TestFixedSolveDoesNotMutateInitial(t *testing.T) {
 	y0 := []float64{1}
 	s := NewRK4(1)
-	if _, err := FixedSolve(expSystem, s, y0, 0, 1, 0.1); err != nil {
+	if _, err := fixedSolve(expSystem, s, y0, 0, 1, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	if y0[0] != 1 {
@@ -111,7 +112,7 @@ func TestFixedSolveDoesNotMutateInitial(t *testing.T) {
 
 func TestTrajectoryAccessors(t *testing.T) {
 	s := NewRK4(1)
-	tr, err := FixedSolve(expSystem, s, []float64{1}, 0, 1, 0.25)
+	tr, err := fixedSolve(expSystem, s, []float64{1}, 0, 1, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,52 +291,6 @@ func TestSolveWithEventsValidation(t *testing.T) {
 	}
 }
 
-func TestAdaptiveExponential(t *testing.T) {
-	tr, err := Adaptive(expSystem, []float64{1}, 0, 1, 0.1, 1e-10, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, y := tr.Last()
-	if math.Abs(y[0]-math.E) > 1e-7 {
-		t.Fatalf("Adaptive y(1) = %v, want e", y[0])
-	}
-}
-
-func TestAdaptiveOscillatorLongHorizon(t *testing.T) {
-	tr, err := Adaptive(oscillator, []float64{1, 0}, 0, 20*math.Pi, 0.1, 1e-9, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, y := tr.Last()
-	if math.Abs(y[0]-1) > 1e-5 || math.Abs(y[1]) > 1e-5 {
-		t.Fatalf("after 10 periods y = %v, want (1, 0)", y)
-	}
-}
-
-func TestAdaptiveTakesFewerStepsThanFixed(t *testing.T) {
-	// For a smooth problem the adaptive integrator should need far
-	// fewer steps than a fixed-step RK4 at comparable accuracy.
-	trA, err := Adaptive(expSystem, []float64{1}, 0, 1, 0.01, 1e-8, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trA.Len() > 60 {
-		t.Fatalf("adaptive used %d samples for e^t on [0,1], want far fewer", trA.Len())
-	}
-}
-
-func TestAdaptiveValidation(t *testing.T) {
-	if _, err := Adaptive(expSystem, []float64{1}, 1, 0, 0.1, 1e-8, 1e-8); err == nil {
-		t.Error("expected error for reversed interval")
-	}
-	if _, err := Adaptive(expSystem, []float64{1}, 0, 1, 0, 1e-8, 1e-8); err == nil {
-		t.Error("expected error for zero initial step")
-	}
-	if _, err := Adaptive(expSystem, []float64{1}, 0, 1, 0.1, 0, 1e-8); err == nil {
-		t.Error("expected error for zero atol")
-	}
-}
-
 // Property: for linear decay y' = -k y the RK4 solution stays within
 // a tight factor of the exact exponential for random rates and spans.
 func TestRK4LinearDecayProperty(t *testing.T) {
@@ -344,7 +299,7 @@ func TestRK4LinearDecayProperty(t *testing.T) {
 		span := float64(spanRaw%40)/10 + 0.1
 		sys := func(t float64, y, dydt []float64) { dydt[0] = -k * y[0] }
 		s := NewRK4(1)
-		tr, err := FixedSolve(sys, s, []float64{1}, 0, span, 1e-3)
+		tr, err := fixedSolve(sys, s, []float64{1}, 0, span, 1e-3)
 		if err != nil {
 			return false
 		}
@@ -367,7 +322,7 @@ func TestOscillatorEnergyProperty(t *testing.T) {
 			return true
 		}
 		s := NewRK4(2)
-		tr, err := FixedSolve(oscillator, s, []float64{a, b}, 0, 2*math.Pi, 1e-3)
+		tr, err := fixedSolve(oscillator, s, []float64{a, b}, 0, 2*math.Pi, 1e-3)
 		if err != nil {
 			return false
 		}
@@ -387,13 +342,5 @@ func BenchmarkRK4Step(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Step(oscillator, 0, 1e-3, y)
-	}
-}
-
-func BenchmarkAdaptiveOscillatorPeriod(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Adaptive(oscillator, []float64{1, 0}, 0, 2*math.Pi, 0.1, 1e-8, 1e-8); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
