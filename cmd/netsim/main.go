@@ -27,6 +27,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -152,9 +153,9 @@ func parseSweep(spec string) ([]fpcc.SweepParam, error) {
 }
 
 // output opens path for writing ("-" means stdout).
-func output(path string) (io.Writer, func() error, error) {
+func output(path string, stdout io.Writer) (io.Writer, func() error, error) {
 	if path == "-" {
-		return os.Stdout, func() error { return nil }, nil
+		return stdout, func() error { return nil }, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -168,35 +169,54 @@ func main() {
 	// name and print as they are; only the messages this command
 	// writes itself are prefixed with its name.
 	log.SetFlags(0)
-
-	topology := flag.String("topology", "cross-chain", "topology: parking-lot or cross-chain")
-	hops := flag.Int("hops", 3, "parking-lot: number of bottleneck hops")
-	mu := flag.Float64("mu", 40, "service rate of the (first) bottleneck (packets/s)")
-	mu2 := flag.Float64("mu2", 60, "cross-chain: service rate of the second hop")
-	delay := flag.Float64("delay", 0.02, "per-link propagation delay (s)")
-	c0 := flag.Float64("c0", 10, "additive increase rate C0")
-	c1 := flag.Float64("c1", 2, "multiplicative decrease constant C1")
-	qHat := flag.Float64("qhat", 12, "target path backlog q̂")
-	cross := flag.Float64("cross", 0, "cross-chain: constant cross-traffic rate at hop 2")
-	buffer := flag.Int("buffer", 0, "per-node buffer in packets (0 = infinite)")
-	lambda0 := flag.Float64("lambda0", 5, "initial rate of adaptive flows")
-	horizon := flag.Float64("t", 1000, "simulation horizon (s)")
-	warmup := flag.Float64("warmup", 100, "warmup excluded from statistics (s)")
-	seed := flag.Uint64("seed", 1, "RNG seed (sweep: base seed)")
-	sweepSpec := flag.String("sweep", "", "sweep grid, e.g. 'cross=0,10,20;c0=2,4' (empty = single run)")
-	workers := flag.Int("workers", 0, "sweep worker count (0 = GOMAXPROCS)")
-	csvPath := flag.String("csv", "", "sweep: write CSV here ('-' = stdout)")
-	jsonPath := flag.String("json", "", "sweep: write JSON here ('-' = stdout)")
-	churnMean := flag.Float64("churn-mean", 0, "single run: mean session lifetime (s); > 0 adds an open session class cloning the long flow")
-	churnArrival := flag.Float64("churn-arrival", 0, "single run: Poisson session arrival rate (flows/s)")
-	churnN0 := flag.Int("churn-n0", 0, "single run: sessions alive at t=0 (default ceil(arrival*mean))")
-	churnPareto := flag.Bool("churn-pareto", false, "heavy-tailed Pareto(α=1.5) lifetimes instead of exponential")
-	obsCLI := fpcc.BindObsFlags(flag.CommandLine)
-	flag.Parse()
-	if err := obsCLI.Setup(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
-	defer obsCLI.Close()
+}
+
+// run parses args and runs a single simulation or a sweep, writing
+// the report (or the sweep's CSV/JSON when sent to "-") to stdout and
+// the flag usage and the sweep summary to stderr.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	topology := fs.String("topology", "cross-chain", "topology: parking-lot or cross-chain")
+	hops := fs.Int("hops", 3, "parking-lot: number of bottleneck hops")
+	mu := fs.Float64("mu", 40, "service rate of the (first) bottleneck (packets/s)")
+	mu2 := fs.Float64("mu2", 60, "cross-chain: service rate of the second hop")
+	delay := fs.Float64("delay", 0.02, "per-link propagation delay (s)")
+	c0 := fs.Float64("c0", 10, "additive increase rate C0")
+	c1 := fs.Float64("c1", 2, "multiplicative decrease constant C1")
+	qHat := fs.Float64("qhat", 12, "target path backlog q̂")
+	cross := fs.Float64("cross", 0, "cross-chain: constant cross-traffic rate at hop 2")
+	buffer := fs.Int("buffer", 0, "per-node buffer in packets (0 = infinite)")
+	lambda0 := fs.Float64("lambda0", 5, "initial rate of adaptive flows")
+	horizon := fs.Float64("t", 1000, "simulation horizon (s)")
+	warmup := fs.Float64("warmup", 100, "warmup excluded from statistics (s)")
+	seed := fs.Uint64("seed", 1, "RNG seed (sweep: base seed)")
+	sweepSpec := fs.String("sweep", "", "sweep grid, e.g. 'cross=0,10,20;c0=2,4' (empty = single run)")
+	workers := fs.Int("workers", 0, "sweep worker count (0 = GOMAXPROCS)")
+	csvPath := fs.String("csv", "", "sweep: write CSV here ('-' = stdout)")
+	jsonPath := fs.String("json", "", "sweep: write JSON here ('-' = stdout)")
+	churnMean := fs.Float64("churn-mean", 0, "single run: mean session lifetime (s); > 0 adds an open session class cloning the long flow")
+	churnArrival := fs.Float64("churn-arrival", 0, "single run: Poisson session arrival rate (flows/s)")
+	churnN0 := fs.Int("churn-n0", 0, "single run: sessions alive at t=0 (default ceil(arrival*mean))")
+	churnPareto := fs.Bool("churn-pareto", false, "heavy-tailed Pareto(α=1.5) lifetimes instead of exponential")
+	obsCLI := fpcc.BindObsFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if err := obsCLI.Setup(); err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := obsCLI.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("netsim: closing observability: %w", cerr)
+		}
+	}()
 	rec := obsCLI.Recorder("netsim")
 
 	base := params{
@@ -207,29 +227,30 @@ func main() {
 
 	ch, err := buildChurn(*churnMean, *churnArrival, *churnN0, *churnPareto)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if *sweepSpec == "" {
 		if *csvPath != "" || *jsonPath != "" {
-			log.Fatal("netsim: -csv and -json apply to sweeps; add -sweep or drop them")
+			return errors.New("netsim: -csv and -json apply to sweeps; add -sweep or drop them")
 		}
 		sp := rec.Span("run")
-		runSingle(obsCLI, *topology, base, ch, *seed, *horizon, *warmup)
-		sp.End()
-		return
+		defer sp.End()
+		err := runSingle(stdout, *topology, base, ch, *seed, *horizon, *warmup)
+		obsCLI.DumpViolation(err)
+		return err
 	}
 	if ch != nil {
-		log.Fatal("netsim: -churn-* flags apply to single runs; drop -sweep")
+		return errors.New("netsim: -churn-* flags apply to single runs; drop -sweep")
 	}
 
 	axes, err := parseSweep(*sweepSpec)
 	if err != nil {
-		log.Fatalf("netsim: %v", err)
+		return fmt.Errorf("netsim: %v", err)
 	}
 	for _, axis := range axes {
 		if err := checkAxis(*topology, axis.Name); err != nil {
-			log.Fatalf("netsim: %v", err)
+			return fmt.Errorf("netsim: %v", err)
 		}
 	}
 	sweepSpan := rec.Span("sweep")
@@ -251,7 +272,8 @@ func main() {
 	})
 	sweepSpan.End()
 	if err != nil {
-		obsCLI.Fatal("netsim", err)
+		obsCLI.DumpViolation(err)
+		return err
 	}
 	wrote := false
 	for _, out := range []struct {
@@ -264,25 +286,26 @@ func main() {
 		if out.path == "" {
 			continue
 		}
-		w, closeFn, err := output(out.path)
+		w, closeFn, err := output(out.path, stdout)
 		if err != nil {
-			log.Fatalf("netsim: %v", err)
+			return fmt.Errorf("netsim: %v", err)
 		}
 		if err := out.write(w); err != nil {
-			log.Fatalf("netsim: %v", err)
+			return fmt.Errorf("netsim: %v", err)
 		}
 		if err := closeFn(); err != nil {
-			log.Fatalf("netsim: %v", err)
+			return fmt.Errorf("netsim: %v", err)
 		}
 		wrote = true
 	}
 	if !wrote {
 		// No sink chosen: default to CSV on stdout.
-		if err := res.WriteCSV(os.Stdout); err != nil {
-			log.Fatalf("netsim: %v", err)
+		if err := res.WriteCSV(stdout); err != nil {
+			return fmt.Errorf("netsim: %v", err)
 		}
 	}
-	log.Printf("netsim: swept %d cells over %d parameters", len(res.Cells), len(res.Params))
+	fmt.Fprintf(stderr, "netsim: swept %d cells over %d parameters\n", len(res.Cells), len(res.Params))
+	return nil
 }
 
 // churnSpec is the optional open-system class of a single run.
@@ -323,11 +346,12 @@ func buildChurn(mean, arrival float64, n0 int, pareto bool) (*churnSpec, error) 
 	return &churnSpec{arrival: arrival, lifetime: lt, n0: n0}, nil
 }
 
-// runSingle executes one simulation and prints the report tables.
-func runSingle(obsCLI *fpcc.ObsCLI, topology string, p params, ch *churnSpec, seed uint64, horizon, warmup float64) {
+// runSingle executes one simulation and writes the report tables to
+// w.
+func runSingle(w io.Writer, topology string, p params, ch *churnSpec, seed uint64, horizon, warmup float64) error {
 	cfg, err := buildConfig(topology, p, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if ch != nil {
 		// The open class runs the long flow's template: same law,
@@ -342,20 +366,20 @@ func runSingle(obsCLI *fpcc.ObsCLI, topology string, p params, ch *churnSpec, se
 	}
 	sim, err := fpcc.NewNetSim(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := sim.Run(horizon, warmup)
 	if err != nil {
-		obsCLI.Fatal("netsim", err)
+		return err
 	}
 
-	fmt.Printf("%s: %d nodes, %d flows, horizon %.0fs (warmup %.0fs)\n",
+	fmt.Fprintf(w, "%s: %d nodes, %d flows, horizon %.0fs (warmup %.0fs)\n",
 		topology, len(cfg.Nodes), len(cfg.Flows), horizon, warmup)
 	var total float64
 	for _, tp := range res.Throughput {
 		total += tp
 	}
-	fmt.Printf("%-8s %-16s %-9s %-12s %-8s %-8s\n", "flow", "route", "RTT(s)", "throughput", "share", "dropped")
+	fmt.Fprintf(w, "%-8s %-16s %-9s %-12s %-8s %-8s\n", "flow", "route", "RTT(s)", "throughput", "share", "dropped")
 	for i, tp := range res.Throughput {
 		route := make([]string, len(cfg.Flows[i].Route))
 		for k, h := range cfg.Flows[i].Route {
@@ -365,25 +389,26 @@ func runSingle(obsCLI *fpcc.ObsCLI, topology string, p params, ch *churnSpec, se
 		if total > 0 {
 			share = tp / total
 		}
-		fmt.Printf("%-8s %-16s %-9.3f %-12.3f %-8.3f %-8d\n",
+		fmt.Fprintf(w, "%-8s %-16s %-9.3f %-12.3f %-8.3f %-8d\n",
 			cfg.FlowName(i), strings.Join(route, ">"), res.FlowRTT[i], tp, share, res.Dropped[i])
 	}
-	fmt.Printf("Jain fairness %.4f\n\n", fpcc.JainIndex(res.Throughput))
+	fmt.Fprintf(w, "Jain fairness %.4f\n\n", fpcc.JainIndex(res.Throughput))
 	if len(cfg.Churn) > 0 {
-		fmt.Printf("%-8s %-8s %-8s %-10s %-12s %-12s %-8s\n",
+		fmt.Fprintf(w, "%-8s %-8s %-8s %-10s %-12s %-12s %-8s\n",
 			"class", "born", "died", "live(avg)", "live(end)", "throughput", "dropped")
 		for j := range cfg.Churn {
-			fmt.Printf("%-8s %-8d %-8d %-10.2f %-12d %-12.3f %-8d\n",
+			fmt.Fprintf(w, "%-8s %-8d %-8d %-10.2f %-12d %-12.3f %-8d\n",
 				cfg.ChurnName(j), res.ChurnBorn[j], res.ChurnDied[j],
 				res.ChurnLive[j].Mean(), res.ChurnLiveEnd[j],
 				res.ChurnThroughput[j], res.ChurnDropped[j])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("%-8s %-8s %-12s %-12s %-8s\n", "node", "mu", "mean queue", "std queue", "dropped")
+	fmt.Fprintf(w, "%-8s %-8s %-12s %-12s %-8s\n", "node", "mu", "mean queue", "std queue", "dropped")
 	for h := range cfg.Nodes {
-		fmt.Printf("%-8s %-8.1f %-12.3f %-12.3f %-8d\n",
+		fmt.Fprintf(w, "%-8s %-8.1f %-12.3f %-12.3f %-8d\n",
 			cfg.NodeName(h), cfg.Nodes[h].Mu,
 			res.NodeQueue[h].Mean(), res.NodeQueue[h].StdDev(), res.NodeDropped[h])
 	}
+	return nil
 }

@@ -81,10 +81,10 @@ func TestOwnerArenaStaysCompact(t *testing.T) {
 	if _, err := s.Run(20, 1); err != nil {
 		t.Fatal(err)
 	}
-	if s.ownerLen() != s.queue {
-		t.Fatalf("owner window %d != queue %d", s.ownerLen(), s.queue)
+	if s.owners.Len() != s.queue {
+		t.Fatalf("owner window %d != queue %d", s.owners.Len(), s.queue)
 	}
-	if s.qHead > 64 && s.qHead > len(s.qOwner)/2 {
-		t.Fatalf("arena head %d not compacted (len %d)", s.qHead, len(s.qOwner))
+	if s.owners.head > 64 && s.owners.head > len(s.owners.buf)/2 {
+		t.Fatalf("arena head %d not compacted (len %d)", s.owners.head, len(s.owners.buf))
 	}
 }

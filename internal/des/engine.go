@@ -193,13 +193,8 @@ type Sim struct {
 	events  eventq.Q[event]
 	seq     uint64
 	t       float64
-	queue   int // packets in system
-	// qOwner[qHead:] is the FIFO of source ids for queued packets: an
-	// arena with a sliding head, so a departure is one index bump
-	// instead of a slice-re-slice that churns the backing array (see
-	// popOwner).
-	qOwner  []int
-	qHead   int
+	queue   int       // packets in system
+	owners  FIFO[int] // source id of each queued packet, in service order
 	serving bool
 	rngSvc  *rng.Source
 	// batch is the reused burst buffer the event loop drains
@@ -213,26 +208,6 @@ type Sim struct {
 	// queue-length history for delayed observation
 	hist     QueueHistory
 	maxDelay float64
-}
-
-// ownerLen returns the FIFO owner count (the live arena window).
-func (s *Sim) ownerLen() int { return len(s.qOwner) - s.qHead }
-
-// popOwner removes and returns the head of the owner FIFO. The arena
-// compacts only when more than half the backing array is dead, so the
-// amortized cost is O(1) with no steady-state allocation.
-func (s *Sim) popOwner() int {
-	owner := s.qOwner[s.qHead]
-	s.qHead++
-	if s.qHead == len(s.qOwner) {
-		s.qOwner = s.qOwner[:0]
-		s.qHead = 0
-	} else if s.qHead > 64 && s.qHead > len(s.qOwner)/2 {
-		n := copy(s.qOwner, s.qOwner[s.qHead:])
-		s.qOwner = s.qOwner[:n]
-		s.qHead = 0
-	}
-	return owner
 }
 
 // New builds a simulator.
@@ -424,7 +399,7 @@ func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
 				break
 			}
 			s.queue++
-			s.qOwner = append(s.qOwner, e.src)
+			s.owners.Push(e.src)
 			s.recordQueue()
 			if !s.serving {
 				s.serving = true
@@ -436,7 +411,7 @@ func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
 			if s.queue == 0 {
 				break // defensive; should not happen
 			}
-			owner := s.popOwner()
+			owner := s.owners.Pop()
 			s.queue--
 			s.recordQueue()
 			if s.t > warmup {
@@ -499,9 +474,9 @@ func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
 				// Every arrival pushes one FIFO owner and every
 				// departure pops one, so the owner arena and the
 				// queue counter must agree at every event.
-				if s.queue < 0 || s.ownerLen() != s.queue {
+				if s.queue < 0 || s.owners.Len() != s.queue {
 					return rec.Violationf(*nEvents, s.t, "des.queue",
-						"queue %d with %d FIFO owners", s.queue, s.ownerLen())
+						"queue %d with %d FIFO owners", s.queue, s.owners.Len())
 				}
 				if err := rec.CheckMonotoneTail(*nEvents, "des.history", s.hist.TailTimes()); err != nil {
 					return err

@@ -103,21 +103,136 @@ func FuzzConfig(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Run failed on a valid config: %v", err)
 		}
-		finite := func(what string, vs ...float64) {
-			for i, v := range vs {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("%s[%d] = %v", what, i, v)
-				}
-			}
-		}
-		finite("Throughput", res.Throughput...)
-		finite("TraceQ", res.TraceQ...)
+		finite(t, "Throughput", res.Throughput...)
+		finite(t, "TraceQ", res.TraceQ...)
 		q := res.QueueStats
-		finite("QueueStats weight/mean/std", q.TotalWeight(), q.Mean(), q.StdDev())
+		finite(t, "QueueStats weight/mean/std", q.TotalWeight(), q.Mean(), q.StdDev())
 		for i, r := range res.Rate {
 			if r.Count() > 0 {
-				finite(fmt.Sprintf("Rate[%d] mean/std/min/max", i), r.Mean(), r.StdDev(), r.Min(), r.Max())
+				finite(t, fmt.Sprintf("Rate[%d] mean/std/min/max", i), r.Mean(), r.StdDev(), r.Min(), r.Max())
 			}
 		}
 	})
+}
+
+// decodeTahoe builds a Tahoe config of 1–3 flows. Layout: flow count,
+// seed, μ, buffer (signed, mod 32), sample period; per flow the
+// propagation delay and the RTO.
+func decodeTahoe(data []byte) TahoeConfig {
+	in := fuzzInput(data)
+	flows := 1 + int(in.byte()%3)
+	cfg := TahoeConfig{Seed: uint64(in.byte()), Mu: in.value(0.5, true), Buffer: int(int8(in.byte())) % 32}
+	cfg.SampleEvery = in.value(0.125, false)
+	for range flows {
+		cfg.Flows = append(cfg.Flows, TahoeFlowConfig{PropDelay: in.period(), RTO: in.period()})
+	}
+	return cfg
+}
+
+// FuzzTahoeConfig holds the Tahoe simulator to its config contract: a
+// config Validate rejects makes NewTahoe fail, and one it accepts runs
+// a 20 s horizon to finite throughput, queue moments, RTTs and traces,
+// ending with as many packets in the FIFO as the queue counter says.
+func FuzzTahoeConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := decodeTahoe(data)
+		if err := cfg.Validate(); err != nil {
+			if _, nerr := NewTahoe(cfg); nerr == nil {
+				t.Fatalf("NewTahoe accepted a config Validate rejects (%v)", err)
+			}
+			return
+		}
+		sim, err := NewTahoe(cfg)
+		if err != nil {
+			t.Fatalf("NewTahoe rejected a config Validate accepts: %v", err)
+		}
+		res, err := sim.Run(20, 5)
+		if err != nil {
+			t.Fatalf("Run failed on a valid config: %v", err)
+		}
+		finite(t, "Throughput", res.Throughput...)
+		finite(t, "MeanRTT", res.MeanRTT...)
+		finite(t, "TraceQ", res.TraceQ...)
+		for i, w := range res.TraceW {
+			finite(t, fmt.Sprintf("TraceW[%d]", i), w...)
+		}
+		q := res.QueueStats
+		finite(t, "QueueStats weight/mean/std", q.TotalWeight(), q.Mean(), q.StdDev())
+		if cfg.SampleEvery != 0 && len(res.TraceT) == 0 {
+			t.Fatalf("sample period %v recorded no trace", cfg.SampleEvery)
+		}
+		if sim.fifo.Len() != sim.queue {
+			t.Fatalf("FIFO holds %d packets, queue counter %d", sim.fifo.Len(), sim.queue)
+		}
+	})
+}
+
+// decodeTandem builds a tandem config of 1–3 hops and 1–3 AIMD
+// sources. Layout: hop count, source count, seed, propagation delay;
+// per hop μ; per source the path length (mod 4, so an empty path is
+// reachable) and hops (mod hops+1, so an out-of-range hop is),
+// Lambda0, MinRate and the AIMD target.
+func decodeTandem(data []byte) TandemConfig {
+	in := fuzzInput(data)
+	hops, sources := 1+int(in.byte()%3), 1+int(in.byte()%3)
+	cfg := TandemConfig{Seed: uint64(in.byte()), PropDelay: in.period()}
+	for range hops {
+		cfg.Mus = append(cfg.Mus, in.value(0.5, true))
+	}
+	for range sources {
+		var path []int
+		for range in.byte() % 4 {
+			path = append(path, int(in.byte())%(hops+1))
+		}
+		s := TandemSource{Path: path, Lambda0: in.rate(), MinRate: in.rate()}
+		s.Law = control.AIMD{C0: 2, C1: 0.5, QHat: float64(in.byte() % 32)}
+		cfg.Sources = append(cfg.Sources, s)
+	}
+	return cfg
+}
+
+// FuzzTandemConfig holds the tandem simulator to its config contract:
+// a config Validate rejects makes NewTandem fail, and one it accepts
+// runs a 20 s horizon to finite throughput, backlogs and RTTs, ending
+// with each hop's FIFO as long as the last length its history
+// recorded.
+func FuzzTandemConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg := decodeTandem(data)
+		if err := cfg.Validate(); err != nil {
+			if _, nerr := NewTandem(cfg); nerr == nil {
+				t.Fatalf("NewTandem accepted a config Validate rejects (%v)", err)
+			}
+			return
+		}
+		sim, err := NewTandem(cfg)
+		if err != nil {
+			t.Fatalf("NewTandem rejected a config Validate accepts: %v", err)
+		}
+		res, err := sim.Run(20, 5)
+		if err != nil {
+			t.Fatalf("Run failed on a valid config: %v", err)
+		}
+		finite(t, "Throughput", res.Throughput...)
+		finite(t, "MeanBacklog", res.MeanBacklog...)
+		for i := range cfg.Sources {
+			finite(t, fmt.Sprintf("RTT(%d)", i), sim.RTT(i))
+		}
+		for h := range sim.hops {
+			hs := &sim.hops[h]
+			if got := hs.hist.QueueAt(math.Inf(1)); got != float64(hs.queue.Len()) {
+				t.Fatalf("hop %d: FIFO holds %d packets, history last recorded %v", h, hs.queue.Len(), got)
+			}
+		}
+	})
+}
+
+// finite fails t on the first NaN or infinite value of vs.
+func finite(t *testing.T, what string, vs ...float64) {
+	t.Helper()
+	for i, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("%s[%d] = %v", what, i, v)
+		}
+	}
 }

@@ -3,12 +3,12 @@ package des
 import "sort"
 
 // QueueHistory is the timestamped queue-length record shared by the
-// delayed-feedback simulators (the single-bottleneck Engine here and
-// the per-node histories of internal/netsim): every queue change is
-// appended with its time — and, when a gateway owns the congestion
-// signal, the gateway's wire signal — so a controller observing with
-// delay τ reads the state exactly as it stood at t−τ, not an
-// approximation of it.
+// delayed-feedback simulators (the single-bottleneck Sim, TandemSim's
+// per-hop histories and the per-node histories of internal/netsim):
+// every queue change is appended with its time — and, when a gateway
+// owns the congestion signal, the gateway's wire signal — so a
+// controller observing with delay τ reads the state exactly as it
+// stood at t−τ, not an approximation of it.
 //
 // The history is pruned lazily: once it exceeds a size threshold,
 // samples older than the caller-supplied lookback cut are discarded,

@@ -67,12 +67,14 @@ func (c *TahoeConfig) Validate() error {
 		switch {
 		case !(f.PropDelay > 0):
 			return fmt.Errorf("des: flow %d propagation delay must be positive, got %v", i, f.PropDelay)
-		case !(f.RTO > 2*f.PropDelay):
-			return fmt.Errorf("des: flow %d RTO %v must exceed the unloaded RTT %v", i, f.RTO, 2*f.PropDelay)
+		case !(f.RTO > 2*f.PropDelay) || math.IsInf(f.RTO, 1):
+			// An infinite RTO never fires, so a lost packet is never
+			// recovered.
+			return fmt.Errorf("des: flow %d RTO %v must be finite and exceed the unloaded RTT %v", i, f.RTO, 2*f.PropDelay)
 		}
 	}
-	if c.SampleEvery < 0 {
-		return fmt.Errorf("des: negative sample period %v", c.SampleEvery)
+	if !(c.SampleEvery >= 0) || math.IsInf(c.SampleEvery, 1) {
+		return fmt.Errorf("des: invalid sample period %v", c.SampleEvery)
 	}
 	return nil
 }
@@ -106,16 +108,29 @@ type tahoeFlow struct {
 	ssthresh float64
 	inflight int
 	nextID   uint64
-	// lost marks packet ids dropped at the buffer; their timeout
-	// events trigger recovery unless superseded by an earlier one.
-	lost map[uint64]bool
-	// recoveredAt is the time of the last timeout recovery; timeouts
+	// sent holds each unresolved packet by id, from its send until
+	// its ack or, once it is lost, its timeout.
+	sent map[uint64]tahoeSent
+	// lastRecovery is the time of the last timeout recovery; timeouts
 	// for packets sent before it are stale and ignored (one recovery
 	// per loss burst, as a real coarse-grained timer behaves).
-	sentAt       map[uint64]float64
 	lastRecovery float64
 	acked        int64
 	drops        int64
+}
+
+// tahoeSent is the state of one sent, unresolved packet.
+type tahoeSent struct {
+	sentAt float64
+	// lost marks a packet dropped at the buffer: its timeout triggers
+	// recovery unless an earlier recovery superseded it.
+	lost bool
+}
+
+// tahoePacket identifies a queued packet: its flow and its id.
+type tahoePacket struct {
+	flow int
+	id   uint64
 }
 
 // TahoeResult summarizes a Tahoe run.
@@ -146,9 +161,7 @@ type TahoeSim struct {
 	seq    uint64
 	t      float64
 	queue  int
-	// owner/sendTime per queued packet, FIFO order.
-	qOwner []int
-	qID    []uint64
+	fifo   FIFO[tahoePacket]
 	rng    *rng.Source
 }
 
@@ -162,9 +175,7 @@ func NewTahoe(cfg TahoeConfig) (*TahoeSim, error) {
 	for i, fc := range cfg.Flows {
 		f := &tahoeFlow{
 			cfg: fc, cwnd: 1, ssthresh: initialSSThresh,
-			lost:         make(map[uint64]bool),
-			sentAt:       make(map[uint64]float64),
-			lastRecovery: -1,
+			sent: make(map[uint64]tahoeSent), lastRecovery: -1,
 		}
 		s.flows = append(s.flows, f)
 		s.trySend(i)
@@ -185,7 +196,7 @@ func (s *TahoeSim) trySend(i int) {
 		id := f.nextID
 		f.nextID++
 		f.inflight++
-		f.sentAt[id] = s.t
+		f.sent[id] = tahoeSent{sentAt: s.t}
 		s.push(tahoeEvent{t: s.t + f.cfg.PropDelay, kind: tevQueueArrive, flow: i, id: id})
 		// The timeout is armed at send time; it is a no-op unless the
 		// packet is dropped.
@@ -240,13 +251,14 @@ func (s *TahoeSim) Run(horizon, warmup float64) (*TahoeResult, error) {
 		case tevQueueArrive:
 			if s.queue >= s.cfg.Buffer {
 				// Drop-tail: mark lost; the armed timeout will fire.
-				f.lost[e.id] = true
+				p := f.sent[e.id]
+				p.lost = true
+				f.sent[e.id] = p
 				f.drops++
 				break
 			}
 			s.queue++
-			s.qOwner = append(s.qOwner, e.flow)
-			s.qID = append(s.qID, e.id)
+			s.fifo.Push(tahoePacket{flow: e.flow, id: e.id})
 			if s.queue == 1 {
 				s.push(tahoeEvent{t: s.t + s.rng.Exp(s.cfg.Mu), kind: tevService})
 			}
@@ -255,26 +267,25 @@ func (s *TahoeSim) Run(horizon, warmup float64) (*TahoeResult, error) {
 			if s.queue == 0 {
 				break // defensive; should not happen
 			}
-			owner, id := s.qOwner[0], s.qID[0]
-			s.qOwner, s.qID = s.qOwner[1:], s.qID[1:]
+			pkt := s.fifo.Pop()
 			s.queue--
 			if s.queue > 0 {
 				s.push(tahoeEvent{t: s.t + s.rng.Exp(s.cfg.Mu), kind: tevService})
 			}
-			of := s.flows[owner]
-			s.push(tahoeEvent{t: s.t + of.cfg.PropDelay, kind: tevAck, flow: owner, id: id})
+			of := s.flows[pkt.flow]
+			s.push(tahoeEvent{t: s.t + of.cfg.PropDelay, kind: tevAck, flow: pkt.flow, id: pkt.id})
 
 		case tevAck:
-			sent, ok := f.sentAt[e.id]
+			p, ok := f.sent[e.id]
 			if !ok {
 				break // already resolved (e.g. counted lost then served — cannot happen, defensive)
 			}
-			delete(f.sentAt, e.id)
+			delete(f.sent, e.id)
 			f.inflight--
 			f.acked++
 			if s.t > warmup {
 				res.Acked[e.flow]++
-				rttSum[e.flow] += s.t - sent
+				rttSum[e.flow] += s.t - p.sentAt
 			}
 			// Tahoe window growth.
 			if f.cwnd < f.ssthresh {
@@ -285,16 +296,15 @@ func (s *TahoeSim) Run(horizon, warmup float64) (*TahoeResult, error) {
 			s.trySend(e.flow)
 
 		case tevTimeout:
-			if !f.lost[e.id] {
+			p := f.sent[e.id]
+			if !p.lost {
 				break // the packet was delivered; stale timer
 			}
-			delete(f.lost, e.id)
-			sent := f.sentAt[e.id]
-			delete(f.sentAt, e.id)
+			delete(f.sent, e.id)
 			f.inflight--
 			// Coarse timer: collapse once per loss burst — packets
 			// sent before the last recovery ride the same event.
-			if sent > f.lastRecovery {
+			if p.sentAt > f.lastRecovery {
 				f.ssthresh = math.Max(f.cwnd/2, 2)
 				f.cwnd = 1
 				f.lastRecovery = s.t

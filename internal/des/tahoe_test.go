@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"testing"
 )
 
@@ -31,10 +32,19 @@ func TestTahoeConfigValidation(t *testing.T) {
 		{"zero delay", mod(func(c *TahoeConfig) { c.Flows[0].PropDelay = 0 })},
 		{"rto below rtt", mod(func(c *TahoeConfig) { c.Flows[0].RTO = 0.05 })},
 		{"negative sampling", mod(func(c *TahoeConfig) { c.SampleEvery = -1 })},
+		// A NaN period silently disabled the trace.
+		{"nan sampling", mod(func(c *TahoeConfig) { c.SampleEvery = math.NaN() })},
+		{"inf sampling", mod(func(c *TahoeConfig) { c.SampleEvery = math.Inf(1) })},
+		// An infinite RTO never fires, so a drop was never recovered.
+		{"inf rto", mod(func(c *TahoeConfig) { c.Flows[0].RTO = math.Inf(1) })},
+		{"nan rto", mod(func(c *TahoeConfig) { c.Flows[0].RTO = math.NaN() })},
 	}
 	for _, tc := range cases {
+		if err := tc.cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", tc.name)
+		}
 		if _, err := NewTahoe(tc.cfg); err == nil {
-			t.Errorf("%s: want error", tc.name)
+			t.Errorf("%s: NewTahoe accepted", tc.name)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fpcc/internal/control"
 	"fpcc/internal/eventq"
@@ -25,13 +24,9 @@ import (
 // Feedback model: the sender learns the total backlog along its path
 // (the sum of the queue lengths at its hops) as it stood one path
 // round-trip ago, and applies its control law every RTT. The law's
-// target q̂ is interpreted against that path backlog.
-//
-// Deprecated-in-spirit: new multi-hop code should use the
-// general-topology simulator in internal/netsim, which subsumes this
-// linear chain (netsim's tests hold it to TandemSim on a two-hop
-// topology). TandemSim stays for its existing callers and as the
-// reference the equivalence tests compare against.
+// target q̂ is interpreted against that path backlog. Each hop keeps a
+// QueueHistory recorded at its own changes, and the delayed path
+// backlog is the sum of QueueAt over the path, as in internal/netsim.
 
 // TandemSource describes one flow through the network.
 type TandemSource struct {
@@ -63,8 +58,8 @@ func (c *TandemConfig) Validate() error {
 			return fmt.Errorf("des: hop %d has invalid service rate %v", h, mu)
 		}
 	}
-	if !(c.PropDelay > 0) {
-		return fmt.Errorf("des: non-positive propagation delay %v", c.PropDelay)
+	if !(c.PropDelay > 0) || math.IsInf(c.PropDelay, 1) {
+		return fmt.Errorf("des: invalid propagation delay %v", c.PropDelay)
 	}
 	if len(c.Sources) == 0 {
 		return fmt.Errorf("des: no tandem sources")
@@ -80,6 +75,9 @@ func (c *TandemConfig) Validate() error {
 			if h < 0 || h >= len(c.Mus) {
 				return fmt.Errorf("des: tandem source %d path hop %d out of range", i, h)
 			}
+		}
+		if math.IsInf(2*c.PropDelay*float64(len(s.Path)), 1) {
+			return fmt.Errorf("des: tandem source %d round-trip time overflows (delay %v over %d hops)", i, c.PropDelay, len(s.Path))
 		}
 		if !validRate(s.Lambda0) || !validRate(s.MinRate) {
 			return fmt.Errorf("des: tandem source %d has an invalid rate (initial %v, floor %v)", i, s.Lambda0, s.MinRate)
@@ -112,8 +110,11 @@ func (e tandemEvent) Key() (float64, uint64) { return e.t, e.seq }
 // hopState is one store-and-forward queue.
 type hopState struct {
 	mu      float64
-	queue   []tandemPacket // FIFO, head in service when serving
+	queue   FIFO[tandemPacket] // head in service when serving
 	serving bool
+	// hist records the queue length at every change (empty means it
+	// has been 0 throughout), for delayed observation.
+	hist QueueHistory
 }
 
 // tandemPacket identifies a packet in flight.
@@ -148,9 +149,7 @@ type TandemSim struct {
 	seq     uint64
 	t       float64
 	rngSvc  *rng.Source
-	// backlog history per source-path for delayed feedback
-	histT []float64
-	histB [][]float64 // histB[k][i] = path backlog of source i at histT[k]
+	maxRTT  float64 // longest lookback, bounding the history prune
 }
 
 // NewTandem builds a tandem simulator.
@@ -171,10 +170,10 @@ func NewTandem(cfg TandemConfig) (*TandemSim, error) {
 			rtt:    2 * cfg.PropDelay * float64(len(sc.Path)),
 		}
 		s.sources = append(s.sources, st)
+		s.maxRTT = math.Max(s.maxRTT, st.rtt)
 		s.push(tandemEvent{t: st.rtt * (1 + float64(i)/float64(len(cfg.Sources))), kind: tevControl, src: i})
 		s.scheduleSend(i)
 	}
-	s.recordBacklog()
 	return s, nil
 }
 
@@ -184,51 +183,21 @@ func (s *TandemSim) push(e tandemEvent) {
 	s.events.Push(e)
 }
 
-// pathBacklog returns the current total queue along source i's path.
-func (s *TandemSim) pathBacklog(i int) float64 {
-	var total int
-	for _, h := range s.sources[i].cfg.Path {
-		total += len(s.hops[h].queue)
-	}
-	return float64(total)
+// recordHop appends hop h's current queue length to its history,
+// pruning samples outside the longest lookback window occasionally.
+func (s *TandemSim) recordHop(h int) {
+	hs := &s.hops[h]
+	hs.hist.Record(s.t, hs.queue.Len(), 0, s.t-s.maxRTT-1)
 }
 
-// recordBacklog snapshots every source's path backlog for delayed
-// observation.
-func (s *TandemSim) recordBacklog() {
-	row := make([]float64, len(s.sources))
-	for i := range s.sources {
-		row[i] = s.pathBacklog(i)
-	}
-	s.histT = append(s.histT, s.t)
-	s.histB = append(s.histB, row)
-	if len(s.histT) > 8192 {
-		var maxRTT float64
-		for _, st := range s.sources {
-			if st.rtt > maxRTT {
-				maxRTT = st.rtt
-			}
-		}
-		cut := s.t - maxRTT - 1
-		k := sort.SearchFloat64s(s.histT, cut)
-		if k > 1 {
-			k--
-			s.histT = append(s.histT[:0], s.histT[k:]...)
-			s.histB = append(s.histB[:0], s.histB[k:]...)
-		}
-	}
-}
-
-// backlogAt returns source i's path backlog as of time t.
+// backlogAt returns source i's path backlog as of time t: the sum over
+// its path of each hop's queue length at t.
 func (s *TandemSim) backlogAt(i int, t float64) float64 {
-	k := sort.SearchFloat64s(s.histT, t)
-	if k < len(s.histT) && s.histT[k] == t {
-		return s.histB[k][i]
+	var total float64
+	for _, h := range s.sources[i].cfg.Path {
+		total += s.hops[h].hist.QueueAt(t)
 	}
-	if k == 0 {
-		return 0
-	}
-	return s.histB[k-1][i]
+	return total
 }
 
 // scheduleSend draws the next packet emission for source i.
@@ -245,7 +214,7 @@ func (s *TandemSim) scheduleSend(i int) {
 // startService begins serving the head packet at hop h if idle.
 func (s *TandemSim) startService(h int) {
 	hs := &s.hops[h]
-	if hs.serving || len(hs.queue) == 0 {
+	if hs.serving || hs.queue.Len() == 0 {
 		return
 	}
 	hs.serving = true
@@ -273,7 +242,7 @@ func (s *TandemSim) Run(horizon, warmup float64) (*TandemResult, error) {
 			from := math.Max(lastT, warmup)
 			if w := e.t - from; w > 0 {
 				for h := range s.hops {
-					backlogW[h] += w * float64(len(s.hops[h].queue))
+					backlogW[h] += w * float64(s.hops[h].queue.Len())
 				}
 			}
 		}
@@ -295,20 +264,18 @@ func (s *TandemSim) Run(horizon, warmup float64) (*TandemResult, error) {
 			s.scheduleSend(e.src)
 
 		case tevHopArrive:
-			hs := &s.hops[e.hop]
-			hs.queue = append(hs.queue, tandemPacket{src: e.src, leg: e.leg})
-			s.recordBacklog()
+			s.hops[e.hop].queue.Push(tandemPacket{src: e.src, leg: e.leg})
+			s.recordHop(e.hop)
 			s.startService(e.hop)
 
 		case tevHopDepart:
 			hs := &s.hops[e.hop]
-			if len(hs.queue) == 0 {
+			if hs.queue.Len() == 0 {
 				break // defensive
 			}
-			pkt := hs.queue[0]
-			hs.queue = hs.queue[1:]
+			pkt := hs.queue.Pop()
 			hs.serving = false
-			s.recordBacklog()
+			s.recordHop(e.hop)
 			s.startService(e.hop)
 			path := s.sources[pkt.src].cfg.Path
 			if pkt.leg+1 < len(path) {

@@ -30,6 +30,11 @@ func TestTandemValidate(t *testing.T) {
 		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, Lambda0: math.Inf(1)}}},
 		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, MinRate: math.NaN()}}},
 		{Mus: []float64{50}, PropDelay: 0.01, Sources: []TandemSource{{Law: l, Path: []int{0}, MinRate: math.Inf(1)}}},
+		// An infinite delay ran to all-zero throughput.
+		{Mus: []float64{50}, PropDelay: math.Inf(1), Sources: good.Sources},
+		{Mus: []float64{50}, PropDelay: math.NaN(), Sources: good.Sources},
+		// A finite delay whose round trip overflows.
+		{Mus: []float64{50}, PropDelay: 1e308, Sources: good.Sources},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

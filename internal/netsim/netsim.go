@@ -6,7 +6,7 @@
 // their sending rate through the internal/control feedback laws.
 //
 // It generalizes the two hardwired simulators in internal/des — the
-// single-bottleneck Engine of the paper's model and the linear
+// single-bottleneck Sim of the paper's model and the linear
 // TandemSim — to the scenario class the congestion-avoidance
 // literature evaluates on: multi-bottleneck paths, parking-lot
 // topologies, cross-traffic, and mixed gateway disciplines (drop-tail
@@ -18,7 +18,7 @@
 // is reproducible from a single integer seed.
 //
 // The degenerate cases reduce to the des simulators (and the tests
-// hold netsim to them): a single-node topology reproduces des.Engine,
+// hold netsim to them): a single-node topology reproduces des.Sim,
 // a linear chain reproduces des.TandemSim.
 //
 // On top of the simulator, Sweep (sweep.go) shards an N-dimensional

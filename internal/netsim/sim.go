@@ -46,13 +46,8 @@ type packetRef struct {
 
 // nodeState is the runtime state of one queue.
 type nodeState struct {
-	cfg Node
-	// queue[head:] is the FIFO of queued packets (head in service when
-	// serving): a per-node arena with a sliding head, so a departure
-	// is one index bump instead of a slice-re-slice that churns the
-	// backing array (see pop).
-	queue   []packetRef
-	head    int
+	cfg     Node
+	queue   des.FIFO[packetRef] // head in service when serving
 	serving bool
 	rng     *rng.Source
 	// Queue-length (and gateway-signal) history for delayed
@@ -61,26 +56,6 @@ type nodeState struct {
 	hist       des.QueueHistory
 	drops      int64   // post-warmup drop-tail losses at this node
 	lastChange float64 // when the queue last changed (for time-weighted stats)
-}
-
-// qLen returns the node's queue length (the live arena window).
-func (ns *nodeState) qLen() int { return len(ns.queue) - ns.head }
-
-// pop removes and returns the head packet. The arena compacts only
-// when more than half the backing array is dead, so the amortized cost
-// is O(1) with no steady-state allocation.
-func (ns *nodeState) pop() packetRef {
-	pkt := ns.queue[ns.head]
-	ns.head++
-	if ns.head == len(ns.queue) {
-		ns.queue = ns.queue[:0]
-		ns.head = 0
-	} else if ns.head > 64 && ns.head > len(ns.queue)/2 {
-		n := copy(ns.queue, ns.queue[ns.head:])
-		ns.queue = ns.queue[:n]
-		ns.head = 0
-	}
-	return pkt
 }
 
 // flowState is the runtime state of one sender.
@@ -151,7 +126,8 @@ type Result struct {
 // nodes, Gateway.Observe of the recorded signal for gateway nodes
 // (so a RED mark at any hop pushes the sum past the law's threshold,
 // the path analogue of a receiver OR-ing congestion bits). The sum
-// over raw queues is exactly the path backlog of des.TandemSim.
+// over raw queues is the path backlog of des.TandemSim, by the same
+// mechanism: one des.QueueHistory per queue, summed over the route.
 type Sim struct {
 	cfg     Config
 	links   map[linkKey]float64
@@ -214,7 +190,7 @@ func New(cfg Config) (*Sim, error) {
 			s.push(event{t: fc.Burst.Sojourn(fs.modState, fs.rng), kind: evModSwitch, flow: i})
 		}
 		// First control update staggered by flow index to avoid
-		// artificial lock-step (same discipline as des.Engine).
+		// artificial lock-step (same discipline as des.Sim).
 		stagger := fs.interval * (1 + float64(i)/float64(len(cfg.Flows)))
 		s.push(event{t: stagger, kind: evControl, flow: i})
 		s.scheduleSend(i)
@@ -294,9 +270,9 @@ func (s *Sim) recordNode(h int) {
 	ns := s.nodes[h]
 	var sig float64
 	if ns.cfg.Gateway != nil {
-		sig = ns.cfg.Gateway.Signal(s.t, ns.qLen())
+		sig = ns.cfg.Gateway.Signal(s.t, ns.queue.Len())
 	}
-	ns.hist.Record(s.t, ns.qLen(), sig, s.t-s.maxLook-1)
+	ns.hist.Record(s.t, ns.queue.Len(), sig, s.t-s.maxLook-1)
 }
 
 // observePath returns the congestion value flow i's controller sees:
@@ -333,7 +309,7 @@ func (s *Sim) scheduleSend(i int) {
 // startService begins serving the head packet at node h if idle.
 func (s *Sim) startService(h int) {
 	ns := s.nodes[h]
-	if ns.serving || ns.qLen() == 0 {
+	if ns.serving || ns.queue.Len() == 0 {
 		return
 	}
 	ns.serving = true
@@ -380,7 +356,7 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 		if now > warmup {
 			from := math.Max(ns.lastChange, warmup)
 			if w := now - from; w > 0 {
-				res.NodeQueue[h].Add(float64(ns.qLen()), w)
+				res.NodeQueue[h].Add(float64(ns.queue.Len()), w)
 			}
 		}
 		ns.lastChange = now
@@ -419,7 +395,7 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 	res.FinalT = math.Min(s.t, horizon)
 	// Flush each node's final constant stretch up to the last
 	// processed event, matching the every-event accumulation of
-	// des.Engine (the [last event, horizon] tail is excluded there
+	// des.Sim (the [last event, horizon] tail is excluded there
 	// too). With no event after warmup nothing accrued, and the value
 	// the node held since its last change is its value over the whole
 	// window.
@@ -427,7 +403,7 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 	for h, ns := range s.nodes {
 		accrue(h, res.FinalT)
 		if res.NodeQueue[h].TotalWeight() == 0 {
-			res.NodeQueue[h].Add(float64(ns.qLen()), window)
+			res.NodeQueue[h].Add(float64(ns.queue.Len()), window)
 		}
 	}
 	for i := range res.Throughput {
@@ -467,7 +443,7 @@ func (s *Sim) processBatch(res *Result, warmup float64, accrue, accrueClass func
 
 		case evArrive:
 			ns := s.nodes[e.node]
-			if ns.cfg.Buffer > 0 && ns.qLen() >= ns.cfg.Buffer {
+			if ns.cfg.Buffer > 0 && ns.queue.Len() >= ns.cfg.Buffer {
 				// Drop-tail loss at the finite buffer.
 				if e.t > warmup {
 					if c := s.flows[e.flow].class; c >= 0 {
@@ -480,17 +456,17 @@ func (s *Sim) processBatch(res *Result, warmup float64, accrue, accrueClass func
 				break
 			}
 			accrue(e.node, s.t)
-			ns.queue = append(ns.queue, packetRef{flow: e.flow, leg: e.leg})
+			ns.queue.Push(packetRef{flow: e.flow, leg: e.leg})
 			s.recordNode(e.node)
 			s.startService(e.node)
 
 		case evDepart:
 			ns := s.nodes[e.node]
-			if ns.qLen() == 0 {
+			if ns.queue.Len() == 0 {
 				break // defensive; should not happen
 			}
 			accrue(e.node, s.t)
-			pkt := ns.pop()
+			pkt := ns.queue.Pop()
 			ns.serving = false
 			s.recordNode(e.node)
 			s.startService(e.node)
