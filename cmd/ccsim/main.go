@@ -25,10 +25,17 @@ import (
 	"fpcc"
 )
 
+// errUsage reports a flag parse error, which the flag set has already
+// printed with the usage.
+var errUsage = errors.New("ccsim: bad flags")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ccsim: ")
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		log.Fatal(err)
 	}
 }
@@ -58,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
-		return err
+		return errUsage
 	}
 	if err := obsCLI.Setup(); err != nil {
 		return err

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -100,5 +101,17 @@ func TestRejectedInvocations(t *testing.T) {
 		} else if stdout.Len() != 0 {
 			t.Errorf("%s: failed (%v) after printing %q", args, err, stdout.String())
 		}
+	}
+}
+
+// TestBadFlag: an undefined flag is a usage error (exit 2), printed
+// once, by the flag set, with the usage.
+func TestBadFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-bogus"}, &stdout, &stderr); !errors.Is(err, errUsage) {
+		t.Fatalf("error %v, want errUsage", err)
+	}
+	if n := strings.Count(stderr.String(), "flag provided but not defined: -bogus"); n != 1 || stdout.Len() != 0 {
+		t.Fatalf("error printed %d times, stdout %q; stderr:\n%s", n, stdout.String(), stderr.String())
 	}
 }

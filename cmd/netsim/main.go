@@ -164,12 +164,19 @@ func output(path string, stdout io.Writer) (io.Writer, func() error, error) {
 	return f, f.Close, nil
 }
 
+// errUsage reports a flag parse error, which the flag set has already
+// printed with the usage.
+var errUsage = errors.New("netsim: bad flags")
+
 func main() {
 	// Errors from the fpcc packages already carry their package's
 	// name and print as they are; only the messages this command
 	// writes itself are prefixed with its name.
 	log.SetFlags(0)
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		log.Fatal(err)
 	}
 }
@@ -207,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
-		return err
+		return errUsage
 	}
 	if err := obsCLI.Setup(); err != nil {
 		return err

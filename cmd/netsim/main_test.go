@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -133,5 +134,17 @@ func TestRejectedInvocations(t *testing.T) {
 		} else if stdout != "" {
 			t.Errorf("%q: failed (%v) after printing %q", args, err, stdout)
 		}
+	}
+}
+
+// TestBadFlag: an undefined flag is a usage error (exit 2), printed
+// once, by the flag set, with the usage.
+func TestBadFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-bogus"}, &stdout, &stderr); !errors.Is(err, errUsage) {
+		t.Fatalf("error %v, want errUsage", err)
+	}
+	if n := strings.Count(stderr.String(), "flag provided but not defined: -bogus"); n != 1 || stdout.Len() != 0 {
+		t.Fatalf("error printed %d times, stdout %q; stderr:\n%s", n, stdout.String(), stderr.String())
 	}
 }

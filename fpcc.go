@@ -150,8 +150,12 @@ func NewFokkerPlanck(cfg FokkerPlanckConfig) (*FokkerPlanck, error) {
 // Point is a phase-plane state (Q, λ).
 type Point = characteristics.Point
 
-// ExactPath is a closed-form AIMD characteristic trajectory.
-type ExactPath = characteristics.ExactPath
+// Path is a closed-form AIMD characteristic trajectory: parabolic
+// and exponential arcs, with the queue stuck at 0 where it empties,
+// joined at analytically located switching times. TraceExact and
+// TraceExactDelayed both return one; its UpCrossings are the
+// Poincaré-section hits at q = q̂.
+type Path = characteristics.Path
 
 // Behavior classifies a trajectory: Converging (Theorem 1 spiral),
 // NeutralCycle, Diverging, or Inconclusive.
@@ -168,22 +172,19 @@ const (
 // TraceExact integrates the AIMD characteristic system in closed form
 // (Section 5): parabolic arcs below q̂, exponential arcs above,
 // switching times located analytically.
-func TraceExact(law AIMD, mu float64, p0 Point, maxTime float64, maxSegments int) (*ExactPath, error) {
+func TraceExact(law AIMD, mu float64, p0 Point, maxTime float64, maxSegments int) (*Path, error) {
 	return characteristics.TraceExact(law, mu, p0, maxTime, maxSegments)
 }
-
-// DelayedPath is an exactly traced trajectory of the delayed system
-// (Section 7): closed-form arcs with branch switches at the q̂-crossing
-// times shifted by the feedback delay τ.
-type DelayedPath = characteristics.DelayedPath
 
 // CycleMetrics summarizes a delay-induced limit cycle.
 type CycleMetrics = characteristics.CycleMetrics
 
-// TraceExactDelayed integrates the delayed AIMD system exactly; its
-// Cycle method measures the Section 7 limit cycle to machine
-// precision.
-func TraceExactDelayed(law AIMD, mu, tau float64, p0 Point, tEnd float64, maxSegments int) (*DelayedPath, error) {
+// TraceExactDelayed integrates the delayed AIMD system (Section 7)
+// exactly: the same closed-form arcs as TraceExact, with branch
+// switches at the q̂-crossing times shifted by the feedback delay τ.
+// The returned Path's Cycle method measures the limit cycle to
+// machine precision.
+func TraceExactDelayed(law AIMD, mu, tau float64, p0 Point, tEnd float64, maxSegments int) (*Path, error) {
 	return characteristics.TraceExactDelayed(law, mu, tau, p0, tEnd, maxSegments)
 }
 

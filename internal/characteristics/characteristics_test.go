@@ -80,22 +80,58 @@ func TestQuadrantString(t *testing.T) {
 
 func TestSegmentKinds(t *testing.T) {
 	if SegIncrease.String() != "increase" || SegDecrease.String() != "decrease" ||
-		SegBoundary.String() != "boundary" {
+		SegBoundary.String() != "boundary" || SegDrained.String() != "drained" ||
+		SegSteady.String() != "steady" || SegmentKind(9).String() != "SegmentKind(9)" {
 		t.Error("SegmentKind String mismatch")
 	}
 }
 
+// tracerInput is one call's worth of tracer arguments.
+type tracerInput struct {
+	name    string
+	law     control.AIMD
+	mu      float64
+	p0      Point
+	horizon float64
+	tau     float64
+}
+
+// badInputs are rejected by every tracer's input check.
+func badInputs() []tracerInput {
+	ok := control.AIMD{C0: 1, C1: 0.5, QHat: 10}
+	start := Point{Q: 0, Lambda: 1}
+	nan, inf := math.NaN(), math.Inf(1)
+	return []tracerInput{
+		{"zero service rate", ok, 0, start, 10, 0},
+		{"negative queue", ok, 5, Point{Q: -1, Lambda: 1}, 10, 0},
+		{"zero horizon", ok, 5, start, 0, 0},
+		{"negative delay", ok, 5, start, 10, -1},
+		{"NaN queue", ok, 5, Point{Q: nan, Lambda: 1}, 10, 0},
+		{"NaN rate", ok, 5, Point{Q: 0, Lambda: nan}, 10, 0},
+		{"+Inf queue", ok, 5, Point{Q: inf, Lambda: 1}, 10, 0},
+		{"+Inf service rate", ok, inf, start, 10, 0},
+		{"NaN service rate", ok, nan, start, 10, 0},
+		{"+Inf horizon", ok, 5, start, inf, 0},
+		{"NaN horizon", ok, 5, start, nan, 0},
+		{"+Inf delay", ok, 5, start, 10, inf},
+		{"zero C1", control.AIMD{C0: 2, C1: 0, QHat: 20}, 10, Point{Q: 30, Lambda: 12}, 10, 0},
+		{"zero C0", control.AIMD{C0: 0, C1: 0.5, QHat: 10}, 5, start, 10, 0},
+		{"+Inf C1", control.AIMD{C0: 1, C1: inf, QHat: 10}, 5, start, 10, 0},
+		{"NaN q̂", control.AIMD{C0: 1, C1: 0.5, QHat: nan}, 5, start, 10, 0},
+		{"negative q̂", control.AIMD{C0: 1, C1: 0.5, QHat: -1}, 5, start, 10, 0},
+	}
+}
+
 func TestTraceExactValidation(t *testing.T) {
+	for _, c := range badInputs() {
+		if c.tau != 0 {
+			continue // TraceExact has no delay
+		}
+		if path, err := TraceExact(c.law, c.mu, c.p0, c.horizon, 100); err == nil {
+			t.Errorf("%s: accepted, %d segments", c.name, len(path.Segments))
+		}
+	}
 	l := mustAIMD(t, 1, 0.5, 10)
-	if _, err := TraceExact(l, 0, Point{Q: 0, Lambda: 1}, 10, 100); err == nil {
-		t.Error("accepted zero service rate")
-	}
-	if _, err := TraceExact(l, 5, Point{Q: -1, Lambda: 1}, 10, 100); err == nil {
-		t.Error("accepted negative queue")
-	}
-	if _, err := TraceExact(l, 5, Point{Q: 0, Lambda: 1}, 0, 100); err == nil {
-		t.Error("accepted zero horizon")
-	}
 	if _, err := TraceExact(l, 5, Point{Q: 0, Lambda: 1}, 10, 0); err == nil {
 		t.Error("accepted zero segments")
 	}
@@ -119,7 +155,7 @@ func TestTheorem1Convergence(t *testing.T) {
 		t.Errorf("final rate %v, want near μ = 10", end.Lambda)
 	}
 	// Poincaré amplitudes must contract monotonically.
-	ups := path.UpCrossings()
+	ups := path.UpCrossings
 	if len(ups) < 3 {
 		t.Fatalf("only %d up-crossings, want >= 3", len(ups))
 	}
@@ -147,7 +183,7 @@ func TestTheorem1ParameterProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ups := path.UpCrossings()
+		ups := path.UpCrossings
 		if len(ups) < 2 {
 			// Overdamped path may settle with a single crossing.
 			end := path.At(path.TotalTime())
@@ -177,7 +213,7 @@ func TestTraceExactSegmentsContinuity(t *testing.T) {
 	for i := 1; i < len(path.Segments); i++ {
 		prev := path.Segments[i-1]
 		curr := path.Segments[i]
-		pe := prev.End()
+		pe := prev.At(path.Law, path.Mu, prev.Dur)
 		if math.Abs(pe.Q-curr.Start.Q) > 1e-6 || math.Abs(pe.Lambda-curr.Start.Lambda) > 1e-6 {
 			t.Fatalf("discontinuity between segments %d and %d: %+v vs %+v", i-1, i, pe, curr.Start)
 		}
@@ -205,7 +241,7 @@ func TestTraceExactStickyBoundary(t *testing.T) {
 			if sg.Start.Lambda >= 10 {
 				t.Errorf("boundary segment starts at λ = %v, want < μ", sg.Start.Lambda)
 			}
-			end := sg.End()
+			end := sg.At(path.Law, path.Mu, sg.Dur)
 			if math.Abs(end.Lambda-10) > 1e-9 {
 				t.Errorf("boundary segment ends at λ = %v, want μ = 10", end.Lambda)
 			}
@@ -280,12 +316,23 @@ func TestExactVsNumeric(t *testing.T) {
 }
 
 func TestTraceValidation(t *testing.T) {
-	l := mustAIMD(t, 1, 0.5, 10)
-	if _, err := Trace(l, 0, Point{}, 1, 0.01); err == nil {
-		t.Error("accepted zero service rate")
+	for _, c := range badInputs() {
+		if c.tau != 0 {
+			continue // Trace has no delay
+		}
+		if _, err := Trace(c.law, c.mu, c.p0, c.horizon, 0.01); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
-	if _, err := Trace(l, 5, Point{Q: -1}, 1, 0.01); err == nil {
-		t.Error("accepted negative queue")
+	l := mustAIMD(t, 1, 0.5, 10)
+	for _, dt := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := Trace(l, 5, Point{}, 1, dt); err == nil {
+			t.Errorf("accepted step %v", dt)
+		}
+	}
+	aiad := control.AIAD{C0: 1, C1: 1, QHat: math.NaN()}
+	if _, err := Trace(aiad, 5, Point{}, 1, 0.01); err == nil {
+		t.Error("accepted a NaN q̂ for AIAD")
 	}
 }
 

@@ -3,7 +3,6 @@ package characteristics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fpcc/internal/control"
 )
@@ -13,117 +12,22 @@ import (
 //	dq/dt = λ − μ (reflected at 0),   dλ/dt = g_b(λ)
 //
 // where the active branch b (increase +C0 / decrease −C1·λ) follows
-// the DELAYED congestion signal s(t) = 1{q(t−τ) > q̂}. The key
-// structural fact: between control-branch switches the dynamics are
-// the same closed-form arcs as the undelayed system (parabola /
-// exponential), and the switch instants are exactly the q̂-crossing
-// times of q shifted forward by τ. The tracer therefore advances arc
-// by arc, locates each q̂ crossing analytically, schedules the branch
-// switch τ later, and reproduces the delay-induced limit cycle with
-// no time-stepping error — the precise version of what Section 7 does
+// the DELAYED congestion signal s(t) = 1{q(t−τ) > q̂}. Between
+// control-branch switches the trajectory runs along the same
+// closed-form arcs as the undelayed system — the Segment kinds that
+// TraceExact makes, plus SegDrained, the empty queue held on the
+// decrease branch — and the switch instants are exactly the
+// q̂-crossing times of q shifted forward by τ. The tracer therefore
+// advances arc by arc, locates each q̂ crossing with the exit-time
+// finders TraceExact uses (quadratic roots on the parabola, the
+// exponential arc's bracket-and-bisect), schedules the branch switch
+// τ later, and reproduces the delay-induced limit cycle with no
+// time-stepping error — the precise version of what Section 7 does
 // graphically and what internal/fluid's DDE integrator does
-// numerically (the two are cross-checked in the tests).
-//
-// DelayedSegment is one closed-form piece of a delayed trajectory.
-type DelayedSegment struct {
-	T0    float64
-	Dur   float64
-	Q0    float64
-	Lam0  float64
-	Inc   bool // increase branch active
-	Stuck bool // queue pinned at zero
-	law   control.AIMD
-	mu    float64
-}
-
-// At evaluates the segment at local time s ∈ [0, Dur].
-func (sg DelayedSegment) At(s float64) Point {
-	switch {
-	case sg.Stuck && sg.Inc:
-		return Point{Q: 0, Lambda: sg.Lam0 + sg.law.C0*s}
-	case sg.Stuck:
-		return Point{Q: 0, Lambda: sg.Lam0 * math.Exp(-sg.law.C1*s)}
-	case sg.Inc:
-		v0 := sg.Lam0 - sg.mu
-		return Point{
-			Q:      sg.Q0 + v0*s + 0.5*sg.law.C0*s*s,
-			Lambda: sg.Lam0 + sg.law.C0*s,
-		}
-	default:
-		e := math.Exp(-sg.law.C1 * s)
-		return Point{
-			Q:      sg.Q0 + sg.Lam0/sg.law.C1*(1-e) - sg.mu*s,
-			Lambda: sg.Lam0 * e,
-		}
-	}
-}
-
-// DelayedPath is an exactly traced delayed trajectory.
-type DelayedPath struct {
-	Law      control.AIMD
-	Mu       float64
-	Tau      float64
-	Segments []DelayedSegment
-	// UpCrossTimes are the times q crossed q̂ moving upward — one per
-	// oscillation cycle once the limit cycle is reached.
-	UpCrossTimes []float64
-	// PeakLambdas are the successive maxima of λ (one per cycle),
-	// whose limit is the cycle's rate amplitude.
-	PeakLambdas []float64
-}
-
-// TotalTime returns the trace end time.
-func (p *DelayedPath) TotalTime() float64 {
-	if len(p.Segments) == 0 {
-		return 0
-	}
-	last := p.Segments[len(p.Segments)-1]
-	return last.T0 + last.Dur
-}
-
-// At evaluates the path at absolute time t (clamped to the ends).
-func (p *DelayedPath) At(t float64) Point {
-	if len(p.Segments) == 0 {
-		return Point{}
-	}
-	if t <= p.Segments[0].T0 {
-		sg := p.Segments[0]
-		return Point{Q: sg.Q0, Lambda: sg.Lam0}
-	}
-	// Binary search for the containing segment.
-	k := sort.Search(len(p.Segments), func(i int) bool {
-		sg := p.Segments[i]
-		return sg.T0+sg.Dur >= t
-	})
-	if k >= len(p.Segments) {
-		k = len(p.Segments) - 1
-	}
-	sg := p.Segments[k]
-	s := t - sg.T0
-	if s < 0 {
-		s = 0
-	}
-	if s > sg.Dur {
-		s = sg.Dur
-	}
-	return sg.At(s)
-}
-
-// Sample returns n+1 evenly spaced samples over the whole trace.
-func (p *DelayedPath) Sample(n int) (ts []float64, pts []Point) {
-	if n < 1 {
-		n = 1
-	}
-	total := p.TotalTime()
-	ts = make([]float64, n+1)
-	pts = make([]Point, n+1)
-	for i := 0; i <= n; i++ {
-		t := total * float64(i) / float64(n)
-		ts[i] = t
-		pts[i] = p.At(t)
-	}
-	return ts, pts
-}
+// numerically (the two are cross-checked in the tests). It keeps its
+// own driver: at τ = 0 it emits zero-length segments at each switch
+// and has no steady stop at the Filippov equilibrium, so TraceExact
+// stays the undelayed tracer.
 
 // CycleMetrics summarizes the limit cycle from the trace tail.
 type CycleMetrics struct {
@@ -136,13 +40,13 @@ type CycleMetrics struct {
 // Cycle measures the limit cycle from the final cycles of the path.
 // It returns ok == false when fewer than three up-crossings were seen
 // (no established cycle — e.g. τ = 0, which converges instead).
-func (p *DelayedPath) Cycle() (CycleMetrics, bool) {
-	n := len(p.UpCrossTimes)
+func (p *Path) Cycle() (CycleMetrics, bool) {
+	n := len(p.UpCrossings)
 	if n < 3 {
 		return CycleMetrics{}, false
 	}
-	t0 := p.UpCrossTimes[n-2]
-	t1 := p.UpCrossTimes[n-1]
+	t0 := p.UpCrossings[n-2].T
+	t1 := p.UpCrossings[n-1].T
 	var m CycleMetrics
 	m.Period = t1 - t0
 	m.Cycles = n - 1
@@ -176,21 +80,50 @@ const (
 	evLiftoff          // stuck queue: λ rose to μ
 )
 
+// missesLevel reports whether end is off the level an event of the
+// given kind puts the state on by more than the rounding of the
+// event's exit time allows.
+func missesLevel(kind int, qHat, mu float64, end Point) bool {
+	level, got := qHat, end.Q
+	switch kind {
+	case evNone:
+		return false
+	case evTouchZero:
+		level = 0
+	case evLiftoff:
+		level, got = mu, end.Lambda
+	}
+	return math.Abs(got-level) > 1e-6*(1+level)
+}
+
+// arcKind returns the segment kind of the delayed tracer's state: the
+// active branch, and whether the queue is stuck at 0.
+func arcKind(inc, stuck bool) SegmentKind {
+	switch {
+	case stuck && inc:
+		return SegBoundary
+	case stuck:
+		return SegDrained
+	case inc:
+		return SegIncrease
+	default:
+		return SegDecrease
+	}
+}
+
 // TraceExactDelayed integrates the delayed system from (q0, λ0) with
 // constant pre-history q(t) = q0 for t < 0, for at most tEnd seconds
-// or maxSegments arcs.
-func TraceExactDelayed(law control.AIMD, mu, tau float64, p0 Point, tEnd float64, maxSegments int) (*DelayedPath, error) {
-	switch {
-	case !(mu > 0):
-		return nil, fmt.Errorf("characteristics: service rate must be positive, got %v", mu)
-	case !(tau >= 0):
-		return nil, fmt.Errorf("characteristics: negative delay %v", tau)
-	case p0.Q < 0 || p0.Lambda < 0:
-		return nil, fmt.Errorf("characteristics: invalid initial state %+v", p0)
-	case !(tEnd > 0) || maxSegments < 1:
-		return nil, fmt.Errorf("characteristics: invalid horizon %v / segments %d", tEnd, maxSegments)
+// or maxSegments arcs. It returns an error, with the path traced so
+// far, when the segment budget runs out before tEnd or an arc ends
+// where the trace cannot go on (see checkArcEnd).
+func TraceExactDelayed(law control.AIMD, mu, tau float64, p0 Point, tEnd float64, maxSegments int) (*Path, error) {
+	if err := checkInputs(law, mu, p0, tEnd, tau); err != nil {
+		return nil, err
 	}
-	path := &DelayedPath{Law: law, Mu: mu, Tau: tau}
+	if maxSegments < 1 {
+		return nil, fmt.Errorf("characteristics: need at least one segment, got %d", maxSegments)
+	}
+	path := &Path{Law: law, Mu: mu, Tau: tau}
 	q, lam := p0.Q, p0.Lambda
 	// The signal for t < tau reflects the constant pre-history.
 	inc := p0.Q <= law.QHat
@@ -202,8 +135,6 @@ func TraceExactDelayed(law control.AIMD, mu, tau float64, p0 Point, tEnd float64
 		inc bool
 	}
 	var pending []swEvent
-	lastPeak := lam
-	peakOpen := false
 
 	for t < tEnd && len(path.Segments) < maxSegments {
 		// Horizon: next scheduled switch or the end of the trace.
@@ -215,19 +146,24 @@ func TraceExactDelayed(law control.AIMD, mu, tau float64, p0 Point, tEnd float64
 		if dur < 0 {
 			dur = 0
 		}
-		ev := nextArcEvent(law, mu, q, lam, inc, stuck, dur)
-		segDur := ev.dt
+		sg := Segment{Kind: arcKind(inc, stuck), T0: t, Start: Point{Q: q, Lambda: lam}}
+		ev := nextArcEvent(law, mu, sg, dur)
+		sg.Dur = ev.dt
 		if ev.kind == evNone {
-			segDur = dur
+			sg.Dur = dur
 		}
-		sg := DelayedSegment{
-			T0: t, Dur: segDur, Q0: q, Lam0: lam,
-			Inc: inc, Stuck: stuck, law: law, mu: mu,
+		end := sg.At(law, mu, sg.Dur)
+		if err := checkArcEnd(law, t, sg.Start, end); err != nil {
+			return path, err
+		}
+		// The switch below snaps an event's end onto its level, which
+		// only rounding may separate them by.
+		if missesLevel(ev.kind, law.QHat, mu, end) {
+			return path, fmt.Errorf("characteristics: the arc from %+v at t=%v ends at %+v, off its event's level", sg.Start, t, end)
 		}
 		path.Segments = append(path.Segments, sg)
-		end := sg.At(segDur)
 		q, lam = end.Q, end.Lambda
-		t += segDur
+		t += sg.Dur
 		// Snap boundary residue: bisection can land a hair past a
 		// horizon-coincident event, leaving q infinitesimally negative
 		// and the stuck flag unset; re-derive both from the state.
@@ -240,17 +176,11 @@ func TraceExactDelayed(law control.AIMD, mu, tau float64, p0 Point, tEnd float64
 				stuck = true
 			}
 		}
-		// Track λ peaks (cycle amplitude bookkeeping): a peak forms
-		// when the increase branch hands over to the decrease branch.
-		if lam > lastPeak {
-			lastPeak = lam
-			peakOpen = true
-		}
 
 		switch ev.kind {
 		case evCrossUp:
 			q = law.QHat // snap exactly onto the line
-			path.UpCrossTimes = append(path.UpCrossTimes, t)
+			path.UpCrossings = append(path.UpCrossings, Crossing{T: t, Lambda: lam})
 			pending = append(pending, swEvent{t: t + tau, inc: false})
 		case evCrossDown:
 			q = law.QHat
@@ -272,11 +202,6 @@ func TraceExactDelayed(law control.AIMD, mu, tau float64, p0 Point, tEnd float64
 					if stuck && lam >= mu {
 						stuck = false
 					}
-					if !inc && peakOpen {
-						path.PeakLambdas = append(path.PeakLambdas, lastPeak)
-						peakOpen = false
-						lastPeak = 0
-					}
 				}
 			} else {
 				// Reached tEnd.
@@ -294,28 +219,28 @@ func TraceExactDelayed(law control.AIMD, mu, tau float64, p0 Point, tEnd float64
 	return path, nil
 }
 
-// nextArcEvent locates the earliest event of the current arc within
-// dur seconds, in closed form (quadratic roots on the increase branch,
-// monotone-piece bisection on the decrease branch).
-func nextArcEvent(law control.AIMD, mu, q, lam float64, inc, stuck bool, dur float64) arcEvent {
+// nextArcEvent locates the earliest event of the arc sg (its kind and
+// start; the duration is still unknown) within dur seconds, in closed
+// form: quadratic roots on the increase branch, the exponential arc's
+// bracket-and-bisect on the decrease branch.
+func nextArcEvent(law control.AIMD, mu float64, sg Segment, dur float64) arcEvent {
 	const eps = 1e-12
 	if dur <= eps {
 		return arcEvent{kind: evNone}
 	}
-	qHat := law.QHat
-	if stuck {
-		if inc {
-			// λ rises at C0; liftoff when it reaches μ.
-			if lam < mu {
-				if dt := (mu - lam) / law.C0; dt <= dur {
-					return arcEvent{dt: dt, kind: evLiftoff}
-				}
+	q, lam, qHat := sg.Start.Q, sg.Start.Lambda, law.QHat
+	switch sg.Kind {
+	case SegBoundary:
+		// λ rises at C0; liftoff when it reaches μ.
+		if lam < mu {
+			if dt := (mu - lam) / law.C0; dt <= dur {
+				return arcEvent{dt: dt, kind: evLiftoff}
 			}
 		}
-		// Stuck-decrease (or stuck-increase beyond the horizon): inert.
 		return arcEvent{kind: evNone}
-	}
-	if inc {
+	case SegDrained:
+		return arcEvent{kind: evNone}
+	case SegIncrease:
 		// Parabola: q(t) = q + v0 t + C0 t²/2.
 		v0 := lam - mu
 		// q̂ crossing: earliest positive root.
@@ -329,90 +254,36 @@ func nextArcEvent(law control.AIMD, mu, q, lam float64, inc, stuck bool, dur flo
 			return arcEvent{dt: tZero, kind: evTouchZero}
 		}
 		if tHat <= dur {
-			vAt := v0 + law.C0*tHat
-			if vAt >= 0 {
+			if v0+law.C0*tHat >= 0 {
 				return arcEvent{dt: tHat, kind: evCrossUp}
 			}
 			return arcEvent{dt: tHat, kind: evCrossDown}
 		}
 		return arcEvent{kind: evNone}
 	}
-	// Decrease arc: q(t) = q + (λ/C1)(1−e^{−C1 t}) − μ t, rising while
-	// λ(t) > μ then falling forever. Split into monotone pieces.
-	qAt := func(t float64) float64 {
-		return q + lam/law.C1*(1-math.Exp(-law.C1*t)) - mu*t
-	}
-	var tPeak float64
-	if lam > mu {
-		tPeak = math.Log(lam/mu) / law.C1
-	}
+	// Decrease arc: rising while λ(t) > μ, then falling forever.
+	arc := expArc{q0: q, l0: lam, c1: law.C1, mu: mu}
+	tPeak := arc.peak()
 	// Rising piece [0, tPeak]: can cross q̂ upward.
 	if tPeak > eps && q < qHat {
-		if qAt(math.Min(tPeak, dur)) >= qHat {
-			dt := bisectIncreasing(qAt, qHat, 0, math.Min(tPeak, dur))
-			return arcEvent{dt: dt, kind: evCrossUp}
+		if hi := math.Min(tPeak, dur); arc.q(hi) >= qHat {
+			return arcEvent{dt: arc.bisect(qHat, 0, hi, false), kind: evCrossUp}
 		}
 	}
-	// Falling piece [tPeak, ∞): crossings downward, then zero touch.
-	start := tPeak
-	if start > dur {
+	// Falling piece [tPeak, ∞): a downward q̂ crossing from above it,
+	// else the empty queue from between 0 and q̂.
+	if tPeak > dur {
 		return arcEvent{kind: evNone}
 	}
-	qStart := qAt(start)
-	// q̂ downward crossing.
-	if qStart > qHat {
-		hi := start + 1/law.C1
-		for qAt(hi) > qHat && hi < start+1e9 {
-			hi = start + (hi-start)*2
+	level, kind := qHat, evCrossDown
+	if qStart := arc.q(tPeak); qStart <= qHat {
+		if qStart <= 0 {
+			return arcEvent{kind: evNone}
 		}
-		if qAt(hi) <= qHat {
-			dt := bisectDecreasing(qAt, qHat, start, hi)
-			if dt <= dur {
-				return arcEvent{dt: dt, kind: evCrossDown}
-			}
-		}
-		return arcEvent{kind: evNone}
+		level, kind = 0, evTouchZero
 	}
-	// Below (or at) q̂ and falling: next stop is the empty queue.
-	if qStart > 0 {
-		hi := start + 1/law.C1
-		for qAt(hi) > 0 && hi < start+1e9 {
-			hi = start + (hi-start)*2
-		}
-		if qAt(hi) <= 0 {
-			dt := bisectDecreasing(qAt, 0, start, hi)
-			if dt <= dur {
-				return arcEvent{dt: dt, kind: evTouchZero}
-			}
-		}
+	if dt, ok := arc.fallTo(level, tPeak); ok && dt <= dur {
+		return arcEvent{dt: dt, kind: kind}
 	}
 	return arcEvent{kind: evNone}
-}
-
-// bisectIncreasing finds t in [lo, hi] with f(t) = target for
-// increasing f.
-func bisectIncreasing(f func(float64) float64, target, lo, hi float64) float64 {
-	for i := 0; i < 200 && hi-lo > 1e-14*(1+hi); i++ {
-		mid := 0.5 * (lo + hi)
-		if f(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi)
-}
-
-// bisectDecreasing finds t in [lo, hi] with f(t) = target for
-// decreasing f.
-func bisectDecreasing(f func(float64) float64, target, lo, hi float64) float64 {
-	for i := 0; i < 200 && hi-lo > 1e-14*(1+hi); i++ {
-		mid := 0.5 * (lo + hi)
-		if f(mid) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi)
 }

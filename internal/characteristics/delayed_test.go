@@ -9,18 +9,14 @@ import (
 )
 
 func TestTraceExactDelayedValidation(t *testing.T) {
+	for _, c := range badInputs() {
+		if _, err := TraceExactDelayed(c.law, c.mu, c.tau, c.p0, c.horizon, 100); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
 	law := control.AIMD{C0: 2, C1: 0.8, QHat: 20}
-	if _, err := TraceExactDelayed(law, 0, 1, Point{}, 10, 100); err == nil {
-		t.Error("accepted zero μ")
-	}
-	if _, err := TraceExactDelayed(law, 10, -1, Point{}, 10, 100); err == nil {
-		t.Error("accepted negative delay")
-	}
-	if _, err := TraceExactDelayed(law, 10, 1, Point{Q: -1}, 10, 100); err == nil {
-		t.Error("accepted negative queue")
-	}
-	if _, err := TraceExactDelayed(law, 10, 1, Point{}, 0, 100); err == nil {
-		t.Error("accepted zero horizon")
+	if _, err := TraceExactDelayed(law, 10, 1, Point{}, 10, 0); err == nil {
+		t.Error("accepted zero segments")
 	}
 }
 
@@ -67,12 +63,21 @@ func TestDelayedLimitCycle(t *testing.T) {
 	if !(m.Period > 0) {
 		t.Fatalf("cycle period %v", m.Period)
 	}
-	// Late peaks must have stabilized (limit cycle, not growth).
-	n := len(path.PeakLambdas)
+	// Late peaks must have stabilized (limit cycle, not growth). λ
+	// peaks where the increase branch hands over to the decrease
+	// branch, at the start of a decrease arc.
+	var peaks []float64
+	for i := 1; i < len(path.Segments); i++ {
+		inc := path.Segments[i-1].Kind == SegIncrease || path.Segments[i-1].Kind == SegBoundary
+		if sg := path.Segments[i]; inc && (sg.Kind == SegDecrease || sg.Kind == SegDrained) {
+			peaks = append(peaks, sg.Start.Lambda)
+		}
+	}
+	n := len(peaks)
 	if n < 5 {
 		t.Fatalf("only %d peaks", n)
 	}
-	p1, p2 := path.PeakLambdas[n-2], path.PeakLambdas[n-1]
+	p1, p2 := peaks[n-2], peaks[n-1]
 	if math.Abs(p2-p1)/p1 > 0.02 {
 		t.Fatalf("late peaks %v -> %v still moving", p1, p2)
 	}

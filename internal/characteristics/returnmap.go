@@ -39,7 +39,7 @@ func ReturnMap(law control.AIMD, mu, a float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ups := path.UpCrossings()
+	ups := path.UpCrossings
 	if len(ups) == 0 {
 		return 0, fmt.Errorf("characteristics: no return crossing within %v segments (a=%v)", 64, a)
 	}

@@ -100,7 +100,7 @@ func TestReturnMapMatchesIteratedCrossings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ups := path.UpCrossings()
+	ups := path.UpCrossings
 	if len(ups) < 5 {
 		t.Fatalf("only %d crossings", len(ups))
 	}

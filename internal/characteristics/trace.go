@@ -8,16 +8,6 @@ import (
 	"fpcc/internal/ode"
 )
 
-// traceRegion identifies the smooth piece of the piecewise field the
-// integrator is currently in.
-type traceRegion int
-
-const (
-	regionIncrease traceRegion = iota // q <= q̂ (the law's increase branch)
-	regionDecrease                    // q > q̂ (the decrease branch)
-	regionStuck                       // q = 0 with λ < μ (empty queue)
-)
-
 // Trace integrates the characteristic system dq/dt = v, dλ/dt = g
 // numerically for an arbitrary law using RK4, returning the sampled
 // trajectory with state [q, λ].
@@ -28,60 +18,51 @@ const (
 // freezes the active branch, integrates the resulting smooth field
 // until the region-exit event (located by bisection), snaps the state
 // onto the boundary and switches branch — the numeric analogue of
-// TraceExact's closed-form segment chain, and valid for any Law whose
-// two branches are individually smooth.
+// TraceExact's closed-form segment chain, with the same region rule
+// (kindOf), and valid for any Law whose two branches are individually
+// smooth. It returns an error when a state overflows.
 //
 // For AIMD prefer TraceExact, which is free of time-stepping error;
 // Trace exists for the laws without closed-form arcs and as an
 // independent cross-check of the exact tracer.
 func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajectory, error) {
-	if !(mu > 0) {
-		return nil, fmt.Errorf("characteristics: service rate must be positive, got %v", mu)
+	if err := checkInputs(law, mu, p0, t1, 0); err != nil {
+		return nil, err
 	}
-	if p0.Q < 0 || p0.Lambda < 0 {
-		return nil, fmt.Errorf("characteristics: invalid initial state %+v", p0)
-	}
-	if !(dt > 0) || !(t1 > 0) {
-		return nil, fmt.Errorf("characteristics: invalid horizon/step t1=%v dt=%v", t1, dt)
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return nil, fmt.Errorf("characteristics: step must be finite and positive, got %v", dt)
 	}
 	qHat := law.Target()
-	// Branch-frozen right-hand sides. The q argument passed to the law
-	// is clamped to the active branch's side so that stage evaluations
-	// that numerically wander across the boundary still see the frozen
-	// branch.
+	// Branch-frozen right-hand sides, one per region kindOf returns.
+	// The q argument passed to the law is clamped to the active
+	// branch's side so that stage evaluations that numerically wander
+	// across the boundary still see the frozen branch.
 	qAbove := math.Nextafter(qHat, math.Inf(1))
-	rhs := map[traceRegion]ode.System{
-		regionIncrease: func(t float64, y, dydt []float64) {
+	rhs := [...]ode.System{
+		SegIncrease: func(t float64, y, dydt []float64) {
 			dydt[0] = y[1] - mu
 			dydt[1] = law.Drift(math.Min(y[0], qHat), y[1])
 		},
-		regionDecrease: func(t float64, y, dydt []float64) {
+		SegDecrease: func(t float64, y, dydt []float64) {
 			dydt[0] = y[1] - mu
 			dydt[1] = law.Drift(math.Max(y[0], qAbove), y[1])
 		},
-		regionStuck: func(t float64, y, dydt []float64) {
+		SegBoundary: func(t float64, y, dydt []float64) {
 			dydt[0] = 0
 			dydt[1] = law.Drift(0, y[1])
 		},
 	}
+	// Each region's exit events; the increase region's are the
+	// switching line (index 0) and the empty queue (index 1).
 	atTarget := func(_ float64, y []float64) float64 { return y[0] - qHat }
-	exits := map[traceRegion][]ode.EventFunc{
-		regionIncrease: {atTarget, func(_ float64, y []float64) float64 { return y[0] }},
-		regionDecrease: {atTarget},
-		regionStuck:    {func(_ float64, y []float64) float64 { return y[1] - mu }},
-	}
-	regionOf := func(p Point) traceRegion {
-		switch {
-		case p.Q <= 0 && p.Lambda < mu:
-			return regionStuck
-		case p.Q < qHat || (p.Q == qHat && p.Lambda <= mu):
-			return regionIncrease
-		default:
-			return regionDecrease
-		}
+	exits := [...][]ode.EventFunc{
+		SegIncrease: {atTarget, func(_ float64, y []float64) float64 { return y[0] }},
+		SegDecrease: {atTarget},
+		SegBoundary: {func(_ float64, y []float64) float64 { return y[1] - mu }},
 	}
 
 	stepper := ode.NewRK4(2)
+	var work ode.Workspace
 	tol := math.Min(dt*1e-6, 1e-9)
 	y := []float64{p0.Q, p0.Lambda}
 	full := &ode.Trajectory{}
@@ -101,35 +82,33 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 	t := 0.0
 	for t < t1 {
 		if math.Abs(y[0]-qHat) < eqTol && math.Abs(y[1]-mu) < eqTol {
-			full.Append(t1, []float64{qHat, mu})
+			y[0], y[1] = qHat, mu
+			full.Append(t1, y)
 			break
 		}
-		reg := regionOf(Point{Q: y[0], Lambda: y[1]})
+		kind := kindOf(Point{Q: y[0], Lambda: y[1]}, qHat, mu)
 		// The segment's samples follow full's last one, taken at t.
-		evs, err := ode.SolveWithEvents(full, rhs[reg], stepper, y, t, t1, dt, tol, exits[reg], nil, 1)
+		exit, err := ode.SolveWithEvents(full, rhs[kind], stepper, y, t, t1, dt, tol, exits[kind], &work)
 		if err != nil {
 			return nil, err
 		}
-		tEnd, yEnd := full.Last()
-		copy(y, yEnd)
-		t = tEnd
-		if len(evs) == 0 {
+		if !finite(Point{Q: y[0], Lambda: y[1]}) {
+			return nil, fmt.Errorf("characteristics: state overflowed at t=%v from %+v", t, p0)
+		}
+		var yEnd []float64
+		t, yEnd = full.Last()
+		if exit < 0 {
 			// Ran to the horizon without leaving the region.
 			break
 		}
 		// Snap exactly onto the boundary the event located.
-		switch reg {
-		case regionIncrease:
-			if math.Abs(y[0]-qHat) < math.Abs(y[0]) { // hit the switching line
-				y[0] = qHat
-			} else { // hit the empty-queue boundary
-				y[0] = 0
-			}
-		case regionDecrease:
+		switch {
+		case kind == SegBoundary:
+			y[0], y[1] = 0, mu
+		case exit == 0: // the switching line
 			y[0] = qHat
-		case regionStuck:
+		default: // the increase region's empty-queue boundary
 			y[0] = 0
-			y[1] = mu
 		}
 		copy(yEnd, y) // nothing was appended since Last, so yEnd is still the last sample
 		if y[0] < 0 {

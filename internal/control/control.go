@@ -35,8 +35,8 @@ type Law interface {
 	Target() float64
 }
 
-// Validate checks the common parameter constraints shared by the
-// concrete laws in this package.
+// validateParams checks the parameter rule shared by the concrete
+// laws in this package: C0 and C1 in (0, ∞) and q̂ finite and >= 0.
 func validateParams(name string, c0, c1, qHat float64) error {
 	switch {
 	case !(c0 > 0) || math.IsInf(c0, 1):

@@ -79,7 +79,7 @@ func E2ConvergentSpiral(ctx *Ctx) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ups := path.UpCrossings()
+	ups := path.UpCrossings
 	if len(ups) < 5 {
 		return nil, fmt.Errorf("E2: only %d crossings", len(ups))
 	}

@@ -1,8 +1,8 @@
 // Package ode provides the ordinary-differential-equation integrators
 // used throughout the repository: the fixed-step explicit RK4 and the
 // implicit trapezoid and BDF2 steppers, and one fixed-step driver,
-// SolveWithEvents, that locates sign changes of event functions by
-// bisection.
+// SolveWithEvents, that stops at the first sign change of an event
+// function, located by bisection.
 //
 // The congestion-control dynamics analysed by the paper,
 //
@@ -137,41 +137,50 @@ func grow(s []float64, n int) []float64 {
 // sign change of e along the trajectory.
 type EventFunc func(t float64, y []float64) float64
 
-// Event describes a located event.
-type Event struct {
-	T float64   // event time
-	Y []float64 // state at the event
+// Workspace is SolveWithEvents' working storage: the state before a
+// step, a trial state for bisection, and the event values at the last
+// sample. A caller that chains segments passes one Workspace to every
+// call, so the driver allocates nothing once it has grown to the
+// state and event counts. The zero value is ready to use.
+type Workspace struct {
+	prev, trial, evPrev []float64
 }
 
-// SolveWithEvents integrates dy/dt = f from t0 to t1 with fixed step h
-// using stepper s, shortening the final step to land exactly on t1. It
-// locates zero crossings of each event function by bisection to time
-// tolerance tol, records them, and invokes onEvent (if non-nil) at each crossing
-// so the caller can mutate the state (e.g. switch a controller branch).
-// maxEvents bounds the number of located events (<= 0 means
-// unbounded). Every sample after (t0, y0), crossing states included,
-// is appended to tr, so a caller can chain segments into one
-// trajectory; (t0, y0) itself is the caller's to record. The event
-// values computed after a step with no crossing carry over to the next
-// step unevaluated, so an EventFunc must be a pure function of (t, y).
-func SolveWithEvents(tr *Trajectory, f System, s Stepper, y0 []float64, t0, t1, h, tol float64,
-	events []EventFunc, onEvent func(idx int, t float64, y []float64), maxEvents int) ([]Event, error) {
+// resize returns s with length n, reusing its backing array when it
+// is large enough.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// SolveWithEvents integrates dy/dt = f in place in y from t0 toward t1
+// with fixed step h using stepper s, shortening the final step to
+// land exactly on t1. It stops at the first sign change of any event
+// function, located by bisection to time tolerance tol, leaves y at
+// the crossing and returns the index of that event, or −1 when it
+// reached t1 with none. Every sample after (t0, y), the crossing
+// state included, is appended to tr, so a caller can chain segments
+// into one trajectory; (t0, y) itself is the caller's to record. The
+// event values computed after a step with no crossing carry over to
+// the next step unevaluated, so an EventFunc must be a pure function
+// of (t, y).
+func SolveWithEvents(tr *Trajectory, f System, s Stepper, y []float64, t0, t1, h, tol float64,
+	events []EventFunc, w *Workspace) (int, error) {
 	if !(h > 0) {
-		return nil, fmt.Errorf("ode: non-positive step %v", h)
+		return -1, fmt.Errorf("ode: non-positive step %v", h)
 	}
 	if !(tol > 0) {
-		return nil, fmt.Errorf("ode: non-positive event tolerance %v", tol)
+		return -1, fmt.Errorf("ode: non-positive event tolerance %v", tol)
 	}
 	if t1 < t0 {
-		return nil, fmt.Errorf("ode: reversed interval [%v, %v]", t0, t1)
+		return -1, fmt.Errorf("ode: reversed interval [%v, %v]", t0, t1)
 	}
-	dim := len(y0)
-	y := append([]float64(nil), y0...)
-	prev := make([]float64, dim)
-	trial := make([]float64, dim)
-	var found []Event
-
-	evPrev := make([]float64, len(events))
+	w.prev = resize(w.prev, len(y))
+	w.trial = resize(w.trial, len(y))
+	w.evPrev = resize(w.evPrev, len(events))
+	prev, trial, evPrev := w.prev, w.trial, w.evPrev
 	for i, e := range events {
 		evPrev[i] = e(t0, y)
 	}
@@ -190,7 +199,6 @@ func SolveWithEvents(tr *Trajectory, f System, s Stepper, y0 []float64, t0, t1, 
 		tNext := t + step
 
 		// Check each event function for a sign change over [t, tNext].
-		crossed := -1
 		for i, e := range events {
 			val := e(tNext, y)
 			if evPrev[i] == 0 {
@@ -201,11 +209,14 @@ func SolveWithEvents(tr *Trajectory, f System, s Stepper, y0 []float64, t0, t1, 
 				evPrev[i] = val
 				continue
 			}
-			crossed = i
-			// Bisect on the step fraction to locate the crossing.
+			// Bisect on the step fraction to locate the crossing, until
+			// the bracket is within tol or no float lies inside it.
 			lo, hi := 0.0, 1.0
 			for hi-lo > tol/step {
 				mid := 0.5 * (lo + hi)
+				if mid == lo || mid == hi {
+					break
+				}
 				copy(trial, prev)
 				s.Step(f, t, mid*step, trial)
 				v := e(t+mid*step, trial)
@@ -220,32 +231,14 @@ func SolveWithEvents(tr *Trajectory, f System, s Stepper, y0 []float64, t0, t1, 
 				}
 			}
 			frac := 0.5 * (lo + hi)
-			copy(trial, prev)
-			s.Step(f, t, frac*step, trial)
-			tEv := t + frac*step
-			ev := Event{T: tEv, Y: append([]float64(nil), trial...)}
-			found = append(found, ev)
-			if onEvent != nil {
-				onEvent(i, tEv, trial)
-			}
-			// Restart from (possibly mutated) event state.
-			copy(y, trial)
-			t = tEv
-			tr.Append(t, y)
-			for j, ej := range events {
-				evPrev[j] = ej(t, y)
-			}
-			if maxEvents > 0 && len(found) >= maxEvents {
-				return found, nil
-			}
-			break
-		}
-		if crossed >= 0 {
-			continue
+			copy(y, prev)
+			s.Step(f, t, frac*step, y)
+			tr.Append(t+frac*step, y)
+			return i, nil
 		}
 		// No crossing: evPrev already holds every event at (tNext, y).
 		t = tNext
 		tr.Append(t, y)
 	}
-	return found, nil
+	return -1, nil
 }

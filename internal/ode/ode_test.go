@@ -12,11 +12,13 @@ func expSystem(t float64, y, dydt []float64) { dydt[0] = y[0] }
 // fixedSolve integrates dy/dt = f from t0 to t1 with fixed step h
 // through SolveWithEvents with no events, the way a caller without
 // switching surfaces drives a stepper, and returns every sample,
-// (t0, y0) included.
+// (t0, y0) included. The driver integrates in place, so fixedSolve
+// hands it a copy of y0.
 func fixedSolve(f System, s Stepper, y0 []float64, t0, t1, h float64) (*Trajectory, error) {
 	var tr Trajectory
 	tr.Append(t0, y0)
-	if _, err := SolveWithEvents(&tr, f, s, y0, t0, t1, h, 1, nil, nil, 0); err != nil {
+	y := append([]float64(nil), y0...)
+	if _, err := SolveWithEvents(&tr, f, s, y, t0, t1, h, 1, nil, &Workspace{}); err != nil {
 		return nil, err
 	}
 	return &tr, nil
@@ -97,8 +99,9 @@ func TestFixedSolveValidation(t *testing.T) {
 	}
 }
 
-// TestFixedSolveDoesNotMutateInitial: SolveWithEvents integrates a
-// copy of y0.
+// TestFixedSolveDoesNotMutateInitial: SolveWithEvents integrates the
+// caller's y in place, leaving the last sample in it, so fixedSolve's
+// copy keeps y0 as it was.
 func TestFixedSolveDoesNotMutateInitial(t *testing.T) {
 	y0 := []float64{1}
 	s := NewRK4(1)
@@ -107,6 +110,14 @@ func TestFixedSolveDoesNotMutateInitial(t *testing.T) {
 	}
 	if y0[0] != 1 {
 		t.Fatalf("initial condition mutated to %v", y0[0])
+	}
+	var tr Trajectory
+	y := []float64{1}
+	if _, err := SolveWithEvents(&tr, expSystem, s, y, 0, 1, 0.1, 1, nil, &Workspace{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, last := tr.Last(); y[0] != last[0] || y[0] == 1 {
+		t.Fatalf("y = %v after the solve, want the last sample %v", y[0], last[0])
 	}
 }
 
@@ -192,13 +203,13 @@ func TestEventCallsPerStep(t *testing.T) {
 		}
 	}
 	var tr Trajectory
-	events, err := SolveWithEvents(&tr, expSystem, NewRK4(1), []float64{1}, 0, 1, 1.0/n, 1e-9,
-		[]EventFunc{ev(0, 0), ev(1, 10)}, nil, 0)
+	exit, err := SolveWithEvents(&tr, expSystem, NewRK4(1), []float64{1}, 0, 1, 1.0/n, 1e-9,
+		[]EventFunc{ev(0, 0), ev(1, 10)}, &Workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 0 || tr.Len() != n {
-		t.Fatalf("%d events and %d samples after the initial one, want 0 and %d", len(events), tr.Len(), n)
+	if exit != -1 || tr.Len() != n {
+		t.Fatalf("event %d and %d samples after the initial one, want -1 and %d", exit, tr.Len(), n)
 	}
 	for k, c := range calls {
 		if c != n+1 {
@@ -208,52 +219,92 @@ func TestEventCallsPerStep(t *testing.T) {
 }
 
 // TestEventCrossing locates the zero of cos(t) for y' = -sin(t),
-// i.e. the event y(t) = cos(t) crossing zero at t = pi/2.
+// i.e. the event y(t) = cos(t) crossing zero at t = pi/2, and stops
+// there with the crossing as the last sample and in y.
 func TestEventCrossing(t *testing.T) {
 	f := func(tt float64, y, dydt []float64) { dydt[0] = -math.Sin(tt) }
 	ev := func(tt float64, y []float64) float64 { return y[0] }
+	never := func(tt float64, y []float64) float64 { return 1 }
 	s := NewRK4(1)
-	events, err := SolveWithEvents(&Trajectory{}, f, s, []float64{1}, 0, 3, 0.01, 1e-10,
-		[]EventFunc{ev}, nil, 1)
+	var tr Trajectory
+	y := []float64{1}
+	exit, err := SolveWithEvents(&tr, f, s, y, 0, 3, 0.01, 1e-10,
+		[]EventFunc{never, ev}, &Workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("located %d events, want 1", len(events))
+	if exit != 1 {
+		t.Fatalf("stopped at event %d, want 1", exit)
 	}
-	if got := events[0].T; math.Abs(got-math.Pi/2) > 1e-6 {
-		t.Fatalf("event at t = %v, want pi/2 = %v", got, math.Pi/2)
+	tEv, last := tr.Last()
+	if math.Abs(tEv-math.Pi/2) > 1e-6 {
+		t.Fatalf("event at t = %v, want pi/2 = %v", tEv, math.Pi/2)
+	}
+	if y[0] != last[0] || math.Abs(y[0]) > 1e-6 {
+		t.Fatalf("y = %v and last sample %v at the crossing, want both ~0", y[0], last[0])
 	}
 }
 
-// TestEventMutation verifies onEvent can modify the state: a bouncing
-// ball y” = -1 with reflection at y = 0 keeps bouncing rather than
-// falling through the floor.
+// TestEventBisectionStopsAtFloatResolution: a tolerance finer than
+// the float spacing of the step fraction ends the bisection when no
+// float is left inside the bracket, instead of looping forever. The
+// event is a step function, so no bisection point lands on its zero.
+func TestEventBisectionStopsAtFloatResolution(t *testing.T) {
+	ev := []EventFunc{func(tt float64, y []float64) float64 {
+		if y[0] < 2 {
+			return -1
+		}
+		return 1
+	}}
+	var tr Trajectory
+	y := []float64{1}
+	exit, err := SolveWithEvents(&tr, expSystem, NewRK4(1), y, 0, 1, 1, 1e-300, ev, &Workspace{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tEv, _ := tr.Last(); exit != 0 || math.Abs(tEv-math.Ln2) > 1e-3 {
+		t.Fatalf("stopped at event %d, t = %v; want event 0 near ln 2", exit, tEv)
+	}
+}
+
+// TestEventMutation: a caller that changes the state at an event and
+// restarts the driver from there chains segments into one trajectory.
+// A bouncing ball y” = -1, reflected at y = 0 by the caller, keeps
+// bouncing rather than falling through the floor, with one Workspace
+// reused for every segment.
 func TestEventMutation(t *testing.T) {
 	fall := func(tt float64, y, dydt []float64) {
 		dydt[0] = y[1]
 		dydt[1] = -1
 	}
-	floor := func(tt float64, y []float64) float64 { return y[0] }
+	floor := []EventFunc{func(tt float64, y []float64) float64 { return y[0] }}
 	s := NewRK4(2)
-	bounces := 0
+	var w Workspace
 	tr := &Trajectory{}
-	events, err := SolveWithEvents(tr, fall, s, []float64{1, 0}, 0, 10, 0.001, 1e-9,
-		[]EventFunc{floor},
-		func(idx int, tt float64, y []float64) {
-			y[0] = 0
-			y[1] = -y[1] // perfectly elastic bounce
-			bounces++
-		}, 0)
-	if err != nil {
-		t.Fatal(err)
+	y := []float64{1, 0}
+	tr.Append(0, y)
+	var bounces []float64
+	for tt := 0.0; tt < 10; {
+		exit, err := SolveWithEvents(tr, fall, s, y, tt, 10, 0.001, 1e-9, floor, &w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tt, _ = tr.Last()
+		if exit < 0 {
+			break
+		}
+		bounces = append(bounces, tt)
+		y[0], y[1] = 0, -y[1] // perfectly elastic bounce
 	}
-	if bounces < 3 {
-		t.Fatalf("only %d bounces in 10s, want >= 3", bounces)
+	if len(bounces) < 3 {
+		t.Fatalf("only %d bounces in 10s, want >= 3", len(bounces))
 	}
-	// First touchdown of a unit drop is at t = sqrt(2).
-	if got := events[0].T; math.Abs(got-math.Sqrt2) > 1e-5 {
-		t.Fatalf("first bounce at %v, want sqrt(2) = %v", got, math.Sqrt2)
+	// First touchdown of a unit drop is at t = sqrt(2), and every
+	// later one 2·sqrt(2) after the one before.
+	for k, got := range bounces {
+		if want := float64(2*k+1) * math.Sqrt2; math.Abs(got-want) > 1e-5 {
+			t.Fatalf("bounce %d at %v, want %v", k, got, want)
+		}
 	}
 	for i := 0; i < tr.Len(); i++ {
 		_, y := tr.At(i)
@@ -263,30 +314,54 @@ func TestEventMutation(t *testing.T) {
 	}
 }
 
-func TestSolveWithEventsMaxEvents(t *testing.T) {
+// TestSolveWithEventsStopsAtFirstEvent: the driver returns at the
+// first crossing, the floor at t = sqrt(2), and leaves the rest of
+// the interval to the caller.
+func TestSolveWithEventsStopsAtFirstEvent(t *testing.T) {
 	fall := func(tt float64, y, dydt []float64) {
 		dydt[0] = y[1]
 		dydt[1] = -1
 	}
 	floor := func(tt float64, y []float64) float64 { return y[0] }
-	s := NewRK4(2)
-	events, err := SolveWithEvents(&Trajectory{}, fall, s, []float64{1, 0}, 0, 100, 0.001, 1e-9,
-		[]EventFunc{floor},
-		func(idx int, tt float64, y []float64) { y[1] = -y[1] }, 2)
+	var tr Trajectory
+	y := []float64{1, 0}
+	exit, err := SolveWithEvents(&tr, fall, NewRK4(2), y, 0, 100, 0.001, 1e-9,
+		[]EventFunc{floor}, &Workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 {
-		t.Fatalf("located %d events, want exactly 2 (maxEvents)", len(events))
+	if tEnd, _ := tr.Last(); exit != 0 || math.Abs(tEnd-math.Sqrt2) > 1e-5 {
+		t.Fatalf("stopped at event %d, t = %v; want event 0 at sqrt(2)", exit, tEnd)
+	}
+}
+
+// TestSolveWithEventsAllocatesNothing: with a Workspace already grown
+// to the state and event counts, a solve into a presized trajectory
+// allocates nothing.
+func TestSolveWithEventsAllocatesNothing(t *testing.T) {
+	floor := []EventFunc{func(tt float64, y []float64) float64 { return y[0] - 2 }}
+	s := NewRK4(1)
+	var w Workspace
+	y := []float64{1}
+	tr := NewTrajectory(1, 1000)
+	allocs := testing.AllocsPerRun(10, func() {
+		y[0] = 1
+		tr.Times, tr.states = tr.Times[:0], tr.states[:0]
+		if _, err := SolveWithEvents(tr, expSystem, s, y, 0, 1, 0.01, 1e-9, floor, &w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per solve, want 0", allocs)
 	}
 }
 
 func TestSolveWithEventsValidation(t *testing.T) {
 	s := NewRK4(1)
-	if _, err := SolveWithEvents(&Trajectory{}, expSystem, s, []float64{1}, 0, 1, 0, 1e-9, nil, nil, 0); err == nil {
+	if _, err := SolveWithEvents(&Trajectory{}, expSystem, s, []float64{1}, 0, 1, 0, 1e-9, nil, &Workspace{}); err == nil {
 		t.Error("expected error for zero step")
 	}
-	if _, err := SolveWithEvents(&Trajectory{}, expSystem, s, []float64{1}, 0, 1, 0.1, 0, nil, nil, 0); err == nil {
+	if _, err := SolveWithEvents(&Trajectory{}, expSystem, s, []float64{1}, 0, 1, 0.1, 0, nil, &Workspace{}); err == nil {
 		t.Error("expected error for zero tolerance")
 	}
 }
