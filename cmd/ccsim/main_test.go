@@ -102,6 +102,13 @@ func TestRejectedInvocations(t *testing.T) {
 			t.Errorf("%s: failed (%v) after printing %q", args, err, stdout.String())
 		}
 	}
+	// A NaN warmup is a run error (exit 1), not a report of NaN
+	// statistics.
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-t", "20", "-warmup", "NaN"}, &stdout, &stderr)
+	if err == nil || errors.Is(err, errUsage) || stdout.Len() != 0 {
+		t.Errorf("-warmup NaN: error %v, printed %q", err, stdout.String())
+	}
 }
 
 // TestBadFlag: an undefined flag is a usage error (exit 2), printed

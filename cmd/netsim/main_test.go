@@ -135,6 +135,15 @@ func TestRejectedInvocations(t *testing.T) {
 			t.Errorf("%q: failed (%v) after printing %q", args, err, stdout)
 		}
 	}
+	// A NaN warmup is a run error (exit 1) in single-run and sweep
+	// mode alike.
+	for _, args := range []string{"-t 20 -warmup NaN", "-t 20 -warmup NaN -sweep mu=40 -csv -"} {
+		var stdout, stderr bytes.Buffer
+		err := run(strings.Fields(args), &stdout, &stderr)
+		if err == nil || errors.Is(err, errUsage) || stdout.Len() != 0 {
+			t.Errorf("%s: error %v, printed %q", args, err, stdout.String())
+		}
+	}
 }
 
 // TestBadFlag: an undefined flag is a usage error (exit 2), printed

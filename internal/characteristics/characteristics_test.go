@@ -334,6 +334,12 @@ func TestTraceValidation(t *testing.T) {
 	if _, err := Trace(aiad, 5, Point{}, 1, 0.01); err == nil {
 		t.Error("accepted a NaN q̂ for AIAD")
 	}
+	// A step past RK4's stability limit on the decrease branch
+	// (C1·dt = 3.7) carries the queue from q̂ to −128 by t = 5.8
+	// without crossing an exit event.
+	if _, err := Trace(mustAIMD(t, 2.4, 2.4, 48), 12, Point{Q: 152, Lambda: 12}, 12, 1.56); err == nil {
+		t.Error("traced an RK4-unstable step below the empty queue without an error")
+	}
 }
 
 // TestAIADNeutralCycle: the linear-decrease law must produce a

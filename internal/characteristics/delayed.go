@@ -153,7 +153,7 @@ func TraceExactDelayed(law control.AIMD, mu, tau float64, p0 Point, tEnd float64
 			sg.Dur = dur
 		}
 		end := sg.At(law, mu, sg.Dur)
-		if err := checkArcEnd(law, t, sg.Start, end); err != nil {
+		if err := checkArcEnd(law.QHat, t, sg.Start, end); err != nil {
 			return path, err
 		}
 		// The switch below snaps an event's end onto its level, which

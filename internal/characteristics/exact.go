@@ -211,13 +211,13 @@ func finite(p Point) bool {
 	return !math.IsNaN(p.Q) && !math.IsInf(p.Q, 0) && !math.IsNaN(p.Lambda) && !math.IsInf(p.Lambda, 0)
 }
 
-// checkArcEnd vets the end of an arc from start at time t before an
-// exact tracer continues from it: it must be finite, and below the
-// empty queue by no more than rounding. An exit time located to
-// 1e-14 s misses its level by that much times the queue's slope,
-// which a huge μ makes huge.
-func checkArcEnd(law control.AIMD, t float64, start, end Point) error {
-	if !finite(end) || end.Q < -1e-9*(1+law.QHat) {
+// checkArcEnd vets the end of an arc from start at time t before a
+// tracer continues from it: it must be finite, and below the empty
+// queue by no more than rounding (scaled by the target q̂). An exit
+// time located to 1e-14 s misses its level by that much times the
+// queue's slope, which a huge μ makes huge.
+func checkArcEnd(qHat, t float64, start, end Point) error {
+	if !finite(end) || end.Q < -1e-9*(1+qHat) {
 		return fmt.Errorf("characteristics: the arc from %+v at t=%v ends at %+v", start, t, end)
 	}
 	return nil
@@ -263,7 +263,7 @@ func TraceExact(law control.AIMD, mu float64, p0 Point, maxTime float64, maxSegm
 			sg.Dur = maxTime - t
 		}
 		end := sg.At(law, mu, sg.Dur)
-		if err := checkArcEnd(law, t, cur, end); err != nil {
+		if err := checkArcEnd(law.QHat, t, cur, end); err != nil {
 			return path, err
 		}
 		if sg.Kind == SegDecrease && len(path.Segments) > 0 {

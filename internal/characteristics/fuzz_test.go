@@ -77,11 +77,11 @@ func FuzzTracers(f *testing.F) {
 		checkTracer(t, "TraceExactDelayed", checkInputs(c.law, c.mu, c.p0, c.horizon, c.tau), path, err, c)
 
 		// RK4 is stable on the decrease branch λ' = −C1·λ only for
-		// C1·dt below about 2.8; beyond it Trace's queue goes negative
-		// (a step the caller chose, not one Trace can refuse for an
-		// arbitrary law). So dt is held to 1/C1 for every ordinary
-		// decoded C1 (at most 12.5) and horizon (at most 1000 s), which
-		// keeps a run under 12,500 steps.
+		// C1·dt below about 2.8; beyond it Trace fails once its queue
+		// goes negative. So that Trace traces rather than fails, dt is
+		// held to 1/C1 for every ordinary decoded C1 (at most 12.5) and
+		// horizon (at most 1000 s), which keeps a run under 12,500
+		// steps.
 		dt := c.horizon / tracerFuzzSteps
 		if c.law.C1 <= 12.5 && c.horizon <= 1000 && c.law.C1*dt > 1 {
 			dt = 1 / c.law.C1

@@ -20,7 +20,9 @@ import (
 // onto the boundary and switches branch — the numeric analogue of
 // TraceExact's closed-form segment chain, with the same region rule
 // (kindOf), and valid for any Law whose two branches are individually
-// smooth. It returns an error when a state overflows.
+// smooth. It returns an error when a sample is not finite or lies
+// below the empty queue by more than rounding, as a step too long for
+// RK4's stability makes it.
 //
 // For AIMD prefer TraceExact, which is free of time-stepping error;
 // Trace exists for the laws without closed-form arcs and as an
@@ -86,23 +88,18 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 			full.Append(t1, y)
 			break
 		}
-		kind := kindOf(Point{Q: y[0], Lambda: y[1]}, qHat, mu)
+		from, t0, first := Point{Q: y[0], Lambda: y[1]}, t, full.Len()
+		kind := kindOf(from, qHat, mu)
 		// The segment's samples follow full's last one, taken at t.
 		exit, err := ode.SolveWithEvents(full, rhs[kind], stepper, y, t, t1, dt, tol, exits[kind], &work)
 		if err != nil {
 			return nil, err
 		}
-		if !finite(Point{Q: y[0], Lambda: y[1]}) {
-			return nil, fmt.Errorf("characteristics: state overflowed at t=%v from %+v", t, p0)
-		}
 		var yEnd []float64
 		t, yEnd = full.Last()
-		if exit < 0 {
-			// Ran to the horizon without leaving the region.
-			break
-		}
 		// Snap exactly onto the boundary the event located.
 		switch {
+		case exit < 0: // ran to the horizon without leaving the region
 		case kind == SegBoundary:
 			y[0], y[1] = 0, mu
 		case exit == 0: // the switching line
@@ -111,6 +108,19 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 			y[0] = 0
 		}
 		copy(yEnd, y) // nothing was appended since Last, so yEnd is still the last sample
+		// A step too long for RK4's stability (C1·dt above about 2.8
+		// on the AIMD decrease branch) can overflow or carry the queue
+		// far below empty without any exit event seeing it, so every
+		// sample of the segment is held to the exact tracers' rule.
+		for i := first; i < full.Len(); i++ {
+			_, yi := full.At(i)
+			if err := checkArcEnd(qHat, t0, from, Point{Q: yi[0], Lambda: yi[1]}); err != nil {
+				return nil, err
+			}
+		}
+		if exit < 0 {
+			break
+		}
 		if y[0] < 0 {
 			y[0] = 0
 		}

@@ -197,14 +197,6 @@ type Sim struct {
 	owners  FIFO[int] // source id of each queued packet, in service order
 	serving bool
 	rngSvc  *rng.Source
-	// batch is the reused burst buffer the event loop drains
-	// same-timestamp events into (eventq.PopBatch), so burst draining
-	// allocates nothing in steady state.
-	batch []event
-	// scalarLoop switches Run back to one-event-at-a-time Pop; it
-	// exists only so tests can pin the burst loop byte-identical to
-	// the scalar reference.
-	scalarLoop bool
 	// queue-length history for delayed observation
 	hist     QueueHistory
 	maxDelay float64
@@ -298,12 +290,24 @@ func (s *Sim) scheduleArrival(i int) {
 	s.push(event{t: st.nextAt, kind: evArrival, src: i})
 }
 
+// CheckRunWindow is the run-window check of every packet engine's Run
+// (Sim, TahoeSim, TandemSim and netsim.Sim): a finite horizon > 0 and
+// a finite warmup in [0, horizon). A NaN warmup would make every
+// post-warmup statistic NaN, and an infinite horizon would never end,
+// because control events keep rescheduling.
+func CheckRunWindow(horizon, warmup float64) error {
+	if !(horizon > 0) || math.IsInf(horizon, 1) || !(warmup >= 0) || !(warmup < horizon) {
+		return fmt.Errorf("des: invalid horizon %v / warmup %v: want a finite horizon > 0 and a warmup in [0, horizon)", horizon, warmup)
+	}
+	return nil
+}
+
 // Run executes the simulation until time horizon, treating the first
 // warmup seconds as transient (excluded from throughput and queue
 // statistics). Run may be called once per Sim.
 func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
-	if !(horizon > 0) || warmup < 0 || warmup >= horizon {
-		return nil, fmt.Errorf("des: invalid horizon %v / warmup %v", horizon, warmup)
+	if err := CheckRunWindow(horizon, warmup); err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Delivered:  make([]int64, len(s.sources)),
@@ -315,71 +319,28 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 	lastQChange := 0.0
 	var nEvents int64 // processed events, stamping probes and violations
 	for s.events.Len() > 0 {
-		// Drain the whole same-timestamp burst at once (a single event
-		// in the common continuous-time case, the full synchronized
-		// burst when timestamps collide); the buffer is reused across
-		// iterations. Trace sampling and the time-weighted statistics
-		// advance once per burst: within a burst the clock is frozen,
-		// so the per-event versions of both are no-ops after the first
-		// event — the burst loop is byte-identical to the scalar one
-		// (pinned by TestBurstLoopMatchesScalar).
-		if s.scalarLoop {
-			s.batch = append(s.batch[:0], s.events.Pop())
-		} else {
-			s.batch = s.events.PopBatch(s.batch[:0])
-		}
-		bt := s.batch[0].t
-		if bt > horizon {
+		e := s.events.Pop()
+		if e.t > horizon {
 			break
 		}
-		// Trace sampling between bursts (piecewise-constant queue).
+		// Trace sampling between events (piecewise-constant queue).
 		if s.cfg.SampleEvery > 0 {
-			for nextSample <= bt {
+			for nextSample <= e.t {
 				res.TraceT = append(res.TraceT, nextSample)
 				res.TraceQ = append(res.TraceQ, float64(s.queue))
 				nextSample += s.cfg.SampleEvery
 			}
 		}
 		// Time-weighted queue statistics after warmup.
-		if bt > warmup {
+		if e.t > warmup {
 			from := math.Max(lastQChange, warmup)
-			if w := bt - from; w > 0 {
+			if w := e.t - from; w > 0 {
 				res.QueueStats.Add(float64(s.queue), w)
 			}
-			lastQChange = bt
+			lastQChange = e.t
 		}
-		s.t = bt
+		s.t = e.t
 
-		if err := s.processBatch(res, warmup, &nEvents); err != nil {
-			return nil, err
-		}
-	}
-	if rec := s.cfg.Obs; rec.Enabled() {
-		var delivered, dropped int64
-		for i := range res.Delivered {
-			delivered += res.Delivered[i]
-			dropped += res.Dropped[i]
-		}
-		rec.Count("des.delivered", delivered)
-		rec.Count("des.dropped", dropped)
-		rec.Count("des.events", nEvents)
-	}
-	// With no event after warmup nothing accrued, and the queue held
-	// since the last event is its value over the whole window.
-	window := horizon - warmup
-	if res.QueueStats.TotalWeight() == 0 {
-		res.QueueStats.Add(float64(s.queue), window)
-	}
-	for i := range res.Throughput {
-		res.Throughput[i] = float64(res.Delivered[i]) / window
-	}
-	return res, nil
-}
-
-// processBatch applies every event of the drained burst in (time,
-// sequence) order — exactly the order the scalar loop processed them.
-func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
-	for _, e := range s.batch {
 		switch e.kind {
 		case evArrival:
 			st := s.sources[e.src]
@@ -465,7 +426,7 @@ func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
 			s.push(event{t: s.t + st.cfg.Burst.Sojourn(st.modState, st.rng), kind: evModSwitch, src: e.src})
 			s.scheduleArrival(e.src)
 		}
-		*nEvents++
+		nEvents++
 		if rec := s.cfg.Obs; rec.Enabled() {
 			if rec.ProbeDue("des.q", s.t) {
 				rec.Probe("des.q", s.t, float64(s.queue))
@@ -475,14 +436,33 @@ func (s *Sim) processBatch(res *Result, warmup float64, nEvents *int64) error {
 				// departure pops one, so the owner arena and the
 				// queue counter must agree at every event.
 				if s.queue < 0 || s.owners.Len() != s.queue {
-					return rec.Violationf(*nEvents, s.t, "des.queue",
+					return nil, rec.Violationf(nEvents, s.t, "des.queue",
 						"queue %d with %d FIFO owners", s.queue, s.owners.Len())
 				}
-				if err := rec.CheckMonotoneTail(*nEvents, "des.history", s.hist.TailTimes()); err != nil {
-					return err
+				if err := rec.CheckMonotoneTail(nEvents, "des.history", s.hist.TailTimes()); err != nil {
+					return nil, err
 				}
 			}
 		}
 	}
-	return nil
+	if rec := s.cfg.Obs; rec.Enabled() {
+		var delivered, dropped int64
+		for i := range res.Delivered {
+			delivered += res.Delivered[i]
+			dropped += res.Dropped[i]
+		}
+		rec.Count("des.delivered", delivered)
+		rec.Count("des.dropped", dropped)
+		rec.Count("des.events", nEvents)
+	}
+	// With no event after warmup nothing accrued, and the queue held
+	// since the last event is its value over the whole window.
+	window := horizon - warmup
+	if res.QueueStats.TotalWeight() == 0 {
+		res.QueueStats.Add(float64(s.queue), window)
+	}
+	for i := range res.Throughput {
+		res.Throughput[i] = float64(res.Delivered[i]) / window
+	}
+	return res, nil
 }

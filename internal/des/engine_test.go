@@ -7,6 +7,7 @@ import (
 	"fpcc/internal/control"
 	"fpcc/internal/queue"
 	"fpcc/internal/stats"
+	"fpcc/internal/traffic"
 )
 
 // frozenLaw holds the rate constant: the adaptive system degenerates
@@ -50,19 +51,44 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// badWindows are run windows every packet engine's Run rejects: a
+// horizon that is not finite and positive, or a warmup outside
+// [0, horizon).
+var badWindows = []struct{ horizon, warmup float64 }{
+	{0, 0}, {math.NaN(), 0}, {math.Inf(1), 0},
+	{10, 10}, {10, 20}, {10, -1}, {10, math.NaN()}, {10, math.Inf(1)}, {10, math.Inf(-1)},
+}
+
+// checkRunWindows wants run, which builds a fresh engine and calls its
+// Run, to reject every one of badWindows.
+func checkRunWindows(t *testing.T, run func(horizon, warmup float64) error) {
+	t.Helper()
+	for _, w := range badWindows {
+		if err := run(w.horizon, w.warmup); err == nil {
+			t.Errorf("accepted horizon %v / warmup %v", w.horizon, w.warmup)
+		}
+	}
+}
+
+func TestCheckRunWindow(t *testing.T) {
+	checkRunWindows(t, CheckRunWindow)
+	for _, w := range [][2]float64{{10, 0}, {10, 9.5}, {1e-3, 0}} {
+		if err := CheckRunWindow(w[0], w[1]); err != nil {
+			t.Errorf("rejected horizon %v / warmup %v: %v", w[0], w[1], err)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	cfg := Config{Mu: 10, Sources: []SourceConfig{{Law: frozenLaw, Interval: 1, Lambda0: 5}}}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(0, 0); err == nil {
-		t.Error("accepted zero horizon")
-	}
-	s2, _ := New(cfg)
-	if _, err := s2.Run(10, 10); err == nil {
-		t.Error("accepted warmup >= horizon")
-	}
+	checkRunWindows(t, func(horizon, warmup float64) error {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Run(horizon, warmup)
+		return err
+	})
 }
 
 func TestDeterministicGivenSeed(t *testing.T) {
@@ -385,5 +411,47 @@ func BenchmarkSimFourSources(b *testing.B) {
 		if _, err := s.Run(100, 10); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// stochasticConfig is a stochastic two-source scenario exercising every
+// event kind: finite buffer (drops), burst modulation (mod switches),
+// tracing and delayed feedback.
+func stochasticConfig(t *testing.T) Config {
+	t.Helper()
+	law := control.AIMD{C0: 2, C1: 0.5, QHat: 6}
+	onOff, err := traffic.NewOnOff(0.5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		Mu:   11,
+		Seed: 424242,
+		Sources: []SourceConfig{
+			{Law: law, Delay: 0.3, Interval: 0.25, Lambda0: 6, MinRate: 0.1},
+			{Law: law, Delay: 0.1, Interval: 0.25, Lambda0: 4, MinRate: 0.1, Burst: onOff},
+		},
+		Buffer:      12,
+		SampleEvery: 0.05,
+	}
+}
+
+// TestOwnerArenaStaysCompact pins the departure-side owner FIFO to the
+// sliding-head arena contract: after a long run the dead prefix must
+// be bounded (compaction keeps the head below half the backing array),
+// and the live window length must equal the queue.
+func TestOwnerArenaStaysCompact(t *testing.T) {
+	s, err := New(stochasticConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(20, 1); err != nil {
+		t.Fatal(err)
+	}
+	if s.owners.Len() != s.queue {
+		t.Fatalf("owner window %d != queue %d", s.owners.Len(), s.queue)
+	}
+	if s.owners.head > 64 && s.owners.head > len(s.owners.buf)/2 {
+		t.Fatalf("arena head %d not compacted (len %d)", s.owners.head, len(s.owners.buf))
 	}
 }

@@ -208,8 +208,8 @@ func (s *TahoeSim) trySend(i int) {
 // warmup seconds from throughput and queue statistics. Run may be
 // called once per TahoeSim.
 func (s *TahoeSim) Run(horizon, warmup float64) (*TahoeResult, error) {
-	if !(horizon > 0) || warmup < 0 || warmup >= horizon {
-		return nil, fmt.Errorf("des: invalid horizon %v / warmup %v", horizon, warmup)
+	if err := CheckRunWindow(horizon, warmup); err != nil {
+		return nil, err
 	}
 	n := len(s.flows)
 	res := &TahoeResult{

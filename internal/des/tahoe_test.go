@@ -50,17 +50,14 @@ func TestTahoeConfigValidation(t *testing.T) {
 }
 
 func TestTahoeRunValidation(t *testing.T) {
-	sim, err := NewTahoe(tahoeBase())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(0, 0); err == nil {
-		t.Error("zero horizon: want error")
-	}
-	sim2, _ := NewTahoe(tahoeBase())
-	if _, err := sim2.Run(10, 10); err == nil {
-		t.Error("warmup >= horizon: want error")
-	}
+	checkRunWindows(t, func(horizon, warmup float64) error {
+		sim, err := NewTahoe(tahoeBase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sim.Run(horizon, warmup)
+		return err
+	})
 }
 
 func TestTahoeSingleFlowFillsPipe(t *testing.T) {

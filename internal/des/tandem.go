@@ -223,8 +223,8 @@ func (s *TandemSim) startService(h int) {
 
 // Run executes the tandem simulation.
 func (s *TandemSim) Run(horizon, warmup float64) (*TandemResult, error) {
-	if !(horizon > 0) || warmup < 0 || warmup >= horizon {
-		return nil, fmt.Errorf("des: invalid horizon %v / warmup %v", horizon, warmup)
+	if err := CheckRunWindow(horizon, warmup); err != nil {
+		return nil, err
 	}
 	res := &TandemResult{
 		Delivered:   make([]int64, len(s.sources)),

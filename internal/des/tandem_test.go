@@ -181,17 +181,14 @@ func TestTandemRunValidation(t *testing.T) {
 		Mus: []float64{50}, PropDelay: 0.01,
 		Sources: []TandemSource{{Law: l, Path: []int{0}, Lambda0: 5}},
 	}
-	s, err := NewTandem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(0, 0); err == nil {
-		t.Error("accepted zero horizon")
-	}
-	s2, _ := NewTandem(cfg)
-	if _, err := s2.Run(10, 20); err == nil {
-		t.Error("accepted warmup > horizon")
-	}
+	checkRunWindows(t, func(horizon, warmup float64) error {
+		s, err := NewTandem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Run(horizon, warmup)
+		return err
+	})
 }
 
 func BenchmarkTandemFourHops(b *testing.B) {

@@ -171,34 +171,6 @@ func TestChurnDeterministicSeed(t *testing.T) {
 	}
 }
 
-// TestChurnBurstLoopMatchesScalar extends the burst-loop pin to the
-// open system: births, deaths and modulator switches through PopBatch
-// must replay byte-identically to the scalar reference.
-func TestChurnBurstLoopMatchesScalar(t *testing.T) {
-	run := func(scalar bool) *Result {
-		t.Helper()
-		cfg := churnTestConfig(t, 10, 20)
-		sw, err := traffic.NewSquareWave(1.5, 0.25, 0.7, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Churn[0].Template.Burst = sw
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.scalarLoop = scalar
-		res, err := s.Run(15, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if !reflect.DeepEqual(run(false), run(true)) {
-		t.Error("open-system burst loop differs from scalar reference")
-	}
-}
-
 // TestBurstModulatorThinsThroughput pins the emission envelope: a
 // constant-rate flow under an on/off square wave delivers its mean
 // duty-cycle fraction of the unmodulated throughput.

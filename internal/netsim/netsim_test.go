@@ -54,6 +54,27 @@ func TestMM1Anchor(t *testing.T) {
 	}
 }
 
+// TestRunValidation: Run rejects, before simulating anything, a
+// horizon that is not finite and positive and a warmup outside
+// [0, horizon) — des.CheckRunWindow, the check of every packet engine.
+func TestRunValidation(t *testing.T) {
+	for _, w := range [][2]float64{
+		{0, 0}, {math.NaN(), 0}, {math.Inf(1), 0},
+		{10, 10}, {10, -1}, {10, math.NaN()}, {10, math.Inf(1)},
+	} {
+		s, err := New(Config{
+			Nodes: []Node{{Mu: 60}},
+			Flows: []Flow{{Law: testLaw(t), Route: []int{0}, Lambda0: 10, Interval: 0.1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(w[0], w[1]); err == nil {
+			t.Errorf("accepted horizon %v / warmup %v", w[0], w[1])
+		}
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	law := testLaw(t)
 	node := Node{Mu: 60}

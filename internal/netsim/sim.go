@@ -138,12 +138,6 @@ type Sim struct {
 	seq     uint64
 	t       float64
 	maxLook float64
-	// batch is the reused burst buffer the event loop drains
-	// same-timestamp events into (eventq.PopBatch); scalarLoop
-	// switches Run back to one-event-at-a-time Pop so tests can pin
-	// the burst loop byte-identical to the scalar reference.
-	batch      []event
-	scalarLoop bool
 }
 
 // New builds a simulator.
@@ -320,8 +314,8 @@ func (s *Sim) startService(h int) {
 // warmup seconds as transient (excluded from throughput, drop and
 // queue statistics). Run may be called once per Sim.
 func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
-	if !(horizon > 0) || warmup < 0 || warmup >= horizon {
-		return nil, fmt.Errorf("netsim: invalid horizon %v / warmup %v", horizon, warmup)
+	if err := des.CheckRunWindow(horizon, warmup); err != nil {
+		return nil, fmt.Errorf("netsim: %w", err)
 	}
 	// Per-flow arrays cover the static flows; churn sessions (flow
 	// indices beyond nStatic, appearing and dying at runtime) report
@@ -375,60 +369,12 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 		cs.lastChange = now
 	}
 	for s.events.Len() > 0 {
-		// Drain the whole same-timestamp burst at once into the reused
-		// buffer (eventq.PopBatch pops in exactly repeated-Pop order),
-		// so the burst loop is byte-identical to the scalar one (pinned
-		// by TestBurstLoopMatchesScalar).
-		if s.scalarLoop {
-			s.batch = append(s.batch[:0], s.events.Pop())
-		} else {
-			s.batch = s.events.PopBatch(s.batch[:0])
-		}
-		bt := s.batch[0].t
-		if bt > horizon {
+		e := s.events.Pop()
+		if e.t > horizon {
 			break
 		}
-		s.t = bt
+		s.t = e.t
 
-		s.processBatch(res, warmup, accrue, accrueClass)
-	}
-	res.FinalT = math.Min(s.t, horizon)
-	// Flush each node's final constant stretch up to the last
-	// processed event, matching the every-event accumulation of
-	// des.Sim (the [last event, horizon] tail is excluded there
-	// too). With no event after warmup nothing accrued, and the value
-	// the node held since its last change is its value over the whole
-	// window.
-	window := horizon - warmup
-	for h, ns := range s.nodes {
-		accrue(h, res.FinalT)
-		if res.NodeQueue[h].TotalWeight() == 0 {
-			res.NodeQueue[h].Add(float64(ns.queue.Len()), window)
-		}
-	}
-	for i := range res.Throughput {
-		res.Throughput[i] = float64(res.Delivered[i]) / window
-	}
-	for h, ns := range s.nodes {
-		res.NodeDropped[h] = ns.drops
-	}
-	for j, cs := range s.classes {
-		accrueClass(j, res.FinalT)
-		if res.ChurnLive[j].TotalWeight() == 0 {
-			res.ChurnLive[j].Add(float64(cs.live), window)
-		}
-		res.ChurnBorn[j] = cs.born
-		res.ChurnDied[j] = cs.died
-		res.ChurnLiveEnd[j] = int64(cs.live)
-		res.ChurnThroughput[j] = float64(res.ChurnDelivered[j]) / window
-	}
-	return res, nil
-}
-
-// processBatch applies every event of the drained burst in (time,
-// sequence) order — exactly the order the scalar loop processed them.
-func (s *Sim) processBatch(res *Result, warmup float64, accrue, accrueClass func(int, float64)) {
-	for _, e := range s.batch {
 		switch e.kind {
 		case evSend:
 			fs := s.flows[e.flow]
@@ -529,6 +475,37 @@ func (s *Sim) processBatch(res *Result, warmup float64, accrue, accrueClass func
 			cs.died++
 		}
 	}
+	res.FinalT = math.Min(s.t, horizon)
+	// Flush each node's final constant stretch up to the last
+	// processed event, matching the every-event accumulation of
+	// des.Sim (the [last event, horizon] tail is excluded there
+	// too). With no event after warmup nothing accrued, and the value
+	// the node held since its last change is its value over the whole
+	// window.
+	window := horizon - warmup
+	for h, ns := range s.nodes {
+		accrue(h, res.FinalT)
+		if res.NodeQueue[h].TotalWeight() == 0 {
+			res.NodeQueue[h].Add(float64(ns.queue.Len()), window)
+		}
+	}
+	for i := range res.Throughput {
+		res.Throughput[i] = float64(res.Delivered[i]) / window
+	}
+	for h, ns := range s.nodes {
+		res.NodeDropped[h] = ns.drops
+	}
+	for j, cs := range s.classes {
+		accrueClass(j, res.FinalT)
+		if res.ChurnLive[j].TotalWeight() == 0 {
+			res.ChurnLive[j].Add(float64(cs.live), window)
+		}
+		res.ChurnBorn[j] = cs.born
+		res.ChurnDied[j] = cs.died
+		res.ChurnLiveEnd[j] = int64(cs.live)
+		res.ChurnThroughput[j] = float64(res.ChurnDelivered[j]) / window
+	}
+	return res, nil
 }
 
 // RTT returns the base (propagation-only) round-trip time of flow i.
