@@ -75,7 +75,8 @@ func E2ConvergentSpiral(ctx *Ctx) (*Table, error) {
 		Columns: []string{"crossing k", "λ at crossing", "amplitude a_k = λ-μ", "a_k/a_{k-1}"},
 	}
 	law := refLaw()
-	path, err := characteristics.TraceExact(law, refMu, characteristics.Point{Q: 0, Lambda: 2}, 3000, 200000)
+	const horizon, maxSegments = 3000.0, 200000
+	path, err := characteristics.TraceExact(law, refMu, characteristics.Point{Q: 0, Lambda: 2}, horizon, maxSegments)
 	if err != nil {
 		return nil, err
 	}
@@ -101,8 +102,14 @@ func E2ConvergentSpiral(ctx *Ctx) (*Table, error) {
 		t.AddRow(k, p.Lambda, a, ratio)
 		prev = a
 	}
-	end := path.At(path.TotalTime())
-	t.AddFinding("final state (q=%.3f, λ=%.3f), limit point (q̂=%.0f, μ=%.0f)", end.Q, end.Lambda, refQHat, refMu)
+	tEnd := path.TotalTime()
+	end := path.At(tEnd)
+	if len(path.Segments) == maxSegments && tEnd < horizon {
+		t.AddFinding("the trace stops at t=%.2f of %g s: the Zeno spiral's ever faster crossings spent its %d-segment budget",
+			tEnd, horizon, maxSegments)
+	}
+	t.AddFinding("state at t=%.2f (q=%.3f, λ=%.3f), limit point (q̂=%.0f, μ=%.0f)",
+		tEnd, end.Q, end.Lambda, refQHat, refMu)
 	if monotone {
 		t.AddFinding("amplitudes contract monotonically: the spiral converges (Theorem 1 confirmed)")
 	} else {

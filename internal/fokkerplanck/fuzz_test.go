@@ -32,7 +32,7 @@ func (in *fuzzInput) float() float64 {
 }
 
 // decodeConfig builds an AIMD problem. Layout: Mu, Sigma, QMax, VMin,
-// VMax, DelayTau, then the AIMD C0, C1 and q̂ (nine float64s), then
+// VMax, then the AIMD C0, C1 and q̂ (eight float64s), then
 // one byte each for NQ and NV (4–64 cells) and a flag byte whose bit 0
 // selects SecondOrder.
 func decodeConfig(data []byte) Config {
@@ -40,7 +40,6 @@ func decodeConfig(data []byte) Config {
 	cfg := Config{
 		Mu: in.float(), Sigma: in.float(),
 		QMax: in.float(), VMin: in.float(), VMax: in.float(),
-		DelayTau: in.float(),
 	}
 	cfg.Law = control.AIMD{C0: in.float(), C1: in.float(), QHat: in.float()}
 	cfg.NQ = 4 + int(in.byte()%61)

@@ -26,7 +26,7 @@
 //     v-row; unconditionally stable.
 //
 // Advection steps are explicit, so Step enforces the CFL condition;
-// StepAuto picks the largest stable step. Upwinding can produce tiny
+// Advance picks the largest stable step. Upwinding can produce tiny
 // negative undershoots at steep fronts; they are clipped and the
 // clipped mass tracked in the audit.
 //
@@ -43,25 +43,14 @@
 // they are factored once and reused (diffFactor).
 //
 // The advection sweeps ping-pong between two field buffers instead of
-// copying, the CFL speed bound is computed once at construction (the
-// law and grid are immutable), and the v-edge drift table is cached:
-// fully precomputed when there is no feedback delay, one shared
-// per-step edge row under the delayed mean-field closure.
+// copying. The law and grid are immutable, so New computes the v-edge
+// drift table g(q, v_edge + μ) once, in the same scan that bounds the
+// CFL speeds.
 //
 // All sweeps shard their independent rows (or column blocks) across
 // the fixed-block fork-join pool of internal/parallel, bounded by
 // Config.Workers. The block partition never depends on the worker
 // count, so the solution is bit-identical for any Workers setting.
-//
-// # Delayed feedback closure
-//
-// With feedback delay τ the density equation does not close: the drift
-// of a tagged particle depends on its own delayed queue. The solver
-// implements the standard mean-field closure — every controller sees
-// the delayed ensemble mean E[Q](t−τ) — which reproduces the
-// oscillation of the mean dynamics (experiment E6 cross-checks it
-// against the exact DDE characteristics). With τ = 0 the exact local
-// drift g(q, λ) is used and no closure is involved.
 package fokkerplanck
 
 import (
@@ -87,11 +76,6 @@ type Config struct {
 	VMax float64
 	NV   int // number of v cells
 
-	// DelayTau, when positive, enables the mean-field delayed-feedback
-	// closure: controllers observe E[Q](t−τ) instead of their own
-	// current q.
-	DelayTau float64
-
 	// SecondOrder selects the MUSCL/minmod (TVD) advection sweeps
 	// instead of first-order upwind, removing most of the numerical
 	// diffusion at the cost of ~2x work per step (see muscl.go and
@@ -106,10 +90,9 @@ type Config struct {
 	// Obs, when non-nil, receives per-step probes (fp.mass, fp.meanq,
 	// fp.clipped, fp.outflow, fp.cfl) and, when it enables invariants,
 	// runs the per-step checks: mass budget ∫f = 1 + clipped − outflow,
-	// density non-negativity, CFL margin, and delay-history
-	// monotonicity. A failing check aborts Step with a step-stamped
-	// error. The nil default costs one branch per step and never
-	// changes any observable.
+	// density non-negativity and CFL margin. A failing check aborts
+	// Step with a step-stamped error. The nil default costs one branch
+	// per step and never changes any observable.
 	Obs *obs.Recorder
 }
 
@@ -128,8 +111,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("fokkerplanck: need at least 4 cells per axis, got %dx%d", c.NQ, c.NV)
 	case !(c.VMax > c.VMin) || math.IsInf((c.VMax-c.VMin)*(c.VMax-c.VMin), 1):
 		return fmt.Errorf("fokkerplanck: v range [%v, %v] must be non-empty with a finite squared width", c.VMin, c.VMax)
-	case !(c.DelayTau >= 0) || math.IsInf(c.DelayTau, 1):
-		return fmt.Errorf("fokkerplanck: delay must be finite and non-negative, got %v", c.DelayTau)
 	}
 	return nil
 }
@@ -167,25 +148,12 @@ type Solver struct {
 	// cached cell-center coordinates
 	qc, vc []float64
 
-	// Cached v-edge drifts. Without delay the drift field
-	// g(q_iq, v_edge + μ) is time-independent: edgeDrift caches all
-	// NQ×(NV+1) values on first use. Under the delayed closure every
-	// row observes the same delayed mean queue, so only the NV+1
-	// values of rowDrift are refreshed each step.
-	edgeDrift      []float64 // [iq*(NV+1) + e], no-delay cache
-	edgeDriftReady bool
-	rowDrift       []float64 // [e], per-step shared row under delay
+	// v-edge drifts g(q_iq, v_edge + μ), [iq*(NV+1) + e]; the law and
+	// grid are immutable, so New fills them once
+	edgeDrift []float64
 
 	clipped float64 // total negative mass clipped (absolute value)
 	outflow float64 // mass lost through the q = QMax outflow boundary
-
-	// delayed mean-queue history for the closure. histStart is the
-	// live window's first index: pruning advances it in O(1) and the
-	// backing arrays compact only when more than half is dead, so
-	// long-horizon delayed runs never pay a per-step O(n) shift.
-	histT     []float64
-	histQ     []float64
-	histStart int
 
 	step int64 // completed steps, stamping probes and violations
 }
@@ -206,15 +174,15 @@ func New(cfg Config) (*Solver, error) {
 	}
 	g2d := grid.NewUniform2D(qAxis, vAxis)
 	s := &Solver{
-		cfg:      cfg,
-		g2d:      g2d,
-		workers:  parallel.Workers(cfg.Workers),
-		f:        g2d.NewField(),
-		tmp:      g2d.NewField(),
-		cq:       make([]float64, cfg.NV),
-		qc:       qAxis.Centers(),
-		vc:       vAxis.Centers(),
-		rowDrift: make([]float64, cfg.NV+1),
+		cfg:       cfg,
+		g2d:       g2d,
+		workers:   parallel.Workers(cfg.Workers),
+		f:         g2d.NewField(),
+		tmp:       g2d.NewField(),
+		cq:        make([]float64, cfg.NV),
+		qc:        qAxis.Centers(),
+		vc:        vAxis.Centers(),
+		edgeDrift: make([]float64, cfg.NQ*(cfg.NV+1)),
 	}
 	if s.maxV, s.maxG, err = s.computeMaxSpeeds(); err != nil {
 		return nil, err
@@ -277,8 +245,8 @@ func (s *Solver) SetPointMass(q0, v0 float64) error {
 	return s.normalize()
 }
 
-// normalize scales the field to unit mass and resets the audit and the
-// delay history.
+// normalize scales the field to unit mass and resets the clock and the
+// audit.
 func (s *Solver) normalize() error {
 	mass := s.g2d.Integrate(s.f)
 	if !(mass > 0) {
@@ -288,17 +256,13 @@ func (s *Solver) normalize() error {
 	s.t = 0
 	s.clipped = 0
 	s.outflow = 0
-	s.histT = s.histT[:0]
-	s.histQ = s.histQ[:0]
-	s.histStart = 0
 	s.step = 0
-	s.recordMeanQ()
 	return nil
 }
 
-// meanQ returns the mass-weighted mean queue in one contiguous pass —
-// the only moment the delayed closure records per step, so it must
-// not pay for the full Moments computation.
+// meanQ returns the mass-weighted mean queue in one contiguous pass,
+// for the fp.meanq probe, which must not pay for the full Moments
+// computation.
 func (s *Solver) meanQ() float64 {
 	nq, nv := s.cfg.NQ, s.cfg.NV
 	var mass, mq float64
@@ -317,79 +281,19 @@ func (s *Solver) meanQ() float64 {
 	return mq / mass
 }
 
-// recordMeanQ appends the current mean queue to the delay history and
-// prunes records that have fallen out of the lookback window. The
-// live window is histT[histStart:]; pruning advances histStart (each
-// record is passed over at most once across the whole run) and the
-// backing arrays compact only when more than half is dead, so the
-// per-step cost is amortized O(1) at any horizon.
-func (s *Solver) recordMeanQ() {
-	if s.cfg.DelayTau <= 0 {
-		return
-	}
-	s.histT = append(s.histT, s.t)
-	s.histQ = append(s.histQ, s.meanQ())
-	// Drop records strictly before the last one at or below the
-	// lookback cut: delayedMeanQ clamps to the window's first record,
-	// so one record at or before t − τ must survive.
-	cut := s.t - s.cfg.DelayTau
-	for s.histStart < len(s.histT)-1 && s.histT[s.histStart+1] <= cut {
-		s.histStart++
-	}
-	if s.histStart > len(s.histT)/2 && s.histStart > 64 {
-		n := copy(s.histT, s.histT[s.histStart:])
-		copy(s.histQ, s.histQ[s.histStart:])
-		s.histT = s.histT[:n]
-		s.histQ = s.histQ[:n]
-		s.histStart = 0
-	}
-}
-
-// delayedMeanQ interpolates E[Q](t−τ) from the history (clamping to
-// the earliest live record, which represents the pre-initial state).
-func (s *Solver) delayedMeanQ() float64 {
-	target := s.t - s.cfg.DelayTau
-	histT := s.histT[s.histStart:]
-	histQ := s.histQ[s.histStart:]
-	n := len(histT)
-	if n == 0 {
-		return 0
-	}
-	if target <= histT[0] {
-		return histQ[0]
-	}
-	if target >= histT[n-1] {
-		return histQ[n-1]
-	}
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if histT[mid] <= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t0, t1 := histT[lo], histT[hi]
-	if t1 == t0 {
-		return histQ[hi]
-	}
-	frac := (target - t0) / (t1 - t0)
-	return histQ[lo] + frac*(histQ[hi]-histQ[lo])
-}
-
-// computeMaxSpeeds scans the grid for the maximum advection speeds.
-// The law and grid are immutable, so New computes this once; the
-// delayed closure's observed queue always lies inside [0, QMax], the
-// range the scan already covers. A non-finite drift anywhere on the
-// grid is an error: an infinite one makes the stable step zero, and a
-// NaN one would turn the density into NaN.
+// computeMaxSpeeds fills the v-edge drift table and scans it for the
+// maximum advection speeds. The law and grid are immutable, so New
+// calls it once. A non-finite drift anywhere on the grid is an error:
+// an infinite one makes the stable step zero, and a NaN one would turn
+// the density into NaN.
 func (s *Solver) computeMaxSpeeds() (maxV, maxG float64, err error) {
 	maxV = math.Max(math.Abs(s.cfg.VMin), math.Abs(s.cfg.VMax))
 	for iq := 0; iq < s.cfg.NQ; iq++ {
+		row := s.vEdgeDrifts(iq)
 		for iv := 0; iv <= s.cfg.NV; iv++ {
 			lambda := s.g2d.Y.Edge(iv) + s.cfg.Mu
 			g := s.cfg.Law.Drift(s.qc[iq], lambda)
+			row[iv] = g
 			if a := math.Abs(g); !(a <= maxG) { // a new maximum, or NaN
 				if math.IsNaN(a) || math.IsInf(a, 1) {
 					return 0, 0, fmt.Errorf("fokkerplanck: law drift %v at (q, λ) = (%v, %v)", g, s.qc[iq], lambda)
@@ -401,8 +305,7 @@ func (s *Solver) computeMaxSpeeds() (maxV, maxG float64, err error) {
 	return maxV, maxG, nil
 }
 
-// cflTarget is the Courant number MaxStableDt, StepAuto and Advance
-// aim for.
+// cflTarget is the Courant number MaxStableDt and Advance aim for.
 const cflTarget = 0.8
 
 // MaxStableDt returns the largest advection-stable step at the CFL
@@ -411,39 +314,9 @@ func (s *Solver) MaxStableDt() float64 {
 	return s.g2d.MaxStableDt(cflTarget, s.maxV, s.maxG)
 }
 
-// vEdgeDrifts returns the edge-drift row for q-row iq of the pending
-// step: the per-row slice of the precomputed table without delay, the
-// shared per-step row under the delayed closure.
+// vEdgeDrifts returns the edge-drift row of q-row iq.
 func (s *Solver) vEdgeDrifts(iq int) []float64 {
-	if s.cfg.DelayTau > 0 {
-		return s.rowDrift
-	}
 	return s.edgeDrift[iq*(s.cfg.NV+1) : (iq+1)*(s.cfg.NV+1)]
-}
-
-// prepareDrifts fills the edge-drift cache for the coming step.
-func (s *Solver) prepareDrifts() {
-	nq, nv := s.cfg.NQ, s.cfg.NV
-	mu := s.cfg.Mu
-	law := s.cfg.Law
-	if s.cfg.DelayTau > 0 {
-		qObs := s.delayedMeanQ()
-		for e := 0; e <= nv; e++ {
-			s.rowDrift[e] = law.Drift(qObs, s.g2d.Y.Edge(e)+mu)
-		}
-		return
-	}
-	if s.edgeDriftReady {
-		return
-	}
-	s.edgeDrift = make([]float64, nq*(nv+1))
-	for iq := 0; iq < nq; iq++ {
-		row := s.edgeDrift[iq*(nv+1) : (iq+1)*(nv+1)]
-		for e := 0; e <= nv; e++ {
-			row[e] = law.Drift(s.qc[iq], s.g2d.Y.Edge(e)+mu)
-		}
-	}
-	s.edgeDriftReady = true
 }
 
 // maxDiffusionNumber bounds the Crank-Nicolson diffusion number
@@ -453,7 +326,7 @@ func (s *Solver) prepareDrifts() {
 const maxDiffusionNumber = 1e6
 
 // Step advances the solution by dt. It returns an error if dt violates
-// the CFL bound (use MaxStableDt or StepAuto) or makes the
+// the CFL bound (use MaxStableDt or Advance) or makes the
 // q-diffusion number exceed maxDiffusionNumber.
 func (s *Solver) Step(dt float64) error {
 	if !(dt > 0) {
@@ -465,7 +338,6 @@ func (s *Solver) Step(dt float64) error {
 	if dq := s.g2d.X.Dx; s.cfg.Sigma > 0 && !(s.cfg.Sigma*s.cfg.Sigma*dt/(4*dq*dq) <= maxDiffusionNumber) {
 		return fmt.Errorf("fokkerplanck: step %v makes the q-diffusion number exceed %g", dt, maxDiffusionNumber)
 	}
-	s.prepareDrifts()
 	if s.cfg.SecondOrder {
 		s.advectQ2(dt)
 		s.advectV2(dt)
@@ -484,7 +356,6 @@ func (s *Solver) Step(dt float64) error {
 		return linalg.ClampNonNegative(s.f[lo:hi])
 	}) * s.g2d.CellArea()
 	s.t += dt
-	s.recordMeanQ()
 	s.step++
 	if rec := s.cfg.Obs; rec.Enabled() {
 		if err := s.observe(rec, dt); err != nil {
@@ -518,23 +389,7 @@ func (s *Solver) observe(rec *obs.Recorder, dt float64) error {
 	if err := rec.CheckNonNegative(s.step, s.t, "fp.density", s.f); err != nil {
 		return err
 	}
-	if err := rec.CheckCourant(s.step, s.t, "fp.cfl", s.g2d.CFL(dt, s.maxV, s.maxG), 1.0000001); err != nil {
-		return err
-	}
-	return rec.CheckMonotoneTail(s.step, "fp.history", s.histT)
-}
-
-// StepAuto advances by the largest stable step, capped at dtMax, and
-// returns the step taken.
-func (s *Solver) StepAuto(dtMax float64) (float64, error) {
-	dt := s.MaxStableDt()
-	if dtMax > 0 && dt > dtMax {
-		dt = dtMax
-	}
-	if math.IsInf(dt, 1) {
-		return 0, fmt.Errorf("fokkerplanck: unbounded stable step (no advection); pass dtMax")
-	}
-	return dt, s.Step(dt)
+	return rec.CheckCourant(s.step, s.t, "fp.cfl", s.g2d.CFL(dt, s.maxV, s.maxG), 1.0000001)
 }
 
 // Advance integrates until time tEnd with automatic steps capped at

@@ -39,10 +39,8 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.NQ = 2 },
 		func(c *Config) { c.NV = 2 },
 		func(c *Config) { c.VMax = c.VMin },
-		func(c *Config) { c.DelayTau = -1 },
 		func(c *Config) { c.Sigma = math.Inf(1) },
 		func(c *Config) { c.Mu = math.Inf(1) },
-		func(c *Config) { c.DelayTau = math.NaN() },
 	}
 	for i, mut := range muts {
 		c := baseConfig()
@@ -324,76 +322,6 @@ func TestStepValidation(t *testing.T) {
 	}
 	if err := s.Advance(-1, 0); err == nil {
 		t.Error("accepted backwards advance")
-	}
-}
-
-func TestStepAuto(t *testing.T) {
-	s, err := New(baseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetGaussian(10, 0, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	dt, err := s.StepAuto(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(dt > 0) {
-		t.Fatalf("StepAuto dt = %v", dt)
-	}
-	if math.Abs(s.Time()-dt) > 1e-12 {
-		t.Fatalf("Time = %v after one step of %v", s.Time(), dt)
-	}
-	// Cap respected.
-	dt2, err := s.StepAuto(dt / 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dt2 > dt/10*1.0001 {
-		t.Fatalf("StepAuto ignored cap: %v > %v", dt2, dt/10)
-	}
-}
-
-// TestDelayClosureOscillates: with the mean-field delay closure the
-// mean queue must oscillate persistently, while without delay it
-// settles (the FP-side view of experiment E6).
-func TestDelayClosureOscillates(t *testing.T) {
-	run := func(tau float64) (swing float64) {
-		cfg := baseConfig()
-		cfg.Sigma = 0.5
-		cfg.DelayTau = tau
-		cfg.NQ, cfg.NV = 80, 64
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetGaussian(5, -5, 1.5, 1); err != nil {
-			t.Fatal(err)
-		}
-		// March and record the late-window mean queue swing.
-		var lo, hi = math.Inf(1), math.Inf(-1)
-		step := 0
-		for s.Time() < 130 {
-			if _, err := s.StepAuto(0.02); err != nil {
-				t.Fatal(err)
-			}
-			step++
-			if s.Time() > 80 && step%5 == 0 {
-				m := s.Moments()
-				lo = math.Min(lo, m.MeanQ)
-				hi = math.Max(hi, m.MeanQ)
-			}
-		}
-		return hi - lo
-	}
-	settled := run(0)
-	oscillating := run(3.0)
-	if settled > 4 {
-		t.Errorf("no-delay late swing %v, want small", settled)
-	}
-	if oscillating < 2*settled || oscillating < 4 {
-		t.Errorf("delayed swing %v vs settled %v, want clear oscillation", oscillating, settled)
 	}
 }
 

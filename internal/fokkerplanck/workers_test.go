@@ -61,103 +61,6 @@ func TestSolverBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSolverBitIdenticalAcrossWorkersDelayed covers the delayed
-// closure: the shared per-step drift row and the history pruning must
-// not introduce worker dependence.
-func TestSolverBitIdenticalAcrossWorkersDelayed(t *testing.T) {
-	base := workersTestConfig(1)
-	base.DelayTau = 0.8
-	f1, _, _ := runWorkers(t, base, 4)
-	base.Workers = 8
-	f8, _, _ := runWorkers(t, base, 4)
-	for i := range f1 {
-		if f1[i] != f8[i] {
-			t.Fatalf("delayed: density[%d] = %v at workers=8, %v at workers=1", i, f8[i], f1[i])
-		}
-	}
-}
-
-// TestDelayHistoryPruningBounded is the satellite regression test for
-// the O(n) history shift: a long-horizon delayed run must keep the
-// live window near the lookback size instead of growing with the
-// step count, and the backing array must compact rather than retain
-// every record.
-func TestDelayHistoryPruningBounded(t *testing.T) {
-	cfg := workersTestConfig(1)
-	cfg.NQ, cfg.NV = 60, 48 // keep the long run cheap
-	cfg.DelayTau = 0.5
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetGaussian(5, 3, 1.5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Advance(120, 0); err != nil {
-		t.Fatal(err)
-	}
-	steps := int(120/s.MaxStableDt()) + 1
-	live := len(s.histT) - s.histStart
-	// The live window covers [t−τ, t]: about τ/dt records plus the
-	// clamp record. Anything near the total step count means pruning
-	// regressed.
-	window := int(cfg.DelayTau/s.MaxStableDt()) + 8
-	if live > 2*window {
-		t.Fatalf("live history %d records for a %d-record lookback window (%d steps total)", live, window, steps)
-	}
-	if len(s.histT) > 4*window+128 {
-		t.Fatalf("backing array holds %d records after %d steps: compaction regressed", len(s.histT), steps)
-	}
-}
-
-// TestDelayedMeanQMatchesBruteForce pins the pruned interpolation
-// against a brute-force history kept on the side.
-func TestDelayedMeanQMatchesBruteForce(t *testing.T) {
-	cfg := workersTestConfig(1)
-	cfg.NQ, cfg.NV = 60, 48
-	cfg.DelayTau = 0.7
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetGaussian(5, 3, 1.5, 1); err != nil {
-		t.Fatal(err)
-	}
-	var allT, allQ []float64
-	allT = append(allT, s.histT...)
-	allQ = append(allQ, s.histQ...)
-	interp := func(target float64) float64 {
-		if target <= allT[0] {
-			return allQ[0]
-		}
-		if target >= allT[len(allT)-1] {
-			return allQ[len(allQ)-1]
-		}
-		k := 0
-		for allT[k+1] < target {
-			k++
-		}
-		if allT[k+1] == allT[k] {
-			return allQ[k+1]
-		}
-		frac := (target - allT[k]) / (allT[k+1] - allT[k])
-		return allQ[k] + frac*(allQ[k+1]-allQ[k])
-	}
-	dt := s.MaxStableDt()
-	for i := 0; i < 400; i++ {
-		if err := s.Step(dt); err != nil {
-			t.Fatal(err)
-		}
-		allT = append(allT, s.t)
-		allQ = append(allQ, s.meanQ())
-		got := s.delayedMeanQ()
-		want := interp(s.t - cfg.DelayTau)
-		if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("step %d: delayedMeanQ = %v, brute force %v", i, got, want)
-		}
-	}
-}
-
 // TestAppendVariantsAllocationFree pins the satellite contract: the
 // Append forms must not allocate when handed a big-enough buffer,
 // and must agree exactly with the allocating forms.

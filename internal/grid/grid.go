@@ -87,12 +87,6 @@ func (g Uniform2D) Len() int { return g.X.N * g.Y.N }
 // Index returns the flat index of cell (ix, iy).
 func (g Uniform2D) Index(ix, iy int) int { return ix*g.Y.N + iy }
 
-// Coords returns the cell-center coordinates of flat index k.
-func (g Uniform2D) Coords(k int) (x, y float64) {
-	ix, iy := k/g.Y.N, k%g.Y.N
-	return g.X.Center(ix), g.Y.Center(iy)
-}
-
 // CellArea returns the area of one cell, Dx*Dy.
 func (g Uniform2D) CellArea() float64 { return g.X.Dx * g.Y.Dx }
 

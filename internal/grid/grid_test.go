@@ -118,10 +118,6 @@ func TestUniform2DIndexing(t *testing.T) {
 				t.Fatalf("Index(%d, %d) = %d collides", ix, iy, k)
 			}
 			seen[k] = true
-			gx, gy := g.Coords(k)
-			if math.Abs(gx-x.Center(ix)) > 1e-12 || math.Abs(gy-y.Center(iy)) > 1e-12 {
-				t.Fatalf("Coords(%d) = (%v, %v), want (%v, %v)", k, gx, gy, x.Center(ix), y.Center(iy))
-			}
 		}
 	}
 }

@@ -51,22 +51,6 @@ func Sum(x []float64) float64 {
 	return s
 }
 
-// NormInf returns the maximum absolute element of x (0 for empty x).
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
-}
-
 // L1Dist returns the sum of absolute differences between x and y.
 // It panics on length mismatch.
 func L1Dist(x, y []float64) float64 {

@@ -47,19 +47,6 @@ func TestScaleFillSum(t *testing.T) {
 	}
 }
 
-func TestNorms(t *testing.T) {
-	x := []float64{3, -4}
-	if got := Norm2(x); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
-	if got := NormInf(x); got != 4 {
-		t.Fatalf("NormInf = %v, want 4", got)
-	}
-	if got := NormInf(nil); got != 0 {
-		t.Fatalf("NormInf(nil) = %v, want 0", got)
-	}
-}
-
 func TestL1Dist(t *testing.T) {
 	if got := L1Dist([]float64{1, 2}, []float64{3, 0}); got != 4 {
 		t.Fatalf("L1Dist = %v, want 4", got)
@@ -128,7 +115,7 @@ func TestDotCauchySchwarz(t *testing.T) {
 			y[i] = math.Mod(b, 1000)
 		}
 		lhs := math.Abs(Dot(x, y))
-		rhs := Norm2(x) * Norm2(y)
+		rhs := math.Sqrt(Dot(x, x)) * math.Sqrt(Dot(y, y))
 		return lhs <= rhs*(1+1e-9)+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {

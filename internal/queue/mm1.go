@@ -91,37 +91,3 @@ func (q MM1) MeanSojourn() float64 {
 	}
 	return 1 / (q.Mu - q.Lambda)
 }
-
-// BirthDeathStationary solves the stationary distribution of a finite
-// birth-death chain with birth rates birth[i] (i -> i+1) and death
-// rates death[i] (i -> i-1, death[0] ignored), normalized over states
-// 0..n-1. This generalizes M/M/1/K and is used to validate simulators
-// with state-dependent rates.
-func BirthDeathStationary(birth, death []float64) ([]float64, error) {
-	n := len(birth)
-	if n == 0 || len(death) != n {
-		return nil, fmt.Errorf("queue: inconsistent chain sizes %d, %d", n, len(death))
-	}
-	pi := make([]float64, n)
-	pi[0] = 1
-	for i := 1; i < n; i++ {
-		if !(death[i] > 0) {
-			return nil, fmt.Errorf("queue: non-positive death rate at state %d", i)
-		}
-		if !(birth[i-1] >= 0) {
-			return nil, fmt.Errorf("queue: negative birth rate at state %d", i-1)
-		}
-		pi[i] = pi[i-1] * birth[i-1] / death[i]
-	}
-	var total float64
-	for _, p := range pi {
-		total += p
-	}
-	if !(total > 0) || math.IsInf(total, 1) || math.IsNaN(total) {
-		return nil, fmt.Errorf("queue: degenerate chain (normalization %v)", total)
-	}
-	for i := range pi {
-		pi[i] /= total
-	}
-	return pi, nil
-}

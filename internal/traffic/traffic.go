@@ -311,73 +311,6 @@ func (s *SquareWave) MeanFactor() float64 {
 	return (s.Hi*s.DurHi + s.Lo*s.DurLo) / (s.DurHi + s.DurLo)
 }
 
-// Envelope is one realization of a modulation process: the factor is
-// F[i] on [T[i], T[i+1]) (and F[len-1] from T[len-1] on).
-type Envelope struct {
-	T []float64
-	F []float64
-}
-
-// Realize draws an envelope of the modulator over [0, horizon].
-func Realize(m Modulator, r *rng.Source, horizon float64) (*Envelope, error) {
-	if m == nil {
-		return nil, fmt.Errorf("traffic: nil modulator")
-	}
-	if !(horizon > 0) {
-		return nil, fmt.Errorf("traffic: horizon must be positive, got %v", horizon)
-	}
-	if r == nil {
-		return nil, fmt.Errorf("traffic: nil rng")
-	}
-	env := &Envelope{}
-	state := m.InitState(r)
-	t := 0.0
-	for t < horizon {
-		env.T = append(env.T, t)
-		env.F = append(env.F, m.Factor(state))
-		t += m.Sojourn(state, r)
-		state = m.Next(state, r)
-	}
-	return env, nil
-}
-
-// At returns the factor at time t (0 before the first segment).
-func (e *Envelope) At(t float64) float64 {
-	if len(e.T) == 0 || t < e.T[0] {
-		return 0
-	}
-	// Binary search for the last segment start ≤ t.
-	lo, hi := 0, len(e.T)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if e.T[mid] <= t {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return e.F[lo]
-}
-
-// MeanOver returns the time-average factor over [0, horizon].
-func (e *Envelope) MeanOver(horizon float64) float64 {
-	if len(e.T) == 0 || !(horizon > 0) {
-		return 0
-	}
-	var integral float64
-	for i := range e.T {
-		if e.T[i] >= horizon {
-			break
-		}
-		end := horizon
-		if i+1 < len(e.T) && e.T[i+1] < horizon {
-			end = e.T[i+1]
-		}
-		integral += e.F[i] * (end - e.T[i])
-	}
-	return integral / horizon
-}
-
 // Arrivals generates the arrival times of a modulated Poisson process
 // with the given base rate over [0, horizon]: in state s arrivals are
 // Poisson with rate baseRate·Factor(s).

@@ -181,54 +181,27 @@ func TestSquareWave(t *testing.T) {
 	if mf := sw.MeanFactor(); math.Abs(mf-(2*1+0.5*3)/4) > 1e-12 {
 		t.Errorf("MeanFactor = %v", mf)
 	}
+	// Deterministic phases: hi for 1 s, lo for 3 s, and again. Over
+	// two periods the time average is the mean factor.
 	r := rng.New(1)
-	env, err := Realize(sw, r, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic phases: hi at t∈[0,1), lo at [1,4), hi at [4,5)...
-	for _, tc := range []struct {
-		t, want float64
-	}{
-		{0, 2}, {0.5, 2}, {1.5, 0.5}, {3.9, 0.5}, {4.2, 2}, {8.5, 2}, {9.5, 0.5},
-	} {
-		if got := env.At(tc.t); got != tc.want {
-			t.Errorf("At(%v) = %v, want %v", tc.t, got, tc.want)
+	state := sw.InitState(r)
+	var integral float64
+	for i, want := range []struct{ factor, dur float64 }{{2, 1}, {0.5, 3}, {2, 1}, {0.5, 3}} {
+		f, d := sw.Factor(state), sw.Sojourn(state, r)
+		if f != want.factor || d != want.dur {
+			t.Errorf("phase %d: factor %v for %v s, want %v for %v s", i, f, d, want.factor, want.dur)
 		}
+		integral += f * d
+		state = sw.Next(state, r)
 	}
-	if m := env.MeanOver(8); math.Abs(m-sw.MeanFactor()) > 1e-12 {
-		t.Errorf("MeanOver(8) = %v, want %v", m, sw.MeanFactor())
+	if m := integral / 8; math.Abs(m-sw.MeanFactor()) > 1e-12 {
+		t.Errorf("mean over two periods = %v, want %v", m, sw.MeanFactor())
 	}
 	if _, err := NewSquareWave(-1, 0, 1, 1); err == nil {
 		t.Error("negative hi: want error")
 	}
 	if _, err := NewSquareWave(1, 0, 0, 1); err == nil {
 		t.Error("zero duration: want error")
-	}
-}
-
-func TestEnvelopeAtBeforeStart(t *testing.T) {
-	e := &Envelope{T: []float64{1, 2}, F: []float64{3, 4}}
-	if v := e.At(0.5); v != 0 {
-		t.Errorf("At before first segment = %v, want 0", v)
-	}
-	var empty Envelope
-	if v := empty.At(1); v != 0 {
-		t.Errorf("empty envelope At = %v, want 0", v)
-	}
-}
-
-func TestRealizeValidation(t *testing.T) {
-	m, _ := NewOnOff(1, 1)
-	r := rng.New(1)
-	if _, err := Realize(nil, r, 1); err == nil {
-		t.Error("nil modulator: want error")
-	}
-	if _, err := Realize(m, nil, 1); err == nil {
-		t.Error("nil rng: want error")
-	}
-	if _, err := Realize(m, r, 0); err == nil {
-		t.Error("zero horizon: want error")
 	}
 }
 
@@ -268,8 +241,8 @@ func TestArrivalsMeanRatePreserved(t *testing.T) {
 	}
 }
 
-// Property: envelopes are time-ordered with non-negative factors, and
-// arrivals are sorted within the horizon.
+// Property: a modulator's phases have positive durations and
+// non-negative factors, and arrivals are sorted within the horizon.
 func TestModulatorProperties(t *testing.T) {
 	f := func(seed uint64, onRaw, offRaw uint8) bool {
 		on := 0.05 + float64(onRaw)/64
@@ -279,17 +252,12 @@ func TestModulatorProperties(t *testing.T) {
 			return false
 		}
 		r := rng.New(seed)
-		env, err := Realize(m, r, 50)
-		if err != nil {
-			return false
-		}
-		for i := range env.T {
-			if env.F[i] < 0 {
+		for state, t := m.InitState(r), 0.0; t < 50; state = m.Next(state, r) {
+			d := m.Sojourn(state, r)
+			if m.Factor(state) < 0 || !(d > 0) {
 				return false
 			}
-			if i > 0 && env.T[i] <= env.T[i-1] {
-				return false
-			}
+			t += d
 		}
 		times, err := Arrivals(m, rng.New(seed+1), 5, 50)
 		if err != nil {
