@@ -39,7 +39,7 @@ func main() {
 	format := flag.String("format", "text", "output format: text, csv or json")
 	list := flag.Bool("list", false, "list experiments and exit")
 	compareMode := flag.Bool("compare", false, `judge bench/run.sh results files given as arguments: the parent's, "--", then the change's; exits 1 when worse, 2 when incomparable`)
-	obsCLI := obscli.Bind(flag.CommandLine)
+	obsCLI := obscli.Bind(flag.CommandLine, os.Stderr)
 	flag.Parse()
 	if *compareMode {
 		os.Exit(runCompare(os.Stdout, os.Stderr, "BENCHMARK.json", flag.Args()))

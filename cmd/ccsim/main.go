@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	implicit := fs.Bool("implicit", false, "use implicit loss feedback instead of queue observation (needs -buffer)")
 	gateway := fs.String("gateway", "", "gateway discipline: '', 'ewma' or 'red'")
 	burst := fs.Float64("burst", 0, "on/off burstiness factor β > 1 (0 = smooth Poisson)")
-	obsCLI := fpcc.BindObsFlags(fs)
+	obsCLI := fpcc.BindObsFlags(fs, stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil

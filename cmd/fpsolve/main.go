@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	nq := fs.Int("nq", 150, "q cells")
 	nv := fs.Int("nv", 120, "v cells")
 	marginal := fs.Bool("marginal", false, "print the final q-marginal density")
-	obsCLI := fpcc.BindObsFlags(fs)
+	obsCLI := fpcc.BindObsFlags(fs, stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil

@@ -77,23 +77,28 @@ func TestBadFlag(t *testing.T) {
 // TestRejectedInvocations: a bad horizon, a grid or law the solver
 // rejects, and a step the solver refuses are run errors (exit 1). A
 // failure after the observability layer is set up still closes it, so
-// the -obs-summary manifest is written for the post-mortem.
+// the -obs-summary manifest is written for the post-mortem. Every
+// observability notice goes to the stderr run was handed: the
+// -obs-listen address, and no flight-recorder dump for an error that
+// is not an invariant violation, though -obs-invariants is on.
 func TestRejectedInvocations(t *testing.T) {
 	for _, c := range []struct {
-		args  string
-		lines int  // stdout lines printed before the failure
-		setUp bool // whether the failure follows the observability set-up
+		args   string
+		lines  int    // stdout lines printed before the failure
+		setUp  bool   // whether the failure follows the observability set-up
+		stderr string // the prefix of everything written to stderr
 	}{
-		{"-t 0", 0, false},
-		{"-nq 2", 0, true},
-		{"-c0 -1", 0, true},
+		{"-t 0", 0, false, ""},
+		{"-nq 2", 0, true, ""},
+		{"-c0 -1", 0, true, ""},
 		// σ = 10⁵ makes the first step's q-diffusion number exceed
 		// the solver's bound, after the header and the t = 0 row.
-		{"-sigma 1e5 -t 1", 2, true},
+		{"-sigma 1e5 -t 1", 2, true, ""},
+		{"-obs-listen 127.0.0.1:0 -nq 2", 0, true, "obs: serving /metrics (Prometheus), /summary (JSON), /debug/vars (memstats), /debug/pprof on http://127.0.0.1:"},
 	} {
 		summary := filepath.Join(t.TempDir(), "summary.json")
 		var stdout, stderr bytes.Buffer
-		err := run(append(strings.Fields(c.args), "-obs-summary", summary), &stdout, &stderr)
+		err := run(append(strings.Fields(c.args), "-obs-summary", summary, "-obs-invariants"), &stdout, &stderr)
 		if err == nil || errors.Is(err, errUsage) {
 			t.Errorf("%s: error %v, want a run error", c.args, err)
 		}
@@ -102,6 +107,14 @@ func TestRejectedInvocations(t *testing.T) {
 		}
 		if _, serr := os.Stat(summary); c.setUp != (serr == nil) {
 			t.Errorf("%s: summary manifest written: %v, want %v", c.args, serr == nil, c.setUp)
+		}
+		got := stderr.String()
+		ok := got == ""
+		if c.stderr != "" {
+			ok = strings.HasPrefix(got, c.stderr) && strings.Count(got, "\n") == 1
+		}
+		if !ok {
+			t.Errorf("%s: stderr %q, want %q (as one line's prefix, if any)", c.args, got, c.stderr)
 		}
 	}
 }

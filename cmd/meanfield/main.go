@@ -101,7 +101,7 @@ var only = map[string]string{
 func main() {
 	log.SetFlags(0)
 	f := bind(flag.CommandLine)
-	obsCLI := fpcc.BindObsFlags(flag.CommandLine)
+	obsCLI := fpcc.BindObsFlags(flag.CommandLine, os.Stderr)
 	flag.Parse()
 	// Errors from the fpcc packages already carry their package's
 	// name and print as they are; only the messages this command

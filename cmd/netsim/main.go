@@ -209,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	churnArrival := fs.Float64("churn-arrival", 0, "single run: Poisson session arrival rate (flows/s)")
 	churnN0 := fs.Int("churn-n0", 0, "single run: sessions alive at t=0 (default ceil(arrival*mean))")
 	churnPareto := fs.Bool("churn-pareto", false, "heavy-tailed Pareto(α=1.5) lifetimes instead of exponential")
-	obsCLI := fpcc.BindObsFlags(fs)
+	obsCLI := fpcc.BindObsFlags(fs, stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil

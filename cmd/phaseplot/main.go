@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	delay := fs.Float64("delay", 0, "feedback delay τ (uses the DDE tracer when > 0)")
 	samples := fs.Int("samples", 2000, "number of output samples")
 	portrait := fs.Bool("portrait", false, "trace a lattice of initial conditions (full Figure 2 picture)")
-	obsCLI := fpcc.BindObsFlags(fs)
+	obsCLI := fpcc.BindObsFlags(fs, stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil

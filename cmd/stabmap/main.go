@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	widthsArg := fs.String("widths", "0.5,1,2,4", "comma-separated signal smoothing widths")
 	musArg := fs.String("mus", "5,10,20", "comma-separated service rates")
 	tau := fs.Float64("tau", 0, "operating delay to classify (0 = skip)")
-	obsCLI := obscli.Bind(fs)
+	obsCLI := obscli.Bind(fs, stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil

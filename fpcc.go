@@ -765,10 +765,11 @@ type ObsResources = obs.Resources
 type ObsCLI = obscli.CLI
 
 // BindObsFlags registers the observability flags on fs (pass
-// flag.CommandLine for the process flags). Call Setup after parsing,
+// flag.CommandLine for the process flags); the -obs-listen notice and
+// the flight-recorder dumps go to stderr. Call Setup after parsing,
 // hand Recorder(scope) to engine configs, call DumpViolation on the
 // run-error path, and defer Close.
-func BindObsFlags(fs *flag.FlagSet) *ObsCLI { return obscli.Bind(fs) }
+func BindObsFlags(fs *flag.FlagSet, stderr io.Writer) *ObsCLI { return obscli.Bind(fs, stderr) }
 
 // WriteChromeTrace converts a JSONL event trace (the -trace output)
 // into Chrome trace_event JSON, loadable in Perfetto.

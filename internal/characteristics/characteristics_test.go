@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"fpcc/internal/control"
+	"fpcc/internal/ode"
 )
 
 func mustAIMD(t testing.TB, c0, c1, qHat float64) control.AIMD {
@@ -299,7 +300,7 @@ func TestExactVsNumeric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Trace(l, mu, p0, 60, 1e-3)
+	tr, err := traceAll(l, mu, p0, 60, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,24 +321,24 @@ func TestTraceValidation(t *testing.T) {
 		if c.tau != 0 {
 			continue // Trace has no delay
 		}
-		if _, err := Trace(c.law, c.mu, c.p0, c.horizon, 0.01); err == nil {
+		if _, err := traceAll(c.law, c.mu, c.p0, c.horizon, 0.01); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
 	l := mustAIMD(t, 1, 0.5, 10)
 	for _, dt := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := Trace(l, 5, Point{}, 1, dt); err == nil {
+		if _, err := traceAll(l, 5, Point{}, 1, dt); err == nil {
 			t.Errorf("accepted step %v", dt)
 		}
 	}
 	aiad := control.AIAD{C0: 1, C1: 1, QHat: math.NaN()}
-	if _, err := Trace(aiad, 5, Point{}, 1, 0.01); err == nil {
+	if _, err := traceAll(aiad, 5, Point{}, 1, 0.01); err == nil {
 		t.Error("accepted a NaN q̂ for AIAD")
 	}
 	// A step past RK4's stability limit on the decrease branch
 	// (C1·dt = 3.7) carries the queue from q̂ to −128 by t = 5.8
 	// without crossing an exit event.
-	if _, err := Trace(mustAIMD(t, 2.4, 2.4, 48), 12, Point{Q: 152, Lambda: 12}, 12, 1.56); err == nil {
+	if _, err := traceAll(mustAIMD(t, 2.4, 2.4, 48), 12, Point{Q: 152, Lambda: 12}, 12, 1.56); err == nil {
 		t.Error("traced an RK4-unstable step below the empty queue without an error")
 	}
 }
@@ -351,11 +352,11 @@ func TestAIADNeutralCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	const mu = 10.0
-	tr, err := Trace(l, mu, Point{Q: 10, Lambda: 12}, 300, 1e-3)
-	if err != nil {
+	sec := Section{QHat: 20, Mu: mu}
+	if err := Trace(l, mu, Point{Q: 10, Lambda: 12}, 300, 1e-3, sec.Add); err != nil {
 		t.Fatal(err)
 	}
-	crossings := UpCrossings(tr, 20, mu)
+	crossings := sec.Crossings
 	if len(crossings) < 4 {
 		t.Fatalf("only %d crossings", len(crossings))
 	}
@@ -370,12 +371,11 @@ func TestAIADNeutralCycle(t *testing.T) {
 func TestAIMDClassifiedConverging(t *testing.T) {
 	l := mustAIMD(t, 2, 0.8, 20)
 	const mu = 10.0
-	tr, err := Trace(l, mu, Point{Q: 0, Lambda: 2}, 400, 1e-3)
-	if err != nil {
+	sec := Section{QHat: 20, Mu: mu}
+	if err := Trace(l, mu, Point{Q: 0, Lambda: 2}, 400, 1e-3, sec.Add); err != nil {
 		t.Fatal(err)
 	}
-	crossings := UpCrossings(tr, 20, mu)
-	behavior, ratio := Classify(crossings, mu, 0.02)
+	behavior, ratio := Classify(sec.Crossings, mu, 0.02)
 	if behavior != Converging {
 		t.Fatalf("AIMD classified as %v (ratio %v), want converging", behavior, ratio)
 	}
@@ -408,20 +408,24 @@ func TestBehaviorString(t *testing.T) {
 func TestConvergenceTimeAndOvershoot(t *testing.T) {
 	l := mustAIMD(t, 2, 0.8, 20)
 	const mu = 10.0
-	tr, err := Trace(l, mu, Point{Q: 0, Lambda: 2}, 600, 1e-3)
+	settling := Settling{Law: l, Mu: mu, Eps: 0.05}
+	over := Overshoot{QHat: 20}
+	err := Trace(l, mu, Point{Q: 0, Lambda: 2}, 600, 1e-3, func(t float64, y []float64) {
+		settling.Add(t, y)
+		over.Add(t, y)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := ConvergenceTime(tr, l, mu, 0.05)
+	ct := settling.Time()
 	if math.IsNaN(ct) {
 		t.Fatal("trajectory never converged to within 5%")
 	}
 	if ct <= 0 || ct >= 600 {
 		t.Fatalf("convergence time %v out of range", ct)
 	}
-	over := Overshoot(tr, 20)
-	if over <= 0 {
-		t.Fatalf("overshoot %v, want positive (the spiral overshoots q̂)", over)
+	if over.Max <= 0 {
+		t.Fatalf("overshoot %v, want positive (the spiral overshoots q̂)", over.Max)
 	}
 }
 
@@ -477,19 +481,16 @@ func BenchmarkTraceNumeric(b *testing.B) {
 	l := control.AIMD{C0: 2, C1: 0.8, QHat: 20}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Trace(l, 10, Point{Q: 0, Lambda: 2}, 100, 1e-2); err != nil {
+		if err := Trace(l, 10, Point{Q: 0, Lambda: 2}, 100, 1e-2, func(float64, []float64) {}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestTraceAllocatesNearItsStorage: E8's AIAD trace (400 s at
-// dt = 1e-3, about 400k samples) appends every segment straight into
-// one flat trajectory that grows by doubling, so the bytes it
-// allocates stay within 2.5× the trajectory's final storage (its
-// capacity: cap(Times) samples of one time and two state values;
-// doubling alone accounts for 2×) instead of re-copying every segment.
-func TestTraceAllocatesNearItsStorage(t *testing.T) {
+// TestTraceAllocationIndependentOfHorizon: Trace streams its samples
+// instead of storing them, so E8's AIAD trace (dt = 1e-3) allocates
+// no more bytes over 400 s, about 400k samples, than over 40 s.
+func TestTraceAllocationIndependentOfHorizon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("400k-sample trace")
 	}
@@ -497,20 +498,63 @@ func TestTraceAllocatesNearItsStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	tr, err := Trace(law, 10, Point{Q: 10, Lambda: 12}, 400, 1e-3)
-	runtime.ReadMemStats(&after)
+	traced := func(horizon float64) (samples int, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := Trace(law, 10, Point{Q: 10, Lambda: 12}, horizon, 1e-3, func(float64, []float64) { samples++ })
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return samples, after.TotalAlloc - before.TotalAlloc
+	}
+	short, shortBytes := traced(40)
+	long, longBytes := traced(400)
+	t.Logf("40 s: %d samples, %d B; 400 s: %d samples, %d B", short, shortBytes, long, longBytes)
+	if long < 400000 {
+		t.Fatalf("%d samples, want at least 400000", long)
+	}
+	if longBytes > shortBytes+1024 {
+		t.Errorf("Trace allocated %d B over 400 s and %d B over 40 s, want at most 1 KiB more", longBytes, shortBytes)
+	}
+}
+
+// TestTraceVisitsSnappedSegmentEnds: the visitor sees each segment's
+// last sample after it is snapped onto the boundary the event found,
+// so every up-crossing of a converging AIMD spiral leaves a sample
+// exactly on q̂, and the samples stream in time order from (0, p0).
+func TestTraceVisitsSnappedSegmentEnds(t *testing.T) {
+	l := mustAIMD(t, 2, 0.8, 20)
+	p0 := Point{Q: 0, Lambda: 2}
+	tr, err := traceAll(l, 10, p0, 60, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() < 400000 {
-		t.Fatalf("%d samples, want at least 400000", tr.Len())
+	if t0, y0 := tr.At(0); t0 != 0 || y0[0] != p0.Q || y0[1] != p0.Lambda {
+		t.Fatalf("first sample (%v, %v), want (0, %v)", t0, y0, p0)
 	}
-	storage := float64(cap(tr.Times) * 3 * 8)
-	alloc := float64(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("%d samples, %.2f MB of storage, %.2f MB allocated (%.2f×)", tr.Len(), storage/1e6, alloc/1e6, alloc/storage)
-	if alloc > 2.5*storage {
-		t.Errorf("Trace allocated %.2f MB for %.2f MB of storage (%.2f×), want at most 2.5×", alloc/1e6, storage/1e6, alloc/storage)
+	onLine := 0
+	for i := 1; i < tr.Len(); i++ {
+		ti, y := tr.At(i)
+		if prev, _ := tr.At(i - 1); ti < prev {
+			t.Fatalf("sample %d at t=%v precedes sample %d at %v", i, ti, i-1, prev)
+		}
+		if y[0] == 20 {
+			onLine++
+		}
 	}
+	sec := Section{QHat: 20, Mu: 10}
+	if err := Trace(l, 10, p0, 60, 1e-3, sec.Add); err != nil {
+		t.Fatal(err)
+	}
+	if len(sec.Crossings) < 3 || onLine < len(sec.Crossings) {
+		t.Errorf("%d samples exactly on q̂ for %d up-crossings, want at least one each", onLine, len(sec.Crossings))
+	}
+}
+
+// traceAll runs Trace and collects every sample it visits.
+func traceAll(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajectory, error) {
+	var tr ode.Trajectory
+	err := Trace(law, mu, p0, t1, dt, tr.Append)
+	return &tr, err
 }

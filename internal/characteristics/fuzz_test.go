@@ -86,7 +86,7 @@ func FuzzTracers(f *testing.F) {
 		if c.law.C1 <= 12.5 && c.horizon <= 1000 && c.law.C1*dt > 1 {
 			dt = 1 / c.law.C1
 		}
-		tr, err := Trace(c.law, c.mu, c.p0, c.horizon, dt)
+		tr, err := traceAll(c.law, c.mu, c.p0, c.horizon, dt)
 		switch {
 		case undelayed != nil:
 			if err == nil {

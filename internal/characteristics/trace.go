@@ -9,8 +9,11 @@ import (
 )
 
 // Trace integrates the characteristic system dq/dt = v, dλ/dt = g
-// numerically for an arbitrary law using RK4, returning the sampled
-// trajectory with state [q, λ].
+// numerically for an arbitrary law using RK4, handing each sample of
+// the trajectory, with state [q, λ], to visit in time order: first
+// (0, p0), then every accepted step. visit must not retain y; an
+// ode.Trajectory's Append collects the whole trajectory, and Section,
+// Settling and Overshoot reduce it as it streams.
 //
 // The field is discontinuous across the switching line q = q̂ and the
 // empty-queue boundary, so integrating it naively loses accuracy: RK4
@@ -20,19 +23,21 @@ import (
 // onto the boundary and switches branch — the numeric analogue of
 // TraceExact's closed-form segment chain, with the same region rule
 // (kindOf), and valid for any Law whose two branches are individually
-// smooth. It returns an error when a sample is not finite or lies
-// below the empty queue by more than rounding, as a step too long for
-// RK4's stability makes it.
+// smooth. It holds back one sample, so visit sees each segment's end
+// after the snap. It returns an error when a sample is not finite or
+// lies below the empty queue by more than rounding, as a step too long
+// for RK4's stability makes it; visit may then have seen samples of
+// the failing segment.
 //
 // For AIMD prefer TraceExact, which is free of time-stepping error;
 // Trace exists for the laws without closed-form arcs and as an
 // independent cross-check of the exact tracer.
-func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajectory, error) {
+func Trace(law control.Law, mu float64, p0 Point, t1, dt float64, visit func(t float64, y []float64)) error {
 	if err := checkInputs(law, mu, p0, t1, 0); err != nil {
-		return nil, err
+		return err
 	}
 	if !(dt > 0) || math.IsInf(dt, 1) {
-		return nil, fmt.Errorf("characteristics: step must be finite and positive, got %v", dt)
+		return fmt.Errorf("characteristics: step must be finite and positive, got %v", dt)
 	}
 	qHat := law.Target()
 	// Branch-frozen right-hand sides, one per region kindOf returns.
@@ -67,8 +72,33 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 	var work ode.Workspace
 	tol := math.Min(dt*1e-6, 1e-9)
 	y := []float64{p0.Q, p0.Lambda}
-	full := &ode.Trajectory{}
-	full.Append(0, y)
+
+	// The held-back sample: the latest one, not yet visited because a
+	// snap may still move it. A step too long for RK4's stability
+	// (C1·dt above about 2.8 on the AIMD decrease branch) can overflow
+	// or carry the queue far below empty without any exit event seeing
+	// it, so every sample a segment adds is held to the exact tracers'
+	// rule once it is final; checked marks a held sample that needs no
+	// further check, and bad keeps the first failure.
+	var (
+		heldT   float64
+		held    = [2]float64{p0.Q, p0.Lambda}
+		checked = true
+		from    Point
+		t0      float64
+		bad     error
+	)
+	check := func() {
+		if !checked && bad == nil {
+			bad = checkArcEnd(qHat, t0, from, Point{Q: held[0], Lambda: held[1]})
+		}
+		checked = true
+	}
+	hold := func(t float64, y []float64) {
+		check()
+		visit(heldT, held[:])
+		heldT, held[0], held[1], checked = t, y[0], y[1], false
+	}
 
 	// Near the Filippov equilibrium (q̂, μ) region cycles become
 	// arbitrarily short (the spiral converges in infinite time with
@@ -85,18 +115,20 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 	for t < t1 {
 		if math.Abs(y[0]-qHat) < eqTol && math.Abs(y[1]-mu) < eqTol {
 			y[0], y[1] = qHat, mu
-			full.Append(t1, y)
+			hold(t1, y)
 			break
 		}
-		from, t0, first := Point{Q: y[0], Lambda: y[1]}, t, full.Len()
+		from, t0 = Point{Q: y[0], Lambda: y[1]}, t
 		kind := kindOf(from, qHat, mu)
-		// The segment's samples follow full's last one, taken at t.
-		exit, err := ode.SolveWithEvents(full, rhs[kind], stepper, y, t, t1, dt, tol, exits[kind], &work)
+		// The segment's samples follow the held one, taken at t.
+		exit, err := ode.SolveWithEvents(hold, rhs[kind], stepper, y, t, t1, dt, tol, exits[kind], &work)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var yEnd []float64
-		t, yEnd = full.Last()
+		if bad != nil {
+			return bad
+		}
+		t = heldT
 		// Snap exactly onto the boundary the event located.
 		switch {
 		case exit < 0: // ran to the horizon without leaving the region
@@ -107,16 +139,9 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 		default: // the increase region's empty-queue boundary
 			y[0] = 0
 		}
-		copy(yEnd, y) // nothing was appended since Last, so yEnd is still the last sample
-		// A step too long for RK4's stability (C1·dt above about 2.8
-		// on the AIMD decrease branch) can overflow or carry the queue
-		// far below empty without any exit event seeing it, so every
-		// sample of the segment is held to the exact tracers' rule.
-		for i := first; i < full.Len(); i++ {
-			_, yi := full.At(i)
-			if err := checkArcEnd(qHat, t0, from, Point{Q: yi[0], Lambda: yi[1]}); err != nil {
-				return nil, err
-			}
+		held[0], held[1] = y[0], y[1] // the held sample is the segment's last
+		if check(); bad != nil {
+			return bad
 		}
 		if exit < 0 {
 			break
@@ -128,7 +153,8 @@ func Trace(law control.Law, mu float64, p0 Point, t1, dt float64) (*ode.Trajecto
 			y[1] = 0
 		}
 	}
-	return full, nil
+	visit(heldT, held[:])
+	return nil
 }
 
 // Crossing records one upward passage of the trajectory through the
@@ -139,29 +165,36 @@ type Crossing struct {
 	Lambda float64 // rate at the crossing; amplitude is Lambda − μ
 }
 
-// UpCrossings extracts the Poincaré-section hits from a sampled
-// trajectory with state [q, λ]: samples where q crosses q̂ from below
-// with λ > mu. Crossing times and rates are linearly interpolated
-// between samples.
-func UpCrossings(tr *ode.Trajectory, qHat, mu float64) []Crossing {
-	var out []Crossing
-	for i := 1; i < tr.Len(); i++ {
-		t0, y0 := tr.At(i - 1)
-		t1, y1 := tr.At(i)
-		q0, q1 := y0[0], y1[0]
-		if q0 <= qHat && q1 > qHat {
+// Section collects the Poincaré-section hits of a trajectory with
+// state [q, λ] as its samples stream in through Add: the passages
+// where q crosses QHat from below with λ > Mu. Crossing times and
+// rates are linearly interpolated between samples.
+type Section struct {
+	QHat, Mu  float64
+	Crossings []Crossing
+
+	prevT float64
+	prev  [2]float64
+	seen  bool
+}
+
+// Add takes the next sample (t, y) of the trajectory.
+func (s *Section) Add(t float64, y []float64) {
+	if s.seen {
+		q0, q1 := s.prev[0], y[0]
+		if q0 <= s.QHat && q1 > s.QHat {
 			// Interpolate the crossing.
 			frac := 0.0
 			if q1 != q0 {
-				frac = (qHat - q0) / (q1 - q0)
+				frac = (s.QHat - q0) / (q1 - q0)
 			}
-			lam := y0[1] + frac*(y1[1]-y0[1])
-			if lam > mu {
-				out = append(out, Crossing{T: t0 + frac*(t1-t0), Lambda: lam})
+			lam := s.prev[1] + frac*(y[1]-s.prev[1])
+			if lam > s.Mu {
+				s.Crossings = append(s.Crossings, Crossing{T: s.prevT + frac*(t-s.prevT), Lambda: lam})
 			}
 		}
 	}
-	return out
+	s.prevT, s.prev[0], s.prev[1], s.seen = t, y[0], y[1], true
 }
 
 // Behavior classifies the long-run behaviour of a trajectory from the
@@ -230,34 +263,48 @@ func Classify(crossings []Crossing, mu, tol float64) (Behavior, float64) {
 	}
 }
 
-// ConvergenceTime returns the first sample time at which the
-// trajectory enters and afterwards remains within distance eps of the
-// equilibrium (Theorem 1's limit point), or NaN if it never settles.
-func ConvergenceTime(tr *ode.Trajectory, law control.Law, mu, eps float64) float64 {
-	settled := math.NaN()
-	for i := 0; i < tr.Len(); i++ {
-		t, y := tr.At(i)
-		d := DistanceToEquilibrium(law, mu, Point{Q: y[0], Lambda: y[1]})
-		if d <= eps {
-			if math.IsNaN(settled) {
-				settled = t
-			}
-		} else {
-			settled = math.NaN()
-		}
-	}
-	return settled
+// Settling finds the first sample time at which a trajectory with
+// state [q, λ] enters and afterwards remains within distance Eps of
+// the equilibrium of Law at rate Mu (Theorem 1's limit point), as its
+// samples stream in through Add.
+type Settling struct {
+	Law     control.Law
+	Mu, Eps float64
+
+	since float64 // when the current stay within Eps began
+	in    bool    // the last sample was within Eps
 }
 
-// Overshoot returns the maximum queue excursion above the target q̂
-// observed along the trajectory.
-func Overshoot(tr *ode.Trajectory, qHat float64) float64 {
-	var m float64
-	for i := 0; i < tr.Len(); i++ {
-		_, y := tr.At(i)
-		if over := y[0] - qHat; over > m {
-			m = over
+// Add takes the next sample (t, y) of the trajectory.
+func (s *Settling) Add(t float64, y []float64) {
+	if DistanceToEquilibrium(s.Law, s.Mu, Point{Q: y[0], Lambda: y[1]}) <= s.Eps {
+		if !s.in {
+			s.since, s.in = t, true
 		}
+	} else {
+		s.in = false
 	}
-	return m
+}
+
+// Time returns the settling time of the samples added so far, or NaN
+// when the last of them lies outside Eps.
+func (s *Settling) Time() float64 {
+	if !s.in {
+		return math.NaN()
+	}
+	return s.since
+}
+
+// Overshoot tracks the maximum queue excursion Max above the target
+// QHat along a trajectory with state [q, λ] (0 if the queue never
+// exceeds it), as its samples stream in through Add.
+type Overshoot struct {
+	QHat, Max float64
+}
+
+// Add takes the next sample (t, y) of the trajectory.
+func (o *Overshoot) Add(_ float64, y []float64) {
+	if over := y[0] - o.QHat; over > o.Max {
+		o.Max = over
+	}
 }

@@ -29,6 +29,7 @@ import (
 	"fpcc/internal/rng"
 	"fpcc/internal/stats"
 	"fpcc/internal/traffic"
+	"fpcc/internal/window"
 )
 
 // eventKind enumerates the simulator's event types.
@@ -198,8 +199,19 @@ type Sim struct {
 	serving bool
 	rngSvc  *rng.Source
 	// queue-length history for delayed observation
-	hist     QueueHistory
+	hist     window.Window[QueueMark]
 	maxDelay float64
+}
+
+// QueueMark is one record of a queue's history for delayed
+// observation: the queue length after a change and, when a gateway
+// owns the congestion signal, the gateway's wire signal (0 without
+// one). Sim and the nodes of internal/netsim record one at every queue
+// change, so a controller observing with delay τ reads the state
+// exactly as it stood at t−τ.
+type QueueMark struct {
+	Q   int
+	Sig float64
 }
 
 // New builds a simulator.
@@ -208,13 +220,13 @@ func New(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
-	s := &Sim{cfg: cfg, rngSvc: root.Split(), hist: NewQueueHistory(cfg.Gateway != nil)}
+	s := &Sim{cfg: cfg, rngSvc: root.Split()}
 	var sig0 float64
 	if cfg.Gateway != nil {
 		cfg.Gateway.Reset()
 		sig0 = cfg.Gateway.Signal(0, 0)
 	}
-	s.hist.Record(0, 0, sig0, 0)
+	s.hist.Record(0, QueueMark{Sig: sig0}, 0)
 	for i, sc := range cfg.Sources {
 		st := &sourceState{cfg: sc, lambda: sc.Lambda0, rng: root.Split(), factor: 1}
 		s.sources = append(s.sources, st)
@@ -246,13 +258,13 @@ func (s *Sim) push(e event) {
 }
 
 // recordQueue appends the current queue length (and gateway signal)
-// to the history, pruning outside the lookback window occasionally.
+// to the history, whose window keeps the longest lookback.
 func (s *Sim) recordQueue() {
 	var sig float64
 	if s.cfg.Gateway != nil {
 		sig = s.cfg.Gateway.Signal(s.t, s.queue)
 	}
-	s.hist.Record(s.t, s.queue, sig, s.t-s.maxDelay-1)
+	s.hist.Record(s.t, QueueMark{Q: s.queue, Sig: sig}, s.t-s.maxDelay-1)
 }
 
 // pruneDrops discards drop records older than cut, keeping the slice
@@ -400,9 +412,9 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 					qObs = st.cfg.Law.Target() + 1
 				}
 			case s.cfg.Gateway != nil:
-				qObs = s.cfg.Gateway.Observe(s.hist.SignalAt(obsT), st.cfg.Law.Target(), st.rng)
+				qObs = s.cfg.Gateway.Observe(s.hist.Latest(obsT).Sig, st.cfg.Law.Target(), st.rng)
 			default:
-				qObs = s.hist.QueueAt(obsT)
+				qObs = float64(s.hist.Latest(obsT).Q)
 			}
 			st.lambda += st.cfg.Law.Drift(qObs, st.lambda) * st.cfg.Interval
 			if st.lambda < st.cfg.MinRate {

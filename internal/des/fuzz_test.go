@@ -220,8 +220,8 @@ func FuzzTandemConfig(f *testing.F) {
 		}
 		for h := range sim.hops {
 			hs := &sim.hops[h]
-			if got := hs.hist.QueueAt(math.Inf(1)); got != float64(hs.queue.Len()) {
-				t.Fatalf("hop %d: FIFO holds %d packets, history last recorded %v", h, hs.queue.Len(), got)
+			if got := hs.hist.Latest(math.Inf(1)); got != hs.queue.Len() {
+				t.Fatalf("hop %d: FIFO holds %d packets, history last recorded %d", h, hs.queue.Len(), got)
 			}
 		}
 	})

@@ -5,10 +5,19 @@ import (
 	"testing"
 
 	"fpcc/internal/rng"
+	"fpcc/internal/window"
 )
 
+// history is the queue history Sim and the netsim nodes keep: a
+// delay window of QueueMark records.
+type history = window.Window[QueueMark]
+
+// queueAt and signalAt are the engines' two delayed reads of h.
+func queueAt(h *history, t float64) float64  { return float64(h.Latest(t).Q) }
+func signalAt(h *history, t float64) float64 { return h.Latest(t).Sig }
+
 // shadowHistory is the brute-force reference model the property tests
-// hold QueueHistory to: every record is kept forever (no pruning), and
+// hold the queue history to: every record is kept forever (no pruning), and
 // lookups scan linearly, resolving duplicated timestamps to the LAST
 // record at or before the query time — a burst of same-time events
 // must read back as the state after the burst settled.
@@ -55,52 +64,56 @@ func (s *shadowHistory) signalAt(t float64) float64 {
 // of arrivals processed at the same event time) must read back as the
 // last record of the burst, not the first.
 func TestQueueAtDuplicateTimestamps(t *testing.T) {
-	h := NewQueueHistory(true)
-	h.Record(0, 0, 0.0, 0)
+	h := &history{}
+	h.Record(0, QueueMark{0, 0.0}, 0)
 	// A burst of three same-time changes at t=5.
-	h.Record(5, 1, 0.1, 0)
-	h.Record(5, 2, 0.2, 0)
-	h.Record(5, 3, 0.3, 0)
-	h.Record(9, 7, 0.9, 0)
+	h.Record(5, QueueMark{1, 0.1}, 0)
+	h.Record(5, QueueMark{2, 0.2}, 0)
+	h.Record(5, QueueMark{3, 0.3}, 0)
+	h.Record(9, QueueMark{7, 0.9}, 0)
 
-	if got := h.QueueAt(5); got != 3 {
+	if got := queueAt(h, 5); got != 3 {
 		t.Errorf("QueueAt(5) = %v, want 3 (last record of the burst)", got)
 	}
-	if got := h.SignalAt(5); got != 0.3 {
+	if got := signalAt(h, 5); got != 0.3 {
 		t.Errorf("SignalAt(5) = %v, want 0.3 (last record of the burst)", got)
 	}
 	// Between the burst and the next change the burst's final state
 	// still holds.
-	if got := h.QueueAt(7); got != 3 {
+	if got := queueAt(h, 7); got != 3 {
 		t.Errorf("QueueAt(7) = %v, want 3", got)
 	}
 	// Strictly before the burst the pre-burst state holds.
-	if got := h.QueueAt(4.5); got != 0 {
+	if got := queueAt(h, 4.5); got != 0 {
 		t.Errorf("QueueAt(4.5) = %v, want 0", got)
 	}
-	if got := h.SignalAt(4.5); got != 0 {
+	if got := signalAt(h, 4.5); got != 0 {
 		t.Errorf("SignalAt(4.5) = %v, want 0", got)
 	}
 	// At and after the last record.
-	if got := h.QueueAt(9); got != 7 {
+	if got := queueAt(h, 9); got != 7 {
 		t.Errorf("QueueAt(9) = %v, want 7", got)
 	}
-	if got := h.SignalAt(100); got != 0.9 {
+	if got := signalAt(h, 100); got != 0.9 {
 		t.Errorf("SignalAt(100) = %v, want 0.9", got)
 	}
 	// Before every record.
-	if got := h.QueueAt(-1); got != 0 {
+	if got := queueAt(h, -1); got != 0 {
 		t.Errorf("QueueAt(-1) = %v, want 0", got)
 	}
-	// A history without a signal track reads 0, not a panic.
-	plain := NewQueueHistory(false)
-	plain.Record(1, 2, 9, 0)
-	if got := plain.SignalAt(1); got != 0 {
-		t.Errorf("SignalAt on a signal-less history = %v, want 0", got)
+	// TandemSim's hops keep a signal-less window of queue lengths,
+	// which reads 0 before its first record.
+	var plain window.Window[int]
+	if got := plain.Latest(1); got != 0 {
+		t.Errorf("Latest on an empty queue-length window = %v, want 0", got)
+	}
+	plain.Record(1, 2, 0)
+	if got := plain.Latest(1); got != 2 {
+		t.Errorf("Latest(1) on a queue-length window = %v, want 2", got)
 	}
 }
 
-// TestHistoryPropertyVsBruteForce drives QueueHistory and the
+// TestHistoryPropertyVsBruteForce drives the queue history and the
 // brute-force shadow model through randomized histories — duplicated
 // timestamps, bursts, and enough records to trigger pruning — and
 // requires QueueAt and SignalAt to agree with the shadow at
@@ -109,18 +122,18 @@ func TestHistoryPropertyVsBruteForce(t *testing.T) {
 	const lookback = 30.0
 	for trial := 0; trial < 20; trial++ {
 		r := rng.New(uint64(1000 + trial))
-		h := NewQueueHistory(true)
+		h := &history{}
 		var shadow shadowHistory
 		now := 0.0
 		q := 0
 		record := func() {
 			sig := float64(q) + r.Float64()
-			h.Record(now, q, sig, now-lookback)
+			h.Record(now, QueueMark{q, sig}, now-lookback)
 			shadow.record(now, q, sig)
 		}
 		record()
-		// Long trials overflow the 4096-record prune threshold several
-		// times; short trials stay un-pruned.
+		// Every trial fills its window many times over, so each
+		// prunes repeatedly.
 		n := 600 + trial*500
 		for i := 0; i < n; i++ {
 			// One burst in four shares the previous timestamp exactly.
@@ -142,10 +155,10 @@ func TestHistoryPropertyVsBruteForce(t *testing.T) {
 			if i%10 == 0 {
 				qt = shadow.t[shadow.idxAt(qt)] // hit a record time exactly
 			}
-			if got, want := h.QueueAt(qt), shadow.queueAt(qt); got != want {
+			if got, want := queueAt(h, qt), shadow.queueAt(qt); got != want {
 				t.Fatalf("trial %d: QueueAt(%v) = %v, want %v", trial, qt, got, want)
 			}
-			if got, want := h.SignalAt(qt), shadow.signalAt(qt); got != want {
+			if got, want := signalAt(h, qt), shadow.signalAt(qt); got != want {
 				t.Fatalf("trial %d: SignalAt(%v) = %v, want %v", trial, qt, got, want)
 			}
 		}
@@ -153,37 +166,31 @@ func TestHistoryPropertyVsBruteForce(t *testing.T) {
 }
 
 // TestRecordPruningKeepsLookbackResolvable asserts the pruning
-// invariant directly: after the history overflows and prunes, lookups
+// invariant directly: after the history fills and prunes, lookups
 // just inside the lookback cut still resolve (one sample at or before
-// the cut survives), and the signal track stays parallel to the time
-// track across prunes.
+// the cut survives), and each record's queue and signal stay together
+// across prunes.
 func TestRecordPruningKeepsLookbackResolvable(t *testing.T) {
 	const lookback = 5.0
-	h := NewQueueHistory(true)
+	h := &history{}
 	var shadow shadowHistory
 	dt := 0.01
 	now := 0.0
-	// 10000 records at 0.01s spacing: the 4096 threshold trips
-	// repeatedly, discarding everything older than the cut.
+	// 10000 records at 0.01s spacing: the window fills repeatedly,
+	// discarding everything older than the cut (how far its capacity
+	// grows is held by window.TestCapacitySettlesNearTheWindow).
 	for i := 0; i < 10000; i++ {
 		now = float64(i) * dt
-		h.Record(now, i, float64(i)/2, now-lookback)
+		h.Record(now, QueueMark{i, float64(i) / 2}, now-lookback)
 		shadow.record(now, i, float64(i)/2)
-	}
-	if len(h.t) >= 4096 {
-		t.Fatalf("history was never pruned: %d records", len(h.t))
-	}
-	if len(h.sig) != len(h.t) || len(h.q) != len(h.t) {
-		t.Fatalf("tracks diverged across prunes: %d times, %d queues, %d signals",
-			len(h.t), len(h.q), len(h.sig))
 	}
 	// Every lookup inside [now-lookback, now] must match the unpruned
 	// shadow — including the edge just inside the cut.
 	for _, qt := range []float64{now - lookback, now - lookback + 1e-9, now - 2.5, now - dt/2, now} {
-		if got, want := h.QueueAt(qt), shadow.queueAt(qt); got != want {
+		if got, want := queueAt(h, qt), shadow.queueAt(qt); got != want {
 			t.Errorf("after pruning: QueueAt(%v) = %v, want %v", qt, got, want)
 		}
-		if got, want := h.SignalAt(qt), shadow.signalAt(qt); got != want {
+		if got, want := signalAt(h, qt), shadow.signalAt(qt); got != want {
 			t.Errorf("after pruning: SignalAt(%v) = %v, want %v", qt, got, want)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"fpcc/internal/control"
 	"fpcc/internal/eventq"
 	"fpcc/internal/rng"
+	"fpcc/internal/window"
 )
 
 // This file extends the packet simulator from one bottleneck to a
@@ -25,8 +26,9 @@ import (
 // (the sum of the queue lengths at its hops) as it stood one path
 // round-trip ago, and applies its control law every RTT. The law's
 // target q̂ is interpreted against that path backlog. Each hop keeps a
-// QueueHistory recorded at its own changes, and the delayed path
-// backlog is the sum of QueueAt over the path, as in internal/netsim.
+// queue-length window recorded at its own changes, and the delayed
+// path backlog is the sum of its lookups over the path, as in
+// internal/netsim.
 
 // TandemSource describes one flow through the network.
 type TandemSource struct {
@@ -114,7 +116,7 @@ type hopState struct {
 	serving bool
 	// hist records the queue length at every change (empty means it
 	// has been 0 throughout), for delayed observation.
-	hist QueueHistory
+	hist window.Window[int]
 }
 
 // tandemPacket identifies a packet in flight.
@@ -184,10 +186,10 @@ func (s *TandemSim) push(e tandemEvent) {
 }
 
 // recordHop appends hop h's current queue length to its history,
-// pruning samples outside the longest lookback window occasionally.
+// whose window keeps the longest lookback.
 func (s *TandemSim) recordHop(h int) {
 	hs := &s.hops[h]
-	hs.hist.Record(s.t, hs.queue.Len(), 0, s.t-s.maxRTT-1)
+	hs.hist.Record(s.t, hs.queue.Len(), s.t-s.maxRTT-1)
 }
 
 // backlogAt returns source i's path backlog as of time t: the sum over
@@ -195,7 +197,7 @@ func (s *TandemSim) recordHop(h int) {
 func (s *TandemSim) backlogAt(i int, t float64) float64 {
 	var total float64
 	for _, h := range s.sources[i].cfg.Path {
-		total += s.hops[h].hist.QueueAt(t)
+		total += float64(s.hops[h].hist.Latest(t))
 	}
 	return total
 }

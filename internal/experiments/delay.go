@@ -149,26 +149,20 @@ func E8AlgorithmOscillation(ctx *Ctx) (*Table, error) {
 	}
 	const horizon = 400.0
 	aimd := refLaw()
-	trA, err := characteristics.Trace(aimd, refMu, characteristics.Point{Q: 10, Lambda: 12}, horizon, 1e-3)
+	behA, ratioA, swingA, err := oscillation(aimd, horizon)
 	if err != nil {
 		return nil, err
 	}
-	crA := characteristics.UpCrossings(trA, refQHat, refMu)
-	behA, ratioA := characteristics.Classify(crA, refMu, 0.05)
-	swingA := lateQueueSwing(trA, horizon*0.75)
 	t.AddRow("AIMD (lin-inc/exp-dec)", behA.String(), ratioA, swingA)
 
 	aiad, err := control.NewAIAD(refC0, refC1*refMu, refQHat)
 	if err != nil {
 		return nil, err
 	}
-	trB, err := characteristics.Trace(aiad, refMu, characteristics.Point{Q: 10, Lambda: 12}, horizon, 1e-3)
+	behB, ratioB, swingB, err := oscillation(aiad, horizon)
 	if err != nil {
 		return nil, err
 	}
-	crB := characteristics.UpCrossings(trB, refQHat, refMu)
-	behB, ratioB := characteristics.Classify(crB, refMu, 0.05)
-	swingB := lateQueueSwing(trB, horizon*0.75)
 	t.AddRow("AIAD (lin-inc/lin-dec)", behB.String(), ratioB, swingB)
 
 	if behA == characteristics.Converging && behB == characteristics.NeutralCycle {
@@ -179,22 +173,27 @@ func E8AlgorithmOscillation(ctx *Ctx) (*Table, error) {
 	return t, nil
 }
 
-// lateQueueSwing measures max-min of q over the trajectory tail.
-func lateQueueSwing(tr interface {
-	Len() int
-	At(i int) (float64, []float64)
-}, tFrom float64) float64 {
+// oscillation traces law from (10, 12) over the horizon without
+// delay and classifies its Poincaré amplitudes; swing is the queue's
+// max − min over the last quarter of the trace.
+func oscillation(law control.Law, horizon float64) (beh characteristics.Behavior, ratio, swing float64, err error) {
+	sec := characteristics.Section{QHat: refQHat, Mu: refMu}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := 0; i < tr.Len(); i++ {
-		tt, y := tr.At(i)
-		if tt < tFrom {
-			continue
-		}
-		lo = math.Min(lo, y[0])
-		hi = math.Max(hi, y[0])
+	err = characteristics.Trace(law, refMu, characteristics.Point{Q: 10, Lambda: 12}, horizon, 1e-3,
+		func(t float64, y []float64) {
+			sec.Add(t, y)
+			if t < horizon*0.75 {
+				return
+			}
+			lo = math.Min(lo, y[0])
+			hi = math.Max(hi, y[0])
+		})
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	if hi < lo {
-		return 0
+	if !(hi < lo) { // no late sample leaves the swing 0
+		swing = hi - lo
 	}
-	return hi - lo
+	beh, ratio = characteristics.Classify(sec.Crossings, refMu, 0.05)
+	return beh, ratio, swing, nil
 }

@@ -34,17 +34,24 @@ func E11ParameterSweep(ctx *Ctx) (*Table, error) {
 	}}
 	cells, err := sweep.Run(sweep.Config{Grid: grid, Workers: ctx.Inner(), Obs: rc}, func(c sweep.Cell) (cellOut, error) {
 		law := control.AIMD{C0: c.Values[0], C1: c.Values[1], QHat: refQHat}
-		tr, err := characteristics.Trace(law, refMu, characteristics.Point{Q: 0, Lambda: 2}, 2000, 2e-3)
+		settling := characteristics.Settling{Law: law, Mu: refMu, Eps: 0.05}
+		over := characteristics.Overshoot{QHat: refQHat}
+		sec := characteristics.Section{QHat: refQHat, Mu: refMu}
+		err := characteristics.Trace(law, refMu, characteristics.Point{Q: 0, Lambda: 2}, 2000, 2e-3,
+			func(t float64, y []float64) {
+				settling.Add(t, y)
+				over.Add(t, y)
+				sec.Add(t, y)
+			})
 		if err != nil {
 			return cellOut{}, err
 		}
 		out := cellOut{
-			settle:    characteristics.ConvergenceTime(tr, law, refMu, 0.05),
-			over:      characteristics.Overshoot(tr, refQHat),
+			settle:    settling.Time(),
+			over:      over.Max,
 			converged: true,
 		}
-		crossings := characteristics.UpCrossings(tr, refQHat, refMu)
-		beh, _ := characteristics.Classify(crossings, refMu, 0.05)
+		beh, _ := characteristics.Classify(sec.Crossings, refMu, 0.05)
 		out.behavior = beh.String()
 		if beh != characteristics.Converging && beh != characteristics.Inconclusive {
 			out.converged = false

@@ -89,7 +89,7 @@ func TestSecondOrderMassAndPositivity(t *testing.T) {
 	if s.ClippedMass() > 0.01 {
 		t.Fatalf("clipped mass %v too large for a TVD scheme", s.ClippedMass())
 	}
-	for i, v := range s.Density() {
+	for i, v := range s.f {
 		if v < 0 {
 			t.Fatalf("negative density %v at %d after clipping", v, i)
 		}

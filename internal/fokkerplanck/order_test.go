@@ -2,6 +2,7 @@ package fokkerplanck
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fpcc/internal/control"
@@ -43,7 +44,7 @@ func translationL1(t *testing.T, nq int, secondOrder bool) float64 {
 	if err := s.SetGaussian(q0, 1, stdQ, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	f0 := s.Density()
+	f0 := slices.Clone(s.f)
 	if err := s.Advance(horizon, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -158,8 +158,8 @@ type Solver struct {
 	step int64 // completed steps, stamping probes and violations
 }
 
-// New builds a solver with an all-zero density (call SetGaussian or
-// SetPointMass next).
+// New builds a solver with an all-zero density (call SetGaussian
+// next).
 func New(cfg Config) (*Solver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -196,19 +196,6 @@ func (s *Solver) Grid() grid.Uniform2D { return s.g2d }
 // Time returns the current solution time.
 func (s *Solver) Time() float64 { return s.t }
 
-// Density returns a copy of the current density field, row-major
-// [iq*NV + iv]. Hot loops should prefer AppendDensity to reuse a
-// buffer.
-func (s *Solver) Density() []float64 { return s.AppendDensity(nil) }
-
-// AppendDensity appends the current density field (row-major
-// [iq*NV + iv]) to dst and returns the extended slice — the
-// allocation-free variant of Density for per-step sampling loops
-// (pass dst[:0] to reuse its backing array).
-func (s *Solver) AppendDensity(dst []float64) []float64 {
-	return append(dst, s.f...)
-}
-
 // ClippedMass returns the total mass removed by negativity clipping.
 func (s *Solver) ClippedMass() float64 { return s.clipped }
 
@@ -230,18 +217,6 @@ func (s *Solver) SetGaussian(q0, v0, stdQ, stdV float64) error {
 			s.f[iq*s.cfg.NV+iv] = math.Exp(-0.5 * (dq*dq + dv*dv))
 		}
 	}
-	return s.normalize()
-}
-
-// SetPointMass initializes the density with all mass in the cell
-// containing (q0, v0).
-func (s *Solver) SetPointMass(q0, v0 float64) error {
-	iq := s.g2d.X.CellOf(q0)
-	iv := s.g2d.Y.CellOf(v0)
-	for i := range s.f {
-		s.f[i] = 0
-	}
-	s.f[iq*s.cfg.NV+iv] = 1
 	return s.normalize()
 }
 
@@ -644,33 +619,6 @@ func (s *Solver) AppendMarginalQ(dst []float64) []float64 {
 			sum += v
 		}
 		dst = append(dst, sum*dv)
-	}
-	return dst
-}
-
-// MarginalV returns the marginal density over v (length NV). Hot
-// loops should prefer AppendMarginalV.
-func (s *Solver) MarginalV() []float64 { return s.AppendMarginalV(nil) }
-
-// AppendMarginalV appends the v-marginal (length NV) to dst and
-// returns the extended slice — the allocation-free variant of
-// MarginalV (pass dst[:0] to reuse its backing array).
-func (s *Solver) AppendMarginalV(dst []float64) []float64 {
-	nq, nv := s.cfg.NQ, s.cfg.NV
-	dq := s.g2d.X.Dx
-	start := len(dst)
-	for iv := 0; iv < nv; iv++ {
-		dst = append(dst, 0)
-	}
-	m := dst[start:]
-	for iq := 0; iq < nq; iq++ {
-		row := s.f[iq*nv : (iq+1)*nv]
-		for iv, v := range row {
-			m[iv] += v
-		}
-	}
-	for iv := range m {
-		m[iv] *= dq
 	}
 	return dst
 }

@@ -72,17 +72,6 @@ func TestInitialConditionNormalized(t *testing.T) {
 	if math.Abs(m.VarQ-4) > 0.2 {
 		t.Fatalf("initial var q %v, want 4", m.VarQ)
 	}
-	// Point mass variant.
-	if err := s.SetPointMass(15, 2); err != nil {
-		t.Fatal(err)
-	}
-	m = s.Moments()
-	if math.Abs(m.Mass-1) > 1e-9 {
-		t.Fatalf("point mass %v, want 1", m.Mass)
-	}
-	if math.Abs(m.MeanQ-15) > s.Grid().X.Dx {
-		t.Fatalf("point mean q %v, want ~15", m.MeanQ)
-	}
 }
 
 func TestSetGaussianValidation(t *testing.T) {
@@ -183,7 +172,7 @@ func TestMassAudit(t *testing.T) {
 		t.Fatalf("mass %v + outflow %v = %v, want ~1 (clipped %v)",
 			m.Mass, s.OutflowMass(), total, s.ClippedMass())
 	}
-	for i, v := range s.Density() {
+	for i, v := range s.f {
 		if v < 0 {
 			t.Fatalf("negative density %v at cell %d", v, i)
 		}
@@ -280,13 +269,15 @@ func TestMarginalsIntegrateToMass(t *testing.T) {
 	if math.Abs(sum-m.Mass) > 1e-9 {
 		t.Fatalf("marginal q integral %v, want mass %v", sum, m.Mass)
 	}
-	mv := s.MarginalV()
-	sum = 0
-	for _, v := range mv {
-		sum += v * s.Grid().Y.Dx
-	}
-	if math.Abs(sum-m.Mass) > 1e-9 {
-		t.Fatalf("marginal v integral %v, want mass %v", sum, m.Mass)
+}
+
+// pointMass puts all of s's mass in the cell containing (q0, v0).
+func pointMass(t *testing.T, s *Solver, q0, v0 float64) {
+	t.Helper()
+	clear(s.f)
+	s.f[s.g2d.X.CellOf(q0)*s.cfg.NV+s.g2d.Y.CellOf(v0)] = 1
+	if err := s.normalize(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -295,9 +286,7 @@ func TestTailProb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetPointMass(30, 0); err != nil {
-		t.Fatal(err)
-	}
+	pointMass(t, s, 30, 0)
 	if got := s.TailProb(20); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("TailProb(20) = %v, want 1", got)
 	}
@@ -311,9 +300,7 @@ func TestStepValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetPointMass(10, 0); err != nil {
-		t.Fatal(err)
-	}
+	pointMass(t, s, 10, 0)
 	if err := s.Step(0); err == nil {
 		t.Error("accepted zero step")
 	}

@@ -84,9 +84,6 @@ func NewUniform2D(x, y Uniform1D) Uniform2D { return Uniform2D{X: x, Y: y} }
 // Len returns the number of cells, i.e. the length of a flat field.
 func (g Uniform2D) Len() int { return g.X.N * g.Y.N }
 
-// Index returns the flat index of cell (ix, iy).
-func (g Uniform2D) Index(ix, iy int) int { return ix*g.Y.N + iy }
-
 // CellArea returns the area of one cell, Dx*Dy.
 func (g Uniform2D) CellArea() float64 { return g.X.Dx * g.Y.Dx }
 

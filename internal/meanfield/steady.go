@@ -36,7 +36,7 @@ var (
 // both built-in backends (Density, Particles) step on; a Stepper with
 // a varying step size would need time-weighted accumulation instead.
 func SteadyStats(s Stepper, warm, horizon float64, onStep func()) (meanQ float64, meanRates []float64, err error) {
-	q, meanRates, err := window(s, 1, func(int) float64 { return s.Queue() }, warm, horizon, onStep)
+	q, meanRates, err := steadyWindow(s, 1, func(int) float64 { return s.Queue() }, warm, horizon, onStep)
 	if q == nil {
 		return 0, nil, err
 	}
@@ -48,15 +48,15 @@ func SteadyStats(s Stepper, warm, horizon float64, onStep func()) (meanQ float64
 // mean per-source rate, with the same window, sums and onStep
 // contract.
 func NodeSteadyStats(e *Engine, warm, horizon float64, onStep func()) (meanQ, meanRates []float64, err error) {
-	return window(e, e.NumNodes(), e.Queue, warm, horizon, onStep)
+	return steadyWindow(e, e.NumNodes(), e.Queue, warm, horizon, onStep)
 }
 
-// window is the one measurement loop behind SteadyStats and
+// steadyWindow is the one measurement loop behind SteadyStats and
 // NodeSteadyStats: it steps s to the horizon and averages queue(j)
 // for every j < nodes, and every class's mean rate, over the steps
 // ending in [warm, horizon]. It allocates its two result slices and
 // nothing per step.
-func window(s interface {
+func steadyWindow(s interface {
 	Step() error
 	Time() float64
 	NumClasses() int

@@ -8,6 +8,7 @@ import (
 	"fpcc/internal/eventq"
 	"fpcc/internal/rng"
 	"fpcc/internal/stats"
+	"fpcc/internal/window"
 )
 
 // eventKind enumerates the simulator's event types.
@@ -51,9 +52,9 @@ type nodeState struct {
 	serving bool
 	rng     *rng.Source
 	// Queue-length (and gateway-signal) history for delayed
-	// observation, recorded at every change and pruned outside the
-	// longest lookback window.
-	hist       des.QueueHistory
+	// observation, recorded at every change; its window keeps the
+	// longest lookback.
+	hist       window.Window[des.QueueMark]
 	drops      int64   // post-warmup drop-tail losses at this node
 	lastChange float64 // when the queue last changed (for time-weighted stats)
 }
@@ -127,7 +128,7 @@ type Result struct {
 // (so a RED mark at any hop pushes the sum past the law's threshold,
 // the path analogue of a receiver OR-ing congestion bits). The sum
 // over raw queues is the path backlog of des.TandemSim, by the same
-// mechanism: one des.QueueHistory per queue, summed over the route.
+// mechanism: one queue-history window per queue, summed over the route.
 type Sim struct {
 	cfg     Config
 	links   map[linkKey]float64
@@ -152,13 +153,13 @@ func New(cfg Config) (*Sim, error) {
 	root := rng.New(cfg.Seed)
 	s := &Sim{cfg: cfg, links: links}
 	for _, nc := range cfg.Nodes {
-		ns := &nodeState{cfg: nc, rng: root.Split(), hist: des.NewQueueHistory(nc.Gateway != nil)}
+		ns := &nodeState{cfg: nc, rng: root.Split()}
 		var sig0 float64
 		if nc.Gateway != nil {
 			nc.Gateway.Reset()
 			sig0 = nc.Gateway.Signal(0, 0)
 		}
-		ns.hist.Record(0, 0, sig0, 0)
+		ns.hist.Record(0, des.QueueMark{Sig: sig0}, 0)
 		s.nodes = append(s.nodes, ns)
 	}
 	for i, fc := range cfg.Flows {
@@ -258,15 +259,14 @@ func (s *Sim) push(e event) {
 }
 
 // recordNode appends node h's current queue length (and gateway
-// signal) to its history, pruning samples outside the lookback
-// window occasionally.
+// signal) to its history, whose window keeps the longest lookback.
 func (s *Sim) recordNode(h int) {
 	ns := s.nodes[h]
 	var sig float64
 	if ns.cfg.Gateway != nil {
 		sig = ns.cfg.Gateway.Signal(s.t, ns.queue.Len())
 	}
-	ns.hist.Record(s.t, ns.queue.Len(), sig, s.t-s.maxLook-1)
+	ns.hist.Record(s.t, des.QueueMark{Q: ns.queue.Len(), Sig: sig}, s.t-s.maxLook-1)
 }
 
 // observePath returns the congestion value flow i's controller sees:
@@ -277,9 +277,9 @@ func (s *Sim) observePath(i int, obsT float64) float64 {
 	for _, h := range fs.cfg.Route {
 		ns := s.nodes[h]
 		if ns.cfg.Gateway != nil {
-			total += ns.cfg.Gateway.Observe(ns.hist.SignalAt(obsT), fs.cfg.Law.Target(), fs.rng)
+			total += ns.cfg.Gateway.Observe(ns.hist.Latest(obsT).Sig, fs.cfg.Law.Target(), fs.rng)
 		} else {
-			total += ns.hist.QueueAt(obsT)
+			total += float64(ns.hist.Latest(obsT).Q)
 		}
 	}
 	return total

@@ -40,6 +40,7 @@ import (
 // Bind the flags with Bind before flag.Parse, call Setup after, hand
 // Recorder(scope) to the engine configs, and defer Close.
 type CLI struct {
+	stderr      io.Writer // the -obs-listen notice and violation dumps
 	tracePath   string
 	chromePath  string
 	listenAddr  string
@@ -64,9 +65,9 @@ type CLI struct {
 }
 
 // Bind registers the observability flags on fs and returns the CLI
-// holding them.
-func Bind(fs *flag.FlagSet) *CLI {
-	c := &CLI{}
+// holding them; its notices and flight-recorder dumps go to stderr.
+func Bind(fs *flag.FlagSet, stderr io.Writer) *CLI {
+	c := &CLI{stderr: stderr}
 	fs.StringVar(&c.tracePath, "trace", "", "stream observability events (probes, spans, violations) as JSONL to this file")
 	fs.StringVar(&c.chromePath, "trace-chrome", "", "export the run's event trace as Chrome trace_event JSON to this file (Perfetto-loadable; works without -trace)")
 	fs.StringVar(&c.listenAddr, "obs-listen", "", "serve live Prometheus /metrics, /summary, /debug/vars and /debug/pprof on this address (e.g. localhost:9190)")
@@ -101,7 +102,7 @@ func (c *CLI) Setup() error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics (Prometheus), /summary (JSON), /debug/vars (memstats), /debug/pprof on http://%s\n", addr)
+		fmt.Fprintf(c.stderr, "obs: serving /metrics (Prometheus), /summary (JSON), /debug/vars (memstats), /debug/pprof on http://%s\n", addr)
 	}
 	return nil
 }
@@ -138,7 +139,7 @@ func (c *CLI) Recorder(scope string) *obs.Recorder {
 
 // DumpViolation prints the flight-recorder context attached to an
 // invariant violation — the events the failing recorder buffered
-// before the fault — to stderr, as JSONL. It is a no-op for other
+// before the fault — to the CLI's stderr, as JSONL. It is a no-op for other
 // errors (including violations recorded without -obs-invariants),
 // so cmds call it unconditionally on their run-error path.
 func (c *CLI) DumpViolation(err error) {
@@ -146,9 +147,9 @@ func (c *CLI) DumpViolation(err error) {
 	if !errors.As(err, &v) || len(v.Recent) == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "obs: flight recorder: %d events preceding the violation of %s (step %d, t=%g):\n",
+	fmt.Fprintf(c.stderr, "obs: flight recorder: %d events preceding the violation of %s (step %d, t=%g):\n",
 		len(v.Recent), v.Field, v.Step, v.T)
-	enc := json.NewEncoder(os.Stderr)
+	enc := json.NewEncoder(c.stderr)
 	for _, ev := range v.Recent {
 		enc.Encode(ev)
 	}
@@ -164,7 +165,7 @@ func (c *CLI) DumpViolation(err error) {
 func (c *CLI) Fatal(prefix string, err error) {
 	c.DumpViolation(err)
 	if cerr := c.Close(); cerr != nil {
-		fmt.Fprintf(os.Stderr, "%s: closing observability: %v\n", prefix, cerr)
+		fmt.Fprintf(c.stderr, "%s: closing observability: %v\n", prefix, cerr)
 	}
 	log.Fatal(err)
 }

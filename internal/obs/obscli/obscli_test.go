@@ -1,8 +1,11 @@
 package obscli
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +19,7 @@ import (
 func setupCLI(t *testing.T, args ...string) *CLI {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Bind(fs)
+	c := Bind(fs, io.Discard)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -131,5 +134,49 @@ func TestChromeOnlyCapture(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), `"traceEvents"`) {
 		t.Error("chrome-only export missing traceEvents")
+	}
+}
+
+// TestDumpViolationWritesToStderr: the flight-recorder post-mortem of
+// an invariant violation goes to the writer Bind was handed — a cmd's
+// run(args, stdout, stderr) — with one JSONL line per buffered event;
+// any other error dumps nothing.
+func TestDumpViolationWritesToStderr(t *testing.T) {
+	var stderr bytes.Buffer
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	c := Bind(fs, &stderr)
+	if err := fs.Parse([]string{"-obs-invariants"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	rec := c.Recorder("engine")
+	rec.Probe("q", 0.5, 1)
+	rec.Probe("q", 1.0, 2)
+	err := rec.CheckNonNegative(7, 1.5, "density", []float64{1, -1})
+	if err == nil {
+		t.Fatal("a negative value passed CheckNonNegative")
+	}
+	c.DumpViolation(errors.New("not a violation"))
+	if stderr.Len() != 0 {
+		t.Fatalf("a plain error dumped %q", stderr.String())
+	}
+	c.DumpViolation(err)
+	lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+	if want := "obs: flight recorder: 2 events preceding the violation of density (step 7, t=1.5):"; lines[0] != want {
+		t.Fatalf("dump heading %q, want %q", lines[0], want)
+	}
+	if len(lines) != 3 {
+		t.Fatalf("dump has %d lines, want the heading and 2 events:\n%s", len(lines), stderr.String())
+	}
+	for _, l := range lines[1:] {
+		var ev obs.Event
+		if err := json.Unmarshal([]byte(l), &ev); err != nil || ev.Name != "q" {
+			t.Errorf("dump line %q: event %+v, error %v, want a probe of q", l, ev, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -15,9 +15,11 @@
 // the same technique the paper's characteristic analysis performs
 // analytically.
 //
-// The driver records its samples in a Trajectory, one flat store of
-// times and state rows that package dde shares for its results; see
-// Trajectory for how long a row read from it stays aliased.
+// SolveWithEvents hands each sample to a caller's sink, so a caller that
+// only reduces the trajectory never stores it; Trajectory, one flat
+// store of times and state rows that package dde shares for its
+// results, collects them with its Append (see Trajectory for how long
+// a row read from it stays aliased).
 package ode
 
 import (
@@ -161,12 +163,13 @@ func resize(s []float64, n int) []float64 {
 // function, located by bisection to time tolerance tol, leaves y at
 // the crossing and returns the index of that event, or −1 when it
 // reached t1 with none. Every sample after (t0, y), the crossing
-// state included, is appended to tr, so a caller can chain segments
-// into one trajectory; (t0, y) itself is the caller's to record. The
+// state included, is handed to sink in time order, so a caller can
+// chain segments into one stream; (t0, y) itself is the caller's to
+// record. sink must not retain y (a Trajectory's Append copies it). The
 // event values computed after a step with no crossing carry over to
 // the next step unevaluated, so an EventFunc must be a pure function
 // of (t, y).
-func SolveWithEvents(tr *Trajectory, f System, s Stepper, y []float64, t0, t1, h, tol float64,
+func SolveWithEvents(sink func(t float64, y []float64), f System, s Stepper, y []float64, t0, t1, h, tol float64,
 	events []EventFunc, w *Workspace) (int, error) {
 	if !(h > 0) {
 		return -1, fmt.Errorf("ode: non-positive step %v", h)
@@ -233,12 +236,12 @@ func SolveWithEvents(tr *Trajectory, f System, s Stepper, y []float64, t0, t1, h
 			frac := 0.5 * (lo + hi)
 			copy(y, prev)
 			s.Step(f, t, frac*step, y)
-			tr.Append(t+frac*step, y)
+			sink(t+frac*step, y)
 			return i, nil
 		}
 		// No crossing: evPrev already holds every event at (tNext, y).
 		t = tNext
-		tr.Append(t, y)
+		sink(t, y)
 	}
 	return -1, nil
 }

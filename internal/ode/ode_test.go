@@ -18,7 +18,7 @@ func fixedSolve(f System, s Stepper, y0 []float64, t0, t1, h float64) (*Trajecto
 	var tr Trajectory
 	tr.Append(t0, y0)
 	y := append([]float64(nil), y0...)
-	if _, err := SolveWithEvents(&tr, f, s, y, t0, t1, h, 1, nil, &Workspace{}); err != nil {
+	if _, err := SolveWithEvents(tr.Append, f, s, y, t0, t1, h, 1, nil, &Workspace{}); err != nil {
 		return nil, err
 	}
 	return &tr, nil
@@ -113,7 +113,7 @@ func TestFixedSolveDoesNotMutateInitial(t *testing.T) {
 	}
 	var tr Trajectory
 	y := []float64{1}
-	if _, err := SolveWithEvents(&tr, expSystem, s, y, 0, 1, 0.1, 1, nil, &Workspace{}); err != nil {
+	if _, err := SolveWithEvents(tr.Append, expSystem, s, y, 0, 1, 0.1, 1, nil, &Workspace{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, last := tr.Last(); y[0] != last[0] || y[0] == 1 {
@@ -203,7 +203,7 @@ func TestEventCallsPerStep(t *testing.T) {
 		}
 	}
 	var tr Trajectory
-	exit, err := SolveWithEvents(&tr, expSystem, NewRK4(1), []float64{1}, 0, 1, 1.0/n, 1e-9,
+	exit, err := SolveWithEvents(tr.Append, expSystem, NewRK4(1), []float64{1}, 0, 1, 1.0/n, 1e-9,
 		[]EventFunc{ev(0, 0), ev(1, 10)}, &Workspace{})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestEventCrossing(t *testing.T) {
 	s := NewRK4(1)
 	var tr Trajectory
 	y := []float64{1}
-	exit, err := SolveWithEvents(&tr, f, s, y, 0, 3, 0.01, 1e-10,
+	exit, err := SolveWithEvents(tr.Append, f, s, y, 0, 3, 0.01, 1e-10,
 		[]EventFunc{never, ev}, &Workspace{})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestEventBisectionStopsAtFloatResolution(t *testing.T) {
 	}}
 	var tr Trajectory
 	y := []float64{1}
-	exit, err := SolveWithEvents(&tr, expSystem, NewRK4(1), y, 0, 1, 1, 1e-300, ev, &Workspace{})
+	exit, err := SolveWithEvents(tr.Append, expSystem, NewRK4(1), y, 0, 1, 1, 1e-300, ev, &Workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestEventMutation(t *testing.T) {
 	tr.Append(0, y)
 	var bounces []float64
 	for tt := 0.0; tt < 10; {
-		exit, err := SolveWithEvents(tr, fall, s, y, tt, 10, 0.001, 1e-9, floor, &w)
+		exit, err := SolveWithEvents(tr.Append, fall, s, y, tt, 10, 0.001, 1e-9, floor, &w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestSolveWithEventsStopsAtFirstEvent(t *testing.T) {
 	floor := func(tt float64, y []float64) float64 { return y[0] }
 	var tr Trajectory
 	y := []float64{1, 0}
-	exit, err := SolveWithEvents(&tr, fall, NewRK4(2), y, 0, 100, 0.001, 1e-9,
+	exit, err := SolveWithEvents(tr.Append, fall, NewRK4(2), y, 0, 100, 0.001, 1e-9,
 		[]EventFunc{floor}, &Workspace{})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestSolveWithEventsAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		y[0] = 1
 		tr.Times, tr.states = tr.Times[:0], tr.states[:0]
-		if _, err := SolveWithEvents(tr, expSystem, s, y, 0, 1, 0.01, 1e-9, floor, &w); err != nil {
+		if _, err := SolveWithEvents(tr.Append, expSystem, s, y, 0, 1, 0.01, 1e-9, floor, &w); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -358,10 +358,10 @@ func TestSolveWithEventsAllocatesNothing(t *testing.T) {
 
 func TestSolveWithEventsValidation(t *testing.T) {
 	s := NewRK4(1)
-	if _, err := SolveWithEvents(&Trajectory{}, expSystem, s, []float64{1}, 0, 1, 0, 1e-9, nil, &Workspace{}); err == nil {
+	if _, err := SolveWithEvents((&Trajectory{}).Append, expSystem, s, []float64{1}, 0, 1, 0, 1e-9, nil, &Workspace{}); err == nil {
 		t.Error("expected error for zero step")
 	}
-	if _, err := SolveWithEvents(&Trajectory{}, expSystem, s, []float64{1}, 0, 1, 0.1, 0, nil, &Workspace{}); err == nil {
+	if _, err := SolveWithEvents((&Trajectory{}).Append, expSystem, s, []float64{1}, 0, 1, 0.1, 0, nil, &Workspace{}); err == nil {
 		t.Error("expected error for zero tolerance")
 	}
 }
