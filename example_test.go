@@ -69,19 +69,6 @@ func ExampleCriticalDelay() {
 	// delay budget within 5% of width/mu: true
 }
 
-// ExampleNewControlledQueue solves the exact Markov chain of the
-// controlled queue and reads its long-run operating point.
-func ExampleNewControlledQueue() {
-	law, _ := fpcc.NewAIMD(2, 0.8, 8)
-	cq, _ := fpcc.NewControlledQueue(law, 10, 40, 0, 20, 41)
-	p0, _ := cq.InitialPoint(0, 4)
-	p, _ := cq.Transient(p0, 200, 1e-8)
-	meanRate, _, _ := cq.RateMoments(p)
-	fmt.Printf("rate matched to service: %v\n", math.Abs(meanRate-10) < 1.5)
-	// Output:
-	// rate matched to service: true
-}
-
 // ExampleNewOnOff builds a bursty source whose long-run offered load
 // equals the nominal rate.
 func ExampleNewOnOff() {
@@ -91,14 +78,4 @@ func ExampleNewOnOff() {
 	// Output:
 	// peak factor: 4
 	// mean factor: 1
-}
-
-// ExampleNewLinearLaw shows the PD law's engineered equilibrium.
-func ExampleNewLinearLaw() {
-	pd, _ := fpcc.NewLinearLaw(0.5, 2, 20, 10)
-	fmt.Printf("drift at the operating point: %.0f\n", math.Abs(pd.Drift(20, 10)))
-	fmt.Printf("equilibrium queue at true mu=8: %.0f\n", pd.EquilibriumQ(8))
-	// Output:
-	// drift at the operating point: 0
-	// equilibrium queue at true mu=8: 28
 }

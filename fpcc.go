@@ -18,8 +18,8 @@
 //     primary contribution) with moments, marginals and overflow
 //     probabilities.
 //   - Characteristics: the σ = 0 phase-plane analysis of Section 5 —
-//     exact piecewise trajectories, Poincaré sections, and the
-//     Theorem 1 convergence classification.
+//     exact piecewise trajectories and their Poincaré-section hits,
+//     converging to Theorem 1's equilibrium.
 //   - Fluid: the deterministic Bolot-Shankar baseline with N sources
 //     and per-source feedback delays (Sections 6-7).
 //   - PacketSim: a packet-level discrete-event simulator of the real
@@ -60,17 +60,14 @@ import (
 	"fpcc/internal/des"
 	"fpcc/internal/fluid"
 	"fpcc/internal/fokkerplanck"
-	"fpcc/internal/markov"
 	"fpcc/internal/meanfield"
 	"fpcc/internal/netmf"
 	"fpcc/internal/netsim"
 	"fpcc/internal/obs"
-	"fpcc/internal/obs/chrometrace"
 	"fpcc/internal/obs/obscli"
 	"fpcc/internal/sde"
 	"fpcc/internal/stability"
 	"fpcc/internal/stats"
-	"fpcc/internal/sweep"
 	"fpcc/internal/traffic"
 )
 
@@ -83,51 +80,18 @@ type Law = control.Law
 // window algorithm: dλ/dt = +C0 when Q ≤ QHat, −C1·λ when Q > QHat.
 type AIMD = control.AIMD
 
-// AIAD is the linear-increase/linear-decrease variant, which
-// oscillates even without feedback delay (Section 7).
-type AIAD = control.AIAD
-
-// MIMD is the multiplicative-increase/multiplicative-decrease variant.
-type MIMD = control.MIMD
-
-// CustomLaw wraps an arbitrary drift function as a Law.
-type CustomLaw = control.Custom
-
 // SmoothAIMD is AIMD with the hard threshold replaced by a logistic
 // blend — the differentiable variant the linear stability analysis
 // (Linearize, CriticalDelay) requires.
 type SmoothAIMD = control.SmoothAIMD
 
-// LinearLaw is the proportional-derivative rate law
-// g = −Kq·(q−q̂) − Kl·(λ−MuRef), whose damping — and with it the
-// delay budget τ* — is a free design parameter (experiment E23).
-type LinearLaw = control.Linear
-
-// Window is the original window-based algorithm (Equation 1) with its
-// rate-law correspondence.
-type Window = control.Window
-
 // NewAIMD validates and returns the paper's AIMD law.
 func NewAIMD(c0, c1, qHat float64) (AIMD, error) { return control.NewAIMD(c0, c1, qHat) }
-
-// NewAIAD validates and returns an AIAD law.
-func NewAIAD(c0, c1, qHat float64) (AIAD, error) { return control.NewAIAD(c0, c1, qHat) }
-
-// NewMIMD validates and returns a MIMD law.
-func NewMIMD(c0, c1, qHat float64) (MIMD, error) { return control.NewMIMD(c0, c1, qHat) }
-
-// NewWindow validates and returns a window law.
-func NewWindow(a, d, qHat float64) (Window, error) { return control.NewWindow(a, d, qHat) }
 
 // NewSmoothAIMD validates and returns a smooth AIMD law of the given
 // blend width.
 func NewSmoothAIMD(c0, c1, qHat, width float64) (SmoothAIMD, error) {
 	return control.NewSmoothAIMD(c0, c1, qHat, width)
-}
-
-// NewLinearLaw validates and returns a PD law.
-func NewLinearLaw(kq, kl, qHat, muRef float64) (LinearLaw, error) {
-	return control.NewLinear(kq, kl, qHat, muRef)
 }
 
 // FokkerPlanckConfig configures the Eq. 14 solver. Its Workers field
@@ -152,22 +116,9 @@ type Point = characteristics.Point
 
 // Path is a closed-form AIMD characteristic trajectory: parabolic
 // and exponential arcs, with the queue stuck at 0 where it empties,
-// joined at analytically located switching times. TraceExact and
-// TraceExactDelayed both return one; its UpCrossings are the
-// Poincaré-section hits at q = q̂.
+// joined at analytically located switching times. TraceExact returns
+// one; its UpCrossings are the Poincaré-section hits at q = q̂.
 type Path = characteristics.Path
-
-// Behavior classifies a trajectory: Converging (Theorem 1 spiral),
-// NeutralCycle, Diverging, or Inconclusive.
-type Behavior = characteristics.Behavior
-
-// Behavior values.
-const (
-	Converging   = characteristics.Converging
-	NeutralCycle = characteristics.NeutralCycle
-	Diverging    = characteristics.Diverging
-	Inconclusive = characteristics.Inconclusive
-)
 
 // TraceExact integrates the AIMD characteristic system in closed form
 // (Section 5): parabolic arcs below q̂, exponential arcs above,
@@ -176,24 +127,8 @@ func TraceExact(law AIMD, mu float64, p0 Point, maxTime float64, maxSegments int
 	return characteristics.TraceExact(law, mu, p0, maxTime, maxSegments)
 }
 
-// CycleMetrics summarizes a delay-induced limit cycle.
+// CycleMetrics summarizes a delay-induced limit cycle (Path.Cycle).
 type CycleMetrics = characteristics.CycleMetrics
-
-// TraceExactDelayed integrates the delayed AIMD system (Section 7)
-// exactly: the same closed-form arcs as TraceExact, with branch
-// switches at the q̂-crossing times shifted by the feedback delay τ.
-// The returned Path's Cycle method measures the limit cycle to
-// machine precision.
-func TraceExactDelayed(law AIMD, mu, tau float64, p0 Point, tEnd float64, maxSegments int) (*Path, error) {
-	return characteristics.TraceExactDelayed(law, mu, tau, p0, tEnd, maxSegments)
-}
-
-// ReturnMap evaluates one revolution of the Poincaré map of the AIMD
-// spiral at the section q = q̂ (Theorem 1's contraction; the small-
-// amplitude law is a′ = a − (2/3)a²/μ).
-func ReturnMap(law AIMD, mu, a float64) (float64, error) {
-	return characteristics.ReturnMap(law, mu, a)
-}
 
 // EquilibriumPoint returns Theorem 1's limit point (q̂, μ).
 func EquilibriumPoint(law Law, mu float64) Point {
@@ -232,37 +167,10 @@ type PacketSimResult = des.Result
 // NewPacketSim builds a packet-level simulator.
 func NewPacketSim(cfg PacketSimConfig) (*PacketSim, error) { return des.New(cfg) }
 
-// WindowSource describes a sender running the original window
-// algorithm (Equation 1) in the packet simulator.
-type WindowSource = des.WindowSourceConfig
-
-// NewWindowSim builds a packet simulator whose sources run the window
-// algorithm of Equation 1 (one update per RTT, rate = window/RTT).
-func NewWindowSim(mu float64, seed uint64, sources []WindowSource, sampleEvery float64) (*PacketSim, error) {
-	return des.NewWindowSim(mu, seed, sources, sampleEvery)
-}
-
-// TandemConfig describes a multi-hop tandem network simulation.
-type TandemConfig = des.TandemConfig
-
-// TandemSource is one flow through the tandem network.
-type TandemSource = des.TandemSource
-
-// TandemSim simulates flows over a path of store-and-forward hops —
-// the setting of the Zhang/Jacobson multi-hop unfairness observation.
-// New multi-hop code should prefer NetSim, which generalizes the
-// tandem chain to arbitrary topologies; TandemSim remains as the
-// hardwired special case netsim is tested against.
-type TandemSim = des.TandemSim
-
-// NewTandemSim builds a tandem-network simulator.
-func NewTandemSim(cfg TandemConfig) (*TandemSim, error) { return des.NewTandem(cfg) }
-
 // Arbitrary-topology packet network simulator (internal/netsim): a
 // directed graph of queues with per-node gateway disciplines,
-// carrying rate-controlled flows over explicit multi-hop routes. The
-// single-node and linear-chain special cases reduce to PacketSim and
-// TandemSim; new multi-hop code should start here.
+// carrying rate-controlled flows over explicit multi-hop routes. Its
+// single-node special case reduces to PacketSim.
 
 // NetNode is one store-and-forward queue in a netsim topology.
 type NetNode = netsim.Node
@@ -290,10 +198,6 @@ type NetResult = netsim.Result
 
 // NewNetSim builds a general-topology packet simulator.
 func NewNetSim(cfg NetConfig) (*NetSim, error) { return netsim.New(cfg) }
-
-// ConstantRateLaw returns a zero-drift law: a flow using it sends at
-// its initial rate forever, modelling uncontrolled cross-traffic.
-func ConstantRateLaw() Law { return netsim.ConstantRate() }
 
 // ParkingLotConfig parameterizes the parking-lot fairness benchmark.
 type ParkingLotConfig = netsim.ParkingLotConfig
@@ -326,48 +230,6 @@ type SweepResult = netsim.SweepResult
 // RunSweep shards the grid across parallel workers and aggregates
 // per-flow throughput, fairness and queue statistics per cell.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) { return netsim.Sweep(cfg) }
-
-// Engine-agnostic parameter sweeps (internal/sweep): the worker-pool,
-// deterministic-seeding and byte-stable-aggregation machinery behind
-// RunSweep, usable with any evaluation function — Fokker-Planck
-// solves, DDE integrations, packet simulations, or anything else.
-// Results (and any error) are independent of the worker count.
-
-// GridDim is one named axis of a generic sweep grid.
-type GridDim = sweep.Dim
-
-// Grid is an N-dimensional parameter grid enumerated row-major (last
-// dimension fastest).
-type Grid = sweep.Grid
-
-// GridCell is one evaluated point: its index in grid order, decoded
-// dimension values, and deterministic per-cell seed.
-type GridCell = sweep.Cell
-
-// GridConfig describes a generic sweep: grid, base seed, worker bound.
-type GridConfig = sweep.Config
-
-// GridRow is one cell's output under a named-column schema (float64,
-// integer, string or []float64 values).
-type GridRow = sweep.Row
-
-// GridResult holds a completed row-producing sweep; its WriteCSV and
-// WriteJSON render full-precision output byte-identically for any
-// worker count.
-type GridResult = sweep.Result
-
-// SweepGrid evaluates fn over every cell of the grid on up to
-// cfg.Workers goroutines and returns the results in grid order. The
-// error, if any, reports the lowest-indexed failing cell.
-func SweepGrid[T any](cfg GridConfig, fn func(GridCell) (T, error)) ([]T, error) {
-	return sweep.Run(cfg, fn)
-}
-
-// SweepGridRows evaluates a sweep whose cells produce named-column
-// rows, for byte-stable CSV/JSON emission.
-func SweepGridRows(cfg GridConfig, columns []string, fn func(GridCell) (GridRow, error)) (*GridResult, error) {
-	return sweep.RunRows(cfg, columns, fn)
-}
 
 // Mean-field population engine (internal/meanfield): the paper's
 // large-N limit made first-class. Heterogeneous classes of sources —
@@ -496,8 +358,8 @@ func NewNetMeanFieldCrossChain(cc NetMeanFieldCrossChainConfig) (NetMeanFieldCon
 // through the kinetic engines as O(classes × bins) source/sink terms
 // (MeanFieldClass.Churn, on either front end) and through the
 // packet simulator as per-session birth/death events
-// (NetConfig.Churn), plus the non-cooperating source laws the
-// honest-vs-adversarial experiments E32–E34 are built on.
+// (NetConfig.Churn), plus the open-loop source law of the
+// honest-vs-adversarial experiments E32–E34.
 
 // ChurnLifetime is a session-lifetime distribution: a sampler for the
 // packet engines and a hyperexponential phase mixture for the kinetic
@@ -520,11 +382,6 @@ type ChurnPareto = churn.Pareto
 // MeanFieldClass.Churn (the class type of both kinetic front ends).
 type ChurnFlow = churn.Flow
 
-// ChurnPulse is the synchronized on/off duty-cycle envelope of a
-// blaster population in the density engines (the mean-field twin of a
-// traffic.SquareWave-modulated packet source).
-type ChurnPulse = churn.Pulse
-
 // NetChurnClass is an open session class of the packet simulator:
 // Poisson arrivals, sampled lifetimes, explicit per-session
 // birth/death events (NetConfig.Churn).
@@ -537,28 +394,14 @@ func NewChurnExponential(mean float64) (ChurnExponential, error) {
 }
 
 // NewChurnPareto returns a Pareto session lifetime with tail index
-// alpha (> 1) and scale xm.
+// alpha (at least 1.2, where its phase fit tracks the tail) and scale
+// xm (in [1e-300, 1e300]).
 func NewChurnPareto(alpha, xm float64) (ChurnPareto, error) { return churn.NewPareto(alpha, xm) }
-
-// NewChurnPulse returns a duty-cycle envelope: factor hi for durHi
-// seconds, lo for durLo, repeating from t = 0.
-func NewChurnPulse(hi, lo, durHi, durLo float64) (*ChurnPulse, error) {
-	return churn.NewPulse(hi, lo, durHi, durLo)
-}
 
 // UnresponsiveLaw is the open-loop blaster: zero drift, so a source
 // holds its rate regardless of congestion feedback (a CBR flow, or an
-// on/off blaster when combined with a Burst modulator or ChurnPulse).
+// on/off blaster when combined with a Burst modulator).
 type UnresponsiveLaw = control.Unresponsive
-
-// GreedyLaw is the defecting law: it follows the additive-increase
-// branch everywhere and ignores every decrease signal, probing up to
-// its rate cap.
-type GreedyLaw = control.Greedy
-
-// NewGreedyLaw validates and returns a greedy law with probe gain c0
-// and rate cap cap.
-func NewGreedyLaw(c0, cap float64) (GreedyLaw, error) { return control.NewGreedy(c0, cap) }
 
 // EnsembleConfig configures an SDE particle ensemble of the Eq. 14
 // diffusion (the Monte-Carlo ground truth for the PDE). Its Workers
@@ -575,17 +418,6 @@ func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) { return sde.New(cfg) }
 
 // JainIndex is Jain's fairness index (1 = perfectly fair).
 func JainIndex(alloc []float64) float64 { return stats.JainIndex(alloc) }
-
-// KSTwoSample returns the two-sample Kolmogorov-Smirnov statistic and
-// asymptotic p-value — a whole-distribution comparison used to test
-// FP marginals against simulated queue samples.
-func KSTwoSample(a, b []float64) (d, pValue float64, err error) { return stats.KSTwoSample(a, b) }
-
-// BatchMeans estimates the mean of a correlated stationary series
-// with a batch-means confidence half-width (z = 1.96 for 95%).
-func BatchMeans(xs []float64, nBatches int, z float64) (mean, halfWidth float64, err error) {
-	return stats.BatchMeans(xs, nBatches, z)
-}
 
 // Loop stability analysis (Section 7, made quantitative).
 
@@ -611,44 +443,6 @@ func DominantRoot(a, b, tau float64) (complex128, error) {
 	return stability.DominantRoot(a, b, tau)
 }
 
-// MultiSourceLinearize linearizes the symmetric (aggregate) mode of n
-// identical delayed sources sharing the bottleneck; the result feeds
-// CriticalDelay/DominantRoot directly. The n−1 difference modes are
-// delay-free and damped at DifferenceModeRate.
-func MultiSourceLinearize(law Law, mu float64, n int, lo, hi float64) (*Linearization, error) {
-	return stability.MultiSourceLinearize(law, mu, n, lo, hi)
-}
-
-// DifferenceModeRate returns the decay rate of pairwise rate
-// differences between equal-parameter, equal-delay sources (negative
-// means fairness is restored exponentially even under delay).
-func DifferenceModeRate(law Law, mu float64, n int, lo, hi float64) (float64, error) {
-	return stability.DifferenceModeRate(law, mu, n, lo, hi)
-}
-
-// Exact Markov ground truth for Eq. 14.
-
-// MarkovChain is a sparse finite-state CTMC with a uniformization
-// transient solver.
-type MarkovChain = markov.Chain
-
-// BirthDeath is a one-dimensional birth-death chain (M/M/1/K and
-// state-dependent variants) with product-form stationary laws.
-type BirthDeath = markov.BirthDeath
-
-// ControlledQueue is the exact CTMC on (queue length, discretized
-// sending rate) induced by a control law — the finite-state analogue
-// of the joint density f(t, q, v).
-type ControlledQueue = markov.ControlledQueue
-
-// NewControlledQueue builds the controlled-queue chain.
-func NewControlledQueue(law Law, mu float64, qMax int, rateMin, rateMax float64, nRate int) (*ControlledQueue, error) {
-	return markov.NewControlledQueue(law, mu, qMax, rateMin, rateMax, nRate)
-}
-
-// NewMM1K returns the birth-death chain of an M/M/1/K queue.
-func NewMM1K(lambda, mu float64, k int) (*BirthDeath, error) { return markov.NewMM1K(lambda, mu, k) }
-
 // Bursty traffic models (the "traffic variability" of the paper's
 // closing claim).
 
@@ -663,10 +457,6 @@ type MMPP = traffic.MMPP
 // (burstiness = (meanOn+meanOff)/meanOn).
 func NewOnOff(meanOn, meanOff float64) (*MMPP, error) { return traffic.NewOnOff(meanOn, meanOff) }
 
-// NewMMPP2 returns a two-state MMPP modulator with closed-form
-// burstiness (MMPP.IDCInfinity).
-func NewMMPP2(f1, f2, r12, r21 float64) (*MMPP, error) { return traffic.NewMMPP2(f1, f2, r12, r21) }
-
 // IDC measures the index of dispersion for counts of an arrival-time
 // series at the given window width (Poisson = 1).
 func IDC(times []float64, window, horizon float64) (float64, error) {
@@ -678,9 +468,6 @@ func IDC(times []float64, window, horizon float64) (float64, error) {
 // Gateway transforms the bottleneck queue into the congestion signal
 // sources receive (see PacketSimConfig.Gateway).
 type Gateway = des.Gateway
-
-// ThresholdGateway is the paper's transparent raw-queue feedback.
-type ThresholdGateway = des.ThresholdGateway
 
 // EWMAGateway feeds back a DECbit-style averaged queue.
 type EWMAGateway = des.EWMAGateway
@@ -733,19 +520,9 @@ type ObsRecorder = obs.Recorder
 // ObsEvent is one record of the JSONL trace stream.
 type ObsEvent = obs.Event
 
-// ObsJSONL is a concurrency-safe streaming JSONL event sink.
-type ObsJSONL = obs.JSONL
-
 // ObsViolation is the step-stamped error an engine returns when an
 // invariant check fails under ObsConfig.Invariants.
 type ObsViolation = obs.Violation
-
-// NewObsJSONL returns a streaming JSONL sink writing to w.
-func NewObsJSONL(w io.Writer) *ObsJSONL { return obs.NewJSONL(w) }
-
-// ObsProbeCatalog lists every probe series the engines emit, with
-// units — the reference EXPERIMENTS.md documents.
-func ObsProbeCatalog() []obs.ProbeSeries { return obs.Catalog() }
 
 // ObsSummary is the point-in-time aggregate snapshot of a recorder
 // hierarchy: counters, probe series and span totals, merged
@@ -770,7 +547,3 @@ type ObsCLI = obscli.CLI
 // hand Recorder(scope) to engine configs, call DumpViolation on the
 // run-error path, and defer Close.
 func BindObsFlags(fs *flag.FlagSet, stderr io.Writer) *ObsCLI { return obscli.Bind(fs, stderr) }
-
-// WriteChromeTrace converts a JSONL event trace (the -trace output)
-// into Chrome trace_event JSON, loadable in Perfetto.
-func WriteChromeTrace(r io.Reader, w io.Writer) error { return chrometrace.Convert(r, w) }

@@ -2,7 +2,6 @@ package fpcc_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"fpcc"
@@ -133,14 +132,11 @@ func TestFacadeLawConstructorsValidate(t *testing.T) {
 	if _, err := fpcc.NewAIMD(0, 1, 1); err == nil {
 		t.Error("NewAIMD accepted zero C0")
 	}
-	if _, err := fpcc.NewAIAD(1, 0, 1); err == nil {
-		t.Error("NewAIAD accepted zero C1")
+	if _, err := fpcc.NewAIMD(1, 1, -1); err == nil {
+		t.Error("NewAIMD accepted negative qHat")
 	}
-	if _, err := fpcc.NewMIMD(1, 1, -1); err == nil {
-		t.Error("NewMIMD accepted negative qHat")
-	}
-	if _, err := fpcc.NewWindow(1, 2, 1); err == nil {
-		t.Error("NewWindow accepted d >= 1")
+	if _, err := fpcc.NewSmoothAIMD(1, 1, 1, 0); err == nil {
+		t.Error("NewSmoothAIMD accepted zero width")
 	}
 }
 
@@ -166,47 +162,6 @@ func TestFacadeStabilityPipeline(t *testing.T) {
 	}
 	if real(root) >= 0 {
 		t.Errorf("below τ* the loop must be stable, root %v", root)
-	}
-}
-
-func TestFacadeMarkovGroundTruth(t *testing.T) {
-	bd, err := fpcc.NewMM1K(4, 5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := bd.Stationary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, p := range pi {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("stationary law sums to %v", sum)
-	}
-	law, err := fpcc.NewAIMD(2, 0.8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cq, err := fpcc.NewControlledQueue(law, 10, 30, 0, 20, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, err := cq.InitialPoint(0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := cq.Transient(p0, 5, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mq, _, err := cq.QueueMoments(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(mq > 0) {
-		t.Errorf("mean queue %v after 5s of probing", mq)
 	}
 }
 
@@ -259,22 +214,6 @@ func TestFacadeTahoe(t *testing.T) {
 }
 
 func TestFacadeStatsHelpers(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	b := []float64{1.1, 2.1, 2.9, 4.2, 5.1, 5.9, 7.2, 8.1}
-	if _, p, err := fpcc.KSTwoSample(a, b); err != nil || p < 0.2 {
-		t.Errorf("KS on near-identical samples: p=%v err=%v", p, err)
-	}
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i % 10)
-	}
-	mean, hw, err := fpcc.BatchMeans(xs, 10, 1.96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mean-4.5) > 1e-9 || hw < 0 {
-		t.Errorf("batch means %v ± %v, want 4.5", mean, hw)
-	}
 	times := []float64{0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5}
 	if idc, err := fpcc.IDC(times, 2, 8); err != nil || math.Abs(idc) > 1e-9 {
 		t.Errorf("deterministic train IDC = %v err=%v, want 0", idc, err)
@@ -293,7 +232,7 @@ func TestFacadeNetSim(t *testing.T) {
 		Flows: []fpcc.NetFlow{
 			{Law: law, Route: []int{0, 1}, IngressDelay: 0.02, ReturnDelay: 0.04,
 				FeedbackDelay: 0.08, Lambda0: 5, MinRate: 0.5},
-			{Law: fpcc.ConstantRateLaw(), Route: []int{1}, IngressDelay: 0.02,
+			{Law: fpcc.UnresponsiveLaw{}, Route: []int{1}, IngressDelay: 0.02,
 				ReturnDelay: 0.02, Lambda0: 10, MinRate: 10},
 		},
 	})
@@ -339,55 +278,6 @@ func TestFacadeNetSweep(t *testing.T) {
 	if res.Cells[1].Throughput[0] >= res.Cells[0].Throughput[0] {
 		t.Fatalf("cross traffic did not reduce the main flow: %v vs %v",
 			res.Cells[1].Throughput[0], res.Cells[0].Throughput[0])
-	}
-}
-
-// TestFacadeGenericSweep drives the engine-agnostic sweep through the
-// facade with a non-netsim engine (the closed-form characteristics
-// tracer), the workload class the generic runner exists for.
-func TestFacadeGenericSweep(t *testing.T) {
-	cfg := fpcc.GridConfig{
-		Grid: fpcc.Grid{Dims: []fpcc.GridDim{
-			{Name: "c0", Values: []float64{1, 2, 4}},
-			{Name: "c1", Values: []float64{0.4, 0.8}},
-		}},
-		Workers: 3,
-	}
-	amps, err := fpcc.SweepGrid(cfg, func(c fpcc.GridCell) (float64, error) {
-		law, err := fpcc.NewAIMD(c.Values[0], c.Values[1], 20)
-		if err != nil {
-			return 0, err
-		}
-		return fpcc.ReturnMap(law, 10, 4)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(amps) != 6 {
-		t.Fatalf("got %d cells, want 6", len(amps))
-	}
-	for i, a := range amps {
-		if !(a > 0 && a < 4) {
-			t.Fatalf("cell %d: return-map amplitude %v not contracted into (0, 4)", i, a)
-		}
-	}
-	rows, err := fpcc.SweepGridRows(cfg, []string{"amp"}, func(c fpcc.GridCell) (fpcc.GridRow, error) {
-		law, err := fpcc.NewAIMD(c.Values[0], c.Values[1], 20)
-		if err != nil {
-			return nil, err
-		}
-		a, err := fpcc.ReturnMap(law, 10, 4)
-		return fpcc.GridRow{a}, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var csv strings.Builder
-	if err := rows.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(csv.String(), "index,c0,c1,amp\n") {
-		t.Fatalf("generic sweep CSV header wrong:\n%s", csv.String())
 	}
 }
 

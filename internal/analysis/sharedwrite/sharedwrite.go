@@ -1,8 +1,8 @@
 // Package sharedwrite flags writes to captured variables inside the
 // closures the fork-join frameworks run concurrently.
 //
-// Closures passed to parallel.For / ForWorker / Each / EachWorker /
-// ReduceSum and sweep.Map / MapWorker / Run / RunRows execute on
+// Closures passed to parallel.For / ForWorker / EachWorker /
+// ReduceSum and sweep.Map / MapWorker / Run execute on
 // several workers at once. A write to a variable captured from the
 // enclosing scope — a scalar accumulation (`sum += x`), a
 // reassignment, a captured map entry, a captured struct field — is
@@ -34,17 +34,17 @@ import (
 // Analyzer is the sharedwrite check.
 var Analyzer = &analysis.Analyzer{
 	Name: "sharedwrite",
-	Doc:  "flag racy writes to captured variables inside parallel.For/Each and sweep.Map closures",
+	Doc:  "flag racy writes to captured variables inside parallel.For/EachWorker and sweep.Map closures",
 	Run:  run,
 }
 
 // parallelFuncs and sweepFuncs are the fork-join entry points whose
 // closure arguments run concurrently.
 var parallelFuncs = map[string]bool{
-	"For": true, "ForWorker": true, "Each": true, "EachWorker": true, "ReduceSum": true,
+	"For": true, "ForWorker": true, "EachWorker": true, "ReduceSum": true,
 }
 var sweepFuncs = map[string]bool{
-	"Map": true, "MapWorker": true, "Run": true, "RunRows": true,
+	"Map": true, "MapWorker": true, "Run": true,
 }
 
 func run(pass *analysis.Pass) error {

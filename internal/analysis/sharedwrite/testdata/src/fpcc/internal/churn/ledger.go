@@ -36,7 +36,7 @@ func (l *Ledger) FoldRacy(cells int) (float64, error) {
 // findings.
 func (l *Ledger) FoldChunked() float64 {
 	balances := make([]float64, len(l.born))
-	parallel.Each(len(l.born), l.workers, func(i int) {
+	parallel.EachWorker(len(l.born), l.workers, func(_, i int) {
 		balances[i] = l.born[i] - l.died[i]
 	})
 	total := 0.0

@@ -14,14 +14,7 @@ func For(n, workers int, fn func(lo, hi int)) {
 // ForWorker is For with the worker index.
 func ForWorker(n, workers int, fn func(w, lo, hi int)) { fn(0, 0, n) }
 
-// Each runs fn per index.
-func Each(n, workers int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-// EachWorker is Each with the worker index.
+// EachWorker runs fn per index with the worker index.
 func EachWorker(n, workers int, fn func(w, i int)) {
 	for i := 0; i < n; i++ {
 		fn(0, i)

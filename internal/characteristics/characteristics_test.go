@@ -36,26 +36,6 @@ func TestDriftReflectionAtEmptyQueue(t *testing.T) {
 	}
 }
 
-func TestQuadrantOf(t *testing.T) {
-	const mu, qHat = 10.0, 20.0
-	cases := []struct {
-		p    Point
-		want Quadrant
-	}{
-		{Point{Q: 5, Lambda: 15}, QuadrantI},
-		{Point{Q: 25, Lambda: 15}, QuadrantII},
-		{Point{Q: 25, Lambda: 5}, QuadrantIII},
-		{Point{Q: 5, Lambda: 5}, QuadrantIV},
-		{Point{Q: 20, Lambda: 15}, QuadrantI}, // boundary q = q̂ is "below"
-		{Point{Q: 5, Lambda: 10}, QuadrantI},  // boundary v = 0 is "rising"
-	}
-	for _, tc := range cases {
-		if got := QuadrantOf(tc.p, mu, qHat); got != tc.want {
-			t.Errorf("QuadrantOf(%+v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-}
-
 // TestQuadrantTableAIMD reproduces Figure 2: the drift rotation
 // pattern (+,+), (+,−), (−,−), (−,+) for quadrants I..IV.
 func TestQuadrantTableAIMD(t *testing.T) {

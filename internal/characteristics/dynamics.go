@@ -33,9 +33,6 @@ type Point struct {
 	Lambda float64 // arrival (sending) rate
 }
 
-// V returns the queue growth rate v = λ − μ of the point.
-func (p Point) V(mu float64) float64 { return p.Lambda - mu }
-
 // Drift returns the instantaneous drift (dq/dt, dλ/dt) at p under law
 // and service rate mu, honoring the boundary convention that an empty
 // queue cannot drain further: dq/dt = 0 when Q = 0 and λ < μ.
@@ -77,25 +74,6 @@ func (q Quadrant) String() string {
 		return "IV"
 	default:
 		return fmt.Sprintf("Quadrant(%d)", int(q))
-	}
-}
-
-// QuadrantOf returns the quadrant containing the point (boundary
-// points are assigned to the quadrant the open region of which they
-// close: q = q̂ counts as "below target" because the paper's law uses
-// the increase branch at Q <= q̂, and v = 0 counts as v > 0).
-func QuadrantOf(p Point, mu, qHat float64) Quadrant {
-	below := p.Q <= qHat
-	rising := p.V(mu) >= 0
-	switch {
-	case rising && below:
-		return QuadrantI
-	case rising && !below:
-		return QuadrantII
-	case !rising && !below:
-		return QuadrantIII
-	default:
-		return QuadrantIV
 	}
 }
 

@@ -2,7 +2,6 @@ package characteristics
 
 import (
 	"fmt"
-	"math"
 
 	"fpcc/internal/control"
 )
@@ -21,8 +20,8 @@ import (
 //
 // so the spiral converges algebraically in revolutions (amplitudes
 // decay like 1/k), which is why the paper's limit point is approached
-// asymptotically rather than in finite time. VerifyContraction and the
-// package tests exercise both facts.
+// asymptotically rather than in finite time. The package tests
+// exercise both facts.
 func ReturnMap(law control.AIMD, mu, a float64) (float64, error) {
 	if !(a > 0) {
 		return 0, fmt.Errorf("characteristics: amplitude must be positive, got %v", a)
@@ -88,29 +87,4 @@ func QuadraticContractionCoefficient(law control.AIMD, mu float64) (float64, err
 	}
 	// c(a) = c + k·a ⇒ c ≈ 2·c(a/2) − c(a).
 	return 2*c2 - c1, nil
-}
-
-// VerifyContraction checks a' < a across a logarithmic sweep of
-// amplitudes from aMin to aMax and returns the worst ratio a'/a
-// observed (always < 1 when Theorem 1 holds).
-func VerifyContraction(law control.AIMD, mu, aMin, aMax float64, steps int) (worst float64, err error) {
-	if !(aMin > 0) || !(aMax > aMin) || steps < 2 {
-		return 0, fmt.Errorf("characteristics: invalid sweep [%v, %v] x %d", aMin, aMax, steps)
-	}
-	ratio := math.Pow(aMax/aMin, 1/float64(steps-1))
-	a := aMin
-	for i := 0; i < steps; i++ {
-		ap, err := ReturnMap(law, mu, a)
-		if err != nil {
-			return 0, err
-		}
-		if r := ap / a; r > worst {
-			worst = r
-		}
-		if ap >= a {
-			return ap / a, fmt.Errorf("characteristics: contraction violated at a=%v (a'=%v)", a, ap)
-		}
-		a *= ratio
-	}
-	return worst, nil
 }

@@ -34,13 +34,20 @@ func TestReturnMapContracts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		law := control.AIMD{C0: tc.c0, C1: tc.c1, QHat: tc.qHat}
-		worst, err := VerifyContraction(law, tc.mu, tc.mu/100, tc.mu*2, 12)
+		// A logarithmic sweep of amplitudes from μ/100 to 2μ.
+		amps := make([]float64, 12)
+		for i := range amps {
+			amps[i] = tc.mu / 100 * math.Pow(200, float64(i)/11)
+		}
+		table, err := ContractionTable(law, tc.mu, amps)
 		if err != nil {
 			t.Errorf("%+v: %v", tc, err)
 			continue
 		}
-		if worst >= 1 {
-			t.Errorf("%+v: worst ratio %v >= 1", tc, worst)
+		for _, row := range table {
+			if row[2] >= 1 {
+				t.Errorf("%+v: a=%v maps to a'=%v, ratio %v >= 1", tc, row[0], row[1], row[2])
+			}
 		}
 	}
 }

@@ -61,8 +61,8 @@ func (f *Flow) MeanPopulation() float64 {
 // on/off sources averages to its mean factor (only the mean enters
 // the queue coupling), so the interesting adversarial limit is the
 // fully synchronized pulse, which is also the worst case for the
-// queue. Modulator() returns the per-source twin for the packet
-// engines.
+// queue. Its per-source packet-engine twin is a traffic.SquareWave
+// with the same factors and durations.
 type Pulse struct {
 	sw traffic.SquareWave
 }
@@ -92,11 +92,3 @@ func (p *Pulse) FactorAt(t float64) float64 {
 
 // MeanFactor returns the time-average multiplier.
 func (p *Pulse) MeanFactor() float64 { return p.sw.MeanFactor() }
-
-// Modulator returns the per-source packet-engine twin: a
-// traffic.SquareWave with the same factors and durations, for
-// des.SourceConfig.Burst / netsim.Flow.Burst.
-func (p *Pulse) Modulator() traffic.Modulator {
-	sw := p.sw
-	return &sw
-}

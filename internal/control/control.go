@@ -10,10 +10,9 @@
 //
 // Generalizing, Equation 4 denotes dλ/dt = g(Q, λ). This package
 // provides the paper's law (AIMD), the linear-decrease variant that
-// Section 7 contrasts it with (AIAD), a multiplicative-increase
-// variant (MIMD) and the window-based original (Equation 1) for the
-// packet-level simulator. Controllers are small immutable values,
-// cheap to copy and safe for concurrent use.
+// Section 7 contrasts it with (AIAD) and the window-based original
+// (Equation 1) for the packet-level simulator. Controllers are small
+// immutable values, cheap to copy and safe for concurrent use.
 package control
 
 import (
@@ -121,39 +120,6 @@ func (l AIAD) Name() string { return "AIAD" }
 
 // Target implements Law.
 func (l AIAD) Target() float64 { return l.QHat }
-
-// MIMD is the multiplicative-increase / multiplicative-decrease law:
-// g = +C0·λ for q <= q̂ and g = −C1·λ for q > q̂. Included for
-// completeness of the g(·) family discussed in Section 2; it is known
-// (and our experiments confirm) not to converge to a fair share across
-// competing sources.
-type MIMD struct {
-	C0   float64 // multiplicative increase constant (1/s)
-	C1   float64 // multiplicative decrease constant (1/s)
-	QHat float64 // target queue length q̂
-}
-
-// NewMIMD validates and returns a MIMD law.
-func NewMIMD(c0, c1, qHat float64) (MIMD, error) {
-	if err := validateParams("MIMD", c0, c1, qHat); err != nil {
-		return MIMD{}, err
-	}
-	return MIMD{C0: c0, C1: c1, QHat: qHat}, nil
-}
-
-// Drift implements Law.
-func (l MIMD) Drift(q, lambda float64) float64 {
-	if q <= l.QHat {
-		return l.C0 * lambda
-	}
-	return -l.C1 * lambda
-}
-
-// Name implements Law.
-func (l MIMD) Name() string { return "MIMD" }
-
-// Target implements Law.
-func (l MIMD) Target() float64 { return l.QHat }
 
 // Custom wraps an arbitrary drift function as a Law, for exploring
 // feedback schemes beyond the built-in family (the paper notes the

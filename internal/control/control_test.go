@@ -59,19 +59,6 @@ func TestAIADBranches(t *testing.T) {
 	}
 }
 
-func TestMIMDBranches(t *testing.T) {
-	l, err := NewMIMD(0.1, 0.5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Drift(5, 100); math.Abs(got-10) > 1e-12 {
-		t.Errorf("increase branch = %v, want 10", got)
-	}
-	if got := l.Drift(11, 100); math.Abs(got+50) > 1e-12 {
-		t.Errorf("decrease branch = %v, want -50", got)
-	}
-}
-
 func TestCustomLaw(t *testing.T) {
 	l := Custom{
 		DriftFunc: func(q, lambda float64) float64 { return -q + lambda },

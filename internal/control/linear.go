@@ -20,8 +20,7 @@ import (
 // MuRef is the sender's estimate of its fair service rate. With
 // MuRef = μ the law is exact and the equilibrium is (q̂, μ); a biased
 // estimate shifts the equilibrium queue by +Kl·(MuRef−μ)/Kq — an
-// optimistic reference keeps pushing rate and parks extra queue; see
-// EquilibriumQ.
+// optimistic reference keeps pushing rate and parks extra queue.
 type Linear struct {
 	Kq    float64 // restoring gain on the queue error (> 0)
 	Kl    float64 // damping gain on the rate error (≥ 0)
@@ -54,11 +53,3 @@ func (l Linear) Name() string { return "PD" }
 
 // Target implements Law.
 func (l Linear) Target() float64 { return l.QHat }
-
-// EquilibriumQ returns the equilibrium queue length for a true
-// service rate mu: q* = q̂ + Kl·(MuRef − mu)/Kq (the fixed point of
-// g(q, mu) = 0). An accurate reference (MuRef = mu) gives q* = q̂; an
-// optimistic one (MuRef > mu) parks extra queue.
-func (l Linear) EquilibriumQ(mu float64) float64 {
-	return l.QHat + l.Kl*(l.MuRef-mu)/l.Kq
-}

@@ -48,19 +48,19 @@ func TestLinearEquilibriumQ(t *testing.T) {
 	}
 	// With the true μ = 10 below the reference 12, the law keeps
 	// pushing the rate up and the equilibrium queue sits above q̂:
-	// q* = 20 + 0.3·(12−10)/0.5 = 21.2.
+	// q* = q̂ + Kl·(MuRef−μ)/Kq = 20 + 0.3·(12−10)/0.5 = 21.2 is where
+	// the drift vanishes at λ = μ.
 	const mu = 10.0
-	qStar := l.EquilibriumQ(mu)
-	if math.Abs(qStar-21.2) > 1e-12 {
-		t.Errorf("q* = %v, want 21.2", qStar)
+	if g := l.Drift(21.2, mu); math.Abs(g) > 1e-12 {
+		t.Errorf("drift at q* = 21.2 is %v, want 0", g)
 	}
-	if g := l.Drift(qStar, mu); math.Abs(g) > 1e-12 {
-		t.Errorf("drift at q* = %v, want 0", g)
+	if g := l.Drift(20, mu); !(g > 0) {
+		t.Errorf("drift at q̂ = %v, want positive (optimistic reference)", g)
 	}
 	// Exact reference → q* = q̂.
 	exact, _ := NewLinear(0.5, 0.3, 20, mu)
-	if q := exact.EquilibriumQ(mu); q != 20 {
-		t.Errorf("exact-reference q* = %v, want 20", q)
+	if g := exact.Drift(20, mu); g != 0 {
+		t.Errorf("exact-reference drift at q̂ = %v, want 0", g)
 	}
 }
 

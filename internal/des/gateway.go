@@ -41,23 +41,6 @@ type Gateway interface {
 	Observe(sig, qHat float64, r *rng.Source) float64
 }
 
-// ThresholdGateway is the transparent gateway of the paper's model:
-// the signal is the instantaneous queue length, handed to the law
-// unchanged.
-type ThresholdGateway struct{}
-
-// Name implements Gateway.
-func (ThresholdGateway) Name() string { return "threshold" }
-
-// Reset implements Gateway.
-func (ThresholdGateway) Reset() {}
-
-// Signal implements Gateway.
-func (ThresholdGateway) Signal(_ float64, q int) float64 { return float64(q) }
-
-// Observe implements Gateway.
-func (ThresholdGateway) Observe(sig, _ float64, _ *rng.Source) float64 { return sig }
-
 // EWMAGateway feeds back a continuous-time exponentially weighted
 // moving average of the queue with time constant Tc — the rate-based
 // analogue of the DECbit averaged queue [RaJa 88]. Averaging strips

@@ -9,20 +9,6 @@ import (
 	"fpcc/internal/stats"
 )
 
-func TestThresholdGatewayIsTransparent(t *testing.T) {
-	var g ThresholdGateway
-	g.Reset()
-	if g.Name() != "threshold" {
-		t.Errorf("Name = %q", g.Name())
-	}
-	if s := g.Signal(1.5, 7); s != 7 {
-		t.Errorf("Signal = %v, want 7", s)
-	}
-	if o := g.Observe(7, 20, nil); o != 7 {
-		t.Errorf("Observe = %v, want 7", o)
-	}
-}
-
 func TestEWMAGatewayValidation(t *testing.T) {
 	for _, tc := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := NewEWMAGateway(tc); err == nil {

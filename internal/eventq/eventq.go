@@ -112,10 +112,6 @@ func (q *Q[E]) siftDown(x entry[E]) {
 	es[i] = x
 }
 
-// NextTime returns the timestamp of the earliest queued event. It
-// panics on an empty queue (callers guard with Len, as with Pop).
-func (q *Q[E]) NextTime() float64 { return q.es[0].t }
-
 // PopBatch removes every event sharing the earliest queued timestamp
 // — a same-time burst — and appends them to dst in (time, sequence)
 // order, returning the extended slice. Passing dst[:0] reuses its

@@ -96,7 +96,7 @@ func TestPopBatchMatchesRepeatedPop(t *testing.T) {
 					t.Fatalf("trial %d: batch mixes timestamps %v and %v", trial, batch[0].t, e.t)
 				}
 			}
-			if qBatch.Len() > 0 && qBatch.NextTime() == batch[0].t {
+			if len(got) > 0 && got[len(got)-1].t == batch[0].t {
 				t.Fatalf("trial %d: batch at t=%v left same-time events behind", trial, batch[0].t)
 			}
 			got = append(got, batch...)

@@ -64,14 +64,14 @@ func checkHeap(t *testing.T, q *Q[ev], step int) {
 }
 
 // FuzzQueue drives one queue with a byte stream of Push, Pop,
-// PopBatch, NextTime and Len calls and checks every result against a
+// PopBatch and Len calls and checks every result against a
 // sorted-slice oracle. Sequence numbers start at a fuzzed offset, so
 // the counter can wrap through 2⁶⁴ mid-stream. Each op byte's low two
 // bits pick the call and its high six bits the argument:
 //
 //	0, 1  Push at fuzzTime(arg)
 //	2     Pop (Len must be 0 when the oracle is empty)
-//	3     arg%4: 0 NextTime and Len, 1 PopBatch(nil),
+//	3     arg%4: 0 Len, 1 PopBatch(nil),
 //	      2 PopBatch(buf[:0]) reusing one buffer, 3 PopBatch onto a
 //	      one-event prefix that must survive
 func FuzzQueue(f *testing.F) {
@@ -104,9 +104,6 @@ func FuzzQueue(f *testing.F) {
 			case arg%4 == 0:
 				if q.Len() != len(model) {
 					t.Fatalf("op %d: Len = %d, want %d", step, q.Len(), len(model))
-				}
-				if len(model) > 0 && q.NextTime() != model[0].e.t {
-					t.Fatalf("op %d: NextTime = %v, want %v", step, q.NextTime(), model[0].e.t)
 				}
 			default:
 				var want []ev

@@ -265,7 +265,7 @@ func BenchmarkE9ObsOn(b *testing.B) {
 	oc := &obs.Config{Sink: sink, Invariants: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := E9FokkerPlanckVsMonteCarlo(NewCtx(oc.Recorder("E9"), 1)); err != nil {
+		if _, err := E9FokkerPlanckVsMonteCarlo(&Ctx{rec: oc.Recorder("E9"), inner: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,7 +80,7 @@ func TestCtxNil(t *testing.T) {
 	}
 	c.Stepping()
 	rec := (&obs.Config{}).Recorder("direct")
-	NewCtx(rec, 1).Stepping()
+	(&Ctx{rec: rec, inner: 1}).Stepping()
 	if spans := rec.Summary().Spans; len(spans) != 0 {
 		t.Errorf("Stepping on a runner-less ctx recorded spans %v", spans)
 	}
@@ -92,7 +92,7 @@ func TestCtxNil(t *testing.T) {
 	if c.Inner() != 3 {
 		t.Errorf("override not applied to nil ctx: %d", c.Inner())
 	}
-	if got := NewCtx(nil, 5).Inner(); got != 3 {
+	if got := (&Ctx{inner: 5}).Inner(); got != 3 {
 		t.Errorf("override must win over the grant: %d", got)
 	}
 }

@@ -34,11 +34,6 @@ type Ctx struct {
 	phase  *obs.Span
 }
 
-// NewCtx builds a run context: rec may be nil (no observability);
-// inner is the inner-worker grant (0 = GOMAXPROCS). It carries no
-// phase span, so Stepping is a no-op on it.
-func NewCtx(rec *Recorder, inner int) *Ctx { return &Ctx{rec: rec, inner: inner} }
-
 // Stepping marks the experiment's setup/step boundary: it ends the
 // "setup" span RunSuite opened before Run and opens "step", which the
 // runner ends when Run returns. Every experiment calls it exactly

@@ -89,14 +89,6 @@ type Solution struct {
 // storage).
 func (s *Solution) Queue() (times, q []float64) { return s.Times, s.column(0) }
 
-// Rate returns the rate series of source i.
-func (s *Solution) Rate(i int) (times, lam []float64) {
-	if i < 0 || i >= s.NumSources {
-		panic(fmt.Sprintf("fluid: source index %d out of range [0, %d)", i, s.NumSources))
-	}
-	return s.Times, s.column(1 + i)
-}
-
 // column copies state component j of every sample.
 func (s *Solution) column(j int) []float64 {
 	out := make([]float64, s.Len())

@@ -175,11 +175,10 @@ func TestPureDelayKeepsAverageShares(t *testing.T) {
 	}
 	// But the instantaneous rates must genuinely differ (the sources
 	// are out of phase, not identical).
-	_, l0 := sol.Rate(0)
-	_, l1 := sol.Rate(1)
 	var maxGap float64
-	for i := range l0 {
-		if g := math.Abs(l0[i] - l1[i]); g > maxGap {
+	for i := 0; i < sol.Len(); i++ {
+		_, y := sol.At(i)
+		if g := math.Abs(y[1] - y[2]); g > maxGap {
 			maxGap = g
 		}
 	}
@@ -242,17 +241,9 @@ func TestQueueAndRateAccessors(t *testing.T) {
 	if q[0] != 3 {
 		t.Fatalf("initial queue %v, want 3", q[0])
 	}
-	_, lam0 := sol.Rate(0)
-	_, lam1 := sol.Rate(1)
-	if lam0[0] != 2 || lam1[0] != 4 {
-		t.Fatalf("initial rates (%v, %v), want (2, 4)", lam0[0], lam1[0])
+	if _, y := sol.At(0); y[1] != 2 || y[2] != 4 {
+		t.Fatalf("initial rates (%v, %v), want (2, 4)", y[1], y[2])
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Rate out of range did not panic")
-		}
-	}()
-	sol.Rate(2)
 }
 
 func TestMeanRatesWindow(t *testing.T) {

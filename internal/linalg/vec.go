@@ -42,15 +42,6 @@ func Fill(x []float64, v float64) {
 	}
 }
 
-// Sum returns the sum of the elements of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
 // L1Dist returns the sum of absolute differences between x and y.
 // It panics on length mismatch.
 func L1Dist(x, y []float64) float64 {

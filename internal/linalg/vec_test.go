@@ -38,12 +38,16 @@ func TestAXPY(t *testing.T) {
 func TestScaleFillSum(t *testing.T) {
 	x := []float64{1, 2, 3}
 	Scale(3, x)
-	if got := Sum(x); got != 18 {
-		t.Fatalf("Sum after Scale = %v, want 18", got)
+	for i, want := range []float64{3, 6, 9} {
+		if x[i] != want {
+			t.Fatalf("x[%d] after Scale = %v, want %v", i, x[i], want)
+		}
 	}
 	Fill(x, -1)
-	if got := Sum(x); got != -3 {
-		t.Fatalf("Sum after Fill = %v, want -3", got)
+	for i, v := range x {
+		if v != -1 {
+			t.Fatalf("x[%d] after Fill = %v, want -1", i, v)
+		}
 	}
 }
 
@@ -70,7 +74,7 @@ func TestClampNonNegative(t *testing.T) {
 }
 
 // Property: Clamp leaves the vector non-negative and conserves
-// Sum(x) - removed.
+// sum(x) - removed.
 func TestClampProperty(t *testing.T) {
 	f := func(vals []float64) bool {
 		x := make([]float64, len(vals))
@@ -80,14 +84,21 @@ func TestClampProperty(t *testing.T) {
 			}
 			x[i] = math.Mod(v, 100)
 		}
-		before := Sum(x)
+		sum := func(x []float64) float64 {
+			var s float64
+			for _, v := range x {
+				s += v
+			}
+			return s
+		}
+		before := sum(x)
 		removed := ClampNonNegative(x)
 		for _, v := range x {
 			if v < 0 {
 				return false
 			}
 		}
-		return math.Abs(Sum(x)-(before-removed)) < 1e-9*(1+math.Abs(before))
+		return math.Abs(sum(x)-(before-removed)) < 1e-9*(1+math.Abs(before))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

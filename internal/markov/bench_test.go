@@ -32,7 +32,7 @@ func BenchmarkUniformizationTransient(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cq.Transient(p0, 5, 1e-9); err != nil {
+		if _, err := cq.Chain().Transient(p0, 5, 1e-9); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,11 +41,7 @@ func BenchmarkUniformizationTransient(b *testing.B) {
 // BenchmarkStationaryPower times the power-iteration stationary solve
 // of an M/M/1/200 chain.
 func BenchmarkStationaryPower(b *testing.B) {
-	bd, err := NewMM1K(9, 10, 200)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := bd.Chain()
+	c, err := mm1k(9, 10, 200).Chain()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,31 +16,6 @@ type BirthDeath struct {
 	Death []float64 // Death[i]: rate i → i−1; Death[0] ignored
 }
 
-// NewMM1K returns the birth-death chain of an M/M/1/K queue: arrivals
-// at rate lambda while fewer than k customers are present, service at
-// rate mu. The chain has k+1 states (0..k customers).
-func NewMM1K(lambda, mu float64, k int) (*BirthDeath, error) {
-	switch {
-	case !(lambda > 0) || math.IsInf(lambda, 1):
-		return nil, fmt.Errorf("markov: arrival rate must be positive, got %v", lambda)
-	case !(mu > 0) || math.IsInf(mu, 1):
-		return nil, fmt.Errorf("markov: service rate must be positive, got %v", mu)
-	case k < 1:
-		return nil, fmt.Errorf("markov: capacity must be at least 1, got %d", k)
-	}
-	n := k + 1
-	bd := &BirthDeath{Birth: make([]float64, n), Death: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		if i < k {
-			bd.Birth[i] = lambda
-		}
-		if i > 0 {
-			bd.Death[i] = mu
-		}
-	}
-	return bd, nil
-}
-
 // N returns the number of states.
 func (bd *BirthDeath) N() int { return len(bd.Birth) }
 
@@ -124,15 +99,6 @@ func (bd *BirthDeath) Stationary() ([]float64, error) {
 		pi[i] /= sum
 	}
 	return pi, nil
-}
-
-// Transient computes the law at time t from p0 via uniformization.
-func (bd *BirthDeath) Transient(p0 []float64, t, tol float64) ([]float64, error) {
-	c, err := bd.Chain()
-	if err != nil {
-		return nil, err
-	}
-	return c.Transient(p0, t, tol)
 }
 
 // MM1KStationary returns the closed-form stationary law of M/M/1/K —

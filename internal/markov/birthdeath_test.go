@@ -6,19 +6,20 @@ import (
 	"testing/quick"
 )
 
-func TestNewMM1KValidation(t *testing.T) {
-	cases := []struct {
-		lam, mu float64
-		k       int
-	}{
-		{0, 1, 5}, {-1, 1, 5}, {1, 0, 5}, {1, -3, 5}, {1, 1, 0},
-		{math.Inf(1), 1, 5}, {1, math.Inf(1), 5},
-	}
-	for _, tc := range cases {
-		if _, err := NewMM1K(tc.lam, tc.mu, tc.k); err == nil {
-			t.Errorf("NewMM1K(%v,%v,%d): want error", tc.lam, tc.mu, tc.k)
+// mm1k returns the birth-death chain of an M/M/1/K queue: arrivals at
+// rate lambda while fewer than k customers are present, service at
+// rate mu, states 0..k.
+func mm1k(lambda, mu float64, k int) *BirthDeath {
+	bd := &BirthDeath{Birth: make([]float64, k+1), Death: make([]float64, k+1)}
+	for i := range bd.Birth {
+		if i < k {
+			bd.Birth[i] = lambda
+		}
+		if i > 0 {
+			bd.Death[i] = mu
 		}
 	}
+	return bd
 }
 
 func TestMM1KStationaryMatchesClosedForm(t *testing.T) {
@@ -28,10 +29,7 @@ func TestMM1KStationaryMatchesClosedForm(t *testing.T) {
 	}{
 		{4, 5, 10}, {5, 4, 8}, {3, 3, 6}, {0.5, 10, 20},
 	} {
-		bd, err := NewMM1K(tc.lam, tc.mu, tc.k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bd := mm1k(tc.lam, tc.mu, tc.k)
 		pi, err := bd.Stationary()
 		if err != nil {
 			t.Fatal(err)
@@ -99,13 +97,14 @@ func TestStationaryRejectsReducibleChain(t *testing.T) {
 }
 
 func TestTransientConvergesToStationary(t *testing.T) {
-	bd, err := NewMM1K(4, 5, 15)
+	bd := mm1k(4, 5, 15)
+	p0 := make([]float64, bd.N())
+	p0[0] = 1
+	c, err := bd.Chain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := make([]float64, bd.N())
-	p0[0] = 1
-	p, err := bd.Transient(p0, 400, 1e-10)
+	p, err := c.Transient(p0, 400, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +122,7 @@ func TestTransientConvergesToStationary(t *testing.T) {
 func TestTransientMonotoneMeanFromEmpty(t *testing.T) {
 	// Starting empty, E[Q](t) rises monotonically toward the
 	// stationary mean for an M/M/1/K (stochastic monotonicity).
-	bd, err := NewMM1K(4.5, 5, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bd := mm1k(4.5, 5, 25)
 	p0 := make([]float64, bd.N())
 	p0[0] = 1
 	vals := make([]float64, bd.N())
@@ -161,16 +157,17 @@ func TestMM1KTransientStationaryProperty(t *testing.T) {
 		lam := 0.5 + float64(lamRaw)/32 // (0.5, 8.5)
 		mu := 0.5 + float64(muRaw)/32   // (0.5, 8.5)
 		k := 2 + int(kRaw)%10           // 2..11
-		bd, err := NewMM1K(lam, mu, k)
-		if err != nil {
-			return false
-		}
+		bd := mm1k(lam, mu, k)
 		p0 := make([]float64, bd.N())
 		p0[bd.N()/2] = 1
 		// t = 600/min(λ,μ) is far beyond the relaxation time of a
 		// chain this small.
 		tt := 600 / math.Min(lam, mu)
-		p, err := bd.Transient(p0, tt, 1e-10)
+		c, err := bd.Chain()
+		if err != nil {
+			return false
+		}
+		p, err := c.Transient(p0, tt, 1e-10)
 		if err != nil {
 			return false
 		}

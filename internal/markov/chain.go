@@ -50,9 +50,6 @@ func NewChain(n int) (*Chain, error) {
 	return &Chain{n: n, rows: make([][]rateEntry, n), out: make([]float64, n)}, nil
 }
 
-// N returns the number of states.
-func (c *Chain) N() int { return c.n }
-
 // AddRate adds a transition i → j with the given rate. Rates
 // accumulate if called twice for the same pair. Self-loops and
 // non-positive rates are rejected.
@@ -107,7 +104,7 @@ const maxMatvecs = 2_000_000
 
 // Transient returns the distribution at time t ≥ 0 starting from p0,
 // computed by uniformization with truncation error below tol in total
-// variation. p0 must be a probability vector of length N().
+// variation. p0 must be a probability vector over the chain's states.
 func (c *Chain) Transient(p0 []float64, t, tol float64) ([]float64, error) {
 	if err := checkDist(p0, c.n); err != nil {
 		return nil, err

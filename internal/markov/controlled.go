@@ -139,11 +139,6 @@ func (cq *ControlledQueue) InitialPoint(q0 int, lambda0 float64) ([]float64, err
 	return p, nil
 }
 
-// Transient returns the joint law at time t.
-func (cq *ControlledQueue) Transient(p0 []float64, t, tol float64) ([]float64, error) {
-	return cq.chain.Transient(p0, t, tol)
-}
-
 // MarginalQ sums the joint law over rate levels, returning the queue-
 // length pmf (length QMax+1).
 func (cq *ControlledQueue) MarginalQ(p []float64) ([]float64, error) {
@@ -161,21 +156,6 @@ func (cq *ControlledQueue) MarginalQ(p []float64) ([]float64, error) {
 	return out, nil
 }
 
-// MarginalRate sums the joint law over queue lengths, returning the
-// pmf over rate levels (length NRate).
-func (cq *ControlledQueue) MarginalRate(p []float64) ([]float64, error) {
-	if len(p) != cq.NStates() {
-		return nil, fmt.Errorf("markov: joint law has length %d, want %d", len(p), cq.NStates())
-	}
-	out := make([]float64, cq.NRate)
-	for q := 0; q <= cq.QMax; q++ {
-		for l := 0; l < cq.NRate; l++ {
-			out[l] += p[cq.Index(q, l)]
-		}
-	}
-	return out, nil
-}
-
 // QueueMoments returns E[Q] and Var[Q] under the joint law.
 func (cq *ControlledQueue) QueueMoments(p []float64) (mean, variance float64, err error) {
 	mq, err := cq.MarginalQ(p)
@@ -187,17 +167,4 @@ func (cq *ControlledQueue) QueueMoments(p []float64) (mean, variance float64, er
 		vals[i] = float64(i)
 	}
 	return MeanVar(mq, vals)
-}
-
-// RateMoments returns E[λ] and Var[λ] under the joint law.
-func (cq *ControlledQueue) RateMoments(p []float64) (mean, variance float64, err error) {
-	ml, err := cq.MarginalRate(p)
-	if err != nil {
-		return 0, 0, err
-	}
-	vals := make([]float64, len(ml))
-	for i := range vals {
-		vals[i] = cq.Rate(i)
-	}
-	return MeanVar(ml, vals)
 }

@@ -98,7 +98,7 @@ func TestControlledQueueMassConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := cq.Transient(p0, 3, 1e-9)
+	p, err := cq.Chain().Transient(p0, 3, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +113,12 @@ func TestControlledQueueMassConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := cq.MarginalRate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sumQ, sumL := 0.0, 0.0
+	sumQ := 0.0
 	for _, v := range mq {
 		sumQ += v
 	}
-	for _, v := range ml {
-		sumL += v
-	}
-	if math.Abs(sumQ-1) > 1e-9 || math.Abs(sumL-1) > 1e-9 {
-		t.Errorf("marginal masses %v / %v, want 1", sumQ, sumL)
+	if math.Abs(sumQ-1) > 1e-9 {
+		t.Errorf("queue marginal mass %v, want 1", sumQ)
 	}
 }
 
@@ -148,7 +141,7 @@ func TestControlledQueueConvergesNearTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := cq.Transient(p0, 200, 1e-8)
+	p, err := cq.Chain().Transient(p0, 200, 1e-8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +149,7 @@ func TestControlledQueueConvergesNearTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mL, _, err := cq.RateMoments(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mL := meanRate(cq, p)
 	if math.Abs(mL-mu) > 0.15*mu {
 		t.Errorf("mean rate %v far from μ = %v", mL, mu)
 	}
@@ -189,14 +179,8 @@ func TestControlledQueueMarginalLengthChecks(t *testing.T) {
 	if _, err := cq.MarginalQ(make([]float64, 3)); err == nil {
 		t.Error("MarginalQ length: want error")
 	}
-	if _, err := cq.MarginalRate(make([]float64, 3)); err == nil {
-		t.Error("MarginalRate length: want error")
-	}
 	if _, _, err := cq.QueueMoments(make([]float64, 3)); err == nil {
 		t.Error("QueueMoments length: want error")
-	}
-	if _, _, err := cq.RateMoments(make([]float64, 3)); err == nil {
-		t.Error("RateMoments length: want error")
 	}
 }
 
@@ -216,16 +200,24 @@ func TestControlledQueueRateDriftDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := cq.Transient(p0, 2, 1e-9)
+	p, err := cq.Chain().Transient(p0, 2, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mL, _, err := cq.RateMoments(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mL := meanRate(cq, p)
 	// dλ/dt = C0 = 2 for 2 seconds from λ0 = 2 → ≈ 6.
 	if mL < 4 || mL > 8 {
 		t.Errorf("mean rate after probe = %v, want ≈ 6", mL)
 	}
+}
+
+// meanRate returns E[λ] under the joint law p.
+func meanRate(cq *ControlledQueue, p []float64) float64 {
+	var m float64
+	for q := 0; q <= cq.QMax; q++ {
+		for l := 0; l < cq.NRate; l++ {
+			m += p[cq.Index(q, l)] * cq.Rate(l)
+		}
+	}
+	return m
 }

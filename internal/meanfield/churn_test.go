@@ -105,10 +105,13 @@ func TestDensityChurnMassConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	kern := d.kerns[0]
-	if kern.NumPhases() < 2 {
-		t.Fatalf("Pareto kernel has %d phases, want multi-phase", kern.NumPhases())
+	if len(kern.ph) < 2 {
+		t.Fatalf("Pareto kernel has %d phases, want multi-phase", len(kern.ph))
 	}
-	got := kern.Mass()
+	var got float64
+	for _, rd := range kern.ph {
+		got += rd.Mass()
+	}
 	want := 1 + kern.ClippedMass() + kern.Born() - kern.Died()
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("mass budget drifted: ∫f = %.12f, ledger says %.12f", got, want)
@@ -196,8 +199,8 @@ func TestDensityChurnBirthLedgerFaultPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.kerns[0].NumPhases() < 2 {
-		t.Fatalf("Pareto kernel has %d phases, want multi-phase", d.kerns[0].NumPhases())
+	if len(d.kerns[0].ph) < 2 {
+		t.Fatalf("Pareto kernel has %d phases, want multi-phase", len(d.kerns[0].ph))
 	}
 	if err := d.Step(); err != nil {
 		t.Fatalf("clean step rejected: %v", err)

@@ -184,15 +184,9 @@ func (e *Engine) TotalQueue() float64 {
 func (e *Engine) NumClasses() int { return len(e.kerns) }
 
 // ClassMeanRate returns ⟨λ⟩_k, the mean per-source rate of class k.
-// Unlike ClassMoments it makes a single pass (no variance), so the
-// per-step coupling stays one O(bins) sweep per class.
+// It makes a single pass (no variance), so the per-step coupling
+// stays one O(bins) sweep per class.
 func (e *Engine) ClassMeanRate(k int) float64 { return e.kerns[k].MeanRate() }
-
-// ClassMoments returns the mean and variance of class k's rate
-// density, normalized by its current mass.
-func (e *Engine) ClassMoments(k int) (mean, variance float64) {
-	return e.kerns[k].Moments()
-}
 
 // Marginal returns a copy of class k's rate density (length Bins,
 // cell-centered on [0, LMax]; phase kernels summed for open classes).

@@ -101,7 +101,7 @@ func engineStepOracle(e *Engine) error {
 			}
 		}
 	}
-	parallel.Each(len(e.kerns), e.cfg.Workers, func(k int) {
+	parallel.EachWorker(len(e.kerns), e.cfg.Workers, func(_, k int) {
 		kern := e.kerns[k]
 		for _, rd := range kern.ph {
 			advectOracle(rd, dt)
@@ -181,7 +181,7 @@ func TestEngineStepMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if k := e.kerns[1].NumPhases(); k < 2 {
+				if k := len(e.kerns[1].ph); k < 2 {
 					t.Fatalf("the churn class has %d phase kernels, want ≥ 2", k)
 				}
 				o, err := NewEngine(cfg, net)

@@ -86,13 +86,6 @@ func (k *classKernel) Open() bool {
 // Grid returns the shared λ-axis.
 func (k *classKernel) Grid() grid.Uniform1D { return k.ph[0].Grid() }
 
-// Phase returns the i-th phase kernel (tests and probes; the slice
-// structure is an implementation detail of the lifetime fit).
-func (k *classKernel) Phase(i int) *RateDensity { return k.ph[i] }
-
-// NumPhases returns the number of phase kernels.
-func (k *classKernel) NumPhases() int { return len(k.ph) }
-
 // Marginal returns the class's rate density: the single kernel's copy
 // for closed classes, the per-phase sum for open ones.
 func (k *classKernel) Marginal() []float64 {
@@ -101,15 +94,6 @@ func (k *classKernel) Marginal() []float64 {
 		for i, v := range rd.Marginal() {
 			m[i] += v
 		}
-	}
-	return m
-}
-
-// Mass returns the summed ∫f over phases.
-func (k *classKernel) Mass() float64 {
-	var m float64
-	for _, rd := range k.ph {
-		m += rd.Mass()
 	}
 	return m
 }

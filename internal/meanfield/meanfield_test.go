@@ -324,7 +324,7 @@ func TestDensityCFLViolationInLaterClass(t *testing.T) {
 		if d.Time() != tb || d.Queue() != qb {
 			t.Fatalf("failed Step moved time/queue: t %v -> %v, q %v -> %v", tb, d.Time(), qb, d.Queue())
 		}
-		if d.kerns[0].ph[0].Courant() == 0 {
+		if d.kerns[0].ph[0].courant == 0 {
 			t.Error("class 0 was not checked before class 1 failed")
 		}
 		return

@@ -151,10 +151,6 @@ func (p *Particles) Queue() float64 { return p.q }
 // NumClasses returns the number of classes.
 func (p *Particles) NumClasses() int { return len(p.lam) }
 
-// Rates returns class k's rate array (the live storage — callers must
-// not modify it).
-func (p *Particles) Rates(k int) []float64 { return p.lam[k] }
-
 // ClassMoments returns the rate moments of class k, assembled by
 // merging the per-chunk Welford accumulators (stats.Moments.Merge) in
 // chunk order — no second pass over the particles.

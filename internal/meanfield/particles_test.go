@@ -80,7 +80,7 @@ func TestParticlesChunkedMomentsMatchDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := p.ClassMoments(0)
-	rates := p.Rates(0)
+	rates := p.lam[0]
 	if m.Count() != len(rates) {
 		t.Fatalf("moment count %d != %d particles", m.Count(), len(rates))
 	}
@@ -118,7 +118,7 @@ func TestParticlesRatesStayInDomain(t *testing.T) {
 	if err := p.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range p.Rates(0) {
+	for _, l := range p.lam[0] {
 		if l < 0 || l > cfg.LMax {
 			t.Fatalf("rate %v escaped [0, %v]", l, cfg.LMax)
 		}
@@ -144,7 +144,7 @@ func stepOracle(p *Particles) error {
 	for k := range p.cfg.Classes {
 		qObs[k] = p.observedQueue(k)
 	}
-	parallel.Each(len(p.chunks), p.workers, func(i int) {
+	parallel.EachWorker(len(p.chunks), p.workers, func(_, i int) {
 		c := p.chunks[i]
 		cl := &p.cfg.Classes[c.class]
 		law := cl.Law

@@ -167,10 +167,6 @@ func (r *RateDensity) Mass() float64 {
 	return m * r.ax.Dx
 }
 
-// Courant returns the largest Courant number |g|·dt/Δλ of the last
-// SetDrift (0 before the first step).
-func (r *RateDensity) Courant() float64 { return r.courant }
-
 // CheckInvariants verifies the kernel's conservation laws against the
 // attached recorder at the given step: the mass budget
 // ∫f = base + clipped + born − died (the classic 1 + clipped on

@@ -241,7 +241,7 @@ func TestTwoHopMatchesTandem(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []float64{4 * prop, 2 * prop} {
-		if got := sim.RTT(i); math.Abs(got-want) > 1e-12 {
+		if got := sim.flows[i].rtt; math.Abs(got-want) > 1e-12 {
 			t.Fatalf("flow %d RTT = %v, want %v", i, got, want)
 		}
 	}

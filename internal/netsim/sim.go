@@ -507,6 +507,3 @@ func (s *Sim) Run(horizon, warmup float64) (*Result, error) {
 	}
 	return res, nil
 }
-
-// RTT returns the base (propagation-only) round-trip time of flow i.
-func (s *Sim) RTT(i int) float64 { return s.flows[i].rtt }

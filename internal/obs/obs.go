@@ -365,14 +365,6 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // run.
 func (r *Recorder) Invariants() bool { return r != nil && r.cfg.Invariants }
 
-// Scope returns the recorder's scope label ("" on a nil recorder).
-func (r *Recorder) Scope() string {
-	if r == nil {
-		return ""
-	}
-	return r.scope
-}
-
 // Child returns a recorder sharing this recorder's config (sink,
 // invariants and with them the flight recorder) under a nested
 // scope — e.g. one per sweep cell, so interleaved probe series from

@@ -170,7 +170,7 @@ func TestJSONLNoInterleaving(t *testing.T) {
 			defer wg.Done()
 			c := root.Child(fmt.Sprintf("w%d", w))
 			for i := 0; i < perWriter; i++ {
-				sink.Emit(Event{Kind: "probe", Scope: c.Scope(), Name: "big", T: float64(i), Msg: big})
+				sink.Emit(Event{Kind: "probe", Scope: c.scope, Name: "big", T: float64(i), Msg: big})
 				c.Probe("small", float64(i), float64(w))
 			}
 		}(w)

@@ -25,7 +25,9 @@
 //
 // With workers <= 1 (or a single block) every entry point runs inline
 // on the calling goroutine with no synchronization at all, so a
-// serial caller pays nothing for the abstraction.
+// serial caller pays nothing for the abstraction. With more workers,
+// the calling goroutine runs worker slot 0 itself and EachWorker
+// starts workers−1 goroutines for the other slots.
 package parallel
 
 import (
@@ -107,22 +109,19 @@ func ForWorker(n, workers int, fn func(w, lo, hi int)) {
 	})
 }
 
-// Each runs fn(i) once for every i in [0, n) on up to workers
-// goroutines, claiming indices in ascending order from a shared
-// counter, for coarse work items (particle chunks, solver classes,
-// sweep cells) that are each already thousands of operations, where
-// For's block batching would merge items that deserve their own
-// scheduling slot. fn(i) must be self-contained per index, which
-// makes Each trivially deterministic for any worker count.
-func Each(n, workers int, fn func(i int)) {
-	EachWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// EachWorker is Each with a worker slot for per-worker scratch, with
-// the same caveat as ForWorker: w is a scheduling artifact. Every
-// other entry point of this package, and sweep.Map, forks and joins
-// here. Because claims are ascending, once index i has been claimed
-// every lower index has been claimed too.
+// EachWorker runs fn(w, i) once for every i in [0, n) on up to
+// workers goroutines, claiming indices in ascending order from a
+// shared counter, for coarse work items (particle chunks, solver
+// classes, sweep cells) that are each already thousands of
+// operations, where For's block batching would merge items that
+// deserve their own scheduling slot. fn(w, i) must be self-contained
+// per index, which makes EachWorker deterministic for any worker
+// count. w in [0, workers) is the worker slot, for per-worker
+// scratch, with the same caveat as ForWorker: w is a scheduling
+// artifact. Slot 0 runs on the calling goroutine, concurrently with
+// the others. Every other entry point of this package, and sweep.Map,
+// forks and joins here. Because claims are ascending, once index i
+// has been claimed every lower index has been claimed too.
 func EachWorker(n, workers int, fn func(w, i int)) {
 	if n <= 0 {
 		return
@@ -137,22 +136,35 @@ func EachWorker(n, workers int, fn func(w, i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
+	j := new(join)
+	j.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer j.wg.Done()
+			j.claim(w, n, fn)
+		}()
 	}
-	wg.Wait()
+	j.claim(0, n, fn)
+	j.wg.Wait()
+}
+
+// join is the state one EachWorker call shares with the goroutines
+// it starts: the claim counter and the barrier, in one allocation.
+type join struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+// claim runs fn(w, i) for each index i it claims until [0, n) is
+// exhausted.
+func (j *join) claim(w, n int, fn func(w, i int)) {
+	for {
+		i := int(j.next.Add(1)) - 1
+		if i >= n {
+			return
+		}
+		fn(w, i)
+	}
 }
 
 // ReduceSum folds fn over the fixed block partition of [0, n):

@@ -114,13 +114,44 @@ func TestEachVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		for _, n := range []int{0, 1, 10, 100} {
 			visits := make([]int32, n)
-			Each(n, workers, func(i int) { atomic.AddInt32(&visits[i], 1) })
+			var badSlot atomic.Int32
+			badSlot.Store(-1)
+			EachWorker(n, workers, func(w, i int) {
+				if w < 0 || w >= workers {
+					badSlot.Store(int32(w))
+				}
+				atomic.AddInt32(&visits[i], 1)
+			})
+			if w := badSlot.Load(); w != -1 {
+				t.Fatalf("n=%d workers=%d: slot %d outside [0, %d)", n, workers, w, workers)
+			}
 			for i, v := range visits {
 				if v != 1 {
 					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, v)
 				}
 			}
 		}
+	}
+}
+
+// TestEachWorkerCallerRunsSlotZero pins the fork: slot 0 runs on the
+// calling goroutine and only workers−1 goroutines are started, each
+// sharing one counter-and-barrier allocation, so a call at two
+// workers allocates the shared state and one goroutine closure.
+func TestEachWorkerCallerRunsSlotZero(t *testing.T) {
+	const n = 64
+	slots := make([]int, n)
+	EachWorker(n, 4, func(w, i int) { slots[i] = w })
+	for i, w := range slots {
+		if w < 0 || w >= 4 {
+			t.Fatalf("index %d ran on slot %d", i, w)
+		}
+	}
+	// One item per call: whichever slot claims it, the call forks once
+	// and joins once.
+	body := func(w, i int) {}
+	if a := testing.AllocsPerRun(200, func() { EachWorker(2, 2, body) }); a > 2 {
+		t.Errorf("EachWorker at two workers: %v allocs per call, want at most 2", a)
 	}
 }
 

@@ -161,12 +161,6 @@ func New(cfg Config) (*Ensemble, error) {
 // Time returns the current simulation time.
 func (e *Ensemble) Time() float64 { return e.t }
 
-// Size returns the number of particles.
-func (e *Ensemble) Size() int { return len(e.q) }
-
-// Particle returns particle i's state (q, λ).
-func (e *Ensemble) Particle(i int) (q, lambda float64) { return e.q[i], e.lam[i] }
-
 // Step advances the whole ensemble by one Euler-Maruyama step.
 // Chunks are stepped concurrently on up to the configured workers;
 // the rate drift uses the law's batch fast path when it has one

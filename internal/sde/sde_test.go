@@ -195,8 +195,8 @@ func TestQueueNeverNegative(t *testing.T) {
 	}
 	for s := 0; s < 2000; s++ {
 		e.Step()
-		for i := 0; i < e.Size(); i++ {
-			q, lam := e.Particle(i)
+		for i, q := range e.q {
+			lam := e.lam[i]
 			if q < 0 {
 				t.Fatalf("negative queue %v at step %d", q, s)
 			}

@@ -7,10 +7,9 @@ import (
 )
 
 // This file implements the two-sample Kolmogorov-Smirnov comparison
-// and batch-means confidence intervals, exposed as fpcc.KSTwoSample
-// and fpcc.BatchMeans: a KS test asks whether two queue samples (say
-// Monte-Carlo and packet-level) agree as whole distributions rather
-// than only in their first two moments.
+// and batch-means confidence intervals. A KS test asks whether two
+// queue samples (say Monte-Carlo and packet-level) agree as whole
+// distributions rather than only in their first two moments.
 
 // KSTwoSample returns the two-sample KS statistic
 // D = sup |F̂₁(x) − F̂₂(x)| and the asymptotic p-value.

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -9,10 +8,10 @@ import (
 	"strings"
 )
 
-// This file is the byte-stable emission layer: RunRows evaluates a
-// sweep whose cells produce a Row of named-column values, and the
-// resulting Result renders as CSV or JSON identically for any worker
-// count. Floats are rendered with full round-trip precision
+// This file is the byte-stable emission layer: a Result holds a
+// sweep's cells, each a Row of named-column values, and renders as
+// CSV identically for any worker count; JSONValue makes one value
+// JSON-safe. Floats are rendered with full round-trip precision
 // (FormatFloat with precision -1), never a lossy fixed format.
 
 // Row is one cell's output: one value per column of the sweep's
@@ -22,40 +21,17 @@ type Row []any
 
 // CellRow pairs a grid cell with its output row.
 type CellRow struct {
-	Index  int       `json:"index"`
-	Values []float64 `json:"values"`
-	Seed   uint64    `json:"seed"`
-	Row    Row       `json:"row"`
+	Index  int
+	Values []float64
+	Seed   uint64
+	Row    Row
 }
 
 // Result holds a completed row-producing sweep in grid order.
 type Result struct {
-	Dims    []Dim     `json:"dims"`
-	Columns []string  `json:"columns"`
-	Cells   []CellRow `json:"cells"`
-}
-
-// RunRows evaluates fn over every grid cell and collects the rows
-// under the given column schema. Every row must have exactly one
-// value per column.
-func RunRows(cfg Config, columns []string, fn func(Cell) (Row, error)) (*Result, error) {
-	if len(columns) == 0 {
-		return nil, fmt.Errorf("sweep: no columns")
-	}
-	cells, err := Run(cfg, func(c Cell) (CellRow, error) {
-		row, err := fn(c)
-		if err != nil {
-			return CellRow{}, err
-		}
-		if len(row) != len(columns) {
-			return CellRow{}, fmt.Errorf("row has %d values, schema has %d columns", len(row), len(columns))
-		}
-		return CellRow{Index: c.Index, Values: c.Values, Seed: c.Seed, Row: row}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Dims: cfg.Grid.Dims, Columns: columns, Cells: cells}, nil
+	Dims    []Dim
+	Columns []string
+	Cells   []CellRow
 }
 
 // FormatFloat renders a float with full round-trip precision, so
@@ -118,22 +94,6 @@ func JSONValue(v any) any {
 	return v
 }
 
-// MarshalJSON sanitizes the output row (see JSONValue) so a cell
-// reporting a NaN (e.g. a settling time that never settled) cannot
-// abort the whole result encoding.
-func (c CellRow) MarshalJSON() ([]byte, error) {
-	row := make([]any, len(c.Row))
-	for i, v := range c.Row {
-		row[i] = JSONValue(v)
-	}
-	return json.Marshal(struct {
-		Index  int       `json:"index"`
-		Values []float64 `json:"values"`
-		Seed   uint64    `json:"seed"`
-		Row    []any     `json:"row"`
-	}{c.Index, c.Values, c.Seed, row})
-}
-
 // WriteCSV renders the result as CSV: a header of the cell index, the
 // dimension names and the column names, then one row per cell in grid
 // order.
@@ -161,11 +121,4 @@ func (r *Result) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the result as indented JSON.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

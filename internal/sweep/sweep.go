@@ -18,8 +18,8 @@
 //     run), so the reported error is always the globally
 //     lowest-indexed failure.
 //
-// Run is the generic entry point (any result type); RunRows adds a
-// named-column result schema with byte-stable CSV and JSON emission.
+// Run is the generic entry point (any result type); a Result of
+// named-column rows renders as byte-stable CSV.
 package sweep
 
 import (
