@@ -11,18 +11,22 @@
 //
 // The integrator is the method of steps with a fixed-step RK4 core.
 // Past states live in a bounded flat window of about maxDelay/h + 256
-// samples (maxDelay the largest delay passed to Solve), pruned in place
+// samples (maxDelay the largest delay passed to Stream), pruned in place
 // every 256 steps. Samples are one step h apart (only the last step may
 // be shorter), so a delayed value is read by indexing the window from
 // its oldest time and h, correcting that guess by a step or two, and
 // interpolating linearly between the two bracketing samples. Every
 // declared delay stays reachable; a Lag beyond every declared delay
-// would read a pruned window, so Solve reports it as an error. Stage
+// would read a pruned window, so Stream reports it as an error. Stage
 // evaluations may only look back at least one step (the step size must
 // not exceed the smallest delay), which keeps the scheme explicit.
 //
-// The recorded solution, Result, is ode.Trajectory: one flat store of
-// times and state rows, presized from the step count and stride.
+// Stream is the integrator: it hands every Stride-th sample to a
+// caller's visitor, so a caller that only reduces the solution (a
+// swing, a mean, the last state) keeps nothing but the window. Solve
+// is Stream with a Collector, which records the samples into a Result,
+// ode.Trajectory: one flat store of times and state rows, presized from
+// the step count and stride.
 package dde
 
 import (
@@ -36,11 +40,11 @@ import (
 type Lagger interface {
 	// Lag returns component i of the state at time t−delay, where t is
 	// the time of the current right-hand-side evaluation. delay must
-	// be one of the delays passed to Solve (or 0, or at most the
+	// be one of the delays passed to Stream (or 0, or at most the
 	// largest of them): the history window is sized from them, so a
-	// larger delay makes Solve return an error after the step that
+	// larger delay makes Stream return an error after the step that
 	// asked for it. A nonzero delay must be >= the solver's step size
-	// (checked at Solve time for the declared delays).
+	// (checked at Stream time for the declared delays).
 	Lag(i int, delay float64) float64
 }
 
@@ -49,7 +53,7 @@ type Lagger interface {
 // Implementations must not retain the slices or the Lagger.
 type System func(t float64, y []float64, lag Lagger, dydt []float64)
 
-// History supplies the pre-initial state: y(t) for t <= t0. Solve
+// History supplies the pre-initial state: y(t) for t <= t0. Stream
 // only reads the returned slice, so the function may return the same
 // slice on every call.
 type History func(t float64) []float64
@@ -158,10 +162,10 @@ func sizeHint(n float64) int {
 // Result holds the sampled DDE solution.
 type Result = ode.Trajectory
 
-// Options configures Solve.
+// Options configures Stream and Solve.
 type Options struct {
-	// Stride records every Stride-th accepted step into the Result
-	// (plus the first and last). Zero means 1 (record every step).
+	// Stride visits (Solve: records) every Stride-th accepted step,
+	// plus the first and last. Zero means 1 (every step).
 	Stride int
 	// Clamp, if non-nil, is applied to the state after every step —
 	// used to enforce q >= 0 and λ >= 0 in the congestion systems.
@@ -169,35 +173,63 @@ type Options struct {
 }
 
 // Solve integrates the DDE from t0 to t1 with fixed RK4 steps of size
-// h. delays must list every delay the system will request (used to
-// validate h and to size the history window): a Lag beyond all of them
-// is an error. history provides y(t) for t <= t0 (and y(t0) itself is
-// history(t0)).
+// h and records the samples Stream visits into one Result presized
+// from the step count and stride. Its arguments are Stream's.
 func Solve(f System, history History, delays []float64, t0, t1, h float64, opts Options) (*Result, error) {
+	c := Collector{T0: t0, T1: t1, H: h, Stride: opts.Stride}
+	if err := Stream(c.Add, f, history, delays, t0, t1, h, opts); err != nil {
+		return nil, err
+	}
+	return c.Result, nil
+}
+
+// Collector is the Stream visitor Solve records with: Add appends
+// each sample to Result, which the first sample presizes for a solve
+// of [T0, T1] with step H and Stride (as Options.Stride).
+type Collector struct {
+	Result    *Result
+	T0, T1, H float64
+	Stride    int
+}
+
+// Add appends a copy of the sample (t, y) to c.Result.
+func (c *Collector) Add(t float64, y []float64) {
+	if c.Result == nil {
+		c.Result = ode.NewTrajectory(len(y), sizeHint((c.T1-c.T0)/c.H/float64(max(c.Stride, 1))+3))
+	}
+	c.Result.Append(t, y)
+}
+
+// Stream integrates the DDE from t0 to t1 with fixed RK4 steps of size
+// h and hands visit, in time order, the first sample (t0, history(t0)),
+// every opts.Stride-th step and the last one, so a caller that only
+// reduces the solution stores none of it. visit must not retain or
+// modify y. delays must list every delay the system will request (used
+// to validate h and to size the history window): a Lag beyond all of
+// them is an error, returned after the step that asked for it and
+// before that step is visited. history provides y(t) for t <= t0.
+func Stream(visit func(t float64, y []float64), f System, history History, delays []float64, t0, t1, h float64, opts Options) error {
 	switch {
 	case !(h > 0):
-		return nil, fmt.Errorf("dde: non-positive step %v", h)
+		return fmt.Errorf("dde: non-positive step %v", h)
 	case t1 < t0:
-		return nil, fmt.Errorf("dde: reversed interval [%v, %v]", t0, t1)
+		return fmt.Errorf("dde: reversed interval [%v, %v]", t0, t1)
 	case history == nil:
-		return nil, fmt.Errorf("dde: nil history")
+		return fmt.Errorf("dde: nil history")
 	}
 	maxDelay := 0.0
 	for _, d := range delays {
 		if !(d >= 0) {
-			return nil, fmt.Errorf("dde: negative delay %v", d)
+			return fmt.Errorf("dde: negative delay %v", d)
 		}
 		if d > 0 && d < h {
-			return nil, fmt.Errorf("dde: step %v exceeds delay %v; the method of steps requires h <= min delay", h, d)
+			return fmt.Errorf("dde: step %v exceeds delay %v; the method of steps requires h <= min delay", h, d)
 		}
 		if d > maxDelay {
 			maxDelay = d
 		}
 	}
-	stride := opts.Stride
-	if stride <= 0 {
-		stride = 1
-	}
+	stride := max(opts.Stride, 1)
 
 	y0 := history(t0)
 	dim := len(y0)
@@ -217,9 +249,8 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 		maxDelay: maxDelay,
 	}
 	buf.append(t0, y)
-
-	res := ode.NewTrajectory(dim, sizeHint(steps/float64(stride)+3))
-	res.Append(t0, y)
+	visit(t0, y)
+	visited := t0 // time of the last visited sample
 
 	k1 := make([]float64, dim)
 	k2 := make([]float64, dim)
@@ -262,13 +293,14 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 		if opts.Clamp != nil {
 			opts.Clamp(y)
 		}
+		if buf.bad {
+			return fmt.Errorf("dde: Lag requested delay %v, beyond every declared delay (largest %v)", buf.badDelay, maxDelay)
+		}
 		buf.append(t, y)
 		step++
 		if step%stride == 0 || t >= t1 {
-			res.Append(t, y)
-		}
-		if buf.bad {
-			return nil, fmt.Errorf("dde: Lag requested delay %v, beyond every declared delay (largest %v)", buf.badDelay, maxDelay)
+			visit(t, y)
+			visited = t
 		}
 		// Keep the history window: everything older than maxDelay plus
 		// a couple of steps can go.
@@ -276,8 +308,8 @@ func Solve(f System, history History, delays []float64, t0, t1, h float64, opts 
 			buf.prune(t - maxDelay - 2*h)
 		}
 	}
-	if res.Times[len(res.Times)-1] < t {
-		res.Append(t, y)
+	if visited < t {
+		visit(t, y)
 	}
-	return res, nil
+	return nil
 }

@@ -22,20 +22,31 @@ func E6DelayOscillation(ctx *Ctx) (*Table, error) {
 	}
 	law := refLaw()
 	taus := []float64{0, 0.25, 0.5, 1, 2, 4}
+	const (
+		horizon, tail, h = 800.0, 600.0, 1e-3
+		stride           = 20
+	)
+	// Only the queue after t = tail is measured: record that tail,
+	// into slices every τ reuses.
+	size := int((horizon-tail)/(h*stride)) + 3
+	ts, qs := make([]float64, 0, size), make([]float64, 0, size)
+	keepTail := func(t float64, y []float64) {
+		if t >= tail {
+			ts, qs = append(ts, t), append(qs, y[0])
+		}
+	}
 	var swings []float64
 	for _, tau := range taus {
 		m := fluid.Model{
 			Mu: refMu, Q0: 0,
 			Sources: []fluid.Source{{Law: law, Delay: tau, Lambda0: 2}},
 		}
-		h := 1e-3
-		sol, err := m.Solve(800, h, 20)
-		if err != nil {
+		ts, qs = ts[:0], qs[:0]
+		if err := m.Stream(horizon, h, stride, keepTail); err != nil {
 			return nil, err
 		}
-		ts, qs := sol.Queue()
-		swing := stats.SwingOver(ts, qs, 600)
-		osc := stats.MeasureOscillation(ts, qs, 600, math.Max(swing/4, 0.05))
+		swing := stats.SwingOver(ts, qs, tail)
+		osc := stats.MeasureOscillation(ts, qs, tail, math.Max(swing/4, 0.05))
 		swings = append(swings, swing)
 		period := osc.Period
 		t.AddRow(tau, swing, osc.Amplitude, period)
@@ -91,11 +102,11 @@ func E7DelayUnfairness(ctx *Ctx) (*Table, error) {
 			{Law: law, Delay: baseRTT * 8, Lambda0: 5},
 		},
 	}
-	sol, err := m.Solve(3000, 5e-3, 100)
-	if err != nil {
+	pure := fluid.RateMeans{From: 1500}
+	if err := m.Stream(3000, 5e-3, 100, pure.Add); err != nil {
 		return nil, err
 	}
-	means := sol.MeanRates(1500)
+	means := pure.Means()
 	total := means[0] + means[1]
 	pureRatio := means[0] / means[1]
 	t.AddRow("pure delay", 8.0, means[0]/total, means[1]/total, pureRatio, 1.0)
@@ -113,11 +124,11 @@ func E7DelayUnfairness(ctx *Ctx) (*Table, error) {
 				{Law: law2, Delay: rtt2, Lambda0: 5},
 			},
 		}
-		sol, err := m.Solve(3000, 5e-3, 100)
-		if err != nil {
+		coupled := fluid.RateMeans{From: 1500}
+		if err := m.Stream(3000, 5e-3, 100, coupled.Add); err != nil {
 			return nil, err
 		}
-		means := sol.MeanRates(1500)
+		means := coupled.Means()
 		total := means[0] + means[1]
 		ratio := means[0] / means[1]
 		pred, err := fluid.PredictedShares([]control.AIMD{law1, law2})

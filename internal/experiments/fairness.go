@@ -74,11 +74,11 @@ func E4FairnessEqual(ctx *Ctx) (*Table, error) {
 		srcs[i] = fluid.Source{Law: law, Lambda0: float64(2 * i)}
 	}
 	m := fluid.Model{Mu: 12, Q0: 0, Sources: srcs}
-	sol, err := m.Solve(2000, 1e-3, 200)
-	if err != nil {
+	rates := fluid.RateMeans{From: 1500}
+	if err := m.Stream(2000, 1e-3, 200, rates.Add); err != nil {
 		return nil, err
 	}
-	means := sol.MeanRates(1500)
+	means := rates.Means()
 	jainFluid := stats.JainIndex(means)
 	t.AddRow("fluid", n, fmtShares(means), jainFluid)
 
@@ -145,11 +145,11 @@ func E5FairnessHetero(ctx *Ctx) (*Table, error) {
 		srcs[i] = fluid.Source{Law: l, Lambda0: 1}
 	}
 	m := fluid.Model{Mu: refMu, Q0: 0, Sources: srcs}
-	sol, err := m.Solve(4000, 1e-3, 200)
-	if err != nil {
+	rates := fluid.RateMeans{From: 3000}
+	if err := m.Stream(4000, 1e-3, 200, rates.Add); err != nil {
 		return nil, err
 	}
-	means := sol.MeanRates(3000)
+	means := rates.Means()
 	var total float64
 	for _, v := range means {
 		total += v

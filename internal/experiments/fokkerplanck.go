@@ -147,12 +147,10 @@ func E10VariabilityVsFluid(ctx *Ctx) (*Table, error) {
 
 	// Fluid trajectory: deterministic point state at the horizon.
 	m := fluid.Model{Mu: refMu, Q0: 5, Sources: []fluid.Source{{Law: refLaw(), Lambda0: 8}}}
-	sol, err := m.Solve(horizon, 1e-3, 100)
-	if err != nil {
+	var qFluid float64 // the last sample's queue, at the horizon
+	if err := m.Stream(horizon, 1e-3, 100, func(_ float64, y []float64) { qFluid = y[0] }); err != nil {
 		return nil, err
 	}
-	_, yEnd := sol.Last()
-	qFluid := yEnd[0]
 
 	buffers := []float64{22, 25, 30, 35, 40}
 	fpPositive := true

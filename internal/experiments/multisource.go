@@ -56,25 +56,18 @@ func E24MultiSourceDelay(ctx *Ctx) (*Table, error) {
 				dydt[i] = law.Drift(qDel, y[i])
 			}
 		}
-		hist := func(tt float64) []float64 {
-			y := make([]float64, n+1)
-			y[0] = 5
-			for i := 1; i <= n; i++ {
-				// Unequal starts so the difference modes are excited.
-				y[i] = (mu / float64(n)) * (0.5 + float64(i)/float64(n))
-			}
-			return y
+		pre := make([]float64, n+1)
+		pre[0] = 5
+		for i := 1; i <= n; i++ {
+			// Unequal starts so the difference modes are excited.
+			pre[i] = (mu / float64(n)) * (0.5 + float64(i)/float64(n))
 		}
-		res, err := dde.Solve(sys, hist, []float64{tauTest}, 0, 300, 0.001, dde.Options{Stride: 100})
-		if err != nil {
-			return 0, 0, err
-		}
+		hist := func(float64) []float64 { return pre }
 		lo, hi := math.Inf(1), math.Inf(-1)
 		var maxSpread float64
-		for i := 0; i < res.Len(); i++ {
-			tt, y := res.At(i)
+		err = dde.Stream(func(tt float64, y []float64) {
 			if tt < 200 {
-				continue
+				return
 			}
 			sLo, sHi := math.Inf(1), math.Inf(-1)
 			for j := 1; j <= n; j++ {
@@ -86,6 +79,9 @@ func E24MultiSourceDelay(ctx *Ctx) (*Table, error) {
 			}
 			lo = math.Min(lo, y[1])
 			hi = math.Max(hi, y[1])
+		}, sys, hist, []float64{tauTest}, 0, 300, 0.001, dde.Options{Stride: 100})
+		if err != nil {
+			return 0, 0, err
 		}
 		swing = hi - lo
 		if swing > 0 {

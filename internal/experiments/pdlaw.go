@@ -46,19 +46,18 @@ func E23DelayBudgetEngineering(ctx *Ctx) (*Table, error) {
 			}
 			dydt[1] = law.Drift(lag.Lag(0, tauTest), y[1])
 		}
-		hist := func(tt float64) []float64 { return []float64{5, mu + 1} }
-		res, err := dde.Solve(sys, hist, []float64{tauTest}, 0, 400, 0.001, dde.Options{Stride: 100})
-		if err != nil {
-			return 0, err
-		}
+		pre := []float64{5, mu + 1}
+		hist := func(float64) []float64 { return pre }
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < res.Len(); i++ {
-			tt, y := res.At(i)
+		err := dde.Stream(func(tt float64, y []float64) {
 			if tt < 300 {
-				continue
+				return
 			}
 			lo = math.Min(lo, y[1])
 			hi = math.Max(hi, y[1])
+		}, sys, hist, []float64{tauTest}, 0, 400, 0.001, dde.Options{Stride: 100})
+		if err != nil {
+			return 0, err
 		}
 		return hi - lo, nil
 	}

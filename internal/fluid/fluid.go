@@ -16,6 +16,11 @@
 // delays, which is what Sections 6 and 7 need: equal-parameter sources
 // (fairness), heterogeneous parameters (the exact-share law), and
 // heterogeneous delays (delay-induced unfairness).
+//
+// Model.Stream hands each sample to a visitor, and RateMeans reduces
+// such a stream to the sources' mean rates, so a caller that wants only
+// a swing, the mean rates or the last state stores no trajectory;
+// Model.Solve records the stream into a Solution.
 package fluid
 
 import (
@@ -100,48 +105,97 @@ func (s *Solution) column(j int) []float64 {
 }
 
 // MeanRates returns the time-averaged rate of each source over
-// [tFrom, end], computed by trapezoidal integration. Used as the
-// throughput measure in the fairness experiments.
+// [tFrom, end], computed by trapezoidal integration (RateMeans). Used
+// as the throughput measure in the fairness experiments.
 func (s *Solution) MeanRates(tFrom float64) []float64 {
-	n := s.NumSources
-	means := make([]float64, n)
-	var span float64
-	for k := 1; k < s.Len(); k++ {
-		t0, y0 := s.At(k - 1)
-		t1, y1 := s.At(k)
-		if t1 <= tFrom {
-			continue
-		}
-		lo := math.Max(t0, tFrom)
-		w := t1 - lo
-		if w <= 0 {
-			continue
-		}
-		span += w
-		for i := 0; i < n; i++ {
-			means[i] += w * 0.5 * (y0[1+i] + y1[1+i])
-		}
+	r := RateMeans{From: tFrom}
+	for k := 0; k < s.Len(); k++ {
+		r.Add(s.At(k))
 	}
-	if span > 0 {
+	return r.Means()
+}
+
+// RateMeans reduces a stream of fluid samples (the State layout of
+// Solution) to the time-averaged rate of each source over [From, end]
+// by trapezoidal integration. Its Add is a Model.Stream visitor, so a
+// caller that only wants the means stores no trajectory.
+type RateMeans struct {
+	From float64
+
+	sums  []float64 // Σ w·(λᵢ(t₀)+λᵢ(t₁))/2 per source
+	prev  []float64 // the previous sample's state
+	prevT float64
+	span  float64 // Σ w: the covered part of [From, end]
+}
+
+// Add folds in the sample (t, y); samples must arrive in time order.
+// It keeps a copy of y.
+func (r *RateMeans) Add(t float64, y []float64) {
+	if r.prev == nil {
+		r.sums = make([]float64, len(y)-1)
+		r.prev = append([]float64(nil), y...)
+		r.prevT = t
+		return
+	}
+	r.fold(t, y)
+	copy(r.prev, y)
+	r.prevT = t
+}
+
+// fold adds the trapezoid from the previous sample to (t, y), cut to
+// the part after From.
+func (r *RateMeans) fold(t float64, y []float64) {
+	if t <= r.From {
+		return
+	}
+	w := t - math.Max(r.prevT, r.From)
+	if w <= 0 {
+		return
+	}
+	r.span += w
+	for i := range r.sums {
+		r.sums[i] += w * 0.5 * (r.prev[1+i] + y[1+i])
+	}
+}
+
+// Means returns the time-averaged rate of each source over the
+// samples added so far: zeros when none falls after From, nil before
+// the first Add.
+func (r *RateMeans) Means() []float64 {
+	means := append([]float64(nil), r.sums...)
+	if r.span > 0 {
 		for i := range means {
-			means[i] /= span
+			means[i] /= r.span
 		}
 	}
 	return means
 }
 
-// Solve integrates the model to time t1 with step h. With any nonzero
-// delay h must not exceed the smallest nonzero delay (the underlying
-// method of steps requires it). Stride subsamples the recorded output
-// (0 = every step). A trajectory that leaves the finite floats — a
-// step too coarse for the model, or a law whose drift is not finite —
-// is an error.
+// Solve integrates the model to time t1 with step h and records the
+// samples Stream visits: the first, every stride-th step (0 = every
+// step) and the last. Its errors are Stream's.
 func (m *Model) Solve(t1, h float64, stride int) (*Solution, error) {
-	if err := m.Validate(); err != nil {
+	c := dde.Collector{T1: t1, H: h, Stride: stride}
+	if err := m.Stream(t1, h, stride, c.Add); err != nil {
 		return nil, err
 	}
+	return &Solution{Result: c.Result, NumSources: len(m.Sources)}, nil
+}
+
+// Stream integrates the model to time t1 with step h and hands visit,
+// in time order, the first sample, every stride-th step (0 = every
+// step) and the last (Solution's state layout). visit must not retain
+// or modify y. With any nonzero delay h must not exceed the smallest
+// nonzero delay (the underlying method of steps requires it). A
+// trajectory that leaves the finite floats — a step too coarse for the
+// model, or a law whose drift is not finite — is an error that names
+// its first non-finite sample, returned after the last was visited.
+func (m *Model) Stream(t1, h float64, stride int, visit func(t float64, y []float64)) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
 	if math.IsNaN(t1) || math.IsInf(t1, 0) || math.IsInf(h, 1) {
-		return nil, fmt.Errorf("fluid: horizon %v and step %v must be finite", t1, h)
+		return fmt.Errorf("fluid: horizon %v and step %v must be finite", t1, h)
 	}
 	n := len(m.Sources)
 	delays := make([]float64, 0, n)
@@ -186,16 +240,20 @@ func (m *Model) Solve(t1, h float64, stride int) (*Solution, error) {
 			}
 		}
 	}
-	res, err := dde.Solve(sys, history, delays, 0, t1, h, dde.Options{Stride: stride, Clamp: clamp})
-	if err != nil {
-		return nil, err
-	}
 	// Once a state is NaN or +Inf it stays so (the clamp only lifts
-	// negative values, -Inf included), so the last one speaks for all.
-	if t, y := res.Last(); !allFinite(y) {
-		return nil, fmt.Errorf("fluid: state %v at t=%v is not finite (step %v)", y, t, h)
+	// negative values, -Inf included), so a non-finite sample means a
+	// non-finite last state, and the last state is always visited.
+	var blowUp error
+	err := dde.Stream(func(t float64, y []float64) {
+		visit(t, y)
+		if blowUp == nil && !allFinite(y) {
+			blowUp = fmt.Errorf("fluid: state %v at t=%v is not finite (step %v)", y, t, h)
+		}
+	}, sys, history, delays, 0, t1, h, dde.Options{Stride: stride, Clamp: clamp})
+	if err != nil {
+		return err
 	}
-	return &Solution{Result: res, NumSources: n}, nil
+	return blowUp
 }
 
 // PredictedShares returns the paper's Section 6 closed-form share

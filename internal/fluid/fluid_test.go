@@ -264,6 +264,68 @@ func TestMeanRatesWindow(t *testing.T) {
 	}
 }
 
+// pairMeans is the trapezoid rule over a stored Solution written pair
+// by pair, as MeanRates read it before RateMeans: the oracle the
+// streamed reducer must match bit for bit.
+func pairMeans(s *Solution, tFrom float64) []float64 {
+	means := make([]float64, s.NumSources)
+	var span float64
+	for k := 1; k < s.Len(); k++ {
+		t0, y0 := s.At(k - 1)
+		t1, y1 := s.At(k)
+		if t1 <= tFrom {
+			continue
+		}
+		w := t1 - math.Max(t0, tFrom)
+		if w <= 0 {
+			continue
+		}
+		span += w
+		for i := range means {
+			means[i] += w * 0.5 * (y0[1+i] + y1[1+i])
+		}
+	}
+	if span > 0 {
+		for i := range means {
+			means[i] /= span
+		}
+	}
+	return means
+}
+
+// TestRateMeansMatchesMeanRates: RateMeans fed by Stream, MeanRates
+// over Solve's samples and the pair-by-pair oracle agree bit for bit,
+// for windows that start before the first sample, on a sample, inside
+// a strided step, and past the end.
+func TestRateMeansMatchesMeanRates(t *testing.T) {
+	l1, l2 := mustAIMD(t, 2, 0.8, 20), mustAIMD(t, 1, 0.5, 20)
+	m := Model{Mu: 10, Q0: 3, Sources: []Source{{Law: l1, Delay: 0.2, Lambda0: 1}, {Law: l2, Lambda0: 9}}}
+	const t1, h, stride = 30, 1e-3, 70
+	sol, err := m.Solve(t1, h, stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onSample, _ := sol.At(sol.Len() / 2)
+	for _, from := range []float64{-1, 0, onSample, 12.3456, t1 - 1e-4, t1, 2 * t1} {
+		r := RateMeans{From: from}
+		if err := m.Stream(t1, h, stride, r.Add); err != nil {
+			t.Fatal(err)
+		}
+		got, viaSol, want := r.Means(), sol.MeanRates(from), pairMeans(sol, from)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(viaSol[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("From=%v source %d: RateMeans %v, MeanRates %v, oracle %v", from, i, got[i], viaSol[i], want[i])
+			}
+		}
+		if len(got) != len(want) || len(viaSol) != len(want) {
+			t.Fatalf("From=%v: %d and %d means, want %d", from, len(got), len(viaSol), len(want))
+		}
+	}
+	if got := (&RateMeans{}).Means(); got != nil {
+		t.Fatalf("Means before any Add = %v, want nil", got)
+	}
+}
+
 func TestPredictedShares(t *testing.T) {
 	laws := []control.AIMD{
 		{C0: 2, C1: 1, QHat: 10},
@@ -330,6 +392,22 @@ func BenchmarkFluidSolveSingle(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Solve(100, 1e-3, 100); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFluidStreamDelayed4Sources(b *testing.B) {
+	l := control.AIMD{C0: 2, C1: 0.8, QHat: 20}
+	srcs := make([]Source, 4)
+	for i := range srcs {
+		srcs[i] = Source{Law: l, Delay: 1 + float64(i), Lambda0: 2}
+	}
+	m := Model{Mu: 10, Q0: 0, Sources: srcs}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := RateMeans{From: 50}
+		if err := m.Stream(100, 5e-3, 100, r.Add); err != nil {
 			b.Fatal(err)
 		}
 	}

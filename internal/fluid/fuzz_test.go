@@ -50,13 +50,22 @@ func decodeModel(data []byte) (Model, float64) {
 const fuzzSteps = 16
 
 // FuzzModel holds the fluid model to its contract: a model Validate
-// rejects makes Solve return an error, one it accepts either solves to
-// finite states at every recorded time or returns an error, and
-// nothing panics.
+// rejects makes Stream and Solve return an error; one it accepts either
+// solves to finite states at every recorded time or returns an error,
+// a non-finite last state among them; Stream visits exactly the samples
+// Solve records and fails with Solve's error; and nothing panics.
 func FuzzModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, h := decodeModel(data)
+		var times, states []float64
+		streamErr := m.Stream(fuzzSteps*h, h, 0, func(tk float64, y []float64) {
+			times = append(times, tk)
+			states = append(states, y...)
+		})
 		sol, err := m.Solve(fuzzSteps*h, h, 0)
+		if (err == nil) != (streamErr == nil) || err != nil && err.Error() != streamErr.Error() {
+			t.Fatalf("Solve error %v, Stream error %v", err, streamErr)
+		}
 		if verr := m.Validate(); verr != nil {
 			if err == nil {
 				t.Fatalf("Solve accepted a model Validate rejects (%v)", verr)
@@ -66,8 +75,19 @@ func FuzzModel(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if len(times) != sol.Len() {
+			t.Fatalf("Stream visited %d samples, Solve recorded %d", len(times), sol.Len())
+		}
 		for k := range sol.Len() {
 			tk, y := sol.At(k)
+			if math.Float64bits(times[k]) != math.Float64bits(tk) {
+				t.Fatalf("sample %d: Stream t=%v, Solve t=%v", k, times[k], tk)
+			}
+			for i, v := range y {
+				if math.Float64bits(states[k*len(y)+i]) != math.Float64bits(v) {
+					t.Fatalf("sample %d component %d: Stream %v, Solve %v", k, i, states[k*len(y)+i], v)
+				}
+			}
 			for _, v := range append([]float64{tk}, y...) {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("sample %d of %d is not finite: t=%v %v", k, sol.Len(), tk, y)

@@ -15,11 +15,12 @@
 // the same technique the paper's characteristic analysis performs
 // analytically.
 //
-// SolveWithEvents hands each sample to a caller's sink, so a caller that
-// only reduces the trajectory never stores it; Trajectory, one flat
-// store of times and state rows that package dde shares for its
-// results, collects them with its Append (see Trajectory for how long
-// a row read from it stays aliased).
+// SolveWithEvents hands each sample to a caller's sink, as dde.Stream
+// hands them to its visitor, so a caller that only reduces the
+// trajectory never stores it. Trajectory, one flat store of times and
+// state rows, is the collector for a caller that keeps every sample:
+// its Append is such a sink, and dde.Solve's Result is a Trajectory
+// (see Trajectory for how long a row read from it stays aliased).
 package ode
 
 import (

@@ -1,8 +1,7 @@
 // Package stats provides the measurement toolkit shared by every
 // experiment in the repository: running moments, histograms, Jain's
 // fairness index, oscillation metrics (peak detection, amplitude,
-// period), two-sample Kolmogorov-Smirnov tests, batch-means confidence
-// intervals, and density distances used to compare the Fokker-Planck
+// period), and density distances used to compare the Fokker-Planck
 // solution against Monte-Carlo ensembles.
 package stats
 
