@@ -23,28 +23,6 @@ import (
 // and every catalogued probe must appear in EXPERIMENTS.md. The full-suite checks read render B (see
 // suite_test.go), the suite's one traced render.
 
-// renderSuiteObs renders the selected suite with an explicit obs
-// configuration (nil = uninstrumented) and returns the three
-// deterministic renderings plus the suite itself.
-func renderSuiteObs(t *testing.T, filter *regexp.Regexp, oc *obs.Config) (text, csv, js string, suite *Suite) {
-	t.Helper()
-	suite, err := RunSuite(SuiteConfig{Filter: filter, Workers: 4, Obs: oc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tb, cb, jb bytes.Buffer
-	if err := suite.WriteText(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := suite.WriteCSV(&cb); err != nil {
-		t.Fatal(err)
-	}
-	if err := suite.WriteJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	return tb.String(), cb.String(), jb.String(), suite
-}
-
 // scanTrace decodes every line of a JSONL trace and hands each event
 // to fn, stopping at the first malformed line.
 func scanTrace(r io.Reader, fn func(obs.Event)) error {
@@ -93,19 +71,11 @@ func summarizeTrace(r io.Reader) (traceStats, error) {
 // render text, CSV and JSON byte-identical to the uninstrumented run,
 // and must record zero invariant violations.
 func TestSuiteObsByteIdentityCheap(t *testing.T) {
-	bt, bc, bj, _ := renderSuiteObs(t, cheapFilter, nil)
+	base := runSuite(t, SuiteConfig{Filter: cheapFilter, Workers: 4})
 	var trace bytes.Buffer
 	oc := &obs.Config{Sink: obs.NewJSONL(&trace), Invariants: true}
-	it, ic, ij, _ := renderSuiteObs(t, cheapFilter, oc)
-	if bt != it {
-		t.Error("text output differs with obs enabled")
-	}
-	if bc != ic {
-		t.Error("CSV output differs with obs enabled")
-	}
-	if bj != ij {
-		t.Error("JSON output differs with obs enabled")
-	}
+	traced := runSuite(t, SuiteConfig{Filter: cheapFilter, Workers: 4, Obs: oc})
+	checkRenders(t, "instrumented vs uninstrumented", traced, renders(t, base))
 	if err := scanTrace(&trace, func(e obs.Event) {
 		if e.Kind == "violation" {
 			t.Errorf("invariant violation in clean suite: %+v", e)
@@ -122,7 +92,7 @@ func TestSuiteObsByteIdentityCheap(t *testing.T) {
 // GOARCH.
 func TestSuiteObsByteIdentityFull(t *testing.T) {
 	a, b := renderA.get(t), renderB.get(t)
-	checkSums(t, b.label, renderSums(t, b.suite), parseSums(t, renderSums(t, a.suite)))
+	checkRenders(t, b.label+" vs "+a.label, b.suite, renders(t, a.suite))
 }
 
 // TestSuitePhasesEveryExperiment: in render B every one of the 34

@@ -12,16 +12,16 @@ import (
 // acceptance criterion: any (outer, inner) worker split — wide outer
 // with the negotiated grant, narrow outer with a forced wide grant,
 // and wide outer with forced unit grants — must render every selected
-// experiment to its golden digests (off amd64, where the goldens do
-// not hold, to the first shape's). The filter picks experiments whose
-// inner pools actually engage (sweep-cell inner workers for E11/E12/
-// E18, the netmf sweep for E30, the churn and adversarial sweeps for
-// E32–E34), so a split that leaked into results would show here.
+// experiment to its golden files (off amd64, where the goldens do not
+// hold, to the first shape's renders). The filter picks experiments
+// whose inner pools actually engage (sweep-cell inner workers for E11/
+// E12/E18, the netmf sweep for E30, the churn and adversarial sweeps
+// for E32–E34), so a split that leaked into results would show here.
 func TestSuiteDeterministicAcrossSplits(t *testing.T) {
 	filter := regexp.MustCompile(`^E(11|12|18|30|32|33|34)$`)
 	var want map[string]string
 	if runtime.GOARCH == goldenArch {
-		want = readGolden(t)
+		want = readGoldens(t)
 	}
 	defer SetInnerWorkers(0)
 	for _, cfg := range []struct {
@@ -34,12 +34,12 @@ func TestSuiteDeterministicAcrossSplits(t *testing.T) {
 		{"outer8-forced1", 8, 1},
 	} {
 		SetInnerWorkers(cfg.inner)
-		sums := renderSums(t, runSuite(t, cfg.outer, filter))
+		suite := runSuite(t, SuiteConfig{Filter: filter, Workers: cfg.outer})
 		if want == nil {
-			want = parseSums(t, sums)
+			want = renders(t, suite)
 			continue
 		}
-		checkSums(t, cfg.name, sums, want)
+		checkRenders(t, cfg.name, suite, want)
 	}
 }
 

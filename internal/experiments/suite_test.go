@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"bytes"
-	"crypto/sha256"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strings"
@@ -24,102 +25,213 @@ import (
 // still renders and alarm-checks every experiment it selects.
 var cheapFilter = regexp.MustCompile(`^E(1|2|3|8|15)$`)
 
-func runSuite(t *testing.T, workers int, filter *regexp.Regexp) *Suite {
+func runSuite(t *testing.T, cfg SuiteConfig) *Suite {
 	t.Helper()
-	suite, err := RunSuite(SuiteConfig{Filter: filter, Workers: workers})
+	suite, err := RunSuite(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return suite
 }
 
-func renderSuite(t *testing.T, workers int, filter *regexp.Regexp) (text, csv, js string) {
-	t.Helper()
-	suite := runSuite(t, workers, filter)
-	var tb, cb, jb bytes.Buffer
-	if err := suite.WriteText(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := suite.WriteCSV(&cb); err != nil {
-		t.Fatal(err)
-	}
-	if err := suite.WriteJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	return tb.String(), cb.String(), jb.String()
-}
-
-// goldenPath is the behaviour spec of the whole registry: the sha256
-// of every experiment's text, CSV and JSON render, one
-// "<sha256>  <id>.<txt|csv|json>" line each.
-const goldenPath = "testdata/golden.sha256"
+// goldenDir is the behaviour spec of the whole registry: every
+// experiment's text, CSV and JSON render, committed as <id>.txt,
+// <id>.csv and <id>.json.
+const goldenDir = "testdata/golden"
 
 // goldenArch is the only GOARCH the goldens hold for. Elsewhere the
 // compiler may fuse a*b+c into one FMA instruction, which rounds once
 // instead of twice and moves the last digits of the renders.
 const goldenArch = "amd64"
 
-var update = flag.Bool("update", false, "rewrite "+goldenPath+" from render A of the full suite")
+const regenerate = "regenerate with: go test ./internal/experiments -run TestSuiteDeterministicAcrossWorkers -update"
 
-// renderSums returns one golden line per experiment and render format
-// of the suite, in registry order.
-func renderSums(t *testing.T, s *Suite) []string {
+var update = flag.Bool("update", false, "rewrite "+goldenDir+" from render A of the full suite")
+
+// formats are a report's three renders, by golden file extension.
+var formats = []struct {
+	ext   string
+	write func(*Suite, io.Writer) error
+}{{"txt", (*Suite).WriteText}, {"csv", (*Suite).WriteCSV}, {"json", (*Suite).WriteJSON}}
+
+// renderReport returns one report's render, the bytes benchreport
+// -only writes for it.
+func renderReport(t *testing.T, r Report, write func(*Suite, io.Writer) error) string {
 	t.Helper()
-	var lines []string
-	for i, r := range s.Reports {
-		one := &Suite{Reports: s.Reports[i : i+1]}
-		for _, f := range []struct {
-			ext   string
-			write func(io.Writer) error
-		}{{"txt", one.WriteText}, {"csv", one.WriteCSV}, {"json", one.WriteJSON}} {
-			h := sha256.New()
-			if err := f.write(h); err != nil {
-				t.Fatal(err)
-			}
-			lines = append(lines, fmt.Sprintf("%x  %s.%s", h.Sum(nil), r.Experiment.ID, f.ext))
-		}
+	var b strings.Builder
+	if err := write(&Suite{Reports: []Report{r}}, &b); err != nil {
+		t.Fatal(err)
 	}
-	return lines
+	return b.String()
 }
 
-// parseSums maps render name → digest over golden lines, skipping
-// blank lines and # comments.
-func parseSums(t *testing.T, lines []string) map[string]string {
+// renders returns every render of the suite, keyed by golden file
+// name.
+func renders(t *testing.T, s *Suite) map[string]string {
 	t.Helper()
-	sums := map[string]string{}
-	for _, line := range lines {
-		if line == "" || strings.HasPrefix(line, "#") {
+	out := map[string]string{}
+	for _, r := range s.Reports {
+		for _, f := range formats {
+			out[r.Experiment.ID+"."+f.ext] = renderReport(t, r, f.write)
+		}
+	}
+	return out
+}
+
+// readGoldens returns the committed renders, keyed by file name. The
+// directory must hold exactly three files per registered experiment:
+// the test stops after naming every stray and every missing file.
+func readGoldens(t *testing.T) map[string]string {
+	t.Helper()
+	names := map[string]bool{}
+	for _, e := range All() {
+		for _, f := range formats {
+			names[e.ID+"."+f.ext] = true
+		}
+	}
+	entries, err := os.ReadDir(goldenDir)
+	if err != nil {
+		t.Fatalf("%v (%s)", err, regenerate)
+	}
+	want, bad := map[string]string{}, false
+	for _, e := range entries {
+		if !names[e.Name()] {
+			t.Errorf("%s/%s is stray: no registered experiment renders it", goldenDir, e.Name())
+			bad = true
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("malformed golden line %q", line)
+		raw, err := os.ReadFile(filepath.Join(goldenDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		sums[fields[1]] = fields[0]
+		want[e.Name()] = string(raw)
 	}
-	return sums
-}
-
-// readGolden parses the golden file into render name → digest.
-func readGolden(t *testing.T) map[string]string {
-	t.Helper()
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with: go test ./internal/experiments -run TestSuiteDeterministicAcrossWorkers -update)", err)
-	}
-	return parseSums(t, strings.Split(string(raw), "\n"))
-}
-
-// checkSums fails the test for every render of lines whose digest
-// differs from want's.
-func checkSums(t *testing.T, label string, lines []string, want map[string]string) {
-	t.Helper()
-	for _, line := range lines {
-		sum, name, _ := strings.Cut(line, "  ")
-		if want[name] != sum {
-			t.Errorf("%s: %s renders to sha256 %s, want %q", label, name, sum, want[name])
+	for _, e := range All() {
+		for _, f := range formats {
+			if _, ok := want[e.ID+"."+f.ext]; !ok {
+				t.Errorf("%s/%s.%s is missing (%s)", goldenDir, e.ID, f.ext, regenerate)
+				bad = true
+			}
 		}
 	}
+	if bad {
+		t.FailNow()
+	}
+	return want
+}
+
+// checkRenders is the package's one render check: it fails the test
+// for every report of got whose render differs from the render of the
+// same name in want, a golden file or another suite's report, and
+// says where the two first differ.
+func checkRenders(t *testing.T, label string, got *Suite, want map[string]string) {
+	t.Helper()
+	for _, r := range got.Reports {
+		for _, f := range formats {
+			name := r.Experiment.ID + "." + f.ext
+			w, ok := want[name]
+			if !ok {
+				t.Errorf("%s: %s: no wanted render to compare with", label, name)
+				continue
+			}
+			if g := renderReport(t, r, f.write); g != w {
+				t.Errorf("%s: %s differs at %s", label, name, firstDiff(f.ext, g, w))
+			}
+		}
+	}
+}
+
+// firstDiff says where got first differs from want: for CSV the data
+// row, its column header and both cells, else (and for a CSV whose
+// cells agree but whose caption or findings moved) the line number and
+// both lines.
+func firstDiff(ext, got, want string) string {
+	if ext == "csv" {
+		if d := csvDiff(got, want); d != "" {
+			return d
+		}
+	}
+	// got != want, so some line differs and the loop returns.
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; ; i++ {
+		if gl, wl := quoteAt(g, i), quoteAt(w, i); gl != wl {
+			return fmt.Sprintf("line %d: got %s, want %s", i+1, gl, wl)
+		}
+	}
+}
+
+// quoteAt returns xs[i] quoted, or "nothing" past the end of xs.
+func quoteAt(xs []string, i int) string {
+	if i >= len(xs) {
+		return "nothing"
+	}
+	return fmt.Sprintf("%q", xs[i])
+}
+
+// csvRecord is one parsed CSV record and the render line it starts on.
+type csvRecord struct {
+	line   int
+	fields []string
+}
+
+// csvRecords parses a CSV render; the '#' caption and finding lines
+// are comments, not records.
+func csvRecords(s string) ([]csvRecord, error) {
+	r := csv.NewReader(strings.NewReader(s))
+	r.Comment = '#'
+	r.FieldsPerRecord = -1
+	var out []csvRecord
+	for {
+		fields, err := r.Read()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		line, _ := r.FieldPos(0)
+		out = append(out, csvRecord{line, fields})
+	}
+}
+
+// csvDiff names the first CSV cell of got that differs from want's,
+// or returns "" when both parse to the same records. Record 0 is the
+// column header and record k the k-th data row.
+func csvDiff(got, want string) string {
+	g, gerr := csvRecords(got)
+	w, werr := csvRecords(want)
+	if gerr != nil || werr != nil {
+		return ""
+	}
+	var header []string
+	if len(w) > 0 {
+		header = w[0].fields
+	}
+	for i := range max(len(g), len(w)) {
+		var gf, wf []string
+		var line int
+		if i < len(g) {
+			gf, line = g[i].fields, g[i].line
+		}
+		if i < len(w) {
+			wf, line = w[i].fields, w[i].line
+		}
+		for j := range max(len(gf), len(wf)) {
+			gc, wc := quoteAt(gf, j), quoteAt(wf, j)
+			if gc == wc {
+				continue
+			}
+			row, col := "header", fmt.Sprintf("column %d", j+1)
+			if i > 0 {
+				row = fmt.Sprintf("row %d", i)
+			}
+			if j < len(header) {
+				col = fmt.Sprintf("column %q", header[j])
+			}
+			return fmt.Sprintf("%s (line %d), %s: got %s, want %s", row, line, col, gc, wc)
+		}
+	}
+	return ""
 }
 
 // fullRender is one full-suite render, run at most once per test
@@ -181,38 +293,29 @@ func (r *fullRender) report(t *testing.T, id string) Report {
 }
 
 // TestSuiteDeterministicAcrossWorkers is the registry's behaviour
-// spec: renders A and B must each render every experiment's text,
-// CSV and JSON to the digests committed in testdata/golden.sha256
-// (on amd64; TestSuiteObsByteIdentityFull holds B to A everywhere).
-// Render A raises no alarm and every report states a finding; render
-// B's trace records no invariant violation and every probe series it
-// emits is catalogued. Run with -update to rewrite the golden file
-// from render A.
+// spec: render A raises no alarm and every report states a finding;
+// render B's trace records no invariant violation and every probe
+// series it emits is catalogued; and on amd64 renders A and B render
+// every experiment's text, CSV and JSON to the bytes committed in
+// testdata/golden (TestSuiteObsByteIdentityFull holds B to A
+// everywhere). Run with -update to rewrite the golden files from
+// render A.
 func TestSuiteDeterministicAcrossWorkers(t *testing.T) {
 	a := renderA.get(t)
-	sumsA := renderSums(t, a.suite)
 	if *update {
 		if runtime.GOARCH != goldenArch {
 			t.Fatalf("the goldens hold for GOARCH=%s only; refusing to rewrite them on %s", goldenArch, runtime.GOARCH)
 		}
-		body := "# sha256 of each experiment's text, CSV and JSON render, valid for GOARCH=" + goldenArch + ".\n" +
-			"# Regenerate with: go test ./internal/experiments -run TestSuiteDeterministicAcrossWorkers -update\n" +
-			strings.Join(sumsA, "\n") + "\n"
-		if err := os.WriteFile(goldenPath, []byte(body), 0o644); err != nil {
+		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for name, body := range renders(t, a.suite) {
+			if err := os.WriteFile(filepath.Join(goldenDir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	b := renderB.get(t)
-	if runtime.GOARCH == goldenArch {
-		want := readGolden(t)
-		if len(want) != 3*len(All()) {
-			t.Errorf("golden file has %d entries, want %d (3 renders × %d experiments)", len(want), 3*len(All()), len(All()))
-		}
-		checkSums(t, a.label, sumsA, want)
-		checkSums(t, b.label, renderSums(t, b.suite), want)
-	} else {
-		t.Logf("GOARCH=%s: the goldens hold for %s only (other architectures may fuse multiply-adds into FMA instructions); skipping the golden check", runtime.GOARCH, goldenArch)
-	}
 
 	var text bytes.Buffer
 	if err := a.suite.WriteText(&text); err != nil {
@@ -243,89 +346,47 @@ func TestSuiteDeterministicAcrossWorkers(t *testing.T) {
 	}
 	checkCatalogued(t, all)
 	t.Logf("%s: %d probe series from %d experiments, %d violations", b.label, len(all), len(b.trace.probes), len(b.trace.violations))
-}
 
-// renders returns the text, CSV and JSON of the render's report of
-// experiment id, in that order.
-func (r *fullRender) renders(t *testing.T, id string) [3]string {
-	t.Helper()
-	one := &Suite{Reports: []Report{r.report(t, id)}}
-	var out [3]string
-	for i, write := range []func(io.Writer) error{one.WriteText, one.WriteCSV, one.WriteJSON} {
-		var b strings.Builder
-		if err := write(&b); err != nil {
-			t.Fatal(err)
-		}
-		out[i] = b.String()
+	if runtime.GOARCH != goldenArch {
+		t.Logf("GOARCH=%s: the goldens hold for %s only (other architectures may fuse multiply-adds into FMA instructions); skipping the golden check", runtime.GOARCH, goldenArch)
+		return
 	}
-	return out
-}
-
-// checkAcrossRenders fails the test unless renders A and B render
-// each experiment of ids to identical text, CSV and JSON, and unless
-// A's table of it raises no alarm. Between them the two renders swing
-// the outer workers (1 vs 8), the inner grant that bounds the sweep
-// cells, particle chunks and solver sweeps (1 vs 3) and the recorder
-// (absent vs streaming with invariants), so any scheduling or
-// instrumentation dependence in those experiments shows up as a diff.
-func checkAcrossRenders(t *testing.T, ids ...string) {
-	t.Helper()
-	a, b := renderA.get(t), renderB.get(t)
-	for _, id := range ids {
-		ra, rb := a.renders(t, id), b.renders(t, id)
-		if ra[0] != rb[0] {
-			t.Errorf("%s text differs between renders:\n--- %s\n%s\n--- %s\n%s", id, a.label, ra[0], b.label, rb[0])
-		}
-		if ra[1] != rb[1] {
-			t.Errorf("%s CSV differs between %s and %s", id, a.label, b.label)
-		}
-		if ra[2] != rb[2] {
-			t.Errorf("%s JSON differs between %s and %s", id, a.label, b.label)
-		}
-		if alarm := a.report(t, id).Table.Alarm(); alarm != "" {
-			t.Errorf("%s alarmed: %s", id, alarm)
-		}
-	}
-}
-
-// TestE9E10TablesDeterministicAcrossInnerWorkers: the Fokker-Planck
-// solver sweeps and Monte-Carlo chunks behind E9 and E10 render the
-// same bytes at inner grant 1 (render A) and 3 (render B).
-func TestE9E10TablesDeterministicAcrossInnerWorkers(t *testing.T) {
-	checkAcrossRenders(t, "E9", "E10")
-}
-
-// TestMeanFieldTablesDeterministicAcrossWorkers: both parallel layers
-// under E28/E29 — the sweep cell pool and the particle chunk pool —
-// render the same bytes in renders A and B.
-func TestMeanFieldTablesDeterministicAcrossWorkers(t *testing.T) {
-	checkAcrossRenders(t, "E28", "E29")
-}
-
-// TestNetmfTablesDeterministicAcrossWorkers: the networked mean-field
-// sweeps E30/E31 draw no random numbers, so a diff between renders A
-// and B would be an aggregation-order bug in the sweep runner.
-func TestNetmfTablesDeterministicAcrossWorkers(t *testing.T) {
-	checkAcrossRenders(t, "E30", "E31")
-}
-
-// TestChurnTablesDeterministicAcrossWorkers: the adversarial/churn
-// sweeps E32–E34 (density engines, and E33's packet simulations seeded
-// per cell) render the same bytes in renders A and B.
-func TestChurnTablesDeterministicAcrossWorkers(t *testing.T) {
-	checkAcrossRenders(t, "E32", "E33", "E34")
+	want := readGoldens(t)
+	checkRenders(t, a.label+" vs "+goldenDir, a.suite, want)
+	checkRenders(t, b.label+" vs "+goldenDir, b.suite, want)
 }
 
 // TestSuiteDeterministicCheap covers the same determinism contract on
-// a fast subset, so `go test -short` still exercises it.
+// a fast subset, so `go test -short` still exercises it: the subset
+// renders the same at 1 and 8 workers and, on amd64, to the goldens.
 func TestSuiteDeterministicCheap(t *testing.T) {
-	st, sc, sj := renderSuite(t, 1, cheapFilter)
-	pt, pc, pj := renderSuite(t, 8, cheapFilter)
-	if st != pt || sc != pc || sj != pj {
-		t.Error("suite output differs between 1 worker and 8 workers")
+	serial := runSuite(t, SuiteConfig{Filter: cheapFilter, Workers: 1})
+	wide := runSuite(t, SuiteConfig{Filter: cheapFilter, Workers: 8})
+	serialRenders := renders(t, serial)
+	checkRenders(t, "cheap subset at 8 workers vs 1", wide, serialRenders)
+	if runtime.GOARCH == goldenArch {
+		checkRenders(t, "cheap subset vs "+goldenDir, serial, readGoldens(t))
 	}
-	if !strings.Contains(sc, "# E1 — ") || !strings.Contains(sc, "# => ") {
-		t.Errorf("CSV missing caption/finding comments:\n%s", sc)
+	if csv := serialRenders["E1.csv"]; !strings.Contains(csv, "# E1 — ") || !strings.Contains(csv, "# => ") {
+		t.Errorf("CSV missing caption/finding comments:\n%s", csv)
+	}
+}
+
+// TestFirstDiff: a moved CSV cell is named by its data row, column
+// header and both values, even in a quoted field that holds a comma;
+// a missing row, a moved finding and a moved text line are named by
+// their line.
+func TestFirstDiff(t *testing.T) {
+	const csv = "# E0 — caption\nx,\"v, q\"\n1,\"a, b\"\n2,3\n# => finding\n"
+	for _, c := range []struct{ ext, got, want, msg string }{
+		{"csv", strings.Replace(csv, `"a, b"`, `"a, c"`, 1), csv, `row 1 (line 3), column "v, q": got "a, c", want "a, b"`},
+		{"csv", strings.Replace(csv, "2,3\n", "", 1), csv, `row 2 (line 4), column "x": got nothing, want "2"`},
+		{"csv", strings.Replace(csv, "finding", "moved", 1), csv, `line 5: got "# => moved", want "# => finding"`},
+		{"txt", "a  \nb\n", "a\nb\n", `line 1: got "a  ", want "a"`},
+	} {
+		if msg := firstDiff(c.ext, c.got, c.want); msg != c.msg {
+			t.Errorf("%s: firstDiff = %s, want %s", c.ext, msg, c.msg)
+		}
 	}
 }
 

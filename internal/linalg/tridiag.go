@@ -70,26 +70,3 @@ func (t *Tridiag) Solve(a, b, c, d, x []float64) error {
 	}
 	return nil
 }
-
-// MulTridiag computes y = T·x for the tridiagonal matrix T given by
-// bands (a, b, c), with the same convention as Solve. y and x must not
-// alias.
-func MulTridiag(a, b, c, x, y []float64) {
-	n := len(b)
-	if n == 0 {
-		return
-	}
-	if len(a) != n || len(c) != n || len(x) != n || len(y) != n {
-		panic(fmt.Sprintf("linalg: inconsistent lengths a=%d b=%d c=%d x=%d y=%d",
-			len(a), len(b), len(c), len(x), len(y)))
-	}
-	if n == 1 {
-		y[0] = b[0] * x[0]
-		return
-	}
-	y[0] = b[0]*x[0] + c[0]*x[1]
-	for i := 1; i < n-1; i++ {
-		y[i] = a[i]*x[i-1] + b[i]*x[i] + c[i]*x[i+1]
-	}
-	y[n-1] = a[n-1]*x[n-2] + b[n-1]*x[n-1]
-}

@@ -1,33 +1,5 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
-
-// Dot returns the inner product of x and y. It panics on length
-// mismatch.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-// AXPY computes y += alpha*x in place. It panics on length mismatch.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // Scale multiplies every element of x by alpha in place.
 func Scale(alpha float64, x []float64) {
 	for i := range x {
@@ -40,19 +12,6 @@ func Fill(x []float64, v float64) {
 	for i := range x {
 		x[i] = v
 	}
-}
-
-// L1Dist returns the sum of absolute differences between x and y.
-// It panics on length mismatch.
-func L1Dist(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: L1Dist length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i, v := range x {
-		s += math.Abs(v - y[i])
-	}
-	return s
 }
 
 // Minmod returns the minmod slope limiter of two one-sided

@@ -6,35 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-	if got := Dot(nil, nil); got != 0 {
-		t.Fatalf("Dot(nil, nil) = %v, want 0", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot did not panic on length mismatch")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestAXPY(t *testing.T) {
-	y := []float64{1, 1, 1}
-	AXPY(2, []float64{1, 2, 3}, y)
-	want := []float64{3, 5, 7}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("y[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-}
-
 func TestScaleFillSum(t *testing.T) {
 	x := []float64{1, 2, 3}
 	Scale(3, x)
@@ -48,12 +19,6 @@ func TestScaleFillSum(t *testing.T) {
 		if v != -1 {
 			t.Fatalf("x[%d] after Fill = %v, want -1", i, v)
 		}
-	}
-}
-
-func TestL1Dist(t *testing.T) {
-	if got := L1Dist([]float64{1, 2}, []float64{3, 0}); got != 4 {
-		t.Fatalf("L1Dist = %v, want 4", got)
 	}
 }
 
@@ -99,35 +64,6 @@ func TestClampProperty(t *testing.T) {
 			}
 		}
 		return math.Abs(sum(x)-(before-removed)) < 1e-9*(1+math.Abs(before))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Cauchy-Schwarz |x·y| <= |x||y|.
-func TestDotCauchySchwarz(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		n := len(raw) / 2
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := 0; i < n; i++ {
-			a, b := raw[i], raw[n+i]
-			if math.IsNaN(a) || math.IsInf(a, 0) {
-				a = 1
-			}
-			if math.IsNaN(b) || math.IsInf(b, 0) {
-				b = 1
-			}
-			x[i] = math.Mod(a, 1000)
-			y[i] = math.Mod(b, 1000)
-		}
-		lhs := math.Abs(Dot(x, y))
-		rhs := math.Sqrt(Dot(x, x)) * math.Sqrt(Dot(y, y))
-		return lhs <= rhs*(1+1e-9)+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

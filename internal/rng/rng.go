@@ -1,6 +1,6 @@
 // Package rng provides a small, deterministic pseudo-random number
 // generator with the distributions needed by the simulators in this
-// repository: uniform, exponential, Poisson and normal variates.
+// repository: uniform, exponential and normal variates.
 //
 // Every stochastic component in the repository (the packet-level
 // discrete-event simulator, the SDE particle ensembles) draws from an
@@ -270,45 +270,5 @@ func (r *Source) normMiss(u uint64) float64 {
 			return math.Float64frombits(math.Float64bits(x) | sign)
 		}
 		u = r.Uint64()
-	}
-}
-
-// NormMeanStd returns a normal variate with the given mean and
-// standard deviation. It panics if std < 0.
-func (r *Source) NormMeanStd(mean, std float64) float64 {
-	if std < 0 {
-		panic(fmt.Sprintf("rng: NormMeanStd with negative std %v", std))
-	}
-	return mean + std*r.Norm()
-}
-
-// Poisson returns a Poisson variate with the given mean. For small
-// means it uses Knuth's product method; for large means a normal
-// approximation with continuity correction, which is accurate to well
-// under one count at mean >= 30 and keeps the method O(1).
-// It panics if mean < 0 or is not finite.
-func (r *Source) Poisson(mean float64) int {
-	switch {
-	case mean < 0 || math.IsNaN(mean) || math.IsInf(mean, 1):
-		panic(fmt.Sprintf("rng: Poisson with invalid mean %v", mean))
-	case mean == 0:
-		return 0
-	case mean < 30:
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		v := math.Floor(mean + math.Sqrt(mean)*r.Norm() + 0.5)
-		if v < 0 {
-			return 0
-		}
-		return int(v)
 	}
 }

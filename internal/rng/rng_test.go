@@ -263,92 +263,6 @@ func TestFillNormMatchesNorm(t *testing.T) {
 	}
 }
 
-func TestNormMeanStd(t *testing.T) {
-	r := New(41)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.NormMeanStd(10, 3)
-	}
-	if mean := sum / n; math.Abs(mean-10) > 0.05 {
-		t.Fatalf("NormMeanStd mean = %v, want 10", mean)
-	}
-}
-
-func TestNormMeanStdPanicsOnNegativeStd(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NormMeanStd(0, -1) did not panic")
-		}
-	}()
-	New(1).NormMeanStd(0, -1)
-}
-
-func TestPoissonSmallMean(t *testing.T) {
-	r := New(43)
-	const n = 200000
-	const mean = 4.0
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		k := r.Poisson(mean)
-		if k < 0 {
-			t.Fatalf("negative Poisson variate %d", k)
-		}
-		sum += float64(k)
-		sumSq += float64(k) * float64(k)
-	}
-	m := sum / n
-	v := sumSq/n - m*m
-	if math.Abs(m-mean) > 0.05 {
-		t.Fatalf("Poisson mean = %v, want %v", m, mean)
-	}
-	if math.Abs(v-mean) > 0.1 {
-		t.Fatalf("Poisson variance = %v, want %v", v, mean)
-	}
-}
-
-func TestPoissonLargeMean(t *testing.T) {
-	r := New(47)
-	const n = 100000
-	const mean = 200.0
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		k := r.Poisson(mean)
-		sum += float64(k)
-		sumSq += float64(k) * float64(k)
-	}
-	m := sum / n
-	v := sumSq/n - m*m
-	if math.Abs(m-mean)/mean > 0.01 {
-		t.Fatalf("Poisson mean = %v, want %v", m, mean)
-	}
-	if math.Abs(v-mean)/mean > 0.05 {
-		t.Fatalf("Poisson variance = %v, want %v", v, mean)
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	r := New(1)
-	for i := 0; i < 100; i++ {
-		if k := r.Poisson(0); k != 0 {
-			t.Fatalf("Poisson(0) = %d, want 0", k)
-		}
-	}
-}
-
-func TestPoissonPanicsOnBadMean(t *testing.T) {
-	for _, mean := range []float64{-1, math.NaN(), math.Inf(1)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Poisson(%v) did not panic", mean)
-				}
-			}()
-			New(1).Poisson(mean)
-		}()
-	}
-}
-
 // Property: Intn(n) always lands in [0, n) for arbitrary seeds and n.
 func TestIntnPropertyRange(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {
@@ -435,15 +349,6 @@ func BenchmarkFillNorm(b *testing.B) {
 	for i := 0; i < b.N; i += len(buf) {
 		r.FillNorm(buf[:min(len(buf), b.N-i)])
 		sink += buf[0]
-	}
-	_ = sink
-}
-
-func BenchmarkPoissonSmall(b *testing.B) {
-	r := New(1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += r.Poisson(5)
 	}
 	_ = sink
 }
