@@ -51,17 +51,17 @@ func E32AdversarialDegradation(ctx *Ctx) (*Table, error) {
 			N: n, Delay: 0.2, Lambda0: 1, InitStd: 0.3, SigmaL: 0.3,
 		}
 	}
-	build := func(classes []meanfield.Class, obs *Recorder) (*meanfield.Density, error) {
+	build := func(classes []meanfield.Class, workers int, obs *Recorder) (*meanfield.Density, error) {
 		return meanfield.NewDensity(meanfield.Config{
 			Classes: classes,
 			Mu:      mu, LMax: 4, Bins: 160, Dt: 0.01, Q0: 2 * float64(n),
-			SecondOrder: true, Obs: obs,
+			SecondOrder: true, Workers: workers, Obs: obs,
 		})
 	}
 
 	// Honest-only baseline: the share and queue the compliant million
 	// get with nobody misbehaving.
-	d, err := build([]meanfield.Class{honest()}, rc.Child("base"))
+	d, err := build([]meanfield.Class{honest()}, ctx.Inner(), rc.Child("base"))
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func E32AdversarialDegradation(ctx *Ctx) (*Table, error) {
 			att.Pulse = p
 			meanFactor = p.MeanFactor()
 		}
-		d, err := build([]meanfield.Class{honest(), att}, rc.Child("cell"+strconv.Itoa(c.Index)))
+		d, err := build([]meanfield.Class{honest(), att}, c.Workers, rc.Child("cell"+strconv.Itoa(c.Index)))
 		if err != nil {
 			return cellOut{}, err
 		}
@@ -312,7 +312,7 @@ func E34ChurnTurnover(ctx *Ctx) (*Table, error) {
 	}
 	const n = 1_000_000
 	law := control.AIMD{C0: 0.5, C1: 0.5, QHat: 2 * float64(n)}
-	build := func(ch *churn.Flow, obs *Recorder) (*netmf.Engine, error) {
+	build := func(ch *churn.Flow, workers int, obs *Recorder) (*netmf.Engine, error) {
 		return netmf.New(netmf.Config{
 			Topology: netsim.Topology{
 				Nodes: []netsim.Node{{Name: "hop0", Mu: 2 * n}, {Name: "hop1", Mu: 2 * n}},
@@ -326,7 +326,8 @@ func E34ChurnTurnover(ctx *Ctx) (*Table, error) {
 				{Name: "cross1", Law: law, N: n, Route: []int{1},
 					Lambda0: 1, InitStd: 0.3, SigmaL: 0.3},
 			},
-			LMax: 4, Bins: 160, Dt: 0.01, SecondOrder: true, Obs: obs,
+			LMax: 4, Bins: 160, Dt: 0.01, SecondOrder: true,
+			Workers: workers, Obs: obs,
 		})
 	}
 	measure := func(e *netmf.Engine) (pop, long, minCross, qPerHop float64, err error) {
@@ -351,7 +352,7 @@ func E34ChurnTurnover(ctx *Ctx) (*Table, error) {
 
 	// Closed-system baseline: the E30 starvation this experiment
 	// opens. (No churn: the population column is pinned at 1.)
-	e, err := build(nil, rc.Child("base"))
+	e, err := build(nil, ctx.Inner(), rc.Child("base"))
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +389,7 @@ func E34ChurnTurnover(ctx *Ctx) (*Table, error) {
 		// exactly the closed system's N, so only the turnover varies.
 		e, err := build(&churn.Flow{
 			Arrival: n / mean, Lifetime: lt, Lambda0: 1, InitStd: 0.3,
-		}, rc.Child("cell"+strconv.Itoa(c.Index)))
+		}, c.Workers, rc.Child("cell"+strconv.Itoa(c.Index)))
 		if err != nil {
 			return cellOut{}, err
 		}

@@ -55,6 +55,7 @@ func E28MeanFieldConvergence(ctx *Ctx) (*Table, error) {
 	// scenario is scaled so per-source observables are N-invariant).
 	cfg := mfScaledConfig(10000)
 	cfg.SecondOrder = true
+	cfg.Workers = ctx.Inner()
 	cfg.Obs = rc.Child("ref")
 	d, err := meanfield.NewDensity(cfg)
 	if err != nil {
@@ -97,7 +98,7 @@ func E28MeanFieldConvergence(ctx *Ctx) (*Table, error) {
 		n := int(c.Values[0])
 		pcfg := mfScaledConfig(n)
 		pcfg.Obs = rc.Child("cell" + strconv.Itoa(c.Index))
-		p, err := meanfield.NewParticles(pcfg, c.Seed, ctx.Inner())
+		p, err := meanfield.NewParticles(pcfg, c.Seed, c.Workers)
 		if err != nil {
 			return cellOut{}, err
 		}
@@ -194,7 +195,7 @@ func E29HeterogeneousRTTMix(ctx *Ctx) (*Table, error) {
 				},
 			},
 			Mu: total, LMax: 6, Bins: 192, Dt: 0.005, Q0: qhat, SecondOrder: true,
-			Obs: rc.Child("cell" + strconv.Itoa(c.Index)),
+			Workers: c.Workers, Obs: rc.Child("cell" + strconv.Itoa(c.Index)),
 		}
 		d, err := meanfield.NewDensity(cfg)
 		if err != nil {

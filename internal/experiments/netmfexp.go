@@ -57,6 +57,7 @@ func E30ParkingLotLargeN(ctx *Ctx) (*Table, error) {
 			return cellOut{}, err
 		}
 		cfg.SecondOrder = true
+		cfg.Workers = c.Workers
 		cfg.Obs = rc.Child("cell" + strconv.Itoa(c.Index))
 		e, err := netmf.New(cfg)
 		if err != nil {
@@ -155,6 +156,7 @@ func E31BottleneckMigrationLargeN(ctx *Ctx) (*Table, error) {
 			return cellOut{}, err
 		}
 		cfg.SecondOrder = true
+		cfg.Workers = c.Workers
 		cfg.Obs = rc.Child("cell" + strconv.Itoa(c.Index))
 		e, err := netmf.New(cfg)
 		if err != nil {

@@ -111,9 +111,7 @@ func E12DiffusionSpread(ctx *Ctx) (*Table, error) {
 		// Starting at the operating point itself, the stationary
 		// spread is established quickly; a coarser grid suffices for
 		// the monotonicity question.
-		// Cells already run in parallel; each FP solve stays
-		// single-threaded so the sweep pool owns the whole grant.
-		cfg := e9Config(c.Values[0], 1)
+		cfg := e9Config(c.Values[0], c.Workers)
 		cfg.NQ, cfg.NV = 100, 80
 		s, err := fokkerplanck.New(cfg)
 		if err != nil {

@@ -13,10 +13,12 @@ import (
 // and ensemble pools it runs internally (Fokker-Planck row sweeps,
 // SDE particle chunks, sweep cells). Outer and inner workers draw
 // from one shared budget, GOMAXPROCS, so the suite never oversubscribes
-// the machine: grant = clamp(budget/outer, 1, Width). Every engine is
-// deterministic in its worker bound, so any (outer, inner) split
-// renders byte-identical tables — the split moves wall-clock time
-// only.
+// the machine: grant = clamp(budget/outer, 1, Width). The budget holds
+// down to the sweep cell: sweep.Run hands each cell its share of the
+// grant (sweep.Cell.Workers), and every engine built inside a cell
+// takes that share, never GOMAXPROCS. Every engine is deterministic
+// in its worker bound, so any (outer, inner) split renders
+// byte-identical tables — the split moves wall-clock time only.
 
 // Ctx is the per-experiment run context handed to every Experiment.Run:
 // the experiment's recorder (nil when observability is off), its
@@ -58,7 +60,10 @@ func (c *Ctx) Rec() *Recorder {
 
 // Inner returns the experiment's inner-worker bound: the
 // SetInnerWorkers override when set, else the context's negotiated
-// grant (0 = GOMAXPROCS, the direct-invocation default).
+// grant (0 = GOMAXPROCS, the direct-invocation default). An
+// experiment passes it to every engine it builds outside a sweep and
+// to sweep.Config.Workers; engines built inside a sweep cell take the
+// cell's share, sweep.Cell.Workers.
 func (c *Ctx) Inner() int {
 	if innerWorkersBound > 0 {
 		return innerWorkersBound

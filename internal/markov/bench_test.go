@@ -37,19 +37,3 @@ func BenchmarkUniformizationTransient(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStationaryPower times the power-iteration stationary solve
-// of an M/M/1/200 chain.
-func BenchmarkStationaryPower(b *testing.B) {
-	c, err := mm1k(9, 10, 200).Chain()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.StationaryPower(1e-10, 10_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

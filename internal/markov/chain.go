@@ -99,7 +99,9 @@ func (c *Chain) stepP(dst, src []float64, lambda float64) {
 
 // maxMatvecs caps the number of uniformization steps; beyond this the
 // transient is indistinguishable from stationary at any reasonable
-// tolerance and the caller should use StationaryPower instead.
+// tolerance, so a caller after the long-run law should solve for the
+// stationary distribution directly (BirthDeath.Stationary for a
+// birth-death chain).
 const maxMatvecs = 2_000_000
 
 // Transient returns the distribution at time t ≥ 0 starting from p0,
@@ -129,7 +131,7 @@ func (c *Chain) Transient(p0 []float64, t, tol float64) ([]float64, error) {
 		return nil, err
 	}
 	if kMax > maxMatvecs {
-		return nil, fmt.Errorf("markov: uniformization needs %d > %d matrix-vector products (Λt = %.3g); use StationaryPower or a coarser model", kMax, maxMatvecs, lt)
+		return nil, fmt.Errorf("markov: uniformization needs %d > %d matrix-vector products (Λt = %.3g); solve for the stationary law or use a coarser model", kMax, maxMatvecs, lt)
 	}
 	// Poisson weights by the stable central recurrence: compute
 	// log w_k and exponentiate, so large Λt cannot underflow the
@@ -189,41 +191,6 @@ func (c *Chain) TransientSeries(p0 []float64, ts []float64, tol float64) ([][]fl
 		prev, prevT = p, t
 	}
 	return out, nil
-}
-
-// StationaryPower iterates the uniformized DTMC until the total-
-// variation change per step falls below tol, returning the stationary
-// distribution. The chain must be irreducible (or at least have a
-// single closed communicating class reachable from p0's support — a
-// uniform start is used here).
-func (c *Chain) StationaryPower(tol float64, maxIter int) ([]float64, error) {
-	if !(tol > 0) || tol >= 1 {
-		return nil, fmt.Errorf("markov: tolerance must be in (0,1), got %v", tol)
-	}
-	if maxIter <= 0 {
-		return nil, fmt.Errorf("markov: maxIter must be positive, got %d", maxIter)
-	}
-	if c.MaxOutflow() == 0 {
-		return nil, fmt.Errorf("markov: chain has no transitions")
-	}
-	lambda := c.MaxOutflow() * 1.0000001
-	cur := make([]float64, c.n)
-	next := make([]float64, c.n)
-	for i := range cur {
-		cur[i] = 1 / float64(c.n)
-	}
-	for it := 0; it < maxIter; it++ {
-		c.stepP(next, cur, lambda)
-		var dist float64
-		for i := range next {
-			dist += math.Abs(next[i] - cur[i])
-		}
-		cur, next = next, cur
-		if dist/2 < tol {
-			return cur, nil
-		}
-	}
-	return nil, fmt.Errorf("markov: power iteration did not reach tol %v in %d steps", tol, maxIter)
 }
 
 // poissonTruncation returns the smallest K with

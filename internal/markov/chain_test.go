@@ -196,34 +196,8 @@ func TestTransientSeriesRejectsDecreasingTimes(t *testing.T) {
 	}
 }
 
-func TestStationaryPowerMatchesBalance(t *testing.T) {
-	c := twoState(t, 3, 1)
-	pi, err := c.StationaryPower(1e-12, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pi[1]-0.75) > 1e-8 {
-		t.Errorf("π1 = %.10f, want 0.75", pi[1])
-	}
-}
-
-func TestStationaryPowerErrors(t *testing.T) {
-	c := twoState(t, 1, 1)
-	if _, err := c.StationaryPower(0, 10); err == nil {
-		t.Error("zero tol: want error")
-	}
-	if _, err := c.StationaryPower(1e-9, 0); err == nil {
-		t.Error("zero maxIter: want error")
-	}
-	empty, _ := NewChain(2)
-	if _, err := empty.StationaryPower(1e-9, 10); err == nil {
-		t.Error("no transitions: want error")
-	}
-}
-
 // Property: for random irreducible 3-state chains, the transient law
-// at a random time is a valid distribution and converges to the power-
-// iteration stationary law for large t.
+// at a random time is a valid distribution.
 func TestTransientPropertyRandomChains(t *testing.T) {
 	f := func(r01, r10, r12, r21, r02, r20 uint8, tRaw uint8) bool {
 		// Map to rates in (0.1, 25.7) and time in (0, 5.1].
@@ -255,24 +229,7 @@ func TestTransientPropertyRandomChains(t *testing.T) {
 			}
 			sum += v
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			return false
-		}
-		// Long-run limit agrees with the stationary law.
-		pLong, err := c.Transient([]float64{1, 0, 0}, 2000, 1e-10)
-		if err != nil {
-			return false
-		}
-		pi, err := c.StationaryPower(1e-12, 2_000_000)
-		if err != nil {
-			return false
-		}
-		for i := range pi {
-			if math.Abs(pLong[i]-pi[i]) > 1e-6 {
-				return false
-			}
-		}
-		return true
+		return math.Abs(sum-1) <= 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -97,12 +97,19 @@ func CellSeed(base uint64, idx int) uint64 {
 }
 
 // Cell is one point of the grid handed to the cell function: its
-// index in grid order, the decoded dimension values, and the cell's
-// deterministic seed.
+// index in grid order, the decoded dimension values, the cell's
+// deterministic seed and its share of the sweep's worker bound.
 type Cell struct {
 	Index  int
 	Values []float64
 	Seed   uint64
+	// Workers is the bound the cell passes to any engine it builds:
+	// Run computes it as the sweep's bound W (Config.Workers resolved
+	// by parallel.Workers) divided by the min(W, cells) cells that run
+	// at once, which is at least 1. Concurrent cells thus draw at most
+	// W workers between them. Like every worker bound it moves
+	// wall-clock time only, never a result.
+	Workers int
 }
 
 // Config describes a sweep: the grid to cover, the base seed every
@@ -112,7 +119,8 @@ type Config struct {
 	// BaseSeed derives every cell seed; two sweeps with equal BaseSeed
 	// and grid hand identical Cells to the cell function.
 	BaseSeed uint64
-	// Workers bounds the parallelism (0 means GOMAXPROCS).
+	// Workers bounds the parallelism (0 means GOMAXPROCS): the cells
+	// running at once and the engines inside them together.
 	Workers int
 	// Obs, when non-nil, records one "cell" span per evaluated cell,
 	// attributed to the worker that ran it. It never affects results
@@ -193,8 +201,10 @@ func MapWorker[T any](n, workers int, fn func(worker, i int) (T, error)) ([]T, e
 
 // Run evaluates fn on every cell of the grid and returns the results
 // in grid order. Cells run concurrently on up to cfg.Workers
-// goroutines; the results (and any error, a *CellError for the
-// lowest-indexed failing cell) are independent of the worker count.
+// goroutines, and each cell is handed its share of that bound
+// (Cell.Workers) for the engines it builds; the results (and any
+// error, a *CellError for the lowest-indexed failing cell) are
+// independent of the worker count.
 func Run[T any](cfg Config, fn func(Cell) (T, error)) ([]T, error) {
 	if err := cfg.Grid.Validate(); err != nil {
 		return nil, err
@@ -202,13 +212,16 @@ func Run[T any](cfg Config, fn func(Cell) (T, error)) ([]T, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil cell function")
 	}
-	return MapWorker(cfg.Grid.Size(), cfg.Workers, func(w, idx int) (T, error) {
+	n, workers := cfg.Grid.Size(), parallel.Workers(cfg.Workers)
+	share := workers / min(workers, n)
+	return MapWorker(n, workers, func(w, idx int) (T, error) {
 		sp := cfg.Obs.WorkerSpan("cell", w)
 		defer sp.End()
 		return fn(Cell{
-			Index:  idx,
-			Values: cfg.Grid.Values(idx),
-			Seed:   CellSeed(cfg.BaseSeed, idx),
+			Index:   idx,
+			Values:  cfg.Grid.Values(idx),
+			Seed:    CellSeed(cfg.BaseSeed, idx),
+			Workers: share,
 		})
 	})
 }

@@ -346,3 +346,53 @@ func TestRunValidation(t *testing.T) {
 		t.Error("nil cell function accepted")
 	}
 }
+
+// cellShares runs a sweep over an n-cell grid at the given worker
+// bound and returns the Workers each cell was handed, in grid order.
+func cellShares(t *testing.T, workers, n int) []int {
+	t.Helper()
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	cfg := Config{Grid: Grid{Dims: []Dim{{Name: "x", Values: vals}}}, Workers: workers}
+	got, err := Run(cfg, func(c Cell) (int, error) { return c.Workers, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestCellWorkersShare: every cell of a sweep is handed the same share
+// of the worker bound W, W/min(W, n) over n cells, so the
+// min(W, n) cells that run at once never hold more than W workers
+// between them; W = 0 resolves to GOMAXPROCS first.
+func TestCellWorkersShare(t *testing.T) {
+	want := map[[2]int]int{
+		{1, 1}: 1, {1, 3}: 1, {1, 6}: 1,
+		{2, 1}: 2, {2, 3}: 1, {2, 6}: 1,
+		{3, 1}: 3, {3, 3}: 1, {3, 6}: 1,
+		{8, 1}: 8, {8, 3}: 2, {8, 6}: 1,
+	}
+	for _, w := range []int{1, 2, 3, 8} {
+		for _, n := range []int{1, 3, 6} {
+			for i, got := range cellShares(t, w, n) {
+				if got != want[[2]int{w, n}] {
+					t.Errorf("W=%d n=%d cell %d: Workers = %d, want %d", w, n, i, got, want[[2]int{w, n}])
+				}
+				if got*min(w, n) > w {
+					t.Errorf("W=%d n=%d: %d cells × %d workers oversubscribe the bound", w, n, min(w, n), got)
+				}
+			}
+		}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	for _, n := range []int{1, 3, 6} {
+		def, explicit := cellShares(t, 0, n), cellShares(t, procs, n)
+		for i := range def {
+			if def[i] != explicit[i] {
+				t.Errorf("n=%d cell %d: Workers = %d at W=0, %d at W=GOMAXPROCS=%d", n, i, def[i], explicit[i], procs)
+			}
+		}
+	}
+}
